@@ -140,8 +140,8 @@ def _cmd_lowerbound(args) -> int:
 
 
 def _cmd_survival(args) -> int:
-    spec = TornadoSpec(args.sigma_bits, args.c, max(args.rounds, 1), 1,
-                       Variant.SIMPLE_TORNADO)
+    experiments.check_count("rounds", args.rounds)  # zero rounds is a trivial report
+    spec = TornadoSpec(args.sigma_bits, args.c, args.rounds, 1, Variant.SIMPLE_TORNADO)
     zs = default_zero_set(args.sigma_bits)
     reports = [experiments.survival_rounds(spec, zs, args.trials, args.seed, args.rounds)]
     if args.exhaustive:

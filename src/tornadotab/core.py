@@ -24,7 +24,7 @@ ascending, then the top table).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,6 +54,9 @@ class TornadoSpec:
     out_bits: int
     variant: Variant
     psi_bits: int | None = None
+    # 2**key_bits, stored because the scalar eval paths check every key
+    # against it
+    key_limit: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.char_bits <= 16:
@@ -78,6 +81,7 @@ class TornadoSpec:
                 raise ConfigError("psi_bits only applies to tornado-mix")
             if self.variant is Variant.SIMPLE_TABULATION and self.d != 0:
                 raise ConfigError("simple tabulation requires d = 0")
+        object.__setattr__(self, "key_limit", 1 << self.key_bits)
 
     @property
     def sigma(self) -> int:
@@ -152,6 +156,31 @@ def parse_spec_string(text: str) -> TornadoSpec:
         raise ConfigError(f"bad spec string {text!r}") from exc
 
 
+def _outside_universe(spec: TornadoSpec, x) -> ConfigError:
+    return ConfigError(f"key {x} outside the {spec.key_bits}-bit key universe of "
+                       f"{spec.spec_string()}")
+
+
+def check_key(spec: TornadoSpec, x: int) -> None:
+    """ConfigError unless ``0 <= x < 2**key_bits``."""
+    if not 0 <= x < spec.key_limit:
+        raise _outside_universe(spec, x)
+
+
+def check_keys(spec: TornadoSpec, xs) -> np.ndarray:
+    """Array form of :func:`check_key`: the keys as uint64, checked with one
+    max pass (and one min pass for a signed or object dtype)."""
+    xs = np.asarray(xs)
+    if xs.size:
+        if xs.dtype.kind not in "uiO":
+            raise ConfigError(f"keys must be integers, got dtype {xs.dtype}")
+        lo = 0 if xs.dtype.kind == "u" else int(xs.min())
+        hi = int(xs.max())
+        if lo < 0 or hi >= spec.key_limit:
+            raise _outside_universe(spec, lo if lo < 0 else hi)
+    return xs.astype(np.uint64, copy=False)
+
+
 def build_level_tables(spec: TornadoSpec, seed: int) -> dict[int, np.ndarray]:
     """Per-level character tables, ``level -> (positions, sigma)`` uint64."""
     tables: dict[int, np.ndarray] = {}
@@ -216,6 +245,7 @@ class TornadoHash:
     def derive(self, x: int) -> tuple[int, ...]:
         """Derived key of ``x`` as a tuple of c + d characters."""
         spec = self.spec
+        check_key(spec, x)
         chars = self.input_chars(x)
         if spec.variant in (Variant.TORNADO, Variant.TORNADO_MIX):
             t0 = self.level_tables[0]
@@ -255,7 +285,7 @@ class TornadoHash:
     def derive_batch(self, xs: np.ndarray) -> np.ndarray:
         """Derived keys of a key array, shape ``(len(xs), c + d)`` uint32."""
         spec = self.spec
-        xs = np.asarray(xs, dtype=np.uint64)
+        xs = check_keys(spec, xs)
         chars = np.empty((len(xs), spec.positions), dtype=np.uint32)
         cmask = _U(spec.sigma - 1)
         for i in range(spec.c):
@@ -394,6 +424,7 @@ def fold_tables(h: TornadoHash) -> FoldedTables:
 def eval_folded(h: TornadoHash, x: int) -> int:
     """Shift/xor evaluation over the folded tables; equals ``h.eval(x)``."""
     spec = h.spec
+    check_key(spec, x)
     f = h.folded
     tabs = f.tables
     c, d = spec.c, spec.d
@@ -427,7 +458,7 @@ def eval_folded_batch(h: TornadoHash, xs: np.ndarray) -> np.ndarray:
     tabs = f.tables_np
     assert tabs is not None
     c, d = h.spec.c, h.spec.d
-    xs = np.asarray(xs, dtype=np.uint64)
+    xs = check_keys(h.spec, xs)
     acc = np.zeros(len(xs), dtype=np.uint64)
     m8 = _U(255)
     for i in range(c - 1):

@@ -6,10 +6,22 @@ so runs are reproducible bit for bit and trials can be processed in chunks
 or on worker processes in any order.
 
 Trials are vectorized across a chunk: all lookup tables for a chunk of
-trials are generated in one pass, derived keys are computed with batched
-gathers, and linear-independence checks first peel keys containing a
-position character unique in their trial (such keys cannot take part in any
-zero-set), falling back to exact F2 elimination for the rare survivors.
+trials are generated in one pass, and linear-independence checks first peel
+keys containing a position character unique in their trial (such keys cannot
+take part in any zero-set), falling back to exact F2 elimination for the
+rare survivors.
+
+Derived keys and hashes are computed with flat gathers. Each table of a
+chunk is one contiguous (B, ...) array, so the entry trial ``b`` reads at
+character ``ch`` lies at flat offset ``b * stride + ch`` (plus ``j * alphabet``
+for position ``j`` of a level table), and one ``np.take`` on the raveled
+table reads a whole (B, n) block. Derived characters are kept as ``intp``,
+stored position by position, so each position is a contiguous block of
+offsets that needs no cast.
+
+Every entry point rejects a trial count below 1 and selector candidates
+outside the spec's key universe, and a report refuses a non-finite estimate,
+so no degenerate run reaches a verdict.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng, selectors
-from .core import TornadoSpec, Variant
+from .core import TornadoSpec, Variant, check_key, check_keys
 from .gf2 import GF2Basis, GenKey, is_zero_set
 
 _U = np.uint64
@@ -51,8 +63,12 @@ class ExperimentReport:
     verdict: Verdict = Verdict.INFORMATIONAL
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.estimate):
+            raise ValueError(f"estimate must be finite, got {self.estimate}")
         if self.estimate < 0:
             raise ValueError("estimate must be >= 0")
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.verdict is Verdict.VIOLATION and not self.estimate - 4 * self.stderr > self.bound:
             raise ValueError("Violation verdict requires estimate - 4*stderr > bound")
 
@@ -96,6 +112,12 @@ def _upper_verdict(estimate: float, stderr: float, bound: float, informational: 
     if informational:
         return Verdict.INFORMATIONAL
     return Verdict.VIOLATION if estimate - 4 * stderr > bound else Verdict.WITHIN_BOUND
+
+
+def check_count(name: str, value: int) -> None:
+    """Reject a trial or round count below 1, which no estimate can rest on."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 # -- bound formulas ----------------------------------------------------------
@@ -204,37 +226,60 @@ def _chunk_top_tables(spec: TornadoSpec, seeds: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+def _trial_base(n_trials: int, stride: int) -> np.ndarray:
+    """(B, 1) flat offset of each trial's block in a table of row size stride."""
+    return np.arange(n_trials, dtype=np.intp)[:, None] * stride
+
+
+def _xor_gather(table: np.ndarray, chars: np.ndarray, n_pos: int) -> np.ndarray:
+    """XOR over j < n_pos of table[b, j, chars[b, k, j]], as flat takes.
+
+    table is a contiguous (B, n_pos, alphabet) stack, so that entry sits at
+    flat offset b*n_pos*alphabet + j*alphabet + chars[b, k, j].
+    """
+    flat = table.reshape(-1)
+    alphabet = table.shape[-1]
+    base = _trial_base(len(table), n_pos * alphabet)
+    acc = np.take(flat, chars[:, :, 0] + base)
+    for j in range(1, n_pos):
+        acc ^= np.take(flat, chars[:, :, j] + (base + j * alphabet))
+    return acc
+
+
 def _derive_chunk(spec: TornadoSpec, level_tables: dict[int, np.ndarray], xs: np.ndarray,
                   n_trials: int) -> np.ndarray:
-    """Derived keys for each trial; xs is (n,) shared or (B, n) per trial."""
+    """Derived keys for each trial, (B, n, c + d) intp; xs is (n,) shared or
+    (B, n) per trial.
+
+    Characters are kept as intp so they index the flat tables directly. The
+    result is a view of position-major storage: each chars[:, :, i] that a
+    gather or the peeling reads is one contiguous (B, n) block, where
+    key-major storage made every gather stride over all c + d positions.
+    """
     xs = np.asarray(xs, dtype=np.uint64)
-    if xs.ndim == 1:
-        xs = np.broadcast_to(xs, (n_trials, len(xs)))
-    chars = np.empty(xs.shape + (spec.positions,), dtype=np.uint32)
+    shape = xs.shape if xs.ndim == 2 else (n_trials, len(xs))
+    chars = np.empty((spec.positions,) + shape, dtype=np.intp).transpose(1, 2, 0)
     cmask = _U(spec.sigma - 1)
     for i in range(spec.c):
         chars[:, :, i] = (xs >> _U(i * spec.char_bits)) & cmask
-    if spec.variant in (Variant.TORNADO, Variant.TORNADO_MIX):
-        t0 = level_tables[0]
-        acc = np.zeros(xs.shape, dtype=np.uint32)
-        for j in range(spec.c - 1):
-            acc ^= np.take_along_axis(t0[:, j, :], chars[:, :, j], axis=1)
-        chars[:, :, spec.c - 1] ^= acc
+    if spec.variant in (Variant.TORNADO, Variant.TORNADO_MIX) and spec.c > 1:
+        chars[:, :, spec.c - 1] ^= _xor_gather(level_tables[0], chars, spec.c - 1)
     for level in range(1, spec.d + 1):
-        if level not in level_tables:
-            continue
-        tbl = level_tables[level]
-        val = np.zeros(xs.shape, dtype=np.uint32)
-        for j in range(spec.level_input_positions(level)):
-            val ^= np.take_along_axis(tbl[:, j, :], chars[:, :, j], axis=1)
-        chars[:, :, spec.c + level - 1] = val
+        if level in level_tables:
+            chars[:, :, spec.c + level - 1] = _xor_gather(
+                level_tables[level], chars, spec.level_input_positions(level))
     return chars
 
 
 def _eval_chunk(spec: TornadoSpec, top: list[np.ndarray], chars: np.ndarray) -> np.ndarray:
+    """Top-table hash of each derived key, (B, n) uint64.
+
+    top[i] is a contiguous (B, alphabet_i) table, so one flat take per
+    position reads it; a tornado-mix tail position has a psi-wide alphabet.
+    """
     h = np.zeros(chars.shape[:2], dtype=np.uint64)
-    for i in range(spec.positions):
-        h ^= np.take_along_axis(top[i], chars[:, :, i].astype(np.int64), axis=1)
+    for i, tbl in enumerate(top):
+        h ^= np.take(tbl.reshape(-1), chars[:, :, i] + _trial_base(len(tbl), tbl.shape[1]))
     return h
 
 
@@ -290,11 +335,10 @@ def _peel_alive(chars: np.ndarray, sizes: tuple[int, ...], alive: np.ndarray) ->
     """Drop keys owning a position character unique within their trial."""
     n_trials, n_keys, b = chars.shape
     alive = alive.copy()
-    trial_base = np.arange(n_trials, dtype=np.int64)[:, None]
     while True:
         kill = np.zeros_like(alive)
         for i in range(b):
-            code = trial_base * sizes[i] + chars[:, :, i].astype(np.int64)
+            code = chars[:, :, i] + _trial_base(n_trials, sizes[i])
             counts = np.bincount(code[alive], minlength=n_trials * sizes[i])
             kill |= alive & (counts[code] == 1)
         if not kill.any():
@@ -321,6 +365,11 @@ def _dependent_rows(chars: np.ndarray, sizes: tuple[int, ...], alive: np.ndarray
     return result
 
 
+def _candidates(sel: selectors.Selector, spec: TornadoSpec) -> np.ndarray:
+    """The selector's sorted candidate keys, checked against the key universe."""
+    return check_keys(spec, sorted(sel.keys | sel.query_keys))
+
+
 def _mu_and_cap(sel: selectors.Selector, spec: TornadoSpec) -> float:
     mu_val = selectors.mu(sel, spec.out_bits)
     cap = (spec.psi if spec.variant is Variant.TORNADO_MIX else spec.sigma) / 2
@@ -332,7 +381,7 @@ def _mu_and_cap(sel: selectors.Selector, spec: TornadoSpec) -> float:
 def _dependence_range(args) -> int:
     """Count trials in [start, stop) whose derived selected keys are dependent."""
     spec, sel, master_seed, start, stop = args
-    keys = np.fromiter(sorted(sel.keys | sel.query_keys), dtype=np.uint64)
+    keys = _candidates(sel, spec)
     sizes = tuple(1 << spec.position_bits(i) for i in range(spec.positions))
     need_top = sel.kind is not selectors.SelectorKind.FIXED_SET
     chunk = _chunk_trials(spec, len(keys), need_top)
@@ -369,6 +418,8 @@ def measure_dependence(
     workers: int = 1,
 ) -> ExperimentReport:
     """Fraction of seeds whose derived selected keys are linearly dependent."""
+    check_count("trials", trials)
+    _candidates(sel, spec)
     mu_val = _mu_and_cap(sel, spec)
     count = sum(_run_ranges(_dependence_range, (spec, sel, seed), trials, workers))
     estimate = count / trials
@@ -395,7 +446,7 @@ def measure_dependence(
 def _count_tail_range(args) -> tuple[int, int]:
     """(trials with |X| >= threshold, those also derived-independent)."""
     spec, sel, master_seed, threshold, joint, start, stop = args
-    keys = np.fromiter(sorted(sel.keys | sel.query_keys), dtype=np.uint64)
+    keys = _candidates(sel, spec)
     sizes = tuple(1 << spec.position_bits(i) for i in range(spec.positions))
     chunk = _chunk_trials(spec, len(keys), True)
     big = 0
@@ -428,6 +479,8 @@ def chernoff_tail(
     keys, against the upper-tail rate."""
     if delta <= 0:
         raise ValueError("delta must be positive")
+    check_count("trials", trials)
+    _candidates(sel, spec)
     mu_val = _mu_and_cap(sel, spec)
     threshold = (1.0 + delta) * mu_val
     parts = _run_ranges(_count_tail_range, (spec, sel, seed, threshold, True), trials, workers)
@@ -459,6 +512,8 @@ def large_mu_tail(
     """Tail of the selected-set size when mu exceeds sigma/2."""
     if delta <= 0:
         raise ValueError("delta must be positive")
+    check_count("trials", trials)
+    _candidates(sel, spec)
     mu_val = selectors.mu(sel, spec.out_bits)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # verdict carries the tag
@@ -514,6 +569,7 @@ def chaining_tail(
         raise ValueError("n must be a power of two")
     if (1 << spec.out_bits) != n:
         raise ValueError("chaining requires out_bits = log2(n)")
+    check_count("trials", trials)
     parts = _run_ranges(_chaining_range, (spec, n, seed), trials, workers)
     counts = np.concatenate(parts)
     reports = []
@@ -580,8 +636,8 @@ def _check_zero_set4(spec: TornadoSpec, zero_set) -> list[int]:
     keys = list(zero_set)
     if len(keys) != 4 or len(set(keys)) != 4:
         raise ValueError("survival needs a zero-set of 4 distinct keys")
-    if any(k >> spec.key_bits for k in keys):
-        raise ValueError("key outside the spec's universe")
+    for k in keys:
+        check_key(spec, k)
     if spec.c < 2:
         raise ValueError("survival needs c >= 2")
     if spec.variant is not Variant.SIMPLE_TORNADO:
@@ -631,6 +687,11 @@ def _survival_alive(spec: TornadoSpec, keys: list[int], trials: int, seed: int,
 
 def survival_rounds(spec: TornadoSpec, zero_set, trials: int, seed: int,
                     rounds: int) -> ExperimentReport:
+    """Zero-set survival through ``rounds`` derivation rounds; zero rounds
+    survive with certainty."""
+    check_count("trials", trials)
+    if rounds < 0:
+        raise ValueError(f"rounds must be >= 0, got {rounds}")
     keys = _check_zero_set4(spec, zero_set)
     alive = _survival_alive(spec, keys, trials, seed, rounds)
     estimate = float(alive.mean())

@@ -191,6 +191,21 @@ class TestExitCodes:
         code, _, err = run(capsys, "chaining", "--n", "100", "--trials", "10")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("independence", "--trials", "-5"),
+        ("independence", "--trials", "0"),
+        ("chaining", "--trials", "0"),
+        ("chernoff", "--trials", "0"),
+        ("survival", "--rounds", "0"),
+        ("survival", "--trials", "0"),
+    ])
+    def test_degenerate_run_exits_1_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("tornadotab: error: ")
+        assert err.count("\n") == 1
+
     def test_unwritable_output(self, capsys):
         code, _, err = run(
             capsys, "dump-tables", "--spec", "simpletab,cb=4,c=1,d=0,r=8",

@@ -373,6 +373,55 @@ class TestFolded:
             eval_folded_batch(h, np.arange(4, dtype=np.uint64))
 
 
+class TestKeyDomain:
+    SPEC = TornadoSpec(8, 4, 4, 24, Variant.TORNADO)
+
+    @pytest.mark.parametrize("x", [-1, 2**32, 2**32 + 5, 2**64])
+    def test_scalar_paths_reject(self, x):
+        h = TornadoHash.build(self.SPEC, 1)
+        with pytest.raises(ConfigError, match="outside"):
+            h.eval(x)
+        with pytest.raises(ConfigError, match="outside"):
+            h.eval_folded(x)
+
+    @pytest.mark.parametrize("xs", [
+        np.array([0, -1], dtype=np.int64),
+        np.array([1, 2**32], dtype=np.uint64),
+        [3, 2**32 + 5],
+        [5, 2**70],
+    ])
+    def test_batch_paths_reject(self, xs):
+        h = TornadoHash.build(self.SPEC, 1)
+        with pytest.raises(ConfigError, match="outside"):
+            h.eval_batch(xs)
+        with pytest.raises(ConfigError, match="outside"):
+            eval_folded_batch(h, xs)
+
+    def test_non_integer_keys_rejected(self):
+        h = TornadoHash.build(self.SPEC, 1)
+        with pytest.raises(ConfigError):
+            h.eval_batch(np.array([1.5]))
+        with pytest.raises(TypeError):
+            h.eval(1.5)
+
+    def test_edges_accepted(self):
+        h = TornadoHash.build(self.SPEC, 1)
+        top = 2**32 - 1
+        batch = h.eval_batch(np.array([0, top], dtype=np.int64))
+        assert batch.tolist() == [h.eval(0), h.eval(top)]
+        assert eval_folded_batch(h, [0, top]).tolist() == [h.eval_folded(0), h.eval_folded(top)]
+        assert h.eval_batch([]).shape == (0,)
+
+    def test_full_64_bit_universe(self):
+        spec = TornadoSpec(8, 8, 5, 64, Variant.TORNADO_MIX, psi_bits=16)
+        h = TornadoHash.build(spec, 1)
+        top = 2**64 - 1
+        assert int(h.eval_batch(np.array([top], dtype=np.uint64))[0]) == h.eval(top)
+        assert h.eval_folded(top) == h.eval(top)
+        with pytest.raises(ConfigError):
+            h.eval(2**64)
+
+
 class TestBitSplit:
     def test_reconstruction(self):
         spec = TornadoSpec(8, 2, 2, 16, Variant.TORNADO)

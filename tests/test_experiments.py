@@ -2,11 +2,12 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tornadotab import experiments as ex
 from tornadotab import rng, selectors
-from tornadotab.core import TornadoHash, TornadoSpec, Variant
+from tornadotab.core import ConfigError, TornadoHash, TornadoSpec, Variant
 from tornadotab.gf2 import GenKey, genkey_from_key, is_linearly_independent
 
 
@@ -100,6 +101,52 @@ class TestBoundFormulas:
             ex.large_mu_bound(100, 0.5, 4, 256, 0)  # mu <= sigma/2
         with pytest.raises(ValueError):
             ex.large_mu_bound(512, 0.5, 4, 256, 200)  # too many queries
+
+
+ENGINE_SPECS = [
+    TornadoSpec(8, 3, 3, 20, Variant.TORNADO_MIX, psi_bits=16),  # psi-wide tail stride
+    TornadoSpec(8, 3, 0, 16, Variant.SIMPLE_TABULATION),
+    TornadoSpec(16, 1, 2, 16, Variant.TORNADO),  # c=1: no twist
+    TornadoSpec(8, 8, 3, 64, Variant.TORNADO),
+]
+
+
+class TestChunkEngine:
+    """The chunk engine against one TornadoHash per trial."""
+
+    @pytest.mark.parametrize("spec", ENGINE_SPECS, ids=lambda s: s.spec_string())
+    @pytest.mark.parametrize("n_trials", [1, 5])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-keys", "per-trial-keys"])
+    def test_matches_single_hash(self, spec, n_trials, shared):
+        seed, n = 0x5EED, 200
+        seeds = rng.trial_seed_vec(seed, np.arange(n_trials, dtype=np.uint64))
+        if shared:
+            xs = rng.raw_key_stream(1, n, spec.key_bits)
+            keys = [xs] * n_trials
+        else:
+            xs = np.stack([rng.raw_key_stream(2 + t, n, spec.key_bits) for t in range(n_trials)])
+            keys = list(xs)
+        chars = ex._derive_chunk(spec, ex._chunk_level_tables(spec, seeds), xs, n_trials)
+        evals = ex._eval_chunk(spec, ex._chunk_top_tables(spec, seeds), chars)
+        assert chars.shape == (n_trials, n, spec.positions)
+        assert evals.shape == (n_trials, n)
+        for t in range(n_trials):
+            h = TornadoHash.build(spec, rng.trial_seed(seed, t))
+            assert np.array_equal(chars[t], h.derive_batch(keys[t]))
+            assert np.array_equal(evals[t], h.eval_batch(keys[t]))
+
+    def test_chaining_bin_counts_match_eval_batch(self):
+        spec = TornadoSpec(8, 2, 4, 4, Variant.TORNADO)
+        n, trials, seed = 16, 150, 0xC4A1
+        in_bin0 = []
+        for t in range(trials):
+            ts = rng.trial_seed(seed, t)
+            keys = rng.sample_distinct_keys(ts, n, spec.key_bits)
+            in_bin0.append(int((TornadoHash.build(spec, ts).eval_batch(keys) == 0).sum()))
+        # one threshold per possible count pins down the count distribution
+        ks = range(1, max(in_bin0) + 2)
+        for rep, k in zip(ex.chaining_tail(spec, n, ks, trials, seed), ks):
+            assert rep.estimate * trials == sum(c >= k for c in in_bin0)
 
 
 def reference_dependence_count(sel, spec, trials, seed):
@@ -380,6 +427,57 @@ class TestLargeMu:
         assert a.estimate >= b.estimate
 
 
+SPEC_G = TornadoSpec(4, 2, 2, 4, Variant.TORNADO)
+KEYS_G = [1, 2, 3, 40]
+COUNTED_ENTRY_POINTS = {
+    "dependence": lambda trials: ex.measure_dependence(
+        selectors.fixed_set(KEYS_G), SPEC_G, trials, 1),
+    "chernoff": lambda trials: ex.chernoff_tail(
+        selectors.bin_selector(KEYS_G, 0), SPEC_G, 0.5, trials, 1),
+    "large_mu": lambda trials: ex.large_mu_tail(  # mu = 20 > sigma/2
+        selectors.bin_selector(range(40), 0), TornadoSpec(4, 2, 2, 1, Variant.TORNADO), 0.5,
+        trials, 1),
+    "chaining": lambda trials: ex.chaining_tail(SPEC_G, 16, [2], trials, 1),
+    "survival": lambda trials: ex.survival_rounds(
+        TornadoSpec(4, 2, 1, 1, Variant.SIMPLE_TORNADO), ZS16, trials, 1, 1),
+}
+
+
+class TestDegenerateRuns:
+    @pytest.mark.parametrize("entry", sorted(COUNTED_ENTRY_POINTS))
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_trial_count_below_one_rejected(self, entry, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            COUNTED_ENTRY_POINTS[entry](trials)
+
+    @pytest.mark.parametrize("entry", sorted(COUNTED_ENTRY_POINTS))
+    def test_one_trial_accepted(self, entry):
+        reports = COUNTED_ENTRY_POINTS[entry](1)
+        for rep in reports if isinstance(reports, list) else [reports]:
+            assert rep.trials == 1
+
+    def test_negative_rounds_rejected(self):
+        spec = TornadoSpec(4, 2, 1, 1, Variant.SIMPLE_TORNADO)
+        with pytest.raises(ValueError, match="rounds"):
+            ex.survival_rounds(spec, ZS16, 10, 1, -1)
+
+    @pytest.mark.parametrize("entry", ["dependence", "chernoff", "large_mu"])
+    def test_candidate_outside_universe_rejected(self, entry):
+        spec16 = TornadoSpec(8, 2, 2, 8, Variant.TORNADO)
+        sel = {
+            "dependence": selectors.fixed_set([1 << 20]),
+            "chernoff": selectors.bin_selector([1, 1 << 16], 0),
+            "large_mu": selectors.bin_selector(range(-1, 2000), 0),
+        }[entry]
+        run = {
+            "dependence": lambda: ex.measure_dependence(sel, spec16, 10, 1),
+            "chernoff": lambda: ex.chernoff_tail(sel, spec16, 0.5, 10, 1),
+            "large_mu": lambda: ex.large_mu_tail(sel, spec16, 0.5, 10, 1),
+        }[entry]
+        with pytest.raises(ConfigError, match="outside"):
+            run()
+
+
 class TestReports:
     def test_stderr_invariant(self):
         spec = TornadoSpec(4, 2, 1, 8, Variant.TORNADO)
@@ -391,6 +489,16 @@ class TestReports:
     def test_negative_estimate_rejected(self):
         with pytest.raises(ValueError):
             ex.ExperimentReport("x", -0.1, 0.0, 1.0, 1, 0)
+
+    @pytest.mark.parametrize("estimate", [math.nan, math.inf])
+    def test_non_finite_estimate_rejected(self, estimate):
+        with pytest.raises(ValueError, match="finite"):
+            ex.ExperimentReport("x", estimate, 0.0, 1.0, 10, 0)
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_trials_below_one_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            ex.ExperimentReport("x", 0.0, 0.0, 1.0, trials, 0)
 
     def test_inconsistent_violation_rejected(self):
         with pytest.raises(ValueError):
