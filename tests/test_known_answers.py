@@ -1,0 +1,139 @@
+"""Known-answer vectors: the bits every refactor must keep.
+
+The rng constants, the field order and the table dump are part of the file
+format (see README), and the CLI reports are the published results of a
+run. The values below were recorded once and must never change without a
+format version bump. Digests are SHA-256 over little-endian uint64 bytes
+(arrays), UTF-8 text (dumps, CLI stdout) or ``repr`` of a sorted key list
+(selections, first 16 hex digits).
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from tornadotab import cli, rng, selectors
+from tornadotab.core import TornadoHash, dump_tables, parse_spec_string
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def array_digest(values) -> str:
+    return sha256(np.asarray(values, dtype=np.uint64).astype("<u8").tobytes())
+
+
+class TestRng:
+    def test_mix64(self):
+        got = [rng.mix64(x) for x in (0, 1, 0xDEADBEEF, rng.M64)]
+        assert got == [0xE220A8397B1DCDAF, 0x910A2DEC89025CC1, 0x4ADFB90F68C9EB9B,
+                       0xE4D971771B652C20]
+
+    def test_field_value(self):
+        got = [rng.field_value(*a) for a in ((0, 0, 0, 0, 0),
+                                             (7, rng.KIND_LEVEL, 3, 2, 41),
+                                             (0x2026, rng.KIND_TOP, 0, 5, 65535))]
+        assert got == [0x6DFE3A838C2563AF, 0xF346C125DD70326C, 0x2F84B2C22C993DE7]
+
+    def test_trial_seed(self):
+        got = [rng.trial_seed(*a) for a in ((0, 0), (2026, 1), (rng.M64, 12345))]
+        assert got == [0x7ADF333CDDF12CB8, 0x43912EFF9B301E84, 0xBC5644FA66BA2B8A]
+
+    def test_sample_distinct_keys(self):
+        assert rng.sample_distinct_keys(5, 8, 10).tolist() == [239, 624, 266, 401, 416, 224,
+                                                               623, 448]
+        assert array_digest(rng.sample_distinct_keys(2026, 1000, 16)) == (
+            "3385b1e2d74bb22c80540e91ef21e96bf03e96884fe3560b61a756caf68399fb")
+
+
+# spec -> (dump_tables digest, eval_batch digest over 5000 raw_key_stream keys),
+# both under seed 0x5EED
+TABLES = {
+    "simpletab,cb=8,c=4,d=0,r=32": (
+        "dd533c6cc4e0aa58ffe5b0cc5685c295ad9213bc62d207f1a9581ff3870e7c47",
+        "bd818237b18176187bcdac7659d0875293c26c68bdc18e387d1c12828d733687"),
+    "simpletornado,cb=4,c=3,d=2,r=20": (
+        "4b78cda75c00701397b64bbfa36bc620c2c4de9b75a1bebb09b4bc5591da0ae5",
+        "4befb2494e788b4320a76accd268a856d8dbf59b9cf7138fe0809aef837e911d"),
+    "tornado,cb=8,c=4,d=4,r=24": (
+        "d1a244384646082dcc7d2f3f848bc8292915cbb6736d96d13f6f1ca3f4a3d9ff",
+        "d2affdf1a66267e835103e989c9fc3c8bb4dc5980af478550b6d32a891217147"),
+    "tornado,cb=16,c=1,d=2,r=64": (
+        "6cb6d667c6bb96b9e9b1f7b38dd0f01ba5327a36706a4cb080cd3a85162d7ab6",
+        "0b3b3b0b31d130800a8e38b32c3837bfc860721f43756258aa154e403b99d478"),
+    "tornadomix,cb=8,c=8,d=5,r=64,psi=16": (
+        "c3151c911075ba0afe22d415f3dccee21f4a857437164dfea99a52f1c49b5961",
+        "8a3f1f8a6fe5fdc7cd23f6c7ded563738728f5d064e2601b24d5a0f385a17db3"),
+}
+
+
+@pytest.mark.parametrize("text", TABLES)
+def test_dump_and_eval_batch(text):
+    spec = parse_spec_string(text)
+    h = TornadoHash.build(spec, 0x5EED)
+    dump_digest, eval_digest = TABLES[text]
+    assert sha256(dump_tables(h).encode()) == dump_digest
+    assert array_digest(h.eval_batch(rng.raw_key_stream(0x5EED, 5000, spec.key_bits))) == (
+        eval_digest)
+
+
+SELECTOR_KEYS = range(0, 65536, 37)
+# selector -> (selected-set size, digest) under tornado,cb=8,c=2,d=3,r=10, seed 0x5E1
+SELECTIONS = [
+    (selectors.fixed_set([3, 5, 8], [5]), 3, "ddd019b204ede713"),
+    (selectors.bit_prefix(SELECTOR_KEYS, 3, {0, 5}), 438, "bc61743414dde6bf"),
+    (selectors.bit_prefix(SELECTOR_KEYS, 4, {0, 9}, [74], True), 216, "d2f9a45a9f984e6b"),
+    (selectors.bit_prefix(SELECTOR_KEYS, 0, {0}, [74], True), 1772, "790b3d443e2db00e"),
+    (selectors.dyadic_interval(SELECTOR_KEYS, 111, 6), 334, "f36d6e799ca2223b"),
+    (selectors.dyadic_interval(SELECTOR_KEYS, 111, 10), 1772, "790b3d443e2db00e"),
+    (selectors.bin_selector(SELECTOR_KEYS, 7, [37]), 3, "ac9aa2c9bb3e3d31"),
+    (selectors.bin_selector(SELECTOR_KEYS, None, [370]), 4, "81a0b40f7cb92bbe"),
+]
+
+
+@pytest.mark.parametrize("sel,size,digest", SELECTIONS)
+def test_select(sel, size, digest):
+    h = TornadoHash.build(parse_spec_string("tornado,cb=8,c=2,d=3,r=10"), 0x5E1)
+    chosen = sorted(selectors.select(sel, h))
+    assert len(chosen) == size
+    assert sha256(repr(chosen).encode())[:16] == digest
+
+
+# argv -> (report rows without their params column, SHA-256 of the whole stdout)
+CLI_RUNS = [
+    (["independence", "--sigma-bits", "4", "--d", "1", "--set-size", "8", "--trials", "3000"],
+     ["dependence,0.0,0.0,126.00390625,3000,0x2026,Informational"],
+     "d33ff5ba5c62305899cabfd33956448a6e5d1027fc7026f885ab737f55789997"),
+    (["lowerbound", "--sigma-bits", "4", "--d", "2", "--trials", "2000"],
+     ["lowerbound_dependence,0.0425,0.0045107510461119445,23.62890625,2000,0x2026,"
+      "Informational"],
+     "d277e139074dce34c610e52fe04bebd9aa75476b57d546e89105d1720a65d753"),
+    (["chernoff", "--set-size", "512", "--out-bits", "3", "--delta", "0.25", "--trials", "200"],
+     ["chernoff_tail,0.025,0.011039701082909808,0.15700398290455658,200,0x2026,WithinBound"],
+     "f53a76be1592210baf0cd3a5f03e56548c40cac17c3fbd1372b7f09a88aefa33"),
+    (["chaining", "--n", "64", "--out-bits", "6", "--k", "2", "--k", "4", "--trials", "400"],
+     ["chaining_tail_k2,0.2725,0.02226228593383887,0.6795704586618118,400,0x2026,WithinBound",
+      "chaining_tail_k4,0.0125,0.0055551215108222435,0.07845913015325232,400,0x2026,"
+      "WithinBound"],
+     "125a2132cc61d0a77de8501b70b71d12de1e92a212ffa83ef1cd0ff0bc3761d8"),
+    (["survival", "--rounds", "2", "--trials", "5000"],
+     ["survival_2_rounds,0.0308,0.0024434140050347587,0.03228759765625,5000,0x2026,"
+      "Informational"],
+     "b2e14672cd3fc652ec05ba928cc5e4134261fe328ad56db5e2b61b3226a36bcd"),
+    (["probing", "--sigma-bits", "12", "--out-bits", "12", "--n", "1024", "--m", "4096",
+      "--queries", "64", "--trials", "2"],
+     ["probing_mean_probe_length,1.4375,0.0,1.3888888888888888,2,0x2026,Informational",
+      "probing_cdf_dominance,0.0,0.0,0.305968353835102,2,0x2026,WithinBound"],
+     "4bc98139153f8bc6ae42304a91be5667b9497f36e12b4ca19bd637c390c7bbd9"),
+]
+
+
+@pytest.mark.parametrize("argv,rows,digest", CLI_RUNS, ids=[r[0][0] for r in CLI_RUNS])
+def test_cli_stdout(capsys, argv, rows, digest):
+    code = cli.main(argv + ["--seed", "0x2026", "--format", "csv"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert [line.split(',"')[0] for line in out.splitlines()[1:]] == rows
+    assert sha256(out.encode()) == digest
