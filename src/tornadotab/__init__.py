@@ -11,8 +11,6 @@ from .core import (
     dump_tables,
     eval_folded,
     fold_tables,
-    hash_free_bits,
-    hash_select_bits,
     parse_spec_string,
 )
 from .gf2 import GenKey, GF2Basis, diff_key, find_zero_subset, genkey_from_key, is_linearly_independent, is_zero_set, rank
@@ -35,8 +33,6 @@ __all__ = [
     "dump_tables",
     "eval_folded",
     "fold_tables",
-    "hash_free_bits",
-    "hash_select_bits",
     "parse_spec_string",
     "GenKey",
     "GF2Basis",

@@ -3,7 +3,9 @@
 Keys are pre-generated into a buffer so the timed loop measures hashing
 only, every scheme folds its outputs into an XOR checksum to defeat
 dead-code elimination, and the median of the repetition timings is
-reported. Numbers are machine-dependent and informational.
+reported. The tornado schemes time the library's own scalar entry points
+(``eval_folded``, and ``eval`` for simple tabulation). Numbers are
+machine-dependent and informational.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from . import rng
-from .core import TornadoHash, TornadoSpec, Variant, fold_tables
+from .core import TornadoHash, TornadoSpec, Variant
 
 MERSENNE_EXP = 89
 MERSENNE_P = (1 << MERSENNE_EXP) - 1
@@ -49,10 +51,6 @@ class Poly2Mersenne:
         return mersenne_reduce(self.a * x * x + self.b * x + self.c) & self._mask
 
 
-def poly2_mersenne(seed: int, x: int, out_bits: int = 32) -> int:
-    return Poly2Mersenne(seed, out_bits).hash(x)
-
-
 @dataclass(frozen=True)
 class BenchResult:
     scheme: str
@@ -76,59 +74,18 @@ SCHEMES = ("tornado32-folded", "tornado-mix64-folded", "poly2-mersenne", "simple
 
 
 def _make_hasher(scheme: str, seed: int):
-    """Returns (hash callable, key bit width)."""
-    if scheme == "tornado32-folded":
-        h = TornadoHash.build(TORNADO32_SPEC, seed)
-        t0, t1, t2, t3, t4, t5, t6, t7 = fold_tables(h).tables
-
-        def fn(x: int) -> int:  # unrolled c=4, d=4 shift/xor sequence
-            acc = t0[x & 255] ^ t1[(x >> 8) & 255] ^ t2[(x >> 16) & 255] ^ (x >> 24)
-            acc = (acc >> 8) ^ t3[acc & 255]
-            acc = (acc >> 8) ^ t4[acc & 255]
-            acc = (acc >> 8) ^ t5[acc & 255]
-            acc = (acc >> 8) ^ t6[acc & 255]
-            return (acc >> 8) ^ t7[acc & 255]
-
-        return fn, 32
-    if scheme == "tornado-mix64-folded":
-        h = TornadoHash.build(TORNADO_MIX64_SPEC, seed)
-        folded = fold_tables(h)
-        tabs, psi = folded.tables, folded.psi_tables
-        c, d = TORNADO_MIX64_SPEC.c, TORNADO_MIX64_SPEC.d
-
-        def fn(x: int, _tabs=tabs, _psi=psi, _c=c, _e=c + d - 2) -> int:
-            acc = 0
-            for i in range(_c - 1):
-                acc ^= _tabs[i][x & 255]
-                x >>= 8
-            acc ^= x
-            for i in range(_c - 1, _e):
-                ch = acc & 255
-                acc >>= 8
-                acc ^= _tabs[i][ch]
-            b1 = acc & 0xFFFF
-            acc >>= 16
-            b2 = acc & 0xFFFF
-            return (acc >> 16) ^ _psi[0][b1] ^ _psi[1][b2]
-
-        return fn, 64
+    """Returns (hash callable, key bit width): a library entry point, or the
+    poly2 baseline."""
     if scheme == "poly2-mersenne":
-        poly = Poly2Mersenne(seed, 32)
-        return poly.hash, 32
+        return Poly2Mersenne(seed, 32).hash, 32
     if scheme == "simple-tabulation":
-        h = TornadoHash.build(SIMPLE_TAB_SPEC, seed)
-        tabs = [[int(v) for v in col] for col in h.top_table]
-
-        def fn(x: int, _tabs=tabs) -> int:
-            return (
-                _tabs[0][x & 255]
-                ^ _tabs[1][(x >> 8) & 255]
-                ^ _tabs[2][(x >> 16) & 255]
-                ^ _tabs[3][x >> 24]
-            )
-
-        return fn, 32
-    raise ValueError(f"unknown scheme {scheme!r}")
+        return TornadoHash.build(SIMPLE_TAB_SPEC, seed).eval, 32
+    folded = {"tornado32-folded": TORNADO32_SPEC, "tornado-mix64-folded": TORNADO_MIX64_SPEC}
+    if scheme not in folded:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    h = TornadoHash.build(folded[scheme], seed)
+    h.folded  # fold before the timed loop
+    return h.eval_folded, folded[scheme].key_bits
 
 
 def throughput(scheme: str, n_keys: int, reps: int = 9, seed: int = 1) -> BenchResult:

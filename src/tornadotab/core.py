@@ -19,6 +19,15 @@ Character order: ``x_1`` is the least significant ``char_bits`` bits of the
 key word, and tables are filled by the canonical PRG of :mod:`tornadotab.rng`
 in the documented order (levels ascending, positions ascending, slots
 ascending, then the top table).
+
+One batched engine builds, derives and evaluates: :func:`level_stacks` and
+:func:`top_stacks` fill the tables of B hash functions at once,
+:func:`derive_stack` computes derived characters and :func:`eval_stack`
+the top tabulation. A :class:`TornadoHash` is a stack of one: ``build``
+fills the stacks for its seed, and ``derive_batch``/``eval_batch`` run the
+engine with B = 1, while :mod:`tornadotab.experiments` runs it on a chunk
+of trials. The scalar ``derive``/``eval`` and the folded paths are
+independent transcriptions that the tests hold against the engine.
 """
 
 from __future__ import annotations
@@ -181,32 +190,105 @@ def check_keys(spec: TornadoSpec, xs) -> np.ndarray:
     return xs.astype(np.uint64, copy=False)
 
 
-def build_level_tables(spec: TornadoSpec, seed: int) -> dict[int, np.ndarray]:
-    """Per-level character tables, ``level -> (positions, sigma)`` uint64."""
-    tables: dict[int, np.ndarray] = {}
+# -- the batched engine -------------------------------------------------------
+#
+# Every table is a contiguous stack with one leading row per hash function
+# (trial), so a TornadoHash is a stack of one and the Monte Carlo experiments
+# evaluate B functions with the same code. The entry trial ``b`` reads at
+# character ``ch`` lies at flat offset ``b * stride + ch`` (plus
+# ``j * alphabet`` for position ``j`` of a level table), and one ``np.take``
+# on the raveled table reads a whole (B, n) block. Derived characters are
+# ``intp``, stored position by position, so each position is a contiguous
+# block of offsets that needs no cast.
+
+EVAL_BLOCK = 1 << 15  # keys per engine call in eval_batch; bounds the intp characters
+
+
+def level_stacks(spec: TornadoSpec, seeds: np.ndarray) -> dict[int, np.ndarray]:
+    """Level tables for many seeds at once: level -> (B, npos, sigma) uint32."""
+    out: dict[int, np.ndarray] = {}
+    s3 = seeds[:, None, None]
     for level in spec.levels():
         npos = spec.level_input_positions(level)
         mask = _U((1 << spec.level_output_bits(level)) - 1)
-        pos = np.repeat(np.arange(npos, dtype=np.uint64), spec.sigma)
-        slot = np.tile(np.arange(spec.sigma, dtype=np.uint64), npos)
-        vals = rng.field_value_vec(seed, rng.KIND_LEVEL, level, pos, slot) & mask
-        tables[level] = vals.reshape(npos, spec.sigma)
-    for t in tables.values():
-        t.flags.writeable = False
-    return tables
+        pos = np.arange(npos, dtype=np.uint64)[None, :, None]
+        slot = np.arange(spec.sigma, dtype=np.uint64)[None, None, :]
+        vals = rng.field_value_vec(s3, rng.KIND_LEVEL, level, pos, slot) & mask
+        out[level] = vals.astype(np.uint32)
+    return out
 
 
-def build_top_table(spec: TornadoSpec, seed: int) -> list[np.ndarray]:
-    """Top simple-tabulation table, one array per derived-key position."""
+def top_stacks(spec: TornadoSpec, seeds: np.ndarray) -> list[np.ndarray]:
+    """Top tables for many seeds at once, one (B, alphabet_i) uint64 per position."""
+    out = []
     mask = _U(((1 << spec.out_bits) - 1) & rng.M64)
-    out: list[np.ndarray] = []
     for i in range(spec.positions):
         size = 1 << spec.position_bits(i)
-        slots = np.arange(size, dtype=np.uint64)
-        vals = rng.field_value_vec(seed, rng.KIND_TOP, 0, i, slots) & mask
-        vals.flags.writeable = False
-        out.append(vals)
+        slots = np.arange(size, dtype=np.uint64)[None, :]
+        out.append(rng.field_value_vec(seeds[:, None], rng.KIND_TOP, 0, i, slots) & mask)
     return out
+
+
+def trial_base(n_trials: int, stride: int) -> np.ndarray:
+    """(B, 1) flat offset of each trial's block in a table of row size stride."""
+    return np.arange(n_trials, dtype=np.intp)[:, None] * stride
+
+
+def _xor_gather(table: np.ndarray, chars: np.ndarray, n_pos: int) -> np.ndarray:
+    """XOR over j < n_pos of table[b, j, chars[b, k, j]], as flat takes.
+
+    table is a contiguous (B, n_pos, alphabet) stack, so that entry sits at
+    flat offset b*n_pos*alphabet + j*alphabet + chars[b, k, j].
+    """
+    flat = table.reshape(-1)
+    alphabet = table.shape[-1]
+    base = trial_base(len(table), n_pos * alphabet)
+    acc = np.take(flat, chars[:, :, 0] + base)
+    for j in range(1, n_pos):
+        acc ^= np.take(flat, chars[:, :, j] + (base + j * alphabet))
+    return acc
+
+
+def derive_stack(spec: TornadoSpec, level_tables: dict[int, np.ndarray], xs: np.ndarray,
+                 n_trials: int) -> np.ndarray:
+    """Derived keys for each trial, (B, n, c + d) intp; xs is (n,) shared or
+    (B, n) per trial, and level_tables is a :func:`level_stacks` result.
+
+    Characters are kept as intp so they index the flat tables directly. The
+    result is a view of position-major storage: each chars[:, :, i] that a
+    gather or the peeling reads is one contiguous (B, n) block, where
+    key-major storage made every gather stride over all c + d positions.
+    """
+    xs = np.asarray(xs, dtype=np.uint64)
+    shape = xs.shape if xs.ndim == 2 else (n_trials, len(xs))
+    chars = np.empty((spec.positions,) + shape, dtype=np.intp).transpose(1, 2, 0)
+    cmask = _U(spec.sigma - 1)
+    for i in range(spec.c):
+        chars[:, :, i] = (xs >> _U(i * spec.char_bits)) & cmask
+    if spec.variant in (Variant.TORNADO, Variant.TORNADO_MIX) and spec.c > 1:
+        chars[:, :, spec.c - 1] ^= _xor_gather(level_tables[0], chars, spec.c - 1)
+    for level in range(1, spec.d + 1):
+        if level in level_tables:
+            chars[:, :, spec.c + level - 1] = _xor_gather(
+                level_tables[level], chars, spec.level_input_positions(level))
+    return chars
+
+
+def eval_stack(spec: TornadoSpec, top: list[np.ndarray], chars: np.ndarray) -> np.ndarray:
+    """Top-table hash of each derived key, (B, n) uint64.
+
+    top[i] is a contiguous (B, alphabet_i) table, so one flat take per
+    position reads it; a tornado-mix tail position has a psi-wide alphabet.
+    """
+    h = np.zeros(chars.shape[:2], dtype=np.uint64)
+    for i, tbl in enumerate(top):
+        h ^= np.take(tbl.reshape(-1), chars[:, :, i] + trial_base(len(tbl), tbl.shape[1]))
+    return h
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class TornadoHash:
@@ -214,7 +296,9 @@ class TornadoHash:
 
     Immutable after construction; safe to share across threads. Normally
     created through :meth:`build`; the direct constructor exists for tests
-    that need hand-crafted tables.
+    that need hand-crafted tables, in build's shapes: ``level_tables`` maps a
+    level to a (positions, sigma) array (kept as uint32), ``top_table`` holds
+    one 1-D uint64 array per derived-key position.
     """
 
     __slots__ = ("spec", "seed", "level_tables", "top_table", "_folded")
@@ -228,13 +312,20 @@ class TornadoHash:
     ):
         self.spec = spec
         self.seed = seed
-        self.level_tables = level_tables
+        # the engine's dtype, exact for every level width (psi_bits <= 20); no
+        # copy for build's tables
+        self.level_tables = {lv: np.asarray(t, dtype=np.uint32)
+                             for lv, t in level_tables.items()}
         self.top_table = top_table
         self._folded: FoldedTables | None = None
 
     @classmethod
     def build(cls, spec: TornadoSpec, seed: int) -> "TornadoHash":
-        return cls(spec, seed, build_level_tables(spec, seed), build_top_table(spec, seed))
+        """Fill the engine's stacks for the one seed and keep read-only views:
+        level -> (positions, sigma) and one 1-D top table per position."""
+        seeds = np.array([seed], dtype=np.uint64)
+        levels = {lv: _read_only(t[0]) for lv, t in level_stacks(spec, seeds).items()}
+        return cls(spec, seed, levels, [_read_only(t[0]) for t in top_stacks(spec, seeds)])
 
     # -- reference (scalar) paths -------------------------------------------
 
@@ -280,36 +371,26 @@ class TornadoHash:
             raise ConfigError(f"t must be in 0..{self.spec.out_bits}")
         return self.eval(x) & ((1 << t) - 1)
 
-    # -- batch paths ---------------------------------------------------------
+    # -- batch paths: the engine with B = 1 ------------------------------------
+
+    def _stacks(self) -> tuple[dict[int, np.ndarray], list[np.ndarray]]:
+        return ({lv: t[None] for lv, t in self.level_tables.items()},
+                [t[None] for t in self.top_table])
 
     def derive_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Derived keys of a key array, shape ``(len(xs), c + d)`` uint32."""
-        spec = self.spec
-        xs = check_keys(spec, xs)
-        chars = np.empty((len(xs), spec.positions), dtype=np.uint32)
-        cmask = _U(spec.sigma - 1)
-        for i in range(spec.c):
-            chars[:, i] = (xs >> _U(i * spec.char_bits)) & cmask
-        if spec.variant in (Variant.TORNADO, Variant.TORNADO_MIX):
-            t0 = self.level_tables[0]
-            acc = np.zeros(len(xs), dtype=np.uint64)
-            for j in range(spec.c - 1):
-                acc ^= t0[j][chars[:, j]]
-            chars[:, spec.c - 1] ^= acc.astype(np.uint32)
-        if spec.variant is not Variant.SIMPLE_TABULATION:
-            for level in range(1, spec.d + 1):
-                tbl = self.level_tables[level]
-                val = np.zeros(len(xs), dtype=np.uint64)
-                for j in range(spec.level_input_positions(level)):
-                    val ^= tbl[j][chars[:, j]]
-                chars[:, spec.c + level - 1] = val.astype(np.uint32)
-        return chars
+        """Derived keys of a key array, an intp ``(len(xs), c + d)`` view."""
+        xs = check_keys(self.spec, xs)
+        return derive_stack(self.spec, self._stacks()[0], xs, 1)[0]
 
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
-        chars = self.derive_batch(xs)
-        h = np.zeros(len(chars), dtype=np.uint64)
-        for i in range(self.spec.positions):
-            h ^= self.top_table[i][chars[:, i]]
+        """Hashes of a key array, uint64, computed EVAL_BLOCK keys at a time."""
+        spec = self.spec
+        xs = check_keys(spec, xs)
+        levels, top = self._stacks()
+        h = np.empty(len(xs), dtype=np.uint64)
+        for lo in range(0, len(xs), EVAL_BLOCK):
+            chars = derive_stack(spec, levels, xs[lo:lo + EVAL_BLOCK], 1)
+            h[lo:lo + EVAL_BLOCK] = eval_stack(spec, top, chars)[0]
         return h
 
     # -- folded fast path ----------------------------------------------------
@@ -321,7 +402,35 @@ class TornadoHash:
         return self._folded
 
     def eval_folded(self, x: int) -> int:
-        return eval_folded(self, x)
+        """Shift/xor evaluation over the folded tables; equals ``eval(x)``."""
+        spec = self.spec
+        check_key(spec, x)
+        f = self._folded or self.folded  # the property call only until folded
+        tabs = f.tables
+        c, d = spec.c, spec.d
+        acc = 0
+        for i in range(c - 1):
+            acc ^= tabs[i][x & 255]
+            x >>= 8
+        acc ^= x  # remaining low bits are the last input character
+        if f.profile == "w64":
+            for i in range(c - 1, c + d):
+                ch = acc & 255
+                acc >>= 8
+                acc ^= tabs[i][ch]
+            return acc
+        for i in range(c - 1, c + d - 2):
+            ch = acc & 255
+            acc >>= 8
+            acc ^= tabs[i][ch]
+        b1 = acc & 0xFFFF
+        acc >>= 16
+        b2 = acc & 0xFFFF
+        acc >>= 16
+        return acc ^ f.psi_tables[0][b1] ^ f.psi_tables[1][b2]  # type: ignore[index]
+
+
+eval_folded = TornadoHash.eval_folded  # eval_folded(h, x), the same function
 
 
 @dataclass
@@ -421,35 +530,6 @@ def fold_tables(h: TornadoHash) -> FoldedTables:
     return FoldedTables("w128mix", tables, None, psi_tables)
 
 
-def eval_folded(h: TornadoHash, x: int) -> int:
-    """Shift/xor evaluation over the folded tables; equals ``h.eval(x)``."""
-    spec = h.spec
-    check_key(spec, x)
-    f = h.folded
-    tabs = f.tables
-    c, d = spec.c, spec.d
-    acc = 0
-    for i in range(c - 1):
-        acc ^= tabs[i][x & 255]
-        x >>= 8
-    acc ^= x  # remaining low bits are the last input character
-    if f.profile == "w64":
-        for i in range(c - 1, c + d):
-            ch = acc & 255
-            acc >>= 8
-            acc ^= tabs[i][ch]
-        return acc
-    for i in range(c - 1, c + d - 2):
-        ch = acc & 255
-        acc >>= 8
-        acc ^= tabs[i][ch]
-    b1 = acc & 0xFFFF
-    acc >>= 16
-    b2 = acc & 0xFFFF
-    acc >>= 16
-    return acc ^ f.psi_tables[0][b1] ^ f.psi_tables[1][b2]  # type: ignore[index]
-
-
 def eval_folded_batch(h: TornadoHash, xs: np.ndarray) -> np.ndarray:
     """Vectorized folded evaluation (w64 profile only)."""
     f = h.folded
@@ -479,14 +559,6 @@ def derived_injectivity_check(h: TornadoHash, keys) -> bool:
         return True
     chars = h.derive_batch(keys)
     return len(np.unique(chars, axis=0)) == len(keys)
-
-
-def hash_select_bits(h: TornadoHash, x: int, s: int) -> int:
-    return h.select_bits(x, s)
-
-
-def hash_free_bits(h: TornadoHash, x: int, t: int) -> int:
-    return h.free_bits(x, t)
 
 
 def dump_tables(h: TornadoHash) -> str:

@@ -5,19 +5,14 @@ trial ``t`` builds its hash function from ``rng.trial_seed(master_seed, t)``,
 so runs are reproducible bit for bit and trials can be processed in chunks
 or on worker processes in any order.
 
-Trials are vectorized across a chunk: all lookup tables for a chunk of
-trials are generated in one pass, and linear-independence checks first peel
-keys containing a position character unique in their trial (such keys cannot
-take part in any zero-set), falling back to exact F2 elimination for the
-rare survivors.
-
-Derived keys and hashes are computed with flat gathers. Each table of a
-chunk is one contiguous (B, ...) array, so the entry trial ``b`` reads at
-character ``ch`` lies at flat offset ``b * stride + ch`` (plus ``j * alphabet``
-for position ``j`` of a level table), and one ``np.take`` on the raveled
-table reads a whole (B, n) block. Derived characters are kept as ``intp``,
-stored position by position, so each position is a contiguous block of
-offsets that needs no cast.
+Trials are vectorized across a chunk: the batched engine of
+:mod:`tornadotab.core` fills all lookup tables for a chunk of trials in one
+pass and derives and evaluates every trial's keys with flat gathers (the
+same engine a :class:`~tornadotab.core.TornadoHash` runs with one trial),
+and :func:`tornadotab.selectors.selection_mask` selects over the whole
+chunk. Linear-independence checks first peel keys containing a position
+character unique in their trial (such keys cannot take part in any
+zero-set), falling back to exact F2 elimination for the rare survivors.
 
 Every entry point rejects a trial count below 1 and selector candidates
 outside the spec's key universe, and a report refuses a non-finite estimate,
@@ -37,7 +32,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng, selectors
-from .core import TornadoSpec, Variant, check_key, check_keys
+from .core import TornadoSpec, Variant, check_key, check_keys, trial_base
+# the engine's stages, bound under the stage names that perfbench's tracer wraps
+from .core import derive_stack as _derive_chunk
+from .core import eval_stack as _eval_chunk
+from .core import level_stacks as _chunk_level_tables
+from .core import top_stacks as _chunk_top_tables
 from .gf2 import GF2Basis, GenKey, is_zero_set
 
 _U = np.uint64
@@ -202,135 +202,6 @@ def _chunk_trials(spec: TornadoSpec, n_keys: int, need_top: bool) -> int:
     return int(min(1 << 16, max(16, chunk)))
 
 
-def _chunk_level_tables(spec: TornadoSpec, seeds: np.ndarray) -> dict[int, np.ndarray]:
-    """Level tables for many trials at once: level -> (B, npos, sigma)."""
-    out: dict[int, np.ndarray] = {}
-    s3 = seeds[:, None, None]
-    for level in spec.levels():
-        npos = spec.level_input_positions(level)
-        mask = _U((1 << spec.level_output_bits(level)) - 1)
-        pos = np.arange(npos, dtype=np.uint64)[None, :, None]
-        slot = np.arange(spec.sigma, dtype=np.uint64)[None, None, :]
-        vals = rng.field_value_vec(s3, rng.KIND_LEVEL, level, pos, slot) & mask
-        out[level] = vals.astype(np.uint32)
-    return out
-
-
-def _chunk_top_tables(spec: TornadoSpec, seeds: np.ndarray) -> list[np.ndarray]:
-    out = []
-    mask = _U(((1 << spec.out_bits) - 1) & rng.M64)
-    for i in range(spec.positions):
-        size = 1 << spec.position_bits(i)
-        slots = np.arange(size, dtype=np.uint64)[None, :]
-        out.append(rng.field_value_vec(seeds[:, None], rng.KIND_TOP, 0, i, slots) & mask)
-    return out
-
-
-def _trial_base(n_trials: int, stride: int) -> np.ndarray:
-    """(B, 1) flat offset of each trial's block in a table of row size stride."""
-    return np.arange(n_trials, dtype=np.intp)[:, None] * stride
-
-
-def _xor_gather(table: np.ndarray, chars: np.ndarray, n_pos: int) -> np.ndarray:
-    """XOR over j < n_pos of table[b, j, chars[b, k, j]], as flat takes.
-
-    table is a contiguous (B, n_pos, alphabet) stack, so that entry sits at
-    flat offset b*n_pos*alphabet + j*alphabet + chars[b, k, j].
-    """
-    flat = table.reshape(-1)
-    alphabet = table.shape[-1]
-    base = _trial_base(len(table), n_pos * alphabet)
-    acc = np.take(flat, chars[:, :, 0] + base)
-    for j in range(1, n_pos):
-        acc ^= np.take(flat, chars[:, :, j] + (base + j * alphabet))
-    return acc
-
-
-def _derive_chunk(spec: TornadoSpec, level_tables: dict[int, np.ndarray], xs: np.ndarray,
-                  n_trials: int) -> np.ndarray:
-    """Derived keys for each trial, (B, n, c + d) intp; xs is (n,) shared or
-    (B, n) per trial.
-
-    Characters are kept as intp so they index the flat tables directly. The
-    result is a view of position-major storage: each chars[:, :, i] that a
-    gather or the peeling reads is one contiguous (B, n) block, where
-    key-major storage made every gather stride over all c + d positions.
-    """
-    xs = np.asarray(xs, dtype=np.uint64)
-    shape = xs.shape if xs.ndim == 2 else (n_trials, len(xs))
-    chars = np.empty((spec.positions,) + shape, dtype=np.intp).transpose(1, 2, 0)
-    cmask = _U(spec.sigma - 1)
-    for i in range(spec.c):
-        chars[:, :, i] = (xs >> _U(i * spec.char_bits)) & cmask
-    if spec.variant in (Variant.TORNADO, Variant.TORNADO_MIX) and spec.c > 1:
-        chars[:, :, spec.c - 1] ^= _xor_gather(level_tables[0], chars, spec.c - 1)
-    for level in range(1, spec.d + 1):
-        if level in level_tables:
-            chars[:, :, spec.c + level - 1] = _xor_gather(
-                level_tables[level], chars, spec.level_input_positions(level))
-    return chars
-
-
-def _eval_chunk(spec: TornadoSpec, top: list[np.ndarray], chars: np.ndarray) -> np.ndarray:
-    """Top-table hash of each derived key, (B, n) uint64.
-
-    top[i] is a contiguous (B, alphabet_i) table, so one flat take per
-    position reads it; a tornado-mix tail position has a psi-wide alphabet.
-    """
-    h = np.zeros(chars.shape[:2], dtype=np.uint64)
-    for i, tbl in enumerate(top):
-        h ^= np.take(tbl.reshape(-1), chars[:, :, i] + _trial_base(len(tbl), tbl.shape[1]))
-    return h
-
-
-def _selection_mask_chunk(
-    sel: selectors.Selector,
-    keys: np.ndarray,
-    evals: np.ndarray | None,
-    out_bits: int,
-) -> np.ndarray:
-    """Per-trial selection masks, (B, n) bool; keys is the sorted candidate set."""
-    kind = sel.kind
-    if kind is selectors.SelectorKind.FIXED_SET:
-        shape = evals.shape if evals is not None else (1, len(keys))
-        return np.ones(shape, dtype=bool)
-    assert evals is not None
-    q_idx = {q: int(np.searchsorted(keys, q)) for q in sel.query_keys}
-    if kind is selectors.SelectorKind.BIT_PREFIX:
-        targets = sorted(sel.targets)  # type: ignore[arg-type]
-        if sel.s_bits == 0:  # empty prefix: numpy cannot shift uint64 by 64
-            mask = np.full(evals.shape, 0 in targets, dtype=bool)
-        else:
-            pref = evals >> _U(out_bits - sel.s_bits)  # type: ignore[operator]
-            mask = np.zeros(evals.shape, dtype=bool)
-            if sel.relative_to_query:
-                qpref = pref[:, q_idx[min(sel.query_keys)]]
-                for t in targets:
-                    mask |= pref == (qpref[:, None] ^ _U(t))
-            else:
-                for t in targets:
-                    mask |= pref == _U(t)
-    elif kind is selectors.SelectorKind.DYADIC_INTERVAL:
-        if sel.interval_bits >= out_bits:  # type: ignore[operator]
-            mask = np.ones(evals.shape, dtype=bool)
-        else:
-            n_iv = 1 << (out_bits - sel.interval_bits)  # type: ignore[operator]
-            iv = evals >> _U(sel.interval_bits)
-            center = iv[:, q_idx[sel.anchor]].astype(np.int64)
-            mask = np.zeros(evals.shape, dtype=bool)
-            for off in (-1, 0, 1):
-                mask |= iv == ((center + off) % n_iv).astype(np.uint64)[:, None]
-    else:
-        if sel.bin_value is None:
-            target = evals[:, q_idx[min(sel.query_keys)]][:, None]
-        else:
-            target = _U(sel.bin_value)
-        mask = evals == target
-    if sel.query_keys:
-        mask[:, np.isin(keys, np.fromiter(sel.query_keys, dtype=np.uint64))] = True
-    return mask
-
-
 def _peel_alive(chars: np.ndarray, sizes: tuple[int, ...], alive: np.ndarray) -> np.ndarray:
     """Drop keys owning a position character unique within their trial."""
     n_trials, n_keys, b = chars.shape
@@ -338,7 +209,7 @@ def _peel_alive(chars: np.ndarray, sizes: tuple[int, ...], alive: np.ndarray) ->
     while True:
         kill = np.zeros_like(alive)
         for i in range(b):
-            code = chars[:, :, i] + _trial_base(n_trials, sizes[i])
+            code = chars[:, :, i] + trial_base(n_trials, sizes[i])
             counts = np.bincount(code[alive], minlength=n_trials * sizes[i])
             kill |= alive & (counts[code] == 1)
         if not kill.any():
@@ -393,7 +264,7 @@ def _dependence_range(args) -> int:
         chars = _derive_chunk(spec, lvl, keys, len(seeds))
         if need_top:
             evals = _eval_chunk(spec, _chunk_top_tables(spec, seeds), chars)
-            mask = _selection_mask_chunk(sel, keys, evals, spec.out_bits)
+            mask = selectors.selection_mask(sel, keys, evals, spec.out_bits)
         else:
             mask = np.ones(chars.shape[:2], dtype=bool)
         count += int(_dependent_rows(chars, sizes, mask).sum())
@@ -457,7 +328,7 @@ def _count_tail_range(args) -> tuple[int, int]:
         lvl = _chunk_level_tables(spec, seeds)
         chars = _derive_chunk(spec, lvl, keys, len(seeds))
         evals = _eval_chunk(spec, _chunk_top_tables(spec, seeds), chars)
-        mask = _selection_mask_chunk(sel, keys, evals, spec.out_bits)
+        mask = selectors.selection_mask(sel, keys, evals, spec.out_bits)
         flag = mask.sum(axis=1) >= threshold
         big += int(flag.sum())
         if joint and flag.any():
@@ -543,12 +414,10 @@ def _chaining_range(args) -> np.ndarray:
     out = np.empty(stop - start, dtype=np.int64)
     for lo in range(start, stop, chunk):
         hi = min(lo + chunk, stop)
-        idx = np.arange(lo, hi, dtype=np.uint64)
-        seeds = rng.trial_seed_vec(master_seed, idx)
+        seeds = rng.trial_seed_vec(master_seed, np.arange(lo, hi, dtype=np.uint64))
         keys = np.empty((len(seeds), n), dtype=np.uint64)
-        for row, t in enumerate(range(lo, hi)):
-            keys[row] = rng.sample_distinct_keys(rng.trial_seed(master_seed, t), n,
-                                                 spec.key_bits)
+        for row in range(len(seeds)):
+            keys[row] = rng.sample_distinct_keys(int(seeds[row]), n, spec.key_bits)
         lvl = _chunk_level_tables(spec, seeds)
         chars = _derive_chunk(spec, lvl, keys, len(seeds))
         evals = _eval_chunk(spec, _chunk_top_tables(spec, seeds), chars)
@@ -709,16 +578,6 @@ def survival_rounds(spec: TornadoSpec, zero_set, trials: int, seed: int,
                 "within_3sigma": bool(abs(estimate - target) <= 3 * stderr + 1e-12)},
         verdict=Verdict.INFORMATIONAL,
     )
-
-
-def survival_one_round(spec: TornadoSpec, zero_set, trials: int, seed: int) -> ExperimentReport:
-    return survival_rounds(spec, zero_set, trials, seed, 1)
-
-
-def survival_d_rounds(spec: TornadoSpec, zero_set, trials: int, seed: int) -> ExperimentReport:
-    if spec.d < 1:
-        raise ValueError("survival over d rounds needs d >= 1")
-    return survival_rounds(spec, zero_set, trials, seed, spec.d)
 
 
 def survival_one_round_exact(char_bits: int, c: int, zero_set) -> Fraction:

@@ -14,6 +14,10 @@ checks in :mod:`tornadotab.experiments` rely on.
   (``out_bits - l`` selection bits).
 * ``BIN``: keys hashing to one fixed (or query-relative) output value; all
   output bits are selection bits.
+
+:func:`selection_mask` is the one implementation of the four families. It
+selects under B hash functions at once, so :func:`select` calls it with one
+row and the Monte Carlo chunks with one row per trial.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ConfigError, TornadoHash
+
+_U = np.uint64
 
 
 class SelectorKind(enum.Enum):
@@ -126,54 +132,56 @@ def _candidates(sel: Selector) -> np.ndarray:
     return np.fromiter(sorted(sel.keys | sel.query_keys), dtype=np.uint64)
 
 
-def selection_mask(
-    sel: Selector,
-    keys: np.ndarray,
-    evals: np.ndarray,
-    out_bits: int,
-    query_evals: dict[int, int],
-) -> np.ndarray:
-    """Vectorized selection over candidate keys with precomputed hashes."""
-    if sel.kind is SelectorKind.FIXED_SET:
-        mask = np.ones(len(keys), dtype=bool)
-    elif sel.kind is SelectorKind.BIT_PREFIX:
-        targets = set(sel.targets)  # type: ignore[arg-type]
-        if sel.relative_to_query:
-            qpref = query_evals[min(sel.query_keys)] >> (out_bits - sel.s_bits)  # type: ignore[operator]
-            targets = {t ^ qpref for t in targets}
+def selection_mask(sel: Selector, keys: np.ndarray, evals: np.ndarray,
+                   out_bits: int) -> np.ndarray:
+    """Selection under B hash functions at once, a (B, n) bool mask.
+
+    ``keys`` is the sorted candidate set (n,) and ``evals`` its hashes under
+    each function (B, n); query keys are looked up among the candidates.
+    """
+    kind = sel.kind
+    if kind is SelectorKind.FIXED_SET:
+        return np.ones(evals.shape, dtype=bool)
+    q_idx = {q: int(np.searchsorted(keys, q)) for q in sel.query_keys}
+    if kind is SelectorKind.BIT_PREFIX:
+        targets = sorted(sel.targets)  # type: ignore[arg-type]
         if sel.s_bits == 0:  # empty prefix: numpy cannot shift uint64 by 64
-            mask = np.full(len(keys), 0 in targets, dtype=bool)
+            mask = np.full(evals.shape, 0 in targets, dtype=bool)
         else:
-            pref = evals >> np.uint64(out_bits - sel.s_bits)  # type: ignore[operator]
-            mask = np.zeros(len(keys), dtype=bool)
-            for t in targets:
-                mask |= pref == np.uint64(t)
-    elif sel.kind is SelectorKind.DYADIC_INTERVAL:
+            pref = evals >> _U(out_bits - sel.s_bits)  # type: ignore[operator]
+            mask = np.zeros(evals.shape, dtype=bool)
+            if sel.relative_to_query:
+                qpref = pref[:, q_idx[min(sel.query_keys)]]
+                for t in targets:
+                    mask |= pref == (qpref[:, None] ^ _U(t))
+            else:
+                for t in targets:
+                    mask |= pref == _U(t)
+    elif kind is SelectorKind.DYADIC_INTERVAL:
         if sel.interval_bits >= out_bits:  # type: ignore[operator]
-            mask = np.ones(len(keys), dtype=bool)
+            mask = np.ones(evals.shape, dtype=bool)
         else:
-            n_intervals = 1 << (out_bits - sel.interval_bits)  # type: ignore[operator]
-            iv = evals >> np.uint64(sel.interval_bits)
-            center = query_evals[sel.anchor] >> sel.interval_bits  # type: ignore[operator]
-            mask = np.zeros(len(keys), dtype=bool)
-            for off in (-1, 0, 1):
-                mask |= iv == np.uint64((center + off) % n_intervals)
+            iv_mask = (1 << (out_bits - sel.interval_bits)) - 1  # type: ignore[operator]
+            iv = evals >> _U(sel.interval_bits)
+            center = iv[:, q_idx[sel.anchor]][:, None]
+            mask = np.zeros(evals.shape, dtype=bool)
+            for off in (iv_mask, 0, 1):  # the anchor's interval -1, +0, +1, wrapping
+                mask |= iv == ((center + _U(off)) & _U(iv_mask))
     else:
-        target = sel.bin_value
-        if target is None:
-            target = query_evals[min(sel.query_keys)]
-        mask = evals == np.uint64(target)
+        if sel.bin_value is None:
+            target = evals[:, q_idx[min(sel.query_keys)]][:, None]
+        else:
+            target = _U(sel.bin_value)
+        mask = evals == target
     if sel.query_keys:
-        mask |= np.isin(keys, np.fromiter(sel.query_keys, dtype=np.uint64))
+        mask[:, np.isin(keys, np.fromiter(sel.query_keys, dtype=np.uint64))] = True
     return mask
 
 
 def select(sel: Selector, h: TornadoHash) -> frozenset[int]:
     """The exact selected key set under ``h`` (always includes the queries)."""
     keys = _candidates(sel)
-    evals = h.eval_batch(keys)
-    q_evals = {q: h.eval(q) for q in sel.query_keys}
-    mask = selection_mask(sel, keys, evals, h.spec.out_bits, q_evals)
+    mask = selection_mask(sel, keys, h.eval_batch(keys)[None], h.spec.out_bits)[0]
     return frozenset(int(k) for k in keys[mask])
 
 

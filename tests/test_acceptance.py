@@ -75,7 +75,7 @@ def test_04_fixed_set_dependence_bound():
 def test_05_survival_one_round():
     spec = TornadoSpec(4, 2, 1, 1, Variant.SIMPLE_TORNADO)
     zs = [(2 << 4) | 0, (2 << 4) | 1, (7 << 4) | 0, (7 << 4) | 1]
-    rep = ex.survival_one_round(spec, zs, 1000000, MASTER_SEED)
+    rep = ex.survival_rounds(spec, zs, 1000000, MASTER_SEED, 1)
     target = 0.1796875
     ok_mc = abs(rep.estimate - target) <= 3 * rep.stderr
     exact = ex.survival_one_round_exact(2, 2, [(2 << 2) | 0, (2 << 2) | 1,
@@ -89,7 +89,7 @@ def test_05_survival_one_round():
 def test_06_survival_two_rounds():
     spec = TornadoSpec(4, 2, 2, 1, Variant.SIMPLE_TORNADO)
     zs = [(2 << 4) | 0, (2 << 4) | 1, (7 << 4) | 0, (7 << 4) | 1]
-    rep = ex.survival_d_rounds(spec, zs, 1000000, MASTER_SEED)
+    rep = ex.survival_rounds(spec, zs, 1000000, MASTER_SEED, spec.d)
     target = 0.1796875**2
     ok = abs(rep.estimate - target) <= 3 * rep.stderr
     _report("06-survival-two-rounds", ok,

@@ -45,8 +45,9 @@ class TestPoly2:
         assert poly.hash(5) == expect
         assert poly.hash(123456) == expect
 
-    def test_module_level_helper(self):
-        assert bench.poly2_mersenne(3, 42, 32) == bench.Poly2Mersenne(3, 32).hash(42)
+    def test_output_bits_truncate(self):
+        wide = bench.Poly2Mersenne(3, 64).hash(42)
+        assert bench.Poly2Mersenne(3, 32).hash(42) == wide & 0xFFFFFFFF
 
     def test_deterministic_per_seed(self):
         a = bench.Poly2Mersenne(5, 32)

@@ -12,8 +12,6 @@ from tornadotab.core import (
     eval_folded_batch,
     fold_tables,
     folded_profile,
-    hash_free_bits,
-    hash_select_bits,
     parse_spec_string,
 )
 
@@ -360,6 +358,15 @@ class TestFolded:
         hz = TornadoHash(spec, 0, zero_levels, zero_top)
         assert hz.eval_folded(0) == 0
 
+    def test_hand_made_uint64_level_tables(self):
+        spec = TornadoSpec(8, 4, 4, 24, Variant.TORNADO)
+        h = TornadoHash.build(spec, 1)
+        wide = {lv: t.astype(np.uint64) for lv, t in h.level_tables.items()}
+        hw = TornadoHash(spec, 1, wide, h.top_table)
+        keys = rng.raw_key_stream(5, 500, spec.key_bits)
+        assert np.array_equal(hw.eval_batch(keys), h.eval_batch(keys))
+        assert hw.eval_folded(77) == h.eval(77)
+
     def test_unsupported_profile_rejected(self):
         with pytest.raises(ConfigError):
             fold_tables(TornadoHash.build(TornadoSpec(4, 2, 1, 8, Variant.TORNADO), 1))
@@ -430,7 +437,7 @@ class TestBitSplit:
             t = 16 - s
             for x in rng.raw_key_stream(6, 100, 16):
                 x = int(x)
-                sel, free = hash_select_bits(h, x, s), hash_free_bits(h, x, t)
+                sel, free = h.select_bits(x, s), h.free_bits(x, t)
                 assert (sel << t) | free == h.eval(x)
 
     def test_reconstruction_bulk(self):
@@ -443,20 +450,20 @@ class TestBitSplit:
 
     def test_s_zero(self):
         h = TornadoHash.build(TornadoSpec(8, 2, 1, 8, Variant.TORNADO), 3)
-        assert hash_select_bits(h, 77, 0) == 0
-        assert hash_free_bits(h, 77, 8) == h.eval(77)
+        assert h.select_bits(77, 0) == 0
+        assert h.free_bits(77, 8) == h.eval(77)
 
     def test_s_full(self):
         h = TornadoHash.build(TornadoSpec(8, 2, 1, 8, Variant.TORNADO), 3)
-        assert hash_select_bits(h, 77, 8) == h.eval(77)
-        assert hash_free_bits(h, 77, 0) == 0
+        assert h.select_bits(77, 8) == h.eval(77)
+        assert h.free_bits(77, 0) == 0
 
     def test_out_of_range(self):
         h = TornadoHash.build(TornadoSpec(8, 2, 1, 8, Variant.TORNADO), 3)
         with pytest.raises(ConfigError):
-            hash_select_bits(h, 1, 9)
+            h.select_bits(1, 9)
         with pytest.raises(ConfigError):
-            hash_free_bits(h, 1, -1)
+            h.free_bits(1, -1)
 
     def test_select_bits_are_sliced_simple_tabulation(self):
         # high-s slice of the top table hashes to exactly the selection bits
@@ -471,7 +478,7 @@ class TestBitSplit:
         hs = TornadoHash(spec, h.seed, h.level_tables, sliced_top)
         for x in rng.raw_key_stream(8, 200, 16):
             x = int(x)
-            assert hs.eval(x) == hash_select_bits(h, x, s)
+            assert hs.eval(x) == h.select_bits(x, s)
 
 
 class TestDump:

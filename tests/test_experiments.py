@@ -112,7 +112,7 @@ ENGINE_SPECS = [
 
 
 class TestChunkEngine:
-    """The chunk engine against one TornadoHash per trial."""
+    """The chunk engine against the scalar path of one TornadoHash per trial."""
 
     @pytest.mark.parametrize("spec", ENGINE_SPECS, ids=lambda s: s.spec_string())
     @pytest.mark.parametrize("n_trials", [1, 5])
@@ -132,8 +132,9 @@ class TestChunkEngine:
         assert evals.shape == (n_trials, n)
         for t in range(n_trials):
             h = TornadoHash.build(spec, rng.trial_seed(seed, t))
-            assert np.array_equal(chars[t], h.derive_batch(keys[t]))
-            assert np.array_equal(evals[t], h.eval_batch(keys[t]))
+            xs = [int(x) for x in keys[t]]
+            assert [tuple(row) for row in chars[t].tolist()] == [h.derive(x) for x in xs]
+            assert evals[t].tolist() == [h.eval(x) for x in xs]
 
     def test_chaining_bin_counts_match_eval_batch(self):
         spec = TornadoSpec(8, 2, 4, 4, Variant.TORNADO)
@@ -299,8 +300,8 @@ def reference_survival_count(spec, zero_set, trials, seed, rounds):
 
 class TestSurvival:
     def test_formula_targets(self):
-        r = ex.survival_one_round(
-            TornadoSpec(4, 2, 1, 1, Variant.SIMPLE_TORNADO), ZS16, 1000, 5
+        r = ex.survival_rounds(
+            TornadoSpec(4, 2, 1, 1, Variant.SIMPLE_TORNADO), ZS16, 1000, 5, 1
         )
         assert r.bound == 0.1796875
         r256 = ex.survival_rounds(
@@ -315,13 +316,13 @@ class TestSurvival:
     def test_vectorized_matches_build_reference(self):
         spec = TornadoSpec(4, 2, 2, 1, Variant.SIMPLE_TORNADO)
         trials, seed = 3000, 0xAB
-        rep = ex.survival_d_rounds(spec, ZS16, trials, seed)
+        rep = ex.survival_rounds(spec, ZS16, trials, seed, spec.d)
         assert rep.estimate * trials == reference_survival_count(spec, ZS16, trials, seed, 2)
 
     def test_one_round_is_d_rounds_with_d1(self):
         spec = TornadoSpec(4, 2, 1, 1, Variant.SIMPLE_TORNADO)
-        a = ex.survival_one_round(spec, ZS16, 2000, 9)
-        b = ex.survival_d_rounds(spec, ZS16, 2000, 9)
+        a = ex.survival_rounds(spec, ZS16, 2000, 9, 1)
+        b = ex.survival_rounds(spec, ZS16, 2000, 9, spec.d)
         assert a.estimate == b.estimate
 
     def test_zero_rounds_certain(self):
@@ -335,29 +336,29 @@ class TestSurvival:
 
     def test_monte_carlo_matches_exact_sigma4(self):
         spec = TornadoSpec(2, 2, 1, 1, Variant.SIMPLE_TORNADO)
-        rep = ex.survival_one_round(spec, ZS4, 200000, 3)
+        rep = ex.survival_rounds(spec, ZS4, 200000, 3, 1)
         assert abs(rep.estimate - 0.625) <= 4 * rep.stderr
 
     def test_monte_carlo_sigma256(self):
         spec = TornadoSpec(8, 2, 1, 1, Variant.SIMPLE_TORNADO)
         zs = [(9 << 8) | 0, (9 << 8) | 1, (200 << 8) | 0, (200 << 8) | 1]
-        rep = ex.survival_one_round(spec, zs, 400000, 3)
+        rep = ex.survival_rounds(spec, zs, 400000, 3, 1)
         assert rep.bound == pytest.approx(0.011688232421875)
         assert abs(rep.estimate - rep.bound) <= 4 * rep.stderr
 
     def test_validation(self):
         spec = TornadoSpec(4, 2, 1, 1, Variant.SIMPLE_TORNADO)
         with pytest.raises(ValueError):
-            ex.survival_one_round(spec, [1, 2, 3], 10, 1)
+            ex.survival_rounds(spec, [1, 2, 3], 10, 1, 1)
         with pytest.raises(ValueError):
-            ex.survival_one_round(spec, [1, 2, 3, 4], 10, 1)  # not a zero-set
+            ex.survival_rounds(spec, [1, 2, 3, 4], 10, 1, 1)  # not a zero-set
         with pytest.raises(ValueError):
-            ex.survival_one_round(spec, [0x100, 0x101, 0x1F0, 0x1F1], 10, 1)  # range
+            ex.survival_rounds(spec, [0x100, 0x101, 0x1F0, 0x1F1], 10, 1, 1)  # range
         with pytest.raises(ValueError):
-            ex.survival_one_round(TornadoSpec(4, 2, 1, 1, Variant.TORNADO), ZS16, 10, 1)
+            ex.survival_rounds(TornadoSpec(4, 2, 1, 1, Variant.TORNADO), ZS16, 10, 1, 1)
         with pytest.raises(ValueError):
-            ex.survival_d_rounds(TornadoSpec(4, 1, 1, 1, Variant.SIMPLE_TORNADO),
-                                 [0, 1, 2, 3], 10, 1)
+            spec = TornadoSpec(4, 1, 1, 1, Variant.SIMPLE_TORNADO)
+            ex.survival_rounds(spec, [0, 1, 2, 3], 10, 1, spec.d)
 
 
 class TestChaining:

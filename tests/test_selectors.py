@@ -129,6 +129,26 @@ class TestSelect:
         assert mean <= mu + 3 * stderr
 
 
+class TestSelectionMask:
+    def test_rows_are_hash_functions(self):
+        keys = np.arange(300, dtype=np.uint64)
+        hs = [build(s) for s in (1, 2, 3)]
+        evals = np.stack([h.eval_batch(keys) for h in hs])
+        for sel in (selectors.bit_prefix(range(300), 3, {1, 6}, [9], True),
+                    selectors.dyadic_interval(range(300), anchor=9, interval_bits=4),
+                    selectors.bin_selector(range(300), None, [9])):
+            mask = selectors.selection_mask(sel, keys, evals, SPEC.out_bits)
+            for row, h in zip(mask, hs):
+                assert frozenset(keys[row].tolist()) == selectors.select(sel, h)
+
+    def test_dyadic_neighbours_wrap_at_64_output_bits(self):
+        keys = np.array([1, 2, 3, 4], dtype=np.uint64)
+        sel = selectors.dyadic_interval(keys.tolist(), anchor=1, interval_bits=0)
+        evals = np.array([[0, 2**64 - 1, 1, 5], [7, 6, 8, 2**63]], dtype=np.uint64)
+        mask = selectors.selection_mask(sel, keys, evals, 64)
+        assert mask.tolist() == [[True, True, True, False], [True, True, True, False]]
+
+
 class TestSSelectorProperty:
     def test_selection_invariant_under_free_bit_reseed(self):
         # replacing the free-bit slice of the top table cannot change selection
