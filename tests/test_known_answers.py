@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from tornadotab import cli, rng, selectors
+from tornadotab import cli, experiments, rng, selectors
 from tornadotab.core import TornadoHash, dump_tables, parse_spec_string
 
 
@@ -137,3 +137,49 @@ def test_cli_stdout(capsys, argv, rows, digest):
     assert code == 0
     assert [line.split(',"')[0] for line in out.splitlines()[1:]] == rows
     assert sha256(out.encode()) == digest
+
+
+def large_mu_run(workers=1):
+    spec = parse_spec_string("tornado,cb=4,c=2,d=2,r=8")
+    sel = selectors.bit_prefix(range(256), 1, {0}, [3])
+    return experiments.large_mu_tail(sel, spec, 0.1, 600, 0x2026, workers=workers)
+
+
+def hard_dependence_run(workers=1):
+    spec = parse_spec_string("tornado,cb=8,c=2,d=3,r=8")
+    return experiments.measure_dependence(selectors.hard_instance(8), spec, 3000, 0x2026,
+                                          workers=workers)
+
+
+def chernoff_run(workers=1):
+    """The selector and spec of the ``chernoff`` CLI vector above."""
+    spec = parse_spec_string("tornado,cb=8,c=2,d=4,r=3")
+    keys = rng.sample_distinct_keys(rng.mix64(0x2026), 512, spec.key_bits)
+    sel = selectors.bin_selector((int(k) for k in keys), 0)
+    return experiments.chernoff_tail(sel, spec, 0.25, 200, 0x2026, workers=workers)
+
+
+# reports no CLI command prints: run -> (CSV row without its params column,
+# SHA-256 of the whole CSV); the sigma = 256 dependence run takes the 4-sigma
+# verdict, not the informational one
+REPORT_RUNS = [
+    (large_mu_run,
+     "large_mu_tail,0.04666666666666667,0.008610931897776695,98.3965098926345,600,0x2026,"
+     "Informational",
+     "e5357bc0bdf665f69679f8d1862703cdb866b0f1ac53d156416cffadddf359da"),
+    (hard_dependence_run,
+     "dependence,0.001,0.0005770615218501404,0.27685546875,3000,0x2026,WithinBound",
+     "9dcbcd9da1b1e3d0952fdd060d6ec964b177560f3cee3ae78475b508ac891211"),
+]
+
+
+@pytest.mark.parametrize("run,row,digest", REPORT_RUNS, ids=[r[0].__name__ for r in REPORT_RUNS])
+def test_report(run, row, digest):
+    out = experiments.reports_to_csv([run()])
+    assert out.splitlines()[1].split(',"')[0] == row
+    assert sha256(out.encode()) == digest
+
+
+@pytest.mark.parametrize("run", [large_mu_run, chernoff_run], ids=lambda f: f.__name__)
+def test_two_workers_give_the_same_report(run):
+    assert run(workers=2) == run(workers=1)
