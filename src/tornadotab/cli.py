@@ -12,49 +12,16 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bench, experiments, linprobe, rng, selectors
-from .core import ConfigError, TornadoHash, TornadoSpec, Variant, dump_tables, parse_spec_string
+from .core import (ConfigError, TornadoHash, TornadoSpec, Variant, derived_injectivity_check,
+                   dump_tables, eval_folded_batch, parse_spec_string)
 from .experiments import Verdict
 from .gf2 import genkey_from_key
 
 USAGE_ERROR, VIOLATION_EXIT = 1, 2
-
-_META_KEYS = ("command", "seed", "format", "out")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved CLI invocation; round-trips through its JSON form."""
-
-    command: str
-    seed: int
-    format: str = "json"
-    out: str = "-"
-    params: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        body = {"command": self.command, "seed": f"{self.seed:#x}",
-                "format": self.format, "out": self.out, **self.params}
-        return json.dumps(body, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        body = json.loads(text)
-        params = {k: v for k, v in body.items() if k not in _META_KEYS}
-        return cls(command=body["command"], seed=int(body["seed"], 16),
-                   format=body["format"], out=body["out"], params=params)
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    params = {k: v for k, v in vars(args).items()
-              if k not in _META_KEYS and k != "fn" and v is not None}
-    return RunConfig(command=args.command, seed=getattr(args, "seed", 0),
-                     format=getattr(args, "format", "json"),
-                     out=getattr(args, "out", "-"), params=params)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -188,8 +155,6 @@ def _cmd_bench(args) -> int:
         lines = [bench.BENCH_CSV_HEADER] + [r.csv_row() for r in results]
         _emit(args, "\n".join(lines) + "\n")
     else:
-        import json
-
         _emit(args, json.dumps(
             [{"scheme": r.scheme, "n_keys": r.n_keys, "ns_per_key": r.ns_per_key,
               "checksum": f"{r.checksum:#x}", "reps": r.reps} for r in results],
@@ -220,8 +185,6 @@ def _cmd_selftest(args) -> int:
                         ("w64-d3", TornadoSpec(8, 4, 3, 32, Variant.TORNADO))):
         h = TornadoHash.build(spec, args.seed)
         ks = rng.raw_key_stream(args.seed, 10000, 32)
-        from .core import eval_folded_batch
-
         checks.append((f"folded-equals-reference-{label}",
                        bool(np.array_equal(h.eval_batch(ks), eval_folded_batch(h, ks)))))
     mix_spec = TornadoSpec(8, 8, 5, 64, Variant.TORNADO_MIX, psi_bits=16)
@@ -231,9 +194,8 @@ def _cmd_selftest(args) -> int:
                    all(hm.eval_folded(int(x)) == hm.eval(int(x)) for x in km)))
 
     h2 = TornadoHash.build(TornadoSpec(8, 2, 0, 16, Variant.TORNADO), args.seed)
-    der = h2.derive_batch(np.arange(65536, dtype=np.uint64))
-    packed = der[:, 0].astype(np.uint64) | (der[:, 1].astype(np.uint64) << np.uint64(8))
-    checks.append(("derived-keys-injective", len(np.unique(packed)) == 65536))
+    checks.append(("derived-keys-injective",
+                   derived_injectivity_check(h2, np.arange(65536, dtype=np.uint64))))
 
     exact = experiments.survival_one_round_exact(2, 2, default_zero_set(2))
     checks.append(("survival-exact-sigma4", float(exact) == 0.625))
@@ -335,7 +297,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "command", None) == "chaining" and args.k is None:
         args.k = [4, 8]
-    args.config = config_from_args(args)
     try:
         return args.fn(args)
     except (ConfigError, ValueError, OSError) as exc:

@@ -479,54 +479,30 @@ def fold_tables(h: TornadoHash) -> FoldedTables:
     spec = h.spec
     profile = folded_profile(spec)
     c, d = spec.c, spec.d
-    if profile == "w64":
-        n_sigma = c + d
-        psi_levels: tuple[int, ...] = ()
-        out_off_phase1 = 8 * (d + 1)
-    else:
-        n_sigma = c + d - 2
-        psi_levels = (d - 1, d)
-        out_off_phase1 = 8 * (d - 1) + 32
+    n_sigma = c + d if profile == "w64" else c + d - 2  # 8-bit positions
     tables: list[list[int]] = []
     for p in range(n_sigma):  # 0-based position index
+        # pending when position p is consumed: every level for an input
+        # position before the last (read from the key, before any shift), else
+        # the levels deriving a position after p. Each pending level sits at
+        # the offset the ones before it leave, and the top entry after them.
+        first = 0 if p < c - 1 else p - c + 2
+        rows, off = [], 0
+        for level in range(first, d + 1):
+            if p < spec.level_input_positions(level):
+                rows.append((h.level_tables[level][p].tolist(), off))
+            off += spec.level_output_bits(level)
+        rows.append((h.top_table[p].tolist(), off))
         col = [0] * 256
-        for a in range(256):
-            v = 0
-            if p < c - 1:
-                # phase 1: accumulator not yet shifting
-                v ^= int(h.level_tables[0][p, a])
-                off = 8
-                for level in range(1, d + 1):
-                    if level in psi_levels:
-                        if p < spec.level_input_positions(level):
-                            v ^= int(h.level_tables[level][p, a]) << off
-                        off += 16
-                    else:
-                        v ^= int(h.level_tables[level][p, a]) << off
-                        off += 8
-                v ^= int(h.top_table[p][a]) << out_off_phase1
-            else:
-                # phase 2: position p is consumed from the accumulator after
-                # p - (c - 1) shifts; future level L lands at offset
-                # 8*(c + L - p - 2) for 8-bit levels
-                off = 0
-                for level in range(p - c + 2, d + 1):
-                    if level in psi_levels:
-                        if p < spec.level_input_positions(level):
-                            v ^= int(h.level_tables[level][p, a]) << off
-                        off += 16
-                    else:
-                        v ^= int(h.level_tables[level][p, a]) << off
-                        off += 8
-                v ^= int(h.top_table[p][a]) << off
-            col[a] = v
+        for row, shift in rows:
+            col = [v ^ (x << shift) for v, x in zip(col, row)]
         tables.append(col)
     tables_np = None
     if profile == "w64":
         tables_np = np.array(tables, dtype=np.uint64)
         tables_np.flags.writeable = False
         return FoldedTables("w64", tables, tables_np)
-    psi_tables = [[int(v) for v in h.top_table[n_sigma + k]] for k in range(2)]
+    psi_tables = [h.top_table[n_sigma + k].tolist() for k in range(2)]
     return FoldedTables("w128mix", tables, None, psi_tables)
 
 

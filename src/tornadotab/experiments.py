@@ -14,6 +14,11 @@ chunk. Linear-independence checks first peel keys containing a position
 character unique in their trial (such keys cannot take part in any
 zero-set), falling back to exact F2 elimination for the rare survivors.
 
+Dependence, the Chernoff joint tail and the large-mu tail count the same
+per-trial pair, (selected size >= threshold, derived keys dependent), so
+one range worker serves all three, and one builder makes every upper-bound
+report (those three and each chaining ``k``).
+
 Every entry point rejects a trial count below 1 and selector candidates
 outside the spec's key universe, and a report refuses a non-finite estimate,
 so no degenerate run reaches a verdict.
@@ -32,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng, selectors
-from .core import TornadoSpec, Variant, check_key, check_keys, trial_base
+from .core import TornadoSpec, Variant, check_key, trial_base
 # the engine's stages, bound under the stage names that perfbench's tracer wraps
 from .core import derive_stack as _derive_chunk
 from .core import eval_stack as _eval_chunk
@@ -65,6 +70,8 @@ class ExperimentReport:
     def __post_init__(self) -> None:
         if not math.isfinite(self.estimate):
             raise ValueError(f"estimate must be finite, got {self.estimate}")
+        if not math.isfinite(self.bound):
+            raise ValueError(f"bound must be finite, got {self.bound}")
         if self.estimate < 0:
             raise ValueError("estimate must be >= 0")
         if self.trials < 1:
@@ -107,11 +114,21 @@ def binomial_stderr(estimate: float, trials: int) -> float:
     return math.sqrt(estimate * (1.0 - estimate) / trials) if trials else 0.0
 
 
-def _upper_verdict(estimate: float, stderr: float, bound: float, informational: bool) -> Verdict:
-    """One-sided 4-sigma rule for upper-bound experiments."""
-    if informational:
-        return Verdict.INFORMATIONAL
-    return Verdict.VIOLATION if estimate - 4 * stderr > bound else Verdict.WITHIN_BOUND
+def _upper_report(name: str, count: int, trials: int, seed: int, bound: float,
+                  spec: TornadoSpec, params: dict) -> ExperimentReport:
+    """Report of an upper-bound experiment whose event happened in ``count`` of
+    ``trials`` trials: binomial stderr and the one-sided 4-sigma verdict,
+    informational below sigma = 256, where the bounds are not stated."""
+    estimate = count / trials
+    stderr = binomial_stderr(estimate, trials)
+    if spec.sigma < 256:
+        verdict = Verdict.INFORMATIONAL
+    elif estimate - 4 * stderr > bound:
+        verdict = Verdict.VIOLATION
+    else:
+        verdict = Verdict.WITHIN_BOUND
+    return ExperimentReport(name, estimate, stderr, bound, trials, seed,
+                            {"spec": spec.spec_string(), **params}, verdict)
 
 
 def check_count(name: str, value: int) -> None:
@@ -153,10 +170,14 @@ def dependence_bound_mix(mu: float, d: int, sigma_size: int, psi_size: int) -> f
     )
 
 
+def _check_delta(delta: float) -> None:
+    if not 0 < delta < math.inf:  # also false for nan
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+
+
 def chernoff_bound(mu: float, delta: float) -> float:
     """Classic upper-tail rate (e^d / (1+d)^(1+d))^mu."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_delta(delta)
     return math.exp(mu * (delta - (1.0 + delta) * math.log1p(delta)))
 
 
@@ -176,8 +197,7 @@ def large_mu_delta0(mu: float, delta: float, sigma_size: int, n_queries: int) ->
 
 def large_mu_bound(mu: float, delta: float, d: int, sigma_size: int, n_queries: int) -> float:
     """Tail bound for selectors whose expected size exceeds sigma/2."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_delta(delta)
     if not mu > sigma_size / 2:
         raise ValueError("large-mu bound requires mu > sigma/2")
     if not n_queries < sigma_size / 2:
@@ -191,15 +211,20 @@ def large_mu_bound(mu: float, delta: float, d: int, sigma_size: int, n_queries: 
 # -- chunked trial engine ----------------------------------------------------
 
 
-def _chunk_trials(spec: TornadoSpec, n_keys: int, need_top: bool) -> int:
+def _trial_chunks(spec: TornadoSpec, n_keys: int, need_top: bool, master_seed: int,
+                  start: int, stop: int):
+    """Yield (first trial, trial seeds) for the chunks of trials [start, stop),
+    each sized so that its tables and derived characters take about 2^23 entries."""
     entries = sum(spec.level_input_positions(lv) for lv in spec.levels()) * spec.sigma
     if need_top:
         entries += sum(1 << spec.position_bits(i) for i in range(spec.positions))
     per_trial = entries + n_keys * spec.positions * 2
     chunk = (1 << 23) // max(per_trial, 1)
     max_alpha = max(1 << spec.position_bits(i) for i in range(spec.positions))
-    chunk = min(chunk, (1 << 24) // max_alpha)
-    return int(min(1 << 16, max(16, chunk)))
+    chunk = int(min(1 << 16, max(16, min(chunk, (1 << 24) // max_alpha))))
+    for lo in range(start, stop, chunk):
+        yield lo, rng.trial_seed_vec(master_seed,
+                                     np.arange(lo, min(lo + chunk, stop), dtype=np.uint64))
 
 
 def _peel_alive(chars: np.ndarray, sizes: tuple[int, ...], alive: np.ndarray) -> np.ndarray:
@@ -236,11 +261,6 @@ def _dependent_rows(chars: np.ndarray, sizes: tuple[int, ...], alive: np.ndarray
     return result
 
 
-def _candidates(sel: selectors.Selector, spec: TornadoSpec) -> np.ndarray:
-    """The selector's sorted candidate keys, checked against the key universe."""
-    return check_keys(spec, sorted(sel.keys | sel.query_keys))
-
-
 def _mu_and_cap(sel: selectors.Selector, spec: TornadoSpec) -> float:
     mu_val = selectors.mu(sel, spec.out_bits)
     cap = (spec.psi if spec.variant is Variant.TORNADO_MIX else spec.sigma) / 2
@@ -249,26 +269,29 @@ def _mu_and_cap(sel: selectors.Selector, spec: TornadoSpec) -> float:
     return mu_val
 
 
-def _dependence_range(args) -> int:
-    """Count trials in [start, stop) whose derived selected keys are dependent."""
-    spec, sel, master_seed, start, stop = args
-    keys = _candidates(sel, spec)
+def _tail_range(args) -> tuple[int, int]:
+    """(trials in [start, stop) whose selected set has >= threshold keys, those
+    of them whose selected derived keys are dependent; 0 unless count_dependent)."""
+    spec, sel, master_seed, threshold, count_dependent, start, stop = args
+    keys = selectors.candidates(sel, spec)
     sizes = tuple(1 << spec.position_bits(i) for i in range(spec.positions))
     need_top = sel.kind is not selectors.SelectorKind.FIXED_SET
-    chunk = _chunk_trials(spec, len(keys), need_top)
-    count = 0
-    for lo in range(start, stop, chunk):
-        hi = min(lo + chunk, stop)
-        seeds = rng.trial_seed_vec(master_seed, np.arange(lo, hi, dtype=np.uint64))
-        lvl = _chunk_level_tables(spec, seeds)
-        chars = _derive_chunk(spec, lvl, keys, len(seeds))
+    big = dependent = 0
+    for _, seeds in _trial_chunks(spec, len(keys), need_top, master_seed, start, stop):
+        chars = _derive_chunk(spec, _chunk_level_tables(spec, seeds), keys, len(seeds))
         if need_top:
             evals = _eval_chunk(spec, _chunk_top_tables(spec, seeds), chars)
             mask = selectors.selection_mask(sel, keys, evals, spec.out_bits)
         else:
             mask = np.ones(chars.shape[:2], dtype=bool)
-        count += int(_dependent_rows(chars, sizes, mask).sum())
-    return count
+        flag = mask.sum(axis=1) >= threshold
+        n_flag = int(flag.sum())
+        big += n_flag
+        if count_dependent and n_flag:
+            if n_flag < len(flag):
+                chars, mask = chars[flag], mask[flag]
+            dependent += int(_dependent_rows(chars, sizes, mask).sum())
+    return big, dependent
 
 
 def _run_ranges(fn, args_base: tuple, trials: int, workers: int):
@@ -281,6 +304,13 @@ def _run_ranges(fn, args_base: tuple, trials: int, workers: int):
         return list(pool.map(fn, jobs))
 
 
+def _tail_counts(sel: selectors.Selector, spec: TornadoSpec, threshold: float,
+                 count_dependent: bool, trials: int, seed: int, workers: int) -> tuple[int, int]:
+    parts = _run_ranges(_tail_range, (spec, sel, seed, threshold, count_dependent),
+                        trials, workers)
+    return sum(p[0] for p in parts), sum(p[1] for p in parts)
+
+
 def measure_dependence(
     sel: selectors.Selector,
     spec: TornadoSpec,
@@ -290,52 +320,17 @@ def measure_dependence(
 ) -> ExperimentReport:
     """Fraction of seeds whose derived selected keys are linearly dependent."""
     check_count("trials", trials)
-    _candidates(sel, spec)
+    selectors.candidates(sel, spec)
     mu_val = _mu_and_cap(sel, spec)
-    count = sum(_run_ranges(_dependence_range, (spec, sel, seed), trials, workers))
-    estimate = count / trials
-    stderr = binomial_stderr(estimate, trials)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # verdict carries the tag
         if spec.variant is Variant.TORNADO_MIX:
             bound = dependence_bound_mix(mu_val, spec.d, spec.sigma, spec.psi)
         else:
             bound = dependence_bound(mu_val, spec.d, spec.sigma)
-    return ExperimentReport(
-        name="dependence",
-        estimate=estimate,
-        stderr=stderr,
-        bound=bound,
-        trials=trials,
-        seed=seed,
-        params={"spec": spec.spec_string(), "mu": mu_val,
-                "selector": selectors.to_json_dict(sel)},
-        verdict=_upper_verdict(estimate, stderr, bound, informational=spec.sigma < 256),
-    )
-
-
-def _count_tail_range(args) -> tuple[int, int]:
-    """(trials with |X| >= threshold, those also derived-independent)."""
-    spec, sel, master_seed, threshold, joint, start, stop = args
-    keys = _candidates(sel, spec)
-    sizes = tuple(1 << spec.position_bits(i) for i in range(spec.positions))
-    chunk = _chunk_trials(spec, len(keys), True)
-    big = 0
-    big_indep = 0
-    for lo in range(start, stop, chunk):
-        hi = min(lo + chunk, stop)
-        seeds = rng.trial_seed_vec(master_seed, np.arange(lo, hi, dtype=np.uint64))
-        lvl = _chunk_level_tables(spec, seeds)
-        chars = _derive_chunk(spec, lvl, keys, len(seeds))
-        evals = _eval_chunk(spec, _chunk_top_tables(spec, seeds), chars)
-        mask = selectors.selection_mask(sel, keys, evals, spec.out_bits)
-        flag = mask.sum(axis=1) >= threshold
-        big += int(flag.sum())
-        if joint and flag.any():
-            idx = np.flatnonzero(flag)
-            dep = _dependent_rows(chars[idx], sizes, mask[idx])
-            big_indep += int((~dep).sum())
-    return big, big_indep
+    _, dependent = _tail_counts(sel, spec, 0, True, trials, seed, workers)
+    return _upper_report("dependence", dependent, trials, seed, bound, spec,
+                         {"mu": mu_val, "selector": selectors.to_json_dict(sel)})
 
 
 def chernoff_tail(
@@ -348,28 +343,15 @@ def chernoff_tail(
 ) -> ExperimentReport:
     """Joint probability of an oversized selected set with independent derived
     keys, against the upper-tail rate."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     check_count("trials", trials)
-    _candidates(sel, spec)
+    selectors.candidates(sel, spec)
     mu_val = _mu_and_cap(sel, spec)
-    threshold = (1.0 + delta) * mu_val
-    parts = _run_ranges(_count_tail_range, (spec, sel, seed, threshold, True), trials, workers)
-    joint = sum(p[1] for p in parts)
-    estimate = joint / trials
-    stderr = binomial_stderr(estimate, trials)
     bound = chernoff_bound(mu_val, delta)
-    return ExperimentReport(
-        name="chernoff_tail",
-        estimate=estimate,
-        stderr=stderr,
-        bound=bound,
-        trials=trials,
-        seed=seed,
-        params={"spec": spec.spec_string(), "mu": mu_val, "delta": delta,
-                "threshold": threshold, "selector": selectors.to_json_dict(sel)},
-        verdict=_upper_verdict(estimate, stderr, bound, informational=spec.sigma < 256),
-    )
+    threshold = (1.0 + delta) * mu_val
+    big, dependent = _tail_counts(sel, spec, threshold, True, trials, seed, workers)
+    return _upper_report("chernoff_tail", big - dependent, trials, seed, bound, spec,
+                         {"mu": mu_val, "delta": delta, "threshold": threshold,
+                          "selector": selectors.to_json_dict(sel)})
 
 
 def large_mu_tail(
@@ -381,47 +363,33 @@ def large_mu_tail(
     workers: int = 1,
 ) -> ExperimentReport:
     """Tail of the selected-set size when mu exceeds sigma/2."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     check_count("trials", trials)
-    _candidates(sel, spec)
+    selectors.candidates(sel, spec)
     mu_val = selectors.mu(sel, spec.out_bits)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # verdict carries the tag
         bound = large_mu_bound(mu_val, delta, spec.d, spec.sigma, len(sel.query_keys))
     threshold = (1.0 + delta) * mu_val
-    parts = _run_ranges(_count_tail_range, (spec, sel, seed, threshold, False), trials, workers)
-    estimate = sum(p[0] for p in parts) / trials
-    stderr = binomial_stderr(estimate, trials)
-    return ExperimentReport(
-        name="large_mu_tail",
-        estimate=estimate,
-        stderr=stderr,
-        bound=bound,
-        trials=trials,
-        seed=seed,
-        params={"spec": spec.spec_string(), "mu": mu_val, "delta": delta,
-                "delta0": large_mu_delta0(mu_val, delta, spec.sigma, len(sel.query_keys)),
-                "selector": selectors.to_json_dict(sel)},
-        verdict=_upper_verdict(estimate, stderr, bound, informational=spec.sigma < 256),
-    )
+    big, _ = _tail_counts(sel, spec, threshold, False, trials, seed, workers)
+    return _upper_report("large_mu_tail", big, trials, seed, bound, spec,
+                         {"mu": mu_val, "delta": delta,
+                          "delta0": large_mu_delta0(mu_val, delta, spec.sigma,
+                                                    len(sel.query_keys)),
+                          "selector": selectors.to_json_dict(sel)})
 
 
 def _chaining_range(args) -> np.ndarray:
     """Bin-0 occupancy counts for trials in [start, stop)."""
     spec, n, master_seed, start, stop = args
-    chunk = _chunk_trials(spec, n, True)
     out = np.empty(stop - start, dtype=np.int64)
-    for lo in range(start, stop, chunk):
-        hi = min(lo + chunk, stop)
-        seeds = rng.trial_seed_vec(master_seed, np.arange(lo, hi, dtype=np.uint64))
+    for lo, seeds in _trial_chunks(spec, n, True, master_seed, start, stop):
         keys = np.empty((len(seeds), n), dtype=np.uint64)
         for row in range(len(seeds)):
             keys[row] = rng.sample_distinct_keys(int(seeds[row]), n, spec.key_bits)
         lvl = _chunk_level_tables(spec, seeds)
         chars = _derive_chunk(spec, lvl, keys, len(seeds))
         evals = _eval_chunk(spec, _chunk_top_tables(spec, seeds), chars)
-        out[lo - start:hi - start] = (evals == _U(0)).sum(axis=1)
+        out[lo - start:lo - start + len(seeds)] = (evals == _U(0)).sum(axis=1)
     return out
 
 
@@ -439,24 +407,10 @@ def chaining_tail(
     if (1 << spec.out_bits) != n:
         raise ValueError("chaining requires out_bits = log2(n)")
     check_count("trials", trials)
-    parts = _run_ranges(_chaining_range, (spec, n, seed), trials, workers)
-    counts = np.concatenate(parts)
-    reports = []
-    for k in k_list:
-        estimate = float((counts >= k).mean())
-        stderr = binomial_stderr(estimate, trials)
-        bound = chaining_bound(k, spec.d, spec.sigma)
-        reports.append(ExperimentReport(
-            name=f"chaining_tail_k{k}",
-            estimate=estimate,
-            stderr=stderr,
-            bound=bound,
-            trials=trials,
-            seed=seed,
-            params={"spec": spec.spec_string(), "n": n, "k": k},
-            verdict=_upper_verdict(estimate, stderr, bound, informational=spec.sigma < 256),
-        ))
-    return reports
+    counts = np.concatenate(_run_ranges(_chaining_range, (spec, n, seed), trials, workers))
+    return [_upper_report(f"chaining_tail_k{k}", int((counts >= k).sum()), trials, seed,
+                          chaining_bound(k, spec.d, spec.sigma), spec, {"n": n, "k": k})
+            for k in k_list]
 
 
 # -- exact uniformity (full table enumeration) -------------------------------

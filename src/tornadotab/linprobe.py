@@ -233,6 +233,8 @@ def probe_experiment(
         raise ValueError("load factor above 4/5 is outside the supported regime")
     if queries < 1 or trials < 1:
         raise ValueError("need at least one query and one trial")
+    if not 0 < star_delta < 1:  # 0 divides by zero, 1 compares the baseline with itself
+        raise ValueError(f"star_delta must be in (0, 1), got {star_delta}")
     n_star = math.ceil((1.0 + 15.0 * math.sqrt(math.log(1.0 / star_delta) / spec.sigma)) * n)
     if n_star >= m:
         raise ValueError(

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError, TornadoHash
+from .core import ConfigError, TornadoHash, TornadoSpec, check_keys
 
 _U = np.uint64
 
@@ -109,6 +109,11 @@ def selection_bit_count(sel: Selector, out_bits: int) -> int:
     return out_bits
 
 
+def _check_prefix_width(sel: Selector, out_bits: int) -> None:
+    if sel.s_bits > out_bits:  # type: ignore[operator]
+        raise ConfigError(f"prefix of {sel.s_bits} bits wider than the {out_bits}-bit output")
+
+
 def mu(sel: Selector, out_bits: int) -> float:
     """Exact expected selected-set size under a fully random hash.
 
@@ -120,6 +125,7 @@ def mu(sel: Selector, out_bits: int) -> float:
     if sel.kind is SelectorKind.FIXED_SET:
         return float(len(sel.keys | sel.query_keys))
     if sel.kind is SelectorKind.BIT_PREFIX:
+        _check_prefix_width(sel, out_bits)
         return n_free * len(sel.targets) / (1 << sel.s_bits) + n_q  # type: ignore[arg-type]
     if sel.kind is SelectorKind.DYADIC_INTERVAL:
         if sel.interval_bits > out_bits:  # type: ignore[operator]
@@ -128,8 +134,9 @@ def mu(sel: Selector, out_bits: int) -> float:
     return n_free / (1 << out_bits) + n_q
 
 
-def _candidates(sel: Selector) -> np.ndarray:
-    return np.fromiter(sorted(sel.keys | sel.query_keys), dtype=np.uint64)
+def candidates(sel: Selector, spec: TornadoSpec) -> np.ndarray:
+    """The selector's sorted candidate keys, checked against the key universe."""
+    return check_keys(spec, sorted(sel.keys | sel.query_keys))
 
 
 def selection_mask(sel: Selector, keys: np.ndarray, evals: np.ndarray,
@@ -144,6 +151,7 @@ def selection_mask(sel: Selector, keys: np.ndarray, evals: np.ndarray,
         return np.ones(evals.shape, dtype=bool)
     q_idx = {q: int(np.searchsorted(keys, q)) for q in sel.query_keys}
     if kind is SelectorKind.BIT_PREFIX:
+        _check_prefix_width(sel, out_bits)
         targets = sorted(sel.targets)  # type: ignore[arg-type]
         if sel.s_bits == 0:  # empty prefix: numpy cannot shift uint64 by 64
             mask = np.full(evals.shape, 0 in targets, dtype=bool)
@@ -180,7 +188,7 @@ def selection_mask(sel: Selector, keys: np.ndarray, evals: np.ndarray,
 
 def select(sel: Selector, h: TornadoHash) -> frozenset[int]:
     """The exact selected key set under ``h`` (always includes the queries)."""
-    keys = _candidates(sel)
+    keys = candidates(sel, h.spec)
     mask = selection_mask(sel, keys, h.eval_batch(keys)[None], h.spec.out_bits)[0]
     return frozenset(int(k) for k in keys[mask])
 

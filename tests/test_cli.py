@@ -155,27 +155,6 @@ class TestDumpTables:
         assert path.read_text().count("\n") == 17
 
 
-class TestRunConfig:
-    def test_roundtrip(self):
-        cfg = cli.RunConfig(
-            command="independence", seed=0x42, format="csv", out="x.csv",
-            params={"sigma_bits": 8, "c": 2, "d": 4, "out_bits": 8,
-                    "variant": "tornado", "set_size": 128, "trials": 1000},
-        )
-        assert cli.RunConfig.from_json(cfg.to_json()) == cfg
-
-    def test_built_from_args_roundtrips(self):
-        parser = cli.build_parser()
-        args = parser.parse_args(
-            ["chaining", "--n", "64", "--out-bits", "6", "--k", "3",
-             "--trials", "500", "--seed", "0x9", "--format", "csv"]
-        )
-        cfg = cli.config_from_args(args)
-        assert cfg.command == "chaining" and cfg.seed == 9
-        assert cli.RunConfig.from_json(cfg.to_json()) == cfg
-        assert cfg.params["n"] == 64 and cfg.params["k"] == [3]
-
-
 class TestExitCodes:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -198,6 +177,11 @@ class TestExitCodes:
         ("chernoff", "--trials", "0"),
         ("survival", "--rounds", "0"),
         ("survival", "--trials", "0"),
+        ("chernoff", "--delta", "nan"),
+        ("chernoff", "--delta", "inf"),
+        ("lowerbound", "--out-bits", "1"),
+        ("probing", "--star-delta", "0"),
+        ("probing", "--star-delta", "1"),
     ])
     def test_degenerate_run_exits_1_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -457,6 +457,20 @@ class TestDegenerateRuns:
         for rep in reports if isinstance(reports, list) else [reports]:
             assert rep.trials == 1
 
+    @pytest.mark.parametrize("entry", ["chernoff", "large_mu"])
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0])
+    def test_bad_delta_rejected_before_any_trial(self, monkeypatch, entry, delta):
+        run = {
+            "chernoff": lambda: ex.chernoff_tail(
+                selectors.bin_selector(KEYS_G, 0), SPEC_G, delta, 10, 1),
+            "large_mu": lambda: ex.large_mu_tail(
+                selectors.bin_selector(range(40), 0), TornadoSpec(4, 2, 2, 1, Variant.TORNADO),
+                delta, 10, 1),
+        }[entry]
+        monkeypatch.setattr(ex, "_run_ranges", None)  # a trial run would call it
+        with pytest.raises(ValueError, match="delta"):
+            run()
+
     def test_negative_rounds_rejected(self):
         spec = TornadoSpec(4, 2, 1, 1, Variant.SIMPLE_TORNADO)
         with pytest.raises(ValueError, match="rounds"):
@@ -495,6 +509,11 @@ class TestReports:
     def test_non_finite_estimate_rejected(self, estimate):
         with pytest.raises(ValueError, match="finite"):
             ex.ExperimentReport("x", estimate, 0.0, 1.0, 10, 0)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf])
+    def test_non_finite_bound_rejected(self, bound):
+        with pytest.raises(ValueError, match="bound must be finite"):
+            ex.ExperimentReport("x", 0.0, 0.0, bound, 10, 0)
 
     @pytest.mark.parametrize("trials", [0, -5])
     def test_trials_below_one_rejected(self, trials):

@@ -132,6 +132,11 @@ class TestProbeExperiment:
         with pytest.raises(ValueError):
             lp.probe_experiment(self.SPEC, 100, 2048, 16, 1, 1)
 
+    @pytest.mark.parametrize("star_delta", [0.0, 1.0, -0.5, float("nan")])
+    def test_star_delta_outside_unit_interval_rejected(self, star_delta):
+        with pytest.raises(ValueError, match="star_delta"):
+            lp.probe_experiment(self.SPEC, 100, 1024, 16, 1, 1, star_delta=star_delta)
+
     def test_star_overflow_detected(self):
         with pytest.raises(ValueError):
             lp.probe_experiment(self.SPEC, 800, 1024, 16, 1, 1, star_delta=0.01)

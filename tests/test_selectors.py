@@ -34,6 +34,10 @@ class TestMu:
         sel = selectors.bit_prefix(range(100), 3, {0, 5})
         assert selectors.mu(sel, 8) == pytest.approx(100 * 2 / 8)
 
+    def test_prefix_wider_than_output_rejected(self):
+        with pytest.raises(ConfigError, match="wider"):
+            selectors.mu(selectors.hard_instance(4), 1)
+
     def test_dyadic(self):
         sel = selectors.dyadic_interval(range(1000), anchor=5, interval_bits=4)
         # anchor is a query: 999 keys at 3*2^4/2^8 plus 1
@@ -55,6 +59,11 @@ class TestSelect:
         spec = TornadoSpec(8, 2, 1, 64, Variant.TORNADO)
         sel = selectors.bit_prefix(range(20), 0, {0})
         assert selectors.select(sel, build(3, spec)) == frozenset(range(20))
+
+    def test_prefix_wider_than_output_rejected(self):
+        spec = TornadoSpec(8, 2, 1, 1, Variant.TORNADO)
+        with pytest.raises(ConfigError, match="wider"):
+            selectors.select(selectors.bit_prefix(range(20), 2, {0}), build(1, spec))
 
     def test_dyadic_full_range_selects_all(self):
         spec = TornadoSpec(8, 2, 1, 8, Variant.TORNADO)
