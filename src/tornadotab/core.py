@@ -502,7 +502,7 @@ def fold_tables(h: TornadoHash) -> FoldedTables:
         tables_np = np.array(tables, dtype=np.uint64)
         tables_np.flags.writeable = False
         return FoldedTables("w64", tables, tables_np)
-    psi_tables = [h.top_table[n_sigma + k].tolist() for k in range(2)]
+    psi_tables = [[int(v) for v in h.top_table[n_sigma + k]] for k in range(2)]
     return FoldedTables("w128mix", tables, None, psi_tables)
 
 
