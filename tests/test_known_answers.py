@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from tornadotab import cli, experiments, rng, selectors
-from tornadotab.core import TornadoHash, dump_tables, parse_spec_string
+from tornadotab.core import TornadoHash, TornadoSpec, Variant, dump_tables, parse_spec_string
 
 
 def sha256(data: bytes) -> str:
@@ -159,8 +159,37 @@ def chernoff_run(workers=1):
     return experiments.chernoff_tail(sel, spec, 0.25, 200, 0x2026, workers=workers)
 
 
+def two_column_dependence_run():
+    """A 64-key fixed set at sigma = 256: fewer keys than characters."""
+    spec = parse_spec_string("tornado,cb=8,c=2,d=2,r=8")
+    keys = [(a << 8) | b for a in range(32) for b in (0, 1)]
+    return experiments.measure_dependence(selectors.fixed_set(keys), spec, 3000, 0x2026)
+
+
+def _survival(char_bits, c, d, trials, rounds):
+    spec = TornadoSpec(char_bits, c, d, 1, Variant.SIMPLE_TORNADO)
+    return experiments.survival_rounds(spec, cli.default_zero_set(char_bits), trials, 0x2026,
+                                       rounds)
+
+
+def survival_sigma256_run():
+    return _survival(8, 2, 2, 200000, 2)
+
+
+def survival_fewer_rounds_than_d_run():
+    return _survival(4, 3, 3, 20000, 1)
+
+
+def survival_more_rounds_than_d_run():
+    return _survival(4, 2, 1, 20000, 3)
+
+
+def survival_zero_rounds_run():
+    return _survival(4, 2, 2, 1000, 0)
+
+
 # reports no CLI command prints: run -> (CSV row without its params column,
-# SHA-256 of the whole CSV); the sigma = 256 dependence run takes the 4-sigma
+# SHA-256 of the whole CSV); the sigma = 256 dependence runs take the 4-sigma
 # verdict, not the informational one
 REPORT_RUNS = [
     (large_mu_run,
@@ -170,6 +199,23 @@ REPORT_RUNS = [
     (hard_dependence_run,
      "dependence,0.001,0.0005770615218501404,0.27685546875,3000,0x2026,WithinBound",
      "9dcbcd9da1b1e3d0952fdd060d6ec964b177560f3cee3ae78475b508ac891211"),
+    (two_column_dependence_run,
+     "dependence,0.006333333333333333,0.001448357946345012,2.953125,3000,0x2026,WithinBound",
+     "d984c965f7f74be398aac1398fc802f082e7a597c491092ccb1fbf45e1083391"),
+    (survival_sigma256_run,
+     "survival_2_rounds,0.00014,2.6455661019902714e-05,0.00013661477714776993,200000,0x2026,"
+     "Informational",
+     "9d3a2eb834b0e1283a803e8a7522254128a9d36176d02d8d2808b6123a3c457d"),
+    (survival_fewer_rounds_than_d_run,
+     "survival_1_rounds,0.1807,0.0027207306922957296,0.1796875,20000,0x2026,Informational",
+     "179cda34b2e45461ce4488c584a4817fd47a52e531861ac050ec88f9c9f1eb50"),
+    (survival_more_rounds_than_d_run,
+     "survival_3_rounds,0.0055,0.0005229603235428095,0.005801677703857422,20000,0x2026,"
+     "Informational",
+     "0f98ca240a77f79388afd6ab363f7acda3c4d6a5ab9db3b53c1d94391eb4e25e"),
+    (survival_zero_rounds_run,
+     "survival_0_rounds,1.0,0.0,1.0,1000,0x2026,Informational",
+     "fbbe3a90b3d1fe1174414df1fdb965158112c516ed6d1a99e00184fba803d4ab"),
 ]
 
 
