@@ -22,7 +22,8 @@ ascending, then the top table).
 
 One batched engine builds, derives and evaluates: :func:`level_stacks` and
 :func:`top_stacks` fill the tables of B hash functions at once,
-:func:`derive_stack` computes derived characters and :func:`eval_stack`
+:func:`derive_stack` computes derived characters, with level entries read
+from a filled stack or hashed from their addresses, and :func:`eval_stack`
 the top tabulation. A :class:`TornadoHash` is a stack of one: ``build``
 fills the stacks for its seed, and ``derive_batch``/``eval_batch`` run the
 engine with B = 1, while :mod:`tornadotab.experiments` runs it on a chunk
@@ -249,10 +250,12 @@ def _xor_gather(table: np.ndarray, chars: np.ndarray, n_pos: int) -> np.ndarray:
     return acc
 
 
-def derive_stack(spec: TornadoSpec, level_tables: dict[int, np.ndarray], xs: np.ndarray,
+def derive_stack(spec: TornadoSpec, levels: dict[int, np.ndarray] | np.ndarray, xs: np.ndarray,
                  n_trials: int) -> np.ndarray:
     """Derived keys for each trial, (B, n, c + d) intp; xs is (n,) shared or
-    (B, n) per trial, and level_tables is a :func:`level_stacks` result.
+    (B, n) per trial. ``levels`` is a :func:`level_stacks` result, whose
+    entries are gathered, or the (B,) trial seeds, whose entries are hashed
+    from their addresses as they are read: the same bits.
 
     Characters are kept as intp so they index the flat tables directly. The
     result is a view of position-major storage: each chars[:, :, i] that a
@@ -262,15 +265,23 @@ def derive_stack(spec: TornadoSpec, level_tables: dict[int, np.ndarray], xs: np.
     xs = np.asarray(xs, dtype=np.uint64)
     shape = xs.shape if xs.ndim == 2 else (n_trials, len(xs))
     chars = np.empty((spec.positions,) + shape, dtype=np.intp).transpose(1, 2, 0)
+
+    def lookup(level: int, n_pos: int) -> np.ndarray:
+        """XOR over j < n_pos of the level's entries at chars[:, :, j]."""
+        if isinstance(levels, dict):
+            return _xor_gather(levels[level], chars, n_pos)
+        acc = rng.field_value_vec(levels[:, None], rng.KIND_LEVEL, level, 0, chars[:, :, 0])
+        for j in range(1, n_pos):
+            acc ^= rng.field_value_vec(levels[:, None], rng.KIND_LEVEL, level, j, chars[:, :, j])
+        return (acc & _U((1 << spec.level_output_bits(level)) - 1)).view(np.intp)  # as chars
+
     cmask = _U(spec.sigma - 1)
     for i in range(spec.c):
         chars[:, :, i] = (xs >> _U(i * spec.char_bits)) & cmask
     if spec.variant in (Variant.TORNADO, Variant.TORNADO_MIX) and spec.c > 1:
-        chars[:, :, spec.c - 1] ^= _xor_gather(level_tables[0], chars, spec.c - 1)
+        chars[:, :, spec.c - 1] ^= lookup(0, spec.c - 1)
     for level in range(1, spec.d + 1):
-        if level in level_tables:
-            chars[:, :, spec.c + level - 1] = _xor_gather(
-                level_tables[level], chars, spec.level_input_positions(level))
+        chars[:, :, spec.c + level - 1] = lookup(level, spec.level_input_positions(level))
     return chars
 
 

@@ -6,13 +6,16 @@ so runs are reproducible bit for bit and trials can be processed in chunks
 or on worker processes in any order.
 
 Trials are vectorized across a chunk: the batched engine of
-:mod:`tornadotab.core` fills all lookup tables for a chunk of trials in one
-pass and derives and evaluates every trial's keys with flat gathers (the
-same engine a :class:`~tornadotab.core.TornadoHash` runs with one trial),
-and :func:`tornadotab.selectors.selection_mask` selects over the whole
-chunk. Linear-independence checks first peel keys containing a position
-character unique in their trial (such keys cannot take part in any
-zero-set), falling back to exact F2 elimination for the rare survivors.
+:mod:`tornadotab.core` derives and evaluates every trial's keys at once (the
+same engine a :class:`~tornadotab.core.TornadoHash` runs with one trial; it
+is the only derivation here, survival's included), and
+:func:`tornadotab.selectors.selection_mask` selects over the whole chunk.
+Top tables are filled per chunk; level entries are hashed from their
+addresses when the chunk has fewer keys than sigma, and so reads fewer
+entries than filling would write, and filled otherwise (``_chunk_levels``).
+Linear-independence checks first peel keys containing a position character
+unique in their trial (such keys cannot take part in any zero-set), falling
+back to exact F2 elimination for the rare survivors.
 
 Dependence, the Chernoff joint tail and the large-mu tail count the same
 per-trial pair, (selected size >= threshold, derived keys dependent), so
@@ -31,7 +34,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -227,6 +230,15 @@ def _trial_chunks(spec: TornadoSpec, n_keys: int, need_top: bool, master_seed: i
                                      np.arange(lo, min(lo + chunk, stop), dtype=np.uint64))
 
 
+def _chunk_levels(spec: TornadoSpec, seeds: np.ndarray, n_keys: int):
+    """A chunk's level source for ``derive_stack``: the seeds (entries hashed
+    as read) when its keys read fewer entries than filling writes, which for
+    sigma-wide level tables means n_keys < sigma; else the filled tables."""
+    if n_keys < spec.sigma:
+        return seeds
+    return _chunk_level_tables(spec, seeds)
+
+
 def _peel_alive(chars: np.ndarray, sizes: tuple[int, ...], alive: np.ndarray) -> np.ndarray:
     """Drop keys owning a position character unique within their trial."""
     n_trials, n_keys, b = chars.shape
@@ -278,7 +290,7 @@ def _tail_range(args) -> tuple[int, int]:
     need_top = sel.kind is not selectors.SelectorKind.FIXED_SET
     big = dependent = 0
     for _, seeds in _trial_chunks(spec, len(keys), need_top, master_seed, start, stop):
-        chars = _derive_chunk(spec, _chunk_level_tables(spec, seeds), keys, len(seeds))
+        chars = _derive_chunk(spec, _chunk_levels(spec, seeds, len(keys)), keys, len(seeds))
         if need_top:
             evals = _eval_chunk(spec, _chunk_top_tables(spec, seeds), chars)
             mask = selectors.selection_mask(sel, keys, evals, spec.out_bits)
@@ -386,8 +398,7 @@ def _chaining_range(args) -> np.ndarray:
         keys = np.empty((len(seeds), n), dtype=np.uint64)
         for row in range(len(seeds)):
             keys[row] = rng.sample_distinct_keys(int(seeds[row]), n, spec.key_bits)
-        lvl = _chunk_level_tables(spec, seeds)
-        chars = _derive_chunk(spec, lvl, keys, len(seeds))
+        chars = _derive_chunk(spec, _chunk_levels(spec, seeds, n), keys, len(seeds))
         evals = _eval_chunk(spec, _chunk_top_tables(spec, seeds), chars)
         out[lo - start:lo - start + len(seeds)] = (evals == _U(0)).sum(axis=1)
     return out
@@ -482,42 +493,23 @@ def _even_quad(v0, v1, v2, v3) -> np.ndarray:
     )
 
 
-def _survival_alive(spec: TornadoSpec, keys: list[int], trials: int, seed: int,
-                    rounds: int) -> np.ndarray:
-    """Per-trial survival of the zero-set through the given derivation rounds."""
-    cmask = spec.sigma - 1
-    alive = np.ones(trials, dtype=bool)
-    chunk = max(1, (1 << 22) // max(4 * (spec.c + rounds), 1))
-    for lo in range(0, trials, chunk):
-        hi = min(lo + chunk, trials)
-        seeds = rng.trial_seed_vec(seed, np.arange(lo, hi, dtype=np.uint64))
-        chars = [[np.full(hi - lo, (k >> (i * spec.char_bits)) & cmask, dtype=np.uint64)
-                  for i in range(spec.c)] for k in keys]
-        ok = np.ones(hi - lo, dtype=bool)
-        for level in range(1, rounds + 1):
-            vals = []
-            for kk in range(4):
-                v = np.zeros(hi - lo, dtype=np.uint64)
-                for j in range(spec.c + level - 1):
-                    v ^= rng.field_value_vec(seeds, rng.KIND_LEVEL, level, j,
-                                             chars[kk][j]) & _U(cmask)
-                vals.append(v)
-                chars[kk].append(v)
-            ok &= _even_quad(*vals)
-        alive[lo:hi] = ok
-    return alive
-
-
 def survival_rounds(spec: TornadoSpec, zero_set, trials: int, seed: int,
                     rounds: int) -> ExperimentReport:
-    """Zero-set survival through ``rounds`` derivation rounds; zero rounds
-    survive with certainty."""
+    """Zero-set survival through ``rounds`` derivation rounds: the trials in
+    which the four derived characters pair up at every derived position of
+    the spec with d = rounds. Zero rounds survive with certainty."""
     check_count("trials", trials)
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
     keys = _check_zero_set4(spec, zero_set)
-    alive = _survival_alive(spec, keys, trials, seed, rounds)
-    estimate = float(alive.mean())
+    run = replace(spec, d=rounds)
+    xs = np.array(keys, dtype=np.uint64)
+    survived = 0
+    for _, seeds in _trial_chunks(run, len(keys), False, seed, 0, trials):
+        chars = _derive_chunk(run, _chunk_levels(run, seeds, len(keys)), xs, len(seeds))
+        derived = chars[:, :, run.c:].transpose(1, 0, 2)  # (key, trial, round)
+        survived += int(_even_quad(*derived).all(axis=1).sum())
+    estimate = survived / trials
     stderr = binomial_stderr(estimate, trials)
     target = ((3.0 - 2.0 / spec.sigma) / spec.sigma) ** rounds
     return ExperimentReport(

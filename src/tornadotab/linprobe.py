@@ -147,10 +147,6 @@ class ProbeStats:
     def mean(self) -> float:
         return float(self.probe_lengths.mean())
 
-    @property
-    def variance(self) -> float:
-        return float(self.probe_lengths.var())
-
     def cdf(self, upto: int | None = None) -> np.ndarray:
         """Empirical CDF over probe lengths 0..upto (pooled across trials)."""
         flat = self.probe_lengths.ravel()

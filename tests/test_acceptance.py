@@ -179,3 +179,36 @@ def test_12_benchmark_parity_informational():
     _report("12-benchmark-parity", deterministic,
             f"tornado={tor.ns_per_key:.0f}ns/key poly2={poly.ns_per_key:.0f}ns/key "
             f"ratio={ratio:.2f} within2x={within_2x} (informational)")
+
+
+def _two_column_dependence():
+    """Keys {0..31} x {0, 1} selected by the 2-bit output prefix (mu = 16)."""
+    spec = TornadoSpec(8, 2, 3, 8, Variant.TORNADO)
+    keys = [(a << 8) | b for a in range(32) for b in (0, 1)]
+    sel = selectors.bit_prefix(keys, 2, {0})
+    return ex.measure_dependence(sel, spec, 2000, MASTER_SEED)
+
+
+def test_13_dependence_gate_sees_zeroed_levels(monkeypatch):
+    """The dependence gate fails a hash whose level entries are all zero.
+
+    Zero level entries leave the derived characters constant and the twist
+    the identity, which is simple tabulation: then whole columns are selected
+    together exactly when the top entries of the two low characters agree in
+    their top two bits, and the selected keys are dependent in about 1/4 of
+    the trials. The chaining, Chernoff and hard-instance gates cannot see
+    this, because simple tabulation meets those bounds too.
+    """
+    real = _two_column_dependence()
+    field_value_vec = rng.field_value_vec
+
+    def zero_levels(seed, kind, major, minor, slot):
+        v = field_value_vec(seed, kind, major, minor, slot)
+        return v & np.uint64(0) if kind == rng.KIND_LEVEL else v
+
+    monkeypatch.setattr(rng, "field_value_vec", zero_levels)  # both level sources
+    mutant = _two_column_dependence()
+    ok = (real.verdict is ex.Verdict.WITHIN_BOUND and mutant.verdict is ex.Verdict.VIOLATION)
+    _report("13-dependence-gate-can-fail", ok,
+            f"real={real.estimate:.2e} ({real.verdict.value}) "
+            f"zeroed levels={mutant.estimate:.3f} ({mutant.verdict.value}) bound={real.bound:.2e}")

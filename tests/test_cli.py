@@ -71,6 +71,13 @@ class TestSubcommands:
         assert rep["name"] == "lowerbound_dependence"
         assert rep["params"]["above_floor"] is True
 
+    def test_lowerbound_keeps_the_verdict_at_sigma_256(self, capsys):
+        code, out, _ = run(
+            capsys, "lowerbound", "--sigma-bits", "8", "--d", "3", "--trials", "2000",
+        )
+        assert code == 0
+        assert json.loads(out)[0]["verdict"] == "WithinBound"
+
     def test_survival(self, capsys):
         code, out, _ = run(
             capsys, "survival", "--sigma-bits", "4", "--rounds", "1",

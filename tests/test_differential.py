@@ -2,8 +2,10 @@
 
 The scalar ``derive``/``eval`` loops are the reference. Against them run
 ``derive_batch``/``eval_batch`` (the engine with one trial), the engine
-with several trials each checked against its own ``TornadoHash.build``,
-the scalar folded path and, for the ``w64`` profile, the batch folded path.
+with several trials each checked against its own ``TornadoHash.build``
+(its level entries both gathered from filled tables and hashed from their
+addresses), the scalar folded path and, for the ``w64`` profile, the batch
+folded path.
 """
 
 import numpy as np
@@ -76,10 +78,15 @@ def test_evaluation_paths_agree(case):
     assert h.eval_batch(xs).tolist() == expected
 
     seeds = rng.trial_seed_vec(seed, np.arange(ENGINE_TRIALS, dtype=np.uint64))
+    top = top_stacks(spec, seeds)
     chars = derive_stack(spec, level_stacks(spec, seeds), xs, ENGINE_TRIALS)
-    evals = eval_stack(spec, top_stacks(spec, seeds), chars)
+    evals = eval_stack(spec, top, chars)
     for b, trial_seed in enumerate(seeds.tolist()):
         assert evals[b].tolist() == [TornadoHash.build(spec, trial_seed).eval(x) for x in keys]
+    # the other level source: every entry hashed from its address as it is read
+    hashed = derive_stack(spec, seeds, xs, ENGINE_TRIALS)
+    assert np.array_equal(hashed, chars)
+    assert np.array_equal(eval_stack(spec, top, hashed), evals)
 
     try:
         profile = folded_profile(spec)

@@ -231,6 +231,19 @@ class TestMeasureDependence:
         rep = ex.measure_dependence(selectors.fixed_set([1, 2, 3]), spec, 50, 1)
         assert rep.verdict is ex.Verdict.WITHIN_BOUND
 
+    def test_level_source_follows_key_count(self, monkeypatch):
+        """Fewer keys than characters hash the level entries they read; the
+        512-key hard instance at sigma = 256 fills the tables."""
+        def fill(spec, seeds):
+            raise RuntimeError("level tables filled")
+
+        monkeypatch.setattr(ex, "_chunk_level_tables", fill)
+        spec = TornadoSpec(8, 2, 3, 8, Variant.TORNADO)
+        keys = [(a << 8) | b for a in range(32) for b in (0, 1)]
+        ex.measure_dependence(selectors.fixed_set(keys), spec, 50, 1)
+        with pytest.raises(RuntimeError, match="filled"):
+            ex.measure_dependence(selectors.hard_instance(8), spec, 50, 1)
+
 
 class TestExactUniformity:
     def test_three_independent_keys_equidistributed(self):
