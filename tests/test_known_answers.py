@@ -47,6 +47,29 @@ class TestRng:
         assert array_digest(rng.sample_distinct_keys(2026, 1000, 16)) == (
             "3385b1e2d74bb22c80540e91ef21e96bf03e96884fe3560b61a756caf68399fb")
 
+    # (seed, n, bits, exclude as (seed, n) of an earlier sample) -> digest: 64-bit
+    # keys, 48-bit keys on both sides of n + n // 4 = 2^16 values, 250 of a
+    # 256-key universe, and an exclude list that removes the first 100 keys
+    DISTINCT = [
+        ((0x64, 1000, 64, None),
+         "76e4300fb39b55632d855d76328c9d92ff539fe3da3f7bed92ed0cee3a011623"),
+        ((0x48, 52429, 48, None),
+         "71acf2c571552362ecd8dc6241a4b24de17f078ead1f34026e31b1443937d614"),
+        ((0x48, 52430, 48, None),
+         "91501cceab1f2588f4cf569f77fb0f67b94959160c78322c6afd5ebef1760798"),
+        ((7, 250, 8, None),
+         "b6bf74437998a7794446a5771ae6ca552ba6ac3cc12b9bd86eef2686234e30b4"),
+        ((5, 100, 8, (5, 100)),
+         "7754535aea44b41047b7dc225a988f2700587d4c109acd644ffbdeb5c0032c4d"),
+    ]
+
+    @pytest.mark.parametrize("args,digest", DISTINCT, ids=["bits64", "bits48_packed",
+                                                           "bits48_over", "dense", "exclude"])
+    def test_sample_distinct_keys_edges(self, args, digest):
+        seed, n, bits, excl = args
+        exclude = None if excl is None else rng.sample_distinct_keys(*excl, bits)
+        assert array_digest(rng.sample_distinct_keys(seed, n, bits, exclude)) == digest
+
 
 # spec -> (dump_tables digest, eval_batch digest over 5000 raw_key_stream keys),
 # both under seed 0x5EED
@@ -224,6 +247,19 @@ def test_report(run, row, digest):
     out = experiments.reports_to_csv([run()])
     assert out.splitlines()[1].split(',"')[0] == row
     assert sha256(out.encode()) == digest
+
+
+def test_chaining_report():
+    """``chaining_tail`` at the benchmark's shape: rows without their params
+    column, and the SHA-256 of the whole CSV."""
+    spec = parse_spec_string("tornado,cb=8,c=2,d=4,r=8")
+    out = experiments.reports_to_csv(experiments.chaining_tail(spec, 256, [4, 8], 768, 0x2026))
+    assert [line.split(',"')[0] for line in out.splitlines()[1:]] == [
+        "chaining_tail_k4,0.01953125,0.00499345669161538,0.07845913015325232,768,0x2026,"
+        "WithinBound",
+        "chaining_tail_k8,0.0,0.0,6.536597690753065e-05,768,0x2026,WithinBound"]
+    assert sha256(out.encode()) == (
+        "1e9d4e2752bde7ec44155f26584c11dadd9277aa675c28315f0ebb6844ed258f")
 
 
 @pytest.mark.parametrize("run", [large_mu_run, chernoff_run], ids=lambda f: f.__name__)
