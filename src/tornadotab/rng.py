@@ -16,6 +16,8 @@ Fixed constants (do not change without bumping the dump format version):
 
 A logical table field is addressed by ``(seed, kind, major, minor, slot)``
 and its value is five chained mix rounds; see :func:`field_value`.
+A key set is the first n distinct values of a seed's key stream, and a
+``(B,)`` seed array gives B key sets at once (:func:`sample_distinct_keys`).
 """
 
 from __future__ import annotations
@@ -101,17 +103,43 @@ def mixer_hash_vec(seed: int, xs: np.ndarray, bits: int) -> np.ndarray:
     return mix64_vec(base ^ xs.astype(np.uint64)) & _U((1 << bits) - 1)
 
 
-def raw_key_stream(seed: int, count: int, bits: int, offset: int = 0) -> np.ndarray:
-    """Counter-mode stream of ``count`` values of ``bits`` bits (may repeat)."""
-    base = _U(mix64(seed ^ KEYS_TAG))
-    idx = np.arange(offset, offset + count, dtype=np.uint64)
-    return mix64_vec(base ^ idx) & _U((1 << bits) - 1)
+def raw_key_stream(seed, count: int, bits: int) -> np.ndarray:
+    """Counter-mode stream of ``count`` values of ``bits`` bits (may repeat);
+    one row of them per seed when ``seed`` is an array."""
+    base = mix64_vec(np.asarray(seed, dtype=np.uint64)[..., None] ^ _U(KEYS_TAG))
+    return mix64_vec(base ^ np.arange(count, dtype=np.uint64)) & _U((1 << bits) - 1)
+
+
+def _first_occurrences(vals: np.ndarray, bits: int) -> np.ndarray:
+    """Mask of the entries of each row of ``vals`` (``bits``-bit values) whose
+    value appears nowhere earlier in that row."""
+    count = vals.shape[1]
+    index_bits = (count - 1).bit_length()
+    if bits + index_bits <= 64:
+        # words ordered by value, then by index: each value's first index leads its run
+        words = np.sort((vals << _U(index_bits)) | np.arange(count, dtype=np.uint64), axis=1)
+        order = (words & _U((1 << index_bits) - 1)).astype(np.intp)
+        runs = words >> _U(index_bits)
+    else:
+        order = np.argsort(vals, axis=1, kind="stable")
+        runs = np.take_along_axis(vals, order, axis=1)
+    head = np.ones(vals.shape, dtype=bool)
+    head[:, 1:] = runs[:, 1:] != runs[:, :-1]
+    first = np.empty(vals.shape, dtype=bool)
+    np.put_along_axis(first, order, head, axis=1)
+    return first
 
 
 def sample_distinct_keys(
-    seed: int, n: int, bits: int, exclude: np.ndarray | None = None
+    seed, n: int, bits: int, exclude: np.ndarray | None = None
 ) -> np.ndarray:
     """First ``n`` distinct stream values not in ``exclude``, in stream order.
+
+    A ``(B,)`` array of seeds gives a ``(B, n)`` block whose row b is the
+    keys of ``seed[b]`` alone. The keys are defined by the stream, not by how
+    much of it is drawn: a row draws ``n + max(64, n // 4)`` values, and one
+    left short (a nearly full universe, or many excluded keys) is drawn
+    again with twice as many.
 
     Taking the first n distinct values of an iid-uniform stream yields a
     uniformly random n-subset of the universe, which is what the experiments
@@ -119,20 +147,22 @@ def sample_distinct_keys(
     """
     universe = 1 << bits
     excluded = 0 if exclude is None else len(exclude)
-    if n > universe - excluded:
+    if not 0 <= n <= universe - excluded:
         raise ValueError(f"cannot sample {n} distinct keys from {universe - excluded}")
-    seen: list[np.ndarray] = []
-    offset = 0
-    chunk = max(1024, 2 * n)
-    picked = np.empty(0, dtype=np.uint64)
-    while len(picked) < n:
-        vals = raw_key_stream(seed, chunk, bits, offset=offset)
-        offset += chunk
-        seen.append(vals)
-        pool = np.concatenate(seen)
-        _, first = np.unique(pool, return_index=True)
-        picked = pool[np.sort(first)]
-        if exclude is not None and len(exclude):
-            picked = picked[~np.isin(picked, exclude)]
-        chunk *= 2
-    return picked[:n]
+    seeds = np.asarray(seed, dtype=np.uint64)
+    rows = seeds.reshape(-1)
+    out = np.empty((len(rows), n), dtype=np.uint64)
+    todo = np.arange(len(rows))
+    count = n + max(64, n // 4)
+    while len(todo):
+        vals = raw_key_stream(rows[todo], count, bits)
+        keep = _first_occurrences(vals, bits)
+        if excluded:
+            keep &= ~np.isin(vals, exclude)
+        rank = np.cumsum(keep, axis=1, dtype=np.int32)
+        full = rank[:, -1] >= n
+        done = todo[full]
+        out[done] = vals[full][(keep & (rank <= n))[full]].reshape(len(done), n)
+        todo = todo[~full]
+        count *= 2
+    return out.reshape(seeds.shape + (n,))

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from tornadotab import bench, linprobe, rng, selectors
+from tornadotab import bench, cli, linprobe, rng, selectors
 from tornadotab import experiments as ex
 from tornadotab.core import TornadoHash, TornadoSpec, Variant, eval_folded_batch
 from tornadotab.gf2 import (
@@ -212,3 +212,53 @@ def test_13_dependence_gate_sees_zeroed_levels(monkeypatch):
     _report("13-dependence-gate-can-fail", ok,
             f"real={real.estimate:.2e} ({real.verdict.value}) "
             f"zeroed levels={mutant.estimate:.3f} ({mutant.verdict.value}) bound={real.bound:.2e}")
+
+
+def _stick_top_low_bit(monkeypatch):
+    """Make every top-table entry even, so every hash value is even."""
+    field_value_vec = rng.field_value_vec
+
+    def stuck(seed, kind, major, minor, slot):
+        v = field_value_vec(seed, kind, major, minor, slot)
+        return v & ~np.uint64(1) if kind == rng.KIND_TOP else v
+
+    monkeypatch.setattr(rng, "field_value_vec", stuck)
+
+
+def test_14_chaining_gate_sees_stuck_top_bit(monkeypatch):
+    """The chaining gate fails a hash whose top entries have the low bit stuck at 0.
+
+    Only even bins are then hit, so bin 0 receives about twice its share and
+    k=4 occurs far above its bound; the CLI exits 2 on that verdict. This
+    gate cannot see zeroed level tables (simple tabulation meets the chaining
+    bound); test 13 catches those.
+    """
+    monkeypatch.delenv("TORNADO_THREADS", raising=False)  # keep the patch in this process
+    spec = TornadoSpec(8, 2, 4, 8, Variant.TORNADO)
+    real = ex.chaining_tail(spec, 256, [4], 2000, MASTER_SEED)[0]
+    _stick_top_low_bit(monkeypatch)
+    mutant = ex.chaining_tail(spec, 256, [4], 2000, MASTER_SEED)[0]
+    code = cli.main(["chaining", "--n", "256", "--k", "4", "--trials", "2000"])
+    ok = (real.verdict is ex.Verdict.WITHIN_BOUND and mutant.verdict is ex.Verdict.VIOLATION
+          and code == cli.VIOLATION_EXIT)
+    _report("14-chaining-gate-can-fail", ok,
+            f"k=4 real={real.estimate:.3f} stuck bit={mutant.estimate:.3f} bound={real.bound:.4f} "
+            f"cli exit={code}")
+
+
+def test_15_chernoff_gate_sees_stuck_top_bit(monkeypatch):
+    """The Chernoff gate fails a hash whose top entries have the low bit stuck at 0.
+
+    On the test 09 shape (4096 keys, bin 0 of 64, delta=0.5) bin 0 then gets
+    about 2 mu keys in nearly every trial. This gate cannot see zeroed level
+    tables (simple tabulation meets the Chernoff bound); test 13 catches those.
+    """
+    spec = TornadoSpec(8, 2, 4, 6, Variant.TORNADO)
+    keys = [int(k) for k in rng.sample_distinct_keys(rng.mix64(MASTER_SEED), 4096, 16)]
+    sel = selectors.bin_selector(keys, 0)
+    real = ex.chernoff_tail(sel, spec, 0.5, 300, MASTER_SEED)
+    _stick_top_low_bit(monkeypatch)
+    mutant = ex.chernoff_tail(sel, spec, 0.5, 300, MASTER_SEED)
+    ok = real.verdict is ex.Verdict.WITHIN_BOUND and mutant.verdict is ex.Verdict.VIOLATION
+    _report("15-chernoff-gate-can-fail", ok,
+            f"real={real.estimate:.2e} stuck bit={mutant.estimate:.3f} bound={real.bound:.2e}")

@@ -392,6 +392,21 @@ class TestChaining:
         with pytest.raises(ValueError):
             ex.chaining_tail(spec, 128, [4], 10, 1)
 
+    def test_samples_keys_once_per_chunk(self, monkeypatch):
+        spec = TornadoSpec(8, 2, 4, 8, Variant.TORNADO)
+        chunks = [len(s) for _, s in ex._trial_chunks(spec, 256, True, 5, 0, 3000)]
+        assert len(chunks) > 1
+        sample = rng.sample_distinct_keys
+        calls = []
+
+        def counted(seed, n, bits, exclude=None):
+            calls.append(np.shape(seed))
+            return sample(seed, n, bits, exclude)
+
+        monkeypatch.setattr(rng, "sample_distinct_keys", counted)
+        ex.chaining_tail(spec, 256, [4], 3000, 5)
+        assert calls == [(b,) for b in chunks]
+
     def test_reproducible(self):
         spec = TornadoSpec(8, 2, 4, 4, Variant.TORNADO)
         a = ex.chaining_tail(spec, 16, [2], 200, 5)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tornadotab import rng
 
@@ -62,6 +64,45 @@ def test_sample_distinct_keys_whole_universe():
 def test_sample_distinct_keys_too_many():
     with pytest.raises(ValueError):
         rng.sample_distinct_keys(1, 300, 8)
+    with pytest.raises(ValueError):
+        rng.sample_distinct_keys(np.arange(3, dtype=np.uint64), 300, 8)
+    with pytest.raises(ValueError):
+        rng.sample_distinct_keys(np.arange(3, dtype=np.uint64), 200, 8, exclude=np.arange(57))
+    with pytest.raises(ValueError):
+        rng.sample_distinct_keys(1, -1, 8)
+
+
+def first_distinct_reference(seed, n, bits, exclude):
+    """Walk the stream one value at a time, as the sampler's definition reads."""
+    count = 64
+    while True:
+        seen, picked = {int(x) for x in exclude}, []
+        for v in rng.raw_key_stream(seed, count, bits).tolist():
+            if len(picked) == n:
+                return picked
+            if v not in seen:
+                seen.add(v)
+                picked.append(v)
+        count *= 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.integers(1, 5), n=st.integers(0, 300), bits=st.sampled_from([8, 9, 12, 40, 62, 64]),
+       seed=st.integers(0, rng.M64), n_excluded=st.integers(0, 64))
+def test_batched_rows_equal_single_seed_calls(b, n, bits, seed, n_excluded):
+    """Row b of a seed-array call is the B=1 call for seed b, and both are the
+    first n distinct non-excluded stream values; bits=8 and 9 make dense
+    universes where rows come up short and are redrawn, 62 and 64 take the
+    stable-argsort branch."""
+    exclude = np.unique(rng.raw_key_stream(seed ^ 1, n_excluded, bits))
+    n = min(n, (1 << bits) - len(exclude))
+    seeds = rng.trial_seed_vec(seed, np.arange(b, dtype=np.uint64))
+    block = rng.sample_distinct_keys(seeds, n, bits, exclude)
+    assert block.shape == (b, n) and block.dtype == np.uint64
+    for s, row in zip(seeds.tolist(), block):
+        single = rng.sample_distinct_keys(s, n, bits, exclude)
+        assert np.array_equal(row, single)
+        assert single.tolist() == first_distinct_reference(s, n, bits, exclude)
 
 
 def test_mixer_hash_matches_vec():
