@@ -103,7 +103,7 @@ def mixer_hash_vec(seed: int, xs: np.ndarray, bits: int) -> np.ndarray:
     return mix64_vec(base ^ xs.astype(np.uint64)) & _U((1 << bits) - 1)
 
 
-def raw_key_stream(seed, count: int, bits: int) -> np.ndarray:
+def raw_key_stream(seed: int | np.ndarray, count: int, bits: int) -> np.ndarray:
     """Counter-mode stream of ``count`` values of ``bits`` bits (may repeat);
     one row of them per seed when ``seed`` is an array."""
     base = mix64_vec(np.asarray(seed, dtype=np.uint64)[..., None] ^ _U(KEYS_TAG))
@@ -131,7 +131,7 @@ def _first_occurrences(vals: np.ndarray, bits: int) -> np.ndarray:
 
 
 def sample_distinct_keys(
-    seed, n: int, bits: int, exclude: np.ndarray | None = None
+    seed: int | np.ndarray, n: int, bits: int, exclude: np.ndarray | None = None
 ) -> np.ndarray:
     """First ``n`` distinct stream values not in ``exclude``, in stream order.
 

@@ -72,6 +72,16 @@ def test_sample_distinct_keys_too_many():
         rng.sample_distinct_keys(1, -1, 8)
 
 
+def test_first_occurrence_branches_agree():
+    """The packed sort and the stable argsort mark the same first occurrences
+    on rows full of repeats, which the wide keys that take the argsort branch
+    almost never have."""
+    vals = rng.raw_key_stream(np.arange(8, dtype=np.uint64), 300, 4)
+    expect = [[v not in row[:i] for i, v in enumerate(row)] for row in vals.tolist()]
+    assert rng._first_occurrences(vals, 4).tolist() == expect  # packed words
+    assert rng._first_occurrences(vals, 64).tolist() == expect  # stable argsort
+
+
 def first_distinct_reference(seed, n, bits, exclude):
     """Walk the stream one value at a time, as the sampler's definition reads."""
     count = 64
