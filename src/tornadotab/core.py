@@ -203,6 +203,7 @@ def check_keys(spec: TornadoSpec, xs) -> np.ndarray:
 # block of offsets that needs no cast.
 
 EVAL_BLOCK = 1 << 15  # keys per engine call in eval_batch; bounds the intp characters
+FOLD_BLOCK = 1 << 14  # keys per pass of eval_folded_batch; its four buffers stay in L2
 
 
 def level_stacks(spec: TornadoSpec, seeds: np.ndarray) -> dict[int, np.ndarray]:
@@ -214,7 +215,8 @@ def level_stacks(spec: TornadoSpec, seeds: np.ndarray) -> dict[int, np.ndarray]:
         mask = _U((1 << spec.level_output_bits(level)) - 1)
         pos = np.arange(npos, dtype=np.uint64)[None, :, None]
         slot = np.arange(spec.sigma, dtype=np.uint64)[None, None, :]
-        vals = rng.field_value_vec(s3, rng.KIND_LEVEL, level, pos, slot) & mask
+        vals = rng.field_value_vec(s3, rng.KIND_LEVEL, level, pos, slot)
+        vals &= mask
         out[level] = vals.astype(np.uint32)
     return out
 
@@ -226,7 +228,9 @@ def top_stacks(spec: TornadoSpec, seeds: np.ndarray) -> list[np.ndarray]:
     for i in range(spec.positions):
         size = 1 << spec.position_bits(i)
         slots = np.arange(size, dtype=np.uint64)[None, :]
-        out.append(rng.field_value_vec(seeds[:, None], rng.KIND_TOP, 0, i, slots) & mask)
+        vals = rng.field_value_vec(seeds[:, None], rng.KIND_TOP, 0, i, slots)
+        vals &= mask
+        out.append(vals)
     return out
 
 
@@ -273,7 +277,8 @@ def derive_stack(spec: TornadoSpec, levels: dict[int, np.ndarray] | np.ndarray, 
         acc = rng.field_value_vec(levels[:, None], rng.KIND_LEVEL, level, 0, chars[:, :, 0])
         for j in range(1, n_pos):
             acc ^= rng.field_value_vec(levels[:, None], rng.KIND_LEVEL, level, j, chars[:, :, j])
-        return (acc & _U((1 << spec.level_output_bits(level)) - 1)).view(np.intp)  # as chars
+        acc &= _U((1 << spec.level_output_bits(level)) - 1)
+        return acc.view(np.intp)  # as chars
 
     cmask = _U(spec.sigma - 1)
     for i in range(spec.c):
@@ -526,17 +531,28 @@ def eval_folded_batch(h: TornadoHash, xs: np.ndarray) -> np.ndarray:
     assert tabs is not None
     c, d = h.spec.c, h.spec.d
     xs = check_keys(h.spec, xs)
-    acc = np.zeros(len(xs), dtype=np.uint64)
-    m8 = _U(255)
-    for i in range(c - 1):
-        acc ^= tabs[i][xs & m8]
-        xs = xs >> _U(8)
-    acc ^= xs
-    for i in range(c - 1, c + d):
-        ch = acc & m8
-        acc >>= _U(8)
-        acc ^= tabs[i][ch]
-    return acc
+    out = np.empty(len(xs), dtype=np.uint64)
+    n = min(len(xs), FOLD_BLOCK)
+    key_buf, col_buf, ch_buf = (np.empty(n, dtype=np.uint64) for _ in range(3))
+    m8, s8 = _U(255), _U(8)
+    for lo in range(0, len(xs), FOLD_BLOCK):
+        acc = out[lo:lo + FOLD_BLOCK]
+        key, col, ch_u = key_buf[:len(acc)], col_buf[:len(acc)], ch_buf[:len(acc)]
+        ch = ch_u.view(np.intp)
+        key[...] = xs[lo:lo + FOLD_BLOCK]
+        acc.fill(0)
+        # characters are below 256, so "wrap" reads the same entries as the
+        # default "raise", which would copy through a temporary for out=
+        for i in range(c - 1):
+            np.bitwise_and(key, m8, out=ch_u)
+            key >>= s8
+            acc ^= np.take(tabs[i], ch, out=col, mode="wrap")
+        acc ^= key
+        for i in range(c - 1, c + d):
+            np.bitwise_and(acc, m8, out=ch_u)
+            acc >>= s8
+            acc ^= np.take(tabs[i], ch, out=col, mode="wrap")
+    return out
 
 
 def derived_injectivity_check(h: TornadoHash, keys) -> bool:

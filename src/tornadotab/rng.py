@@ -15,7 +15,11 @@ Fixed constants (do not change without bumping the dump format version):
   sampling stream and the fully-random-baseline stream.
 
 A logical table field is addressed by ``(seed, kind, major, minor, slot)``
-and its value is five chained mix rounds; see :func:`field_value`.
+and its value is five chained mix rounds; see :func:`field_value`. Its
+array form, :func:`field_value_vec`, serves every table fill and every
+level entry hashed from its address: four rounds on the small broadcast of
+(seed, kind, major, minor), then the last round in place over the one
+full-size array, ``MIX_BLOCK`` entries at a time so each pass stays in L2.
 A key set is the first n distinct values of a seed's key stream, and a
 ``(B,)`` seed array gives B key sets at once (:func:`sample_distinct_keys`).
 """
@@ -42,6 +46,10 @@ _U = np.uint64
 _GAMMA_U = _U(GAMMA)
 _MIX1_U = _U(MIX1)
 _MIX2_U = _U(MIX2)
+
+# entries per in-place pass of field_value_vec's last round: 256 KiB of
+# uint64, so the block and its scratch stay inside a 2 MiB L2
+MIX_BLOCK = 1 << 15
 
 
 def mix64(x: int) -> int:
@@ -75,12 +83,36 @@ def field_value(seed: int, kind: int, major: int, minor: int, slot: int) -> int:
 
 
 def field_value_vec(seed, kind, major, minor, slot) -> np.ndarray:
-    """Vectorized :func:`field_value`; any argument may be a uint64 array."""
+    """Vectorized :func:`field_value`; any argument may be an integer array.
+
+    The four prefix rounds run on the broadcast of (seed, kind, major,
+    minor), which is small. The result's full shape is allocated once, as
+    ``v ^ slot``, and the last round runs on it in place, MIX_BLOCK entries
+    at a time with one scratch block.
+    """
     v = mix64_vec(np.asarray(seed, dtype=np.uint64) ^ _U(TABLE_TAG))
     v = mix64_vec(v ^ np.asarray(kind, dtype=np.uint64))
     v = mix64_vec(v ^ np.asarray(major, dtype=np.uint64))
     v = mix64_vec(v ^ np.asarray(minor, dtype=np.uint64))
-    return mix64_vec(v ^ np.asarray(slot, dtype=np.uint64))
+    slot = np.asarray(slot)
+    # 64-bit integers, such as the engine's intp characters, are viewed, not copied
+    slot = (slot.view(np.uint64) if slot.dtype.kind in "iu" and slot.itemsize == 8
+            else slot.astype(np.uint64))
+    out = np.empty(np.broadcast_shapes(v.shape, slot.shape), dtype=np.uint64)
+    np.bitwise_xor(v, slot, out=out)
+    flat = out.reshape(-1)
+    tmp = np.empty(min(flat.size, MIX_BLOCK), dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for lo in range(0, flat.size, MIX_BLOCK):
+            x = flat[lo:lo + MIX_BLOCK]
+            t = tmp[:len(x)]
+            x += _GAMMA_U
+            x ^= np.right_shift(x, _U(30), out=t)
+            x *= _MIX1_U
+            x ^= np.right_shift(x, _U(27), out=t)
+            x *= _MIX2_U
+            x ^= np.right_shift(x, _U(31), out=t)
+    return out if out.ndim else out[()]  # all-scalar arguments give a scalar
 
 
 def trial_seed(master_seed: int, trial: int) -> int:

@@ -114,6 +114,11 @@ def _check_prefix_width(sel: Selector, out_bits: int) -> None:
         raise ConfigError(f"prefix of {sel.s_bits} bits wider than the {out_bits}-bit output")
 
 
+def _check_bin(sel: Selector, out_bits: int) -> None:
+    if sel.bin_value is not None and not 0 <= sel.bin_value < 1 << out_bits:
+        raise ConfigError(f"bin {sel.bin_value} outside the {out_bits}-bit output range")
+
+
 def mu(sel: Selector, out_bits: int) -> float:
     """Exact expected selected-set size under a fully random hash.
 
@@ -131,6 +136,7 @@ def mu(sel: Selector, out_bits: int) -> float:
         if sel.interval_bits > out_bits:  # type: ignore[operator]
             raise ConfigError("interval wider than the output range")
         return n_free * min(3.0 * (1 << sel.interval_bits) / (1 << out_bits), 1.0) + n_q
+    _check_bin(sel, out_bits)
     return n_free / (1 << out_bits) + n_q
 
 
@@ -176,6 +182,7 @@ def selection_mask(sel: Selector, keys: np.ndarray, evals: np.ndarray,
             for off in (iv_mask, 0, 1):  # the anchor's interval -1, +0, +1, wrapping
                 mask |= iv == ((center + _U(off)) & _U(iv_mask))
     else:
+        _check_bin(sel, out_bits)
         if sel.bin_value is None:
             target = evals[:, q_idx[min(sel.query_keys)]][:, None]
         else:

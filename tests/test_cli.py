@@ -189,6 +189,8 @@ class TestExitCodes:
         ("lowerbound", "--out-bits", "1"),
         ("probing", "--star-delta", "0"),
         ("probing", "--star-delta", "1"),
+        ("chernoff", "--bin", "64"),  # out-bits 6: no hash value reaches bin 64
+        ("chernoff", "--bin", "-1"),
     ])
     def test_degenerate_run_exits_1_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -3,6 +3,7 @@ import pytest
 
 from tornadotab import rng
 from tornadotab.core import (
+    FOLD_BLOCK,
     ConfigError,
     TornadoHash,
     TornadoSpec,
@@ -318,6 +319,26 @@ class TestFolded:
         assert np.array_equal(h.eval_batch(keys), eval_folded_batch(h, keys))
         for x in (0, 1, 0xFFFFFFFF):
             assert h.eval_folded(x) == h.eval(x)
+
+    @pytest.mark.parametrize("n", [0, 1, FOLD_BLOCK - 1, FOLD_BLOCK, FOLD_BLOCK + 1,
+                                   3 * FOLD_BLOCK + 5])
+    def test_folded_batch_block_edges(self, n):
+        h = TornadoHash.build(W64_SPECS[0], 0xB10C)
+        keys = rng.raw_key_stream(n, n, 32)
+        before = keys.copy()
+        out = eval_folded_batch(h, keys)
+        assert out.shape == (n,) and out.dtype == np.uint64
+        assert np.array_equal(out, h.eval_batch(keys))
+        assert np.array_equal(keys, before)
+
+    def test_folded_batch_read_only_and_list_input(self):
+        h = TornadoHash.build(W64_SPECS[0], 0xB10C)
+        keys = rng.raw_key_stream(9, FOLD_BLOCK + 3, 32)
+        expect = h.eval_batch(keys)
+        frozen = keys.copy()
+        frozen.flags.writeable = False
+        assert np.array_equal(eval_folded_batch(h, frozen), expect)
+        assert np.array_equal(eval_folded_batch(h, keys.tolist()), expect)
 
     def test_w64_lookup_count_c4_d3(self):
         spec = TornadoSpec(8, 4, 3, 32, Variant.TORNADO)

@@ -26,6 +26,60 @@ def test_field_value_scalar_vec_agree():
         assert rng.field_value(7, rng.KIND_LEVEL, 3, 2, int(a)) == int(v)
 
 
+def field_value_reference(seed, kind, major, minor, slots) -> list[int]:
+    """Scalar :func:`rng.field_value` of every element, after broadcasting."""
+    cols = np.broadcast_arrays(*(np.asarray(a) for a in (seed, kind, major, minor, slots)))
+    return [rng.field_value(*map(int, t)) for t in zip(*(c.reshape(-1).tolist() for c in cols))]
+
+
+MIX_SIZES = [0, 1, rng.MIX_BLOCK - 1, rng.MIX_BLOCK, rng.MIX_BLOCK + 1, 3 * rng.MIX_BLOCK + 7]
+
+
+@pytest.mark.parametrize("size", MIX_SIZES)
+@pytest.mark.parametrize("dtype", [np.intp, np.uint64])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, rng.M64), kind=st.integers(0, 1), major=st.integers(0, 64),
+       minor=st.integers(0, 64), values=st.integers(0, 2**32), strided=st.booleans())
+def test_field_value_vec_blocks(size, dtype, seed, kind, major, minor, values, strided):
+    """Every element equals the scalar field_value, across block edges, for
+    the engine's intp characters and for uint64 slots, contiguous or not;
+    the slot array is left unchanged."""
+    gen = np.random.default_rng(values)
+    slots = gen.integers(0, 2**63, 2 * size if strided else size, dtype=np.uint64)
+    slots = slots.astype(dtype)[::2] if strided else slots.astype(dtype)
+    before = slots.copy()
+    vec = rng.field_value_vec(seed, kind, major, minor, slots)
+    assert vec.shape == (size,) and vec.dtype == np.uint64
+    assert vec.tolist() == field_value_reference(seed, kind, major, minor, slots)
+    assert np.array_equal(slots, before) and slots.dtype == dtype
+
+
+@settings(max_examples=20, deadline=None)
+@given(b=st.integers(1, 4), npos=st.integers(1, 4), sigma=st.sampled_from([1, 16, 256, 300]),
+       seed=st.integers(0, rng.M64), level=st.integers(0, 8))
+def test_field_value_vec_level_broadcast(b, npos, sigma, seed, level):
+    """The level_stacks shape: (B,1,1) seeds x (1,npos,1) positions x
+    (1,1,S) slots, each element the scalar field_value; inputs unchanged."""
+    seeds = rng.trial_seed_vec(seed, np.arange(b, dtype=np.uint64))[:, None, None]
+    pos = np.arange(npos, dtype=np.uint64)[None, :, None]
+    slots = np.arange(sigma, dtype=np.uint64)[None, None, :]
+    copies = [a.copy() for a in (seeds, pos, slots)]
+    vec = rng.field_value_vec(seeds, rng.KIND_LEVEL, level, pos, slots)
+    assert vec.shape == (b, npos, sigma)
+    assert vec.reshape(-1).tolist() == field_value_reference(seeds, rng.KIND_LEVEL, level,
+                                                             pos, slots)
+    assert all(np.array_equal(a, c) for a, c in zip((seeds, pos, slots), copies))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, rng.M64), kind=st.integers(0, 1), major=st.integers(0, rng.M64),
+       minor=st.integers(0, rng.M64), slot=st.integers(0, rng.M64))
+def test_field_value_vec_all_scalar(seed, kind, major, minor, slot):
+    vec = rng.field_value_vec(seed, kind, major, minor, slot)
+    assert np.ndim(vec) == 0
+    assert int(vec) == rng.field_value(seed, kind, major, minor, slot)
+
+
 def test_field_value_distinguishes_coordinates():
     base = rng.field_value(1, 0, 0, 0, 0)
     assert base != rng.field_value(2, 0, 0, 0, 0)

@@ -38,6 +38,11 @@ class TestMu:
         with pytest.raises(ConfigError, match="wider"):
             selectors.mu(selectors.hard_instance(4), 1)
 
+    @pytest.mark.parametrize("bin_value", [-1, 256, 2**64])
+    def test_bin_outside_output_rejected(self, bin_value):
+        with pytest.raises(ConfigError, match="outside"):
+            selectors.mu(selectors.bin_selector(range(256), bin_value), 8)
+
     def test_dyadic(self):
         sel = selectors.dyadic_interval(range(1000), anchor=5, interval_bits=4)
         # anchor is a query: 999 keys at 3*2^4/2^8 plus 1
@@ -64,6 +69,11 @@ class TestSelect:
         spec = TornadoSpec(8, 2, 1, 1, Variant.TORNADO)
         with pytest.raises(ConfigError, match="wider"):
             selectors.select(selectors.bit_prefix(range(20), 2, {0}), build(1, spec))
+
+    @pytest.mark.parametrize("bin_value", [-1, 256])
+    def test_bin_outside_output_rejected(self, bin_value):
+        with pytest.raises(ConfigError, match="outside"):
+            selectors.select(selectors.bin_selector(range(20), bin_value), build())
 
     def test_dyadic_full_range_selects_all(self):
         spec = TornadoSpec(8, 2, 1, 8, Variant.TORNADO)
