@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from tornadotab import rng
@@ -37,7 +37,9 @@ MIX_SIZES = [0, 1, rng.MIX_BLOCK - 1, rng.MIX_BLOCK, rng.MIX_BLOCK + 1, 3 * rng.
 
 @pytest.mark.parametrize("size", MIX_SIZES)
 @pytest.mark.parametrize("dtype", [np.intp, np.uint64])
-@settings(max_examples=3, deadline=None)
+# no shrinking: a failing example already names its size, and each shrink
+# step recomputes up to 3 * MIX_BLOCK scalar references
+@settings(max_examples=3, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(seed=st.integers(0, rng.M64), kind=st.integers(0, 1), major=st.integers(0, 64),
        minor=st.integers(0, 64), values=st.integers(0, 2**32), strided=st.booleans())
 def test_field_value_vec_blocks(size, dtype, seed, kind, major, minor, values, strided):
