@@ -189,6 +189,13 @@ def two_column_dependence_run():
     return experiments.measure_dependence(selectors.fixed_set(keys), spec, 3000, 0x2026)
 
 
+def tornado_mix_dependence_run():
+    """128 keys at psi = 2^10: the two psi-wide positions have eight times
+    as many characters as the trial has keys."""
+    spec = parse_spec_string("tornadomix,cb=4,c=2,d=2,r=8,psi=10")
+    return experiments.measure_dependence(selectors.fixed_set(range(128)), spec, 3000, 0x2026)
+
+
 def _survival(char_bits, c, d, trials, rounds):
     spec = TornadoSpec(char_bits, c, d, 1, Variant.SIMPLE_TORNADO)
     return experiments.survival_rounds(spec, cli.default_zero_set(char_bits), trials, 0x2026,
@@ -225,6 +232,10 @@ REPORT_RUNS = [
     (two_column_dependence_run,
      "dependence,0.006333333333333333,0.001448357946345012,2.953125,3000,0x2026,WithinBound",
      "d984c965f7f74be398aac1398fc802f082e7a597c491092ccb1fbf45e1083391"),
+    (tornado_mix_dependence_run,
+     "dependence,0.011666666666666667,0.0019604893569000878,47.25390625,3000,0x2026,"
+     "Informational",
+     "2a61b897c50f728d9fbf873853f7f5c4fdc56d04a585fec1e77f3f136f0ca105"),
     (survival_sigma256_run,
      "survival_2_rounds,0.00014,2.6455661019902714e-05,0.00013661477714776993,200000,0x2026,"
      "Informational",
