@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tornadotab import experiments as ex
 from tornadotab import rng, selectors
@@ -243,6 +245,121 @@ class TestMeasureDependence:
         ex.measure_dependence(selectors.fixed_set(keys), spec, 50, 1)
         with pytest.raises(RuntimeError, match="filled"):
             ex.measure_dependence(selectors.hard_instance(8), spec, 50, 1)
+
+
+def peel_reference(chars, sizes, alive):
+    """The round loop over the whole (B, n) block: each round counts every
+    position's characters with a bincount of length B x alphabet."""
+    n_trials, _, b = chars.shape
+    alive = alive.copy()
+    while True:
+        kill = np.zeros_like(alive)
+        for i in range(b):
+            code = chars[:, :, i] + np.arange(n_trials)[:, None] * sizes[i]
+            counts = np.bincount(code[alive], minlength=n_trials * sizes[i])
+            kill |= alive & (counts[code] == 1)
+        if not kill.any():
+            return alive
+        alive &= ~kill
+
+
+def position_major(columns) -> np.ndarray:
+    """(B, n, b) intp characters laid out as the engine lays them out, from b
+    (B, n) columns."""
+    b = len(columns)
+    chars = np.empty((b,) + np.shape(columns[0]), dtype=np.intp).transpose(1, 2, 0)
+    for i, col in enumerate(columns):
+        chars[:, :, i] = col
+    return chars
+
+
+def random_block(seed, n_trials, n_keys, sizes, spread, density):
+    """Characters drawn from the first ``spread`` of each alphabet, so that
+    shared characters, and several peeling rounds, are common."""
+    gen = np.random.default_rng(seed)
+    chars = position_major([gen.integers(0, min(spread, s), (n_trials, n_keys)) for s in sizes])
+    return chars, gen.random((n_trials, n_keys)) < density
+
+
+def switching_block(n_trials):
+    """Each trial's 16 keys at alphabet 256 peel over three rounds: twelve keys
+    own a character at position 0, then key 12, whose position-1 character it
+    shared with key 0, and keys 13-15 remain."""
+    pos0 = np.r_[np.arange(10, 22), [0, 0, 0, 0]]
+    pos1 = np.r_[[5], [7] * 11, [5, 6, 6, 6]]
+    chars = position_major([np.tile(pos0, (n_trials, 1)), np.tile(pos1, (n_trials, 1))])
+    return chars, np.ones((n_trials, 16), dtype=bool)
+
+
+class TestPeeling:
+    """``_peel_alive`` on its compacted key list against the whole-block
+    round loop, and peeling plus elimination against elimination alone."""
+
+    # (sizes, trials, keys, spread, alive density): every case but the empty
+    # one peels over several rounds; all leave keys alive except "to-nothing",
+    # which turns to sorting once few are left
+    CASES = {
+        "one-trial": ((256, 256, 256), 1, 40, 16, 1.0),
+        "nothing-alive": ((256, 256, 256), 5, 30, 16, 0.0),
+        "everything-alive": ((16, 16, 16, 16), 50, 30, 12, 1.0),
+        "to-nothing": ((16, 16, 16, 16), 50, 30, 16, 1.0),
+        "mixed-alphabets": ((256, 256, 1 << 16, 1 << 16), 30, 64, 16, 0.8),
+        "bincount": ((16, 16, 16), 40, 50, 12, 0.7),
+        "sort": ((1 << 16,) * 3, 20, 12, 6, 0.9),
+    }
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=list(CASES))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_whole_block_rounds(self, case, seed):
+        sizes, n_trials, n_keys, spread, density = case
+        chars, alive = random_block(seed, n_trials, n_keys, sizes, spread, density)
+        before = alive.copy()
+        got = ex._peel_alive(chars, sizes, alive)
+        assert got.shape == alive.shape and got.dtype == bool
+        assert np.array_equal(got, peel_reference(chars, sizes, alive))
+        assert np.array_equal(alive, before)
+
+    @pytest.mark.parametrize("n_trials", [1, 4])
+    def test_counting_switches_between_rounds(self, monkeypatch, n_trials):
+        """Round 1 counts 16 keys a trial with a bincount, rounds 2 and 3 count
+        the few left by sorting; the result is the reference's."""
+        chars, alive = switching_block(n_trials)
+        want = peel_reference(chars, (256, 256), alive)
+        assert want[:, 13:].all() and not want[:, :13].any()
+        calls = []
+        for name in ("bincount", "unique"):
+            monkeypatch.setattr(np, name, lambda *a, _f=getattr(np, name), _n=name, **k:
+                                calls.append(_n) or _f(*a, **k))
+        got = ex._peel_alive(chars, (256, 256), alive)
+        assert calls == ["bincount"] * 2 + ["unique"] * 4
+        assert np.array_equal(got, want)
+
+    def test_alive_as_strided_view(self):
+        chars, alive = random_block(7, 12, 40, (256, 256, 256), 5, 0.9)
+        wide = np.zeros((12, 80), dtype=bool)
+        wide[:, ::2] = alive
+        assert np.array_equal(ex._peel_alive(chars, (256,) * 3, wide[:, ::2]),
+                              peel_reference(chars, (256,) * 3, alive))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32), n_trials=st.integers(1, 6), n_keys=st.integers(1, 40),
+           sizes=st.sampled_from([(4, 4), (16, 16, 16), (256, 256, 1 << 16, 1 << 16),
+                                  (2, 1024)]),
+           spread=st.integers(1, 8), density=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_random_blocks(self, seed, n_trials, n_keys, sizes, spread, density):
+        chars, alive = random_block(seed, n_trials, n_keys, sizes, spread, density)
+        assert np.array_equal(ex._peel_alive(chars, sizes, alive),
+                              peel_reference(chars, sizes, alive))
+
+    @pytest.mark.parametrize("sizes", [(4, 4, 4), (2, 2, 8, 8)])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_dependent_rows_match_elimination_without_peeling(self, sizes, seed):
+        chars, alive = random_block(seed, 300, 7, sizes, 8, 0.8)
+        want = [not is_linearly_independent(
+            GenKey.from_chars(row.tolist(), sizes) for row in chars[t][alive[t]]) for t in range(300)]
+        got = ex._dependent_rows(chars, sizes, alive)
+        assert got.tolist() == want
+        assert 0 < sum(want) < 300
 
 
 class TestExactUniformity:
