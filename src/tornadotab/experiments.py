@@ -255,15 +255,17 @@ def _peel_alive(chars: np.ndarray, sizes: tuple[int, ...], alive: np.ndarray) ->
     """Drop keys owning a position character unique within their trial,
     round after round until none does; the (B, n) mask of the keys left.
 
-    Works on the flat indices of the alive keys, with one code array
-    (character plus trial offset) per position; each round drops the killed
-    entries from all of them, so a round costs what is still alive. The fixed
-    point does not depend on the order in which keys die.
+    Works on the flat indices of the alive keys and one code array (character
+    plus trial offset) per position over them. Each round drops the killed
+    entries from all of them, so later rounds touch only the survivors, and
+    ``_occurs_once`` counts by sort once a bincount over B x alphabet would
+    cost more. The fixed point does not depend on the order in which keys
+    die, so the mask is that of whole-block rounds.
     """
     n_trials, n_keys, b = chars.shape
     idx = np.flatnonzero(alive)
     trial = idx // n_keys
-    # chars is position-major, so each chars[:, :, i] flattens to a view
+    # the engine's chars are position-major: each chars[:, :, i] flattens to a view
     codes = [chars[:, :, i].reshape(-1)[idx] + trial * sizes[i] for i in range(b)]
     while len(idx):
         keep = np.ones(len(idx), dtype=bool)
