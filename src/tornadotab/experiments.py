@@ -15,7 +15,9 @@ addresses when the chunk has fewer keys than sigma, and so reads fewer
 entries than filling would write, and filled otherwise (``_chunk_levels``).
 Linear-independence checks first peel keys containing a position character
 unique in their trial (such keys cannot take part in any zero-set), falling
-back to exact F2 elimination for the rare survivors.
+back to exact F2 elimination for the rare survivors. Each peeling round
+works on the keys still alive only, and counts their characters by sort
+when few are left (``_peel_alive``).
 
 Dependence, the Chernoff joint tail and the large-mu tail count the same
 per-trial pair, (selected size >= threshold, derived keys dependent), so

@@ -282,9 +282,9 @@ def random_block(seed, n_trials, n_keys, sizes, spread, density):
 
 
 def switching_block(n_trials):
-    """Each trial's 16 keys at alphabet 256 peel over three rounds: twelve keys
-    own a character at position 0, then key 12, whose position-1 character it
-    shared with key 0, and keys 13-15 remain."""
+    """Each trial's 16 keys at alphabet 256 peel over three rounds: keys 0-11
+    own their position-0 character; then key 12, which shared its position-1
+    character with key 0 alone; keys 13-15 remain."""
     pos0 = np.r_[np.arange(10, 22), [0, 0, 0, 0]]
     pos1 = np.r_[[5], [7] * 11, [5, 6, 6, 6]]
     chars = position_major([np.tile(pos0, (n_trials, 1)), np.tile(pos1, (n_trials, 1))])
@@ -327,9 +327,17 @@ class TestPeeling:
         want = peel_reference(chars, (256, 256), alive)
         assert want[:, 13:].all() and not want[:, :13].any()
         calls = []
+
+        def spy(name):
+            real = getattr(np, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return counted
+
         for name in ("bincount", "unique"):
-            monkeypatch.setattr(np, name, lambda *a, _f=getattr(np, name), _n=name, **k:
-                                calls.append(_n) or _f(*a, **k))
+            monkeypatch.setattr(np, name, spy(name))
         got = ex._peel_alive(chars, (256, 256), alive)
         assert calls == ["bincount"] * 2 + ["unique"] * 4
         assert np.array_equal(got, want)
@@ -355,8 +363,9 @@ class TestPeeling:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_dependent_rows_match_elimination_without_peeling(self, sizes, seed):
         chars, alive = random_block(seed, 300, 7, sizes, 8, 0.8)
-        want = [not is_linearly_independent(
-            GenKey.from_chars(row.tolist(), sizes) for row in chars[t][alive[t]]) for t in range(300)]
+        want = [not is_linearly_independent(GenKey.from_chars(row.tolist(), sizes)
+                                            for row in chars[t][alive[t]])
+                for t in range(300)]
         got = ex._dependent_rows(chars, sizes, alive)
         assert got.tolist() == want
         assert 0 < sum(want) < 300
