@@ -4,8 +4,8 @@ The rng constants, the field order and the table dump are part of the file
 format (see README), and the CLI reports are the published results of a
 run. The values below were recorded once and must never change without a
 format version bump. Digests are SHA-256 over little-endian uint64 bytes
-(arrays), UTF-8 text (dumps, CLI stdout) or ``repr`` of a sorted key list
-(selections, first 16 hex digits).
+(arrays), UTF-8 text (dumps, CLI stdout, probe histograms) or ``repr`` of a
+sorted key list (selections, first 16 hex digits).
 """
 
 import hashlib
@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from tornadotab import cli, experiments, rng, selectors
+from tornadotab import cli, experiments, linprobe, rng, selectors
 from tornadotab.core import TornadoHash, TornadoSpec, Variant, dump_tables, parse_spec_string
 
 
@@ -276,3 +276,25 @@ def test_chaining_report():
 @pytest.mark.parametrize("run", [large_mu_run, chernoff_run], ids=lambda f: f.__name__)
 def test_two_workers_give_the_same_report(run):
     assert run(workers=2) == run(workers=1)
+
+
+# (spec, n, m, queries, trials, star_delta) -> SHA-256 of ``histograms_csv``
+# under seed 0x2026: a pool (n_star + queries keys) below sigma, a pool of at
+# least sigma, and a sigma = 2^16 run of 20 trials that spans several chunks
+PROBE_RUNS = [
+    (("tornado,cb=12,c=2,d=4,r=12", 1024, 4096, 64, 3, 0.01),
+     "f0ef5662916e7437ea4d8b076c089e73ca9f41525df7a9a5e38078cc5e5dc187"),
+    (("tornado,cb=8,c=2,d=4,r=10", 256, 1024, 32, 4, 0.5),
+     "03fe96cdfc2b42e686075899f3da5379e7117fdb5f11260c4a6cb550586c8c6c"),
+    (("tornado,cb=16,c=2,d=4,r=16", 1024, 1 << 16, 64, 20, 0.01),
+     "2b66e7fbcf06d2dae836a4f93461b720d293a349f8cae437844746cea563b22f"),
+]
+
+
+@pytest.mark.parametrize("args,digest", PROBE_RUNS,
+                         ids=["pool_below_sigma", "pool_above_sigma", "several_chunks"])
+def test_probe_histograms(args, digest):
+    text, n, m, queries, trials, star_delta = args
+    comparison = linprobe.probe_experiment(parse_spec_string(text), n, m, queries, trials,
+                                           0x2026, star_delta)
+    assert sha256(linprobe.histograms_csv(comparison).encode()) == digest
