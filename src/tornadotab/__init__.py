@@ -9,7 +9,6 @@ from .core import (
     Variant,
     derived_injectivity_check,
     dump_tables,
-    eval_folded,
     fold_tables,
     parse_spec_string,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "Variant",
     "derived_injectivity_check",
     "dump_tables",
-    "eval_folded",
     "fold_tables",
     "parse_spec_string",
     "GenKey",

@@ -446,9 +446,6 @@ class TornadoHash:
         return acc ^ f.psi_tables[0][b1] ^ f.psi_tables[1][b2]  # type: ignore[index]
 
 
-eval_folded = TornadoHash.eval_folded  # eval_folded(h, x), the same function
-
-
 @dataclass
 class FoldedTables:
     """Packed single-pass tables for the two supported fast-path profiles.

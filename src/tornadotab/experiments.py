@@ -5,14 +5,14 @@ trial ``t`` builds its hash function from ``rng.trial_seed(master_seed, t)``,
 so runs are reproducible bit for bit and trials can be processed in chunks
 or on worker processes in any order.
 
-Trials are vectorized across a chunk: the batched engine of
-:mod:`tornadotab.core` derives and evaluates every trial's keys at once (the
-same engine a :class:`~tornadotab.core.TornadoHash` runs with one trial; it
-is the only derivation here, survival's included), and
-:func:`tornadotab.selectors.selection_mask` selects over the whole chunk.
-Top tables are filled per chunk; level entries are hashed from their
-addresses when the chunk has fewer keys than sigma, and so reads fewer
-entries than filling would write, and filled otherwise (``_chunk_levels``).
+Trials are vectorized across a chunk: :func:`trial_blocks`, the one trial
+pipeline of every Monte Carlo experiment (linear probing's included), draws
+a chunk's seeds and keys and runs the batched engine of :mod:`tornadotab.core`
+on them (the engine a :class:`~tornadotab.core.TornadoHash` runs with one
+trial), and :func:`tornadotab.selectors.selection_mask` selects over the
+whole chunk. Top tables are filled per chunk; level entries are hashed from
+their addresses when the chunk has fewer keys than sigma, and so reads fewer
+entries than filling would write, and filled otherwise.
 Linear-independence checks first peel keys containing a position character
 unique in their trial (such keys cannot take part in any zero-set), falling
 back to exact F2 elimination for the rare survivors. Each peeling round
@@ -216,29 +216,36 @@ def large_mu_bound(mu: float, delta: float, d: int, sigma_size: int, n_queries: 
 # -- chunked trial engine ----------------------------------------------------
 
 
-def _trial_chunks(spec: TornadoSpec, n_keys: int, need_top: bool, master_seed: int,
-                  start: int, stop: int):
-    """Yield (first trial, trial seeds) for the chunks of trials [start, stop),
-    each sized so that its tables and derived characters take about 2^23 entries."""
+def trial_blocks(spec: TornadoSpec, keys, evaluate: bool, master_seed: int, start: int,
+                 stop: int):
+    """Run the engine over the trials [start, stop) in chunks; yield (first
+    trial, seeds, keys, chars, evals or None) per chunk.
+
+    ``keys`` is the (n,) array every trial hashes, or an int n: each trial
+    then samples its own n keys, one ``sample_distinct_keys`` call per chunk.
+    A chunk is sized so that its tables and derived characters take about
+    2^23 entries. Its level entries are hashed as read (the seeds are the
+    source) when its keys read fewer entries than filling writes, which for
+    sigma-wide level tables means n < sigma; else the tables are filled.
+    ``evaluate`` counts the top tables in that size, fills them and evaluates
+    the derived keys.
+    """
+    sample = isinstance(keys, (int, np.integer))
+    n_keys = int(keys) if sample else len(keys)
     entries = sum(spec.level_input_positions(lv) for lv in spec.levels()) * spec.sigma
-    if need_top:
+    if evaluate:
         entries += sum(1 << spec.position_bits(i) for i in range(spec.positions))
-    per_trial = entries + n_keys * spec.positions * 2
-    chunk = (1 << 23) // max(per_trial, 1)
+    chunk = (1 << 23) // max(entries + n_keys * spec.positions * 2, 1)
     max_alpha = max(1 << spec.position_bits(i) for i in range(spec.positions))
-    chunk = int(min(1 << 16, max(16, min(chunk, (1 << 24) // max_alpha))))
+    chunk = int(min(1 << 16, max(1, min(chunk, (1 << 24) // max_alpha))))
     for lo in range(start, stop, chunk):
-        yield lo, rng.trial_seed_vec(master_seed,
-                                     np.arange(lo, min(lo + chunk, stop), dtype=np.uint64))
-
-
-def _chunk_levels(spec: TornadoSpec, seeds: np.ndarray, n_keys: int):
-    """A chunk's level source for ``derive_stack``: the seeds (entries hashed
-    as read) when its keys read fewer entries than filling writes, which for
-    sigma-wide level tables means n_keys < sigma; else the filled tables."""
-    if n_keys < spec.sigma:
-        return seeds
-    return _chunk_level_tables(spec, seeds)
+        seeds = rng.trial_seed_vec(master_seed,
+                                   np.arange(lo, min(lo + chunk, stop), dtype=np.uint64))
+        xs = rng.sample_distinct_keys(seeds, n_keys, spec.key_bits) if sample else keys
+        levels = seeds if n_keys < spec.sigma else _chunk_level_tables(spec, seeds)
+        chars = _derive_chunk(spec, levels, xs, len(seeds))
+        evals = _eval_chunk(spec, _chunk_top_tables(spec, seeds), chars) if evaluate else None
+        yield lo, seeds, xs, chars, evals
 
 
 def _occurs_once(code: np.ndarray, n_codes: int) -> np.ndarray:
@@ -315,12 +322,10 @@ def _tail_range(args) -> tuple[int, int]:
     spec, sel, master_seed, threshold, count_dependent, start, stop = args
     keys = selectors.candidates(sel, spec)
     sizes = tuple(1 << spec.position_bits(i) for i in range(spec.positions))
-    need_top = sel.kind is not selectors.SelectorKind.FIXED_SET
+    evaluate = sel.kind is not selectors.SelectorKind.FIXED_SET
     big = dependent = 0
-    for _, seeds in _trial_chunks(spec, len(keys), need_top, master_seed, start, stop):
-        chars = _derive_chunk(spec, _chunk_levels(spec, seeds, len(keys)), keys, len(seeds))
-        if need_top:
-            evals = _eval_chunk(spec, _chunk_top_tables(spec, seeds), chars)
+    for _, _, _, chars, evals in trial_blocks(spec, keys, evaluate, master_seed, start, stop):
+        if evaluate:
             mask = selectors.selection_mask(sel, keys, evals, spec.out_bits)
         else:
             mask = np.ones(chars.shape[:2], dtype=bool)
@@ -328,9 +333,7 @@ def _tail_range(args) -> tuple[int, int]:
         n_flag = int(flag.sum())
         big += n_flag
         if count_dependent and n_flag:
-            if n_flag < len(flag):
-                chars, mask = chars[flag], mask[flag]
-            dependent += int(_dependent_rows(chars, sizes, mask).sum())
+            dependent += int(_dependent_rows(chars, sizes, mask & flag[:, None]).sum())
     return big, dependent
 
 
@@ -423,10 +426,7 @@ def _chaining_range(args) -> np.ndarray:
     """Bin-0 occupancy counts for trials in [start, stop)."""
     spec, n, master_seed, start, stop = args
     out = np.empty(stop - start, dtype=np.int64)
-    for lo, seeds in _trial_chunks(spec, n, True, master_seed, start, stop):
-        keys = rng.sample_distinct_keys(seeds, n, spec.key_bits)
-        chars = _derive_chunk(spec, _chunk_levels(spec, seeds, n), keys, len(seeds))
-        evals = _eval_chunk(spec, _chunk_top_tables(spec, seeds), chars)
+    for lo, seeds, _, _, evals in trial_blocks(spec, n, True, master_seed, start, stop):
         out[lo - start:lo - start + len(seeds)] = (evals == _U(0)).sum(axis=1)
     return out
 
@@ -534,8 +534,7 @@ def survival_rounds(spec: TornadoSpec, zero_set, trials: int, seed: int,
     run = replace(spec, d=rounds)
     xs = np.array(keys, dtype=np.uint64)
     survived = 0
-    for _, seeds in _trial_chunks(run, len(keys), False, seed, 0, trials):
-        chars = _derive_chunk(run, _chunk_levels(run, seeds, len(keys)), xs, len(seeds))
+    for _, _, _, chars, _ in trial_blocks(run, xs, False, seed, 0, trials):
         derived = chars[:, :, run.c:].transpose(1, 0, 2)  # (key, trial, round)
         survived += int(_even_quad(*derived).all(axis=1).sum())
     estimate = survived / trials

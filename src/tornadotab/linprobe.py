@@ -6,6 +6,10 @@ occupancy pattern of a linear probing table is a function of the hash
 multiset alone, computable with one prefix scan, and probe/run lengths for
 fresh queries only depend on that pattern. The two paths are required to
 agree and are tested against each other.
+
+``probe_experiment`` takes each trial's key pool and tornado hashes from
+:func:`tornadotab.experiments.trial_blocks`, a chunk of trials at a time,
+and scans the occupancy of each trial and each hash source in turn.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .core import TornadoHash, TornadoSpec
-from .experiments import ExperimentReport, Verdict
+from .core import TornadoSpec
+from .experiments import ExperimentReport, Verdict, trial_blocks
 
 
 class TableFullError(RuntimeError):
@@ -237,30 +241,21 @@ def probe_experiment(
             f"n_star {n_star} does not fit the table; lower the load or raise sigma"
         )
     shapes = (trials, queries)
-    stats = {
-        "tornado": ProbeStats("tornado", np.zeros(shapes, np.int64), np.zeros(shapes, np.int64)),
-        "random": ProbeStats("random", np.zeros(shapes, np.int64), np.zeros(shapes, np.int64)),
-        "random_star": ProbeStats(
-            "random_star", np.zeros(shapes, np.int64), np.zeros(shapes, np.int64)
-        ),
-    }
-    for t in range(trials):
-        ts = rng.trial_seed(seed, t)
-        pool = rng.sample_distinct_keys(ts, n_star + queries, spec.key_bits)
-        s_star, qs = pool[:n_star], pool[n_star:]
-        s = s_star[:n]
-        h = TornadoHash.build(spec, ts)
-        for name, hashes, qhashes in (
-            ("tornado", h.eval_batch(s), h.eval_batch(qs)),
-            ("random", rng.mixer_hash_vec(ts, s, spec.out_bits),
-             rng.mixer_hash_vec(ts, qs, spec.out_bits)),
-            ("random_star", rng.mixer_hash_vec(ts, s_star, spec.out_bits),
-             rng.mixer_hash_vec(ts, qs, spec.out_bits)),
-        ):
-            occ = occupancy_from_hashes(m, hashes)
-            st = stats[name]
-            st.probe_lengths[t] = fresh_probe_lengths(occ, qhashes.astype(np.int64))
-            st.run_lengths[t] = run_lengths_at(occ, qhashes.astype(np.int64))
+    stats = {name: ProbeStats(name, np.zeros(shapes, np.int64), np.zeros(shapes, np.int64))
+             for name in ("tornado", "random", "random_star")}
+    for lo, seeds, pools, _, evals in trial_blocks(spec, n_star + queries, True, seed, 0, trials):
+        for b, ts in enumerate(seeds.tolist()):
+            # the mixer hashes key by key, so the n-key table's hashes are a prefix
+            mixed = rng.mixer_hash_vec(ts, pools[b], spec.out_bits)
+            for name, hashes, qhashes in (
+                ("tornado", evals[b, :n], evals[b, n_star:]),
+                ("random", mixed[:n], mixed[n_star:]),
+                ("random_star", mixed[:n_star], mixed[n_star:]),
+            ):
+                occ = occupancy_from_hashes(m, hashes)
+                cells = qhashes.astype(np.int64)
+                stats[name].probe_lengths[lo + b] = fresh_probe_lengths(occ, cells)
+                stats[name].run_lengths[lo + b] = run_lengths_at(occ, cells)
     eps = 1.0 - n / m
     knuth_ref = (1.0 + 1.0 / eps**2) / 2.0
     tor, base, star = stats["tornado"], stats["random"], stats["random_star"]

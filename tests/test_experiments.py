@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tornadotab import experiments as ex
-from tornadotab import rng, selectors
+from tornadotab import linprobe, rng, selectors
 from tornadotab.core import ConfigError, TornadoHash, TornadoSpec, Variant
 from tornadotab.gf2 import GenKey, genkey_from_key, is_linearly_independent
 
@@ -234,8 +234,9 @@ class TestMeasureDependence:
         assert rep.verdict is ex.Verdict.WITHIN_BOUND
 
     def test_level_source_follows_key_count(self, monkeypatch):
-        """Fewer keys than characters hash the level entries they read; the
-        512-key hard instance at sigma = 256 fills the tables."""
+        """Fewer keys than characters hash the level entries they read (a
+        probing pool of n_star + queries keys included); the 512-key hard
+        instance at sigma = 256 fills the tables."""
         def fill(spec, seeds):
             raise RuntimeError("level tables filled")
 
@@ -243,6 +244,9 @@ class TestMeasureDependence:
         spec = TornadoSpec(8, 2, 3, 8, Variant.TORNADO)
         keys = [(a << 8) | b for a in range(32) for b in (0, 1)]
         ex.measure_dependence(selectors.fixed_set(keys), spec, 50, 1)
+        probing = linprobe.probe_experiment(TornadoSpec(12, 2, 4, 12, Variant.TORNADO),
+                                            1024, 4096, 64, 3, 1)
+        assert probing.n_star + 64 < 4096
         with pytest.raises(RuntimeError, match="filled"):
             ex.measure_dependence(selectors.hard_instance(8), spec, 50, 1)
 
@@ -520,7 +524,7 @@ class TestChaining:
 
     def test_samples_keys_once_per_chunk(self, monkeypatch):
         spec = TornadoSpec(8, 2, 4, 8, Variant.TORNADO)
-        chunks = [len(s) for _, s in ex._trial_chunks(spec, 256, True, 5, 0, 3000)]
+        chunks = [len(s) for _, s, *_ in ex.trial_blocks(spec, 256, True, 5, 0, 3000)]
         assert len(chunks) > 1
         sample = rng.sample_distinct_keys
         calls = []

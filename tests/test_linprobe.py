@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from tornadotab import experiments, rng
 from tornadotab import linprobe as lp
-from tornadotab.core import TornadoSpec, Variant
+from tornadotab.core import TornadoHash, TornadoSpec, Variant, parse_spec_string
 
 
 class TestProbeTable:
@@ -173,6 +174,28 @@ class TestProbeExperiment:
             per[(src, seed)] = per.get((src, seed), 0) + int(cnt)
         assert set(per.values()) == {16}
 
+    def test_tornado_lengths_match_single_hash(self, monkeypatch):
+        """Across several engine chunks, trial t's tornado probe lengths are
+        those of the trial's own TornadoHash over its own key pool."""
+        spec = parse_spec_string("tornado,cb=16,c=2,d=4,r=16")
+        n, m, queries, trials, seed = 1024, 1 << 16, 64, 20, 0x2026
+        top_stacks, chunks = experiments._chunk_top_tables, []
+
+        def counted(spec, seeds):
+            chunks.append(len(seeds))
+            return top_stacks(spec, seeds)
+
+        monkeypatch.setattr(experiments, "_chunk_top_tables", counted)
+        res = lp.probe_experiment(spec, n, m, queries, trials, seed)
+        assert len(chunks) > 1 and sum(chunks) == trials
+        for t in range(trials):
+            ts = rng.trial_seed(seed, t)
+            pool = rng.sample_distinct_keys(ts, res.n_star + queries, spec.key_bits)
+            h = TornadoHash.build(spec, ts)
+            occ = lp.occupancy_from_hashes(m, h.eval_batch(pool[:n]))
+            expected = lp.fresh_probe_lengths(occ, h.eval_batch(pool[res.n_star:]).astype(np.int64))
+            assert np.array_equal(res.tornado.probe_lengths[t], expected), t
+
     def test_cdf_properties(self):
         res = lp.probe_experiment(self.SPEC, 256, 1024, 64, 2, 5, star_delta=0.5)
         cdf = res.tornado.cdf()
@@ -184,8 +207,6 @@ class TestProbeExperiment:
 class TestKnuthConvergence:
     def test_baseline_mean_near_knuth_at_large_m(self):
         # fully-random baseline at m = 2^18, load 0.75: within 5% of 8.5
-        from tornadotab import rng
-
         m, n = 1 << 18, 3 << 16
         samples = []
         for t in range(8):
