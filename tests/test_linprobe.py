@@ -193,7 +193,8 @@ class TestProbeExperiment:
             pool = rng.sample_distinct_keys(ts, res.n_star + queries, spec.key_bits)
             h = TornadoHash.build(spec, ts)
             occ = lp.occupancy_from_hashes(m, h.eval_batch(pool[:n]))
-            expected = lp.fresh_probe_lengths(occ, h.eval_batch(pool[res.n_star:]).astype(np.int64))
+            cells = h.eval_batch(pool[res.n_star:]).astype(np.int64)
+            expected = lp.fresh_probe_lengths(occ, cells)
             assert np.array_equal(res.tornado.probe_lengths[t], expected), t
 
     def test_cdf_properties(self):
