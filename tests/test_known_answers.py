@@ -162,6 +162,21 @@ def test_cli_stdout(capsys, argv, rows, digest):
     assert sha256(out.encode()) == digest
 
 
+# runs that call the exact enumerations (survival's exact rate, exact
+# uniformity): argv -> SHA-256 of the whole stdout
+EXACT_CLI_RUNS = [
+    (["survival", "--sigma-bits", "2", "--trials", "5000", "--exhaustive", "--format", "csv"],
+     "16ea4f39d64a730b01421a634b3ade126c76a4fb976650160572999fe303a24b"),
+    (["selftest"], "4e5de5ffc08426da4aa64e6f6038321bb98a63bfc48e319871356c6d79e79eb2"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", EXACT_CLI_RUNS, ids=["survival_exhaustive", "selftest"])
+def test_exact_cli_stdout(capsys, argv, digest):
+    assert cli.main(argv + ["--seed", "0x2026"]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == digest
+
+
 def large_mu_run(workers=1):
     spec = parse_spec_string("tornado,cb=4,c=2,d=2,r=8")
     sel = selectors.bit_prefix(range(256), 1, {0}, [3])
