@@ -24,6 +24,9 @@ per-trial pair, (selected size >= threshold, derived keys dependent), so
 one range worker serves all three, and one builder makes every upper-bound
 report (those three and each chaining ``k``).
 
+The exact checks walk one blocked enumeration of every table filling at tiny
+sigma, ``_table_fillings``; survival's exact rate derives it with ``derive_stack``.
+
 Every entry point rejects a trial count below 1 and selector candidates
 outside the spec's key universe, and a report refuses a non-finite estimate,
 so no degenerate run reaches a verdict.
@@ -48,9 +51,7 @@ from .core import derive_stack as _derive_chunk
 from .core import eval_stack as _eval_chunk
 from .core import level_stacks as _chunk_level_tables
 from .core import top_stacks as _chunk_top_tables
-from .gf2 import GF2Basis, GenKey, is_zero_set
-
-_U = np.uint64
+from .gf2 import GF2Basis, genkey_from_key, is_zero_set
 
 
 class Verdict(enum.Enum):
@@ -310,6 +311,8 @@ def _dependent_rows(chars: np.ndarray, sizes: tuple[int, ...], alive: np.ndarray
 
 def _mu_and_cap(sel: selectors.Selector, spec: TornadoSpec) -> float:
     mu_val = selectors.mu(sel, spec.out_bits)
+    if not mu_val > 0:  # mu = 0 makes every bound 1 and every threshold 0
+        raise ValueError(f"mu must be positive, got {mu_val}")
     cap = (spec.psi if spec.variant is Variant.TORNADO_MIX else spec.sigma) / 2
     if mu_val > cap:
         raise ValueError(f"mu {mu_val} exceeds the bound's validity cap {cap}")
@@ -427,7 +430,7 @@ def _chaining_range(args) -> np.ndarray:
     spec, n, master_seed, start, stop = args
     out = np.empty(stop - start, dtype=np.int64)
     for lo, seeds, _, _, evals in trial_blocks(spec, n, True, master_seed, start, stop):
-        out[lo - start:lo - start + len(seeds)] = (evals == _U(0)).sum(axis=1)
+        out[lo - start:lo - start + len(seeds)] = (evals == 0).sum(axis=1)
     return out
 
 
@@ -453,7 +456,21 @@ def chaining_tail(
             for k in k_list]
 
 
-# -- exact uniformity (full table enumeration) -------------------------------
+# -- exact checks (full table enumeration) ------------------------------------
+
+
+def _table_fillings(bits: int, n_slots: int):
+    """Every assignment of ``bits``-bit values to ``n_slots`` table entries (slot
+    ``pos * sigma + ch``), as (block, n_slots) uint32 arrays of about 2^16 fillings.
+    Refuses more than 2^24 fillings when called, not when first iterated."""
+    total_bits = bits * n_slots
+    if total_bits > 24:
+        raise ValueError(f"state space 2^{total_bits} too large to enumerate")
+    shifts = np.arange(n_slots, dtype=np.uint32) * np.uint32(bits)
+    mask = np.uint32((1 << bits) - 1)
+    n, step = 1 << total_bits, 1 << 16
+    return ((np.arange(lo, min(lo + step, n), dtype=np.uint32)[:, None] >> shifts) & mask
+            for lo in range(0, n, step))
 
 
 def exact_uniformity_check(b: int, alphabet_bits: int, out_bits: int, keys) -> bool:
@@ -471,44 +488,34 @@ def exact_uniformity_check(b: int, alphabet_bits: int, out_bits: int, keys) -> b
     for k in keys:
         if k.sizes != sizes:
             raise ValueError("generalized key does not match the declared shape")
-    slots = b * sigma
-    total_bits = out_bits * slots
-    if total_bits > 24:
-        raise ValueError(f"state space 2^{total_bits} too large to enumerate")
-    if out_bits * len(keys) > total_bits:
+    fillings = _table_fillings(out_bits, b * sigma)
+    if out_bits * len(keys) > out_bits * b * sigma:
         # more hash tuples than table fillings: equidistribution impossible
         return False
-    fillings = np.arange(1 << total_bits, dtype=np.uint64)
-    rmask = _U((1 << out_bits) - 1)
-    code = np.zeros(len(fillings), dtype=np.uint64)
-    for ki, k in enumerate(keys):
-        h = np.zeros(len(fillings), dtype=np.uint64)
-        for pos, ch in k.position_chars():
-            slot = pos * sigma + ch
-            h ^= (fillings >> _U(out_bits * slot)) & rmask
-        code ^= h << _U(out_bits * ki)
-    counts = np.bincount(code.astype(np.int64), minlength=1 << (out_bits * len(keys)))
-    expected = len(fillings) >> (out_bits * len(keys))
-    return bool(counts.min() == counts.max() == expected)
+    slots = [[pos * sigma + ch for pos, ch in k.position_chars()] for k in keys]
+    counts = np.zeros(1 << (out_bits * len(keys)), dtype=np.int64)
+    for block in fillings:
+        code = np.zeros(len(block), dtype=np.uint32)
+        for ki, cols in enumerate(slots):
+            code ^= np.bitwise_xor.reduce(block[:, cols], axis=1) << np.uint32(out_bits * ki)
+        counts += np.bincount(code, minlength=len(counts))
+    return bool(counts.min() == counts.max())
 
 
 # -- zero-set survival --------------------------------------------------------
 
 
 def _check_zero_set4(spec: TornadoSpec, zero_set) -> list[int]:
+    if spec.c < 2:
+        raise ValueError("survival needs c >= 2")
+    if spec.variant is not Variant.SIMPLE_TORNADO:
+        raise ValueError("survival is defined for the simple-tornado recurrence")
     keys = list(zero_set)
     if len(keys) != 4 or len(set(keys)) != 4:
         raise ValueError("survival needs a zero-set of 4 distinct keys")
     for k in keys:
         check_key(spec, k)
-    if spec.c < 2:
-        raise ValueError("survival needs c >= 2")
-    if spec.variant is not Variant.SIMPLE_TORNADO:
-        raise ValueError("survival is defined for the simple-tornado recurrence")
-    gks = [GenKey.from_chars(
-        [(k >> (i * spec.char_bits)) & (spec.sigma - 1) for i in range(spec.c)],
-        (spec.sigma,) * spec.c) for k in keys]
-    if not is_zero_set(gks):
+    if not is_zero_set(genkey_from_key(k, spec.c, spec.char_bits) for k in keys):
         raise ValueError("the four keys do not form a zero-set")
     return keys
 
@@ -555,22 +562,12 @@ def survival_rounds(spec: TornadoSpec, zero_set, trials: int, seed: int,
 
 
 def survival_one_round_exact(char_bits: int, c: int, zero_set) -> Fraction:
-    """Exact one-round survival rate by enumerating all level-1 table fillings."""
-    sigma = 1 << char_bits
+    """Exact one-round survival rate over every level-1 filling, derived by the engine."""
     spec = TornadoSpec(char_bits, c, 1, 1, Variant.SIMPLE_TORNADO)
-    keys = _check_zero_set4(spec, zero_set)
-    slots = c * sigma
-    total_bits = char_bits * slots
-    if total_bits > 24:
-        raise ValueError(f"state space 2^{total_bits} too large to enumerate")
-    fillings = np.arange(1 << total_bits, dtype=np.uint64)
-    cmask = _U(sigma - 1)
-    vals = []
-    for k in keys:
-        v = np.zeros(len(fillings), dtype=np.uint64)
-        for j in range(c):
-            slot = j * sigma + ((k >> (j * char_bits)) & (sigma - 1))
-            v ^= (fillings >> _U(char_bits * slot)) & cmask
-        vals.append(v)
-    survived = int(_even_quad(*vals).sum())
-    return Fraction(survived, len(fillings))
+    xs = np.array(_check_zero_set4(spec, zero_set), dtype=np.uint64)
+    survived = 0
+    for block in _table_fillings(char_bits, c * spec.sigma):
+        stack = block.reshape(len(block), c, spec.sigma)
+        chars = _derive_chunk(spec, {1: stack}, xs, len(block))
+        survived += int(_even_quad(*chars[:, :, c].T).sum())
+    return Fraction(survived, 1 << (char_bits * c * spec.sigma))

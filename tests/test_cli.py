@@ -89,6 +89,11 @@ class TestSubcommands:
         assert reports[0]["params"]["within_3sigma"] is True
         assert reports[1]["estimate"] == 0.625
 
+    def test_survival_needs_two_characters(self, capsys):
+        code, out, err = run(capsys, "survival", "--c", "1", "--trials", "10")
+        assert code == 1
+        assert err == "tornadotab: error: survival needs c >= 2\n"
+
     def test_chaining(self, capsys):
         code, out, _ = run(
             capsys, "chaining", "--n", "16", "--out-bits", "4", "--k", "2",
@@ -191,6 +196,8 @@ class TestExitCodes:
         ("probing", "--star-delta", "1"),
         ("chernoff", "--bin", "64"),  # out-bits 6: no hash value reaches bin 64
         ("chernoff", "--bin", "-1"),
+        ("chernoff", "--set-size", "0", "--trials", "10"),  # mu = 0
+        ("independence", "--set-size", "0", "--trials", "10"),
     ])
     def test_degenerate_run_exits_1_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -421,6 +421,11 @@ class TestExactUniformity:
         with pytest.raises(ValueError):
             ex.exact_uniformity_check(2, 2, 2, [])
 
+    def test_at_the_state_space_limit(self):
+        # 3 positions x 4 characters x 2 output bits: 2^24 fillings
+        keys = [genkey_from_key(x, 3, 2) for x in (0, 1, 4, 16)]
+        assert ex.exact_uniformity_check(3, 2, 2, keys)
+
 
 ZS16 = [(2 << 4) | 0, (2 << 4) | 1, (7 << 4) | 0, (7 << 4) | 1]
 ZS4 = [(2 << 2) | 0, (2 << 2) | 1, (3 << 2) | 0, (3 << 2) | 1]
@@ -476,6 +481,32 @@ class TestSurvival:
         exact = ex.survival_one_round_exact(2, 2, ZS4)
         assert exact == Fraction(5, 8)
         assert float(exact) == (3 - 2 / 4) / 4
+
+    def test_exact_at_the_state_space_limit(self):
+        # c = 3 level-1 tables of 4 two-bit entries: 2^24 fillings
+        assert ex.survival_one_round_exact(2, 3, ZS4) == Fraction(5, 8)
+
+    def test_exact_shares_the_uniformity_guard(self):
+        # uniformity one bit past the limit; survival's state space is
+        # cb * c * 2^cb bits, whose first value past the limit is 26
+        with pytest.raises(ValueError, match=r"^state space 2\^25 too large to enumerate$"):
+            ex.exact_uniformity_check(5, 0, 5, [GenKey.from_chars([0] * 5, (1,) * 5)])
+        with pytest.raises(ValueError, match=r"^state space 2\^26 too large to enumerate$"):
+            ex.survival_one_round_exact(1, 13, [0, 1, 2, 3])
+
+    def test_exact_matches_scalar_reference_sigma4(self):
+        # every level-1 filling, derived one key at a time by the scalar path
+        spec = TornadoSpec(2, 2, 1, 1, Variant.SIMPLE_TORNADO)
+        top = [np.zeros(4, dtype=np.uint64)] * spec.positions
+        survived = 0
+        for filling in range(1 << 16):
+            entries = [(filling >> (2 * e)) & 3 for e in range(8)]
+            table = np.array(entries, dtype=np.uint32).reshape(2, 4)
+            h = TornadoHash(spec, 0, {1: table}, top)
+            v = sorted(h.derive(x)[2] for x in ZS4)
+            survived += v[0] == v[1] and v[2] == v[3]
+        exact = ex.survival_one_round_exact(2, 2, ZS4)
+        assert Fraction(survived, 1 << 16) == exact == Fraction(5, 8)
 
     def test_monte_carlo_matches_exact_sigma4(self):
         spec = TornadoSpec(2, 2, 1, 1, Variant.SIMPLE_TORNADO)
@@ -567,6 +598,14 @@ class TestChernoffTail:
         spec = TornadoSpec(8, 2, 2, 8, Variant.TORNADO)
         with pytest.raises(ValueError):
             ex.chernoff_tail(selectors.fixed_set([1]), spec, 0.0, 10, 1)
+
+    def test_empty_selection_rejected(self):
+        # mu = 0 would make the bound exp(0) = 1 and the threshold 0: WithinBound
+        spec = TornadoSpec(8, 2, 2, 6, Variant.TORNADO)
+        with pytest.raises(ValueError, match="mu must be positive"):
+            ex.chernoff_tail(selectors.bin_selector([], 0), spec, 0.5, 10, 1)
+        with pytest.raises(ValueError, match="mu must be positive"):
+            ex.measure_dependence(selectors.fixed_set([]), spec, 10, 1)
 
 
 class TestLargeMu:
