@@ -197,6 +197,26 @@ def chernoff_run(workers=1):
     return experiments.chernoff_tail(sel, spec, 0.25, 200, 0x2026, workers=workers)
 
 
+def _chernoff_bench_shape(delta):
+    """``chernoff_tail`` at the benchmark's shape: 4096 sampled keys, bin 0 of
+    64, 400 trials, which is three chunks, the last one partial."""
+    spec = parse_spec_string("tornado,cb=8,c=2,d=4,r=6")
+    keys = rng.sample_distinct_keys(rng.mix64(0x2026), 4096, spec.key_bits)
+    sel = selectors.bin_selector((int(k) for k in keys), 0)
+    return experiments.chernoff_tail(sel, spec, delta, 400, 0x2026)
+
+
+def chernoff_bench_shape_run():
+    """The benchmark's delta, 0.5: no trial reaches the threshold of 96 keys."""
+    return _chernoff_bench_shape(0.5)
+
+
+def chernoff_bench_shape_flagged_run():
+    """delta = 0.1: 66 of the 400 trials reach the threshold, so their
+    selected derived keys go through the dependence check."""
+    return _chernoff_bench_shape(0.1)
+
+
 def two_column_dependence_run():
     """A 64-key fixed set at sigma = 256: fewer keys than characters."""
     spec = parse_spec_string("tornado,cb=8,c=2,d=2,r=8")
@@ -244,6 +264,12 @@ REPORT_RUNS = [
     (hard_dependence_run,
      "dependence,0.001,0.0005770615218501404,0.27685546875,3000,0x2026,WithinBound",
      "9dcbcd9da1b1e3d0952fdd060d6ec964b177560f3cee3ae78475b508ac891211"),
+    (chernoff_bench_shape_run,
+     "chernoff_tail,0.0,0.0,0.0009832468224052102,400,0x2026,WithinBound",
+     "8c1df45c208ee7617f0a48f07fb4c8c193e2185b4016799cfe4d73ec2b24e506"),
+    (chernoff_bench_shape_flagged_run,
+     "chernoff_tail,0.165,0.018559027452967464,0.7335667685372868,400,0x2026,WithinBound",
+     "c41edfb03cadb55d0ca77d26342866604e2b1306cc67efddd24143195d0edee9"),
     (two_column_dependence_run,
      "dependence,0.006333333333333333,0.001448357946345012,2.953125,3000,0x2026,WithinBound",
      "d984c965f7f74be398aac1398fc802f082e7a597c491092ccb1fbf45e1083391"),
