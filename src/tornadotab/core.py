@@ -24,11 +24,15 @@ One batched engine builds, derives and evaluates: :func:`level_stacks` and
 :func:`top_stacks` fill the tables of B hash functions at once,
 :func:`derive_stack` computes derived characters, with level entries read
 from a filled stack or hashed from their addresses, and :func:`eval_stack`
-the top tabulation. A :class:`TornadoHash` is a stack of one: ``build``
-fills the stacks for its seed, and ``derive_batch``/``eval_batch`` run the
-engine with B = 1, while :mod:`tornadotab.experiments` runs it on a chunk
-of trials. The scalar ``derive``/``eval`` and the folded paths are
-independent transcriptions that the tests hold against the engine.
+the top tabulation. For the w64 profile, :func:`fold_stacks` packs filled
+stacks into one 64-bit word per position and character, and the folded loop
+:func:`eval_folded_stack` derives and evaluates with c + d gathers per key.
+A :class:`TornadoHash` is a stack of one: ``build`` fills the stacks for its
+seed, ``derive_batch``/``eval_batch`` run the engine with B = 1, and
+``eval_folded_batch`` runs the folded loop with B = 1, while
+:mod:`tornadotab.experiments` runs both on chunks of trials. The scalar
+``derive``/``eval`` and ``eval_folded`` are independent transcriptions that
+the tests hold against the engine.
 """
 
 from __future__ import annotations
@@ -481,75 +485,124 @@ def folded_profile(spec: TornadoSpec) -> str:
     raise ConfigError(f"no folded profile for {spec.spec_string()}")
 
 
+def _fold_layout(spec: TornadoSpec, p: int) -> tuple[list[tuple[int, int]], int]:
+    """Where the folded entry of position ``p`` (0-based) packs its parts:
+    (level, bit offset) of each level entry pending when p is consumed, and
+    the bit offset of the top entry.
+
+    Pending are every level for an input position before the last (read from
+    the key, before any shift), else the levels deriving a position after p.
+    Each pending level sits at the offset the ones before it leave, and the
+    top entry after them: the offset the accumulator will have shifted that
+    part to by the time its character is consumed.
+    """
+    first = 0 if p < spec.c - 1 else p - spec.c + 2
+    pending, off = [], 0
+    for level in range(first, spec.d + 1):
+        if p < spec.level_input_positions(level):
+            pending.append((level, off))
+        off += spec.level_output_bits(level)
+    return pending, off
+
+
+def fold_stacks(spec: TornadoSpec, levels: dict[int, np.ndarray],
+                top: list[np.ndarray]) -> np.ndarray:
+    """Folded tables of B trials (w64 profile), a contiguous (c + d, B, 256)
+    uint64 stack, from :func:`level_stacks` and :func:`top_stacks` output."""
+    folded = np.empty((spec.positions,) + top[0].shape, dtype=np.uint64)
+    for p, col in enumerate(folded):
+        pending, top_off = _fold_layout(spec, p)
+        np.left_shift(top[p], _U(top_off), out=col)
+        for level, off in pending:
+            col ^= levels[level][:, p].astype(np.uint64) << _U(off)
+    return folded
+
+
 def fold_tables(h: TornadoHash) -> FoldedTables:
     """Pack the logical tables of ``h`` into its profile's folded layout.
 
-    The packing mirrors the evaluation loop: an entry for input position p
-    places each future contribution at the bit offset the accumulator will
-    have shifted it to by the time that character is consumed, so the folded
-    evaluation is equal to the reference path by construction.
+    The packing mirrors the evaluation loop (:func:`_fold_layout`), so the
+    folded evaluation is equal to the reference path by construction. The
+    w64 tables are the stack fold of the hash's one trial; the w128mix
+    entries do not fit 64 bits and are packed as Python ints.
     """
     spec = h.spec
-    profile = folded_profile(spec)
-    c, d = spec.c, spec.d
-    n_sigma = c + d if profile == "w64" else c + d - 2  # 8-bit positions
+    if folded_profile(spec) == "w64":
+        tables_np = _read_only(fold_stacks(spec, *h._stacks())[:, 0])
+        return FoldedTables("w64", tables_np.tolist(), tables_np)
+    n_sigma = spec.positions - 2  # the 8-bit positions
     tables: list[list[int]] = []
-    for p in range(n_sigma):  # 0-based position index
-        # pending when position p is consumed: every level for an input
-        # position before the last (read from the key, before any shift), else
-        # the levels deriving a position after p. Each pending level sits at
-        # the offset the ones before it leave, and the top entry after them.
-        first = 0 if p < c - 1 else p - c + 2
-        rows, off = [], 0
-        for level in range(first, d + 1):
-            if p < spec.level_input_positions(level):
-                rows.append((h.level_tables[level][p].tolist(), off))
-            off += spec.level_output_bits(level)
-        rows.append((h.top_table[p].tolist(), off))
-        col = [0] * 256
-        for row, shift in rows:
-            col = [v ^ (x << shift) for v, x in zip(col, row)]
+    for p in range(n_sigma):
+        pending, top_off = _fold_layout(spec, p)
+        col = [x << top_off for x in h.top_table[p].tolist()]
+        for level, off in pending:
+            col = [v ^ (x << off) for v, x in zip(col, h.level_tables[level][p].tolist())]
         tables.append(col)
-    tables_np = None
-    if profile == "w64":
-        tables_np = np.array(tables, dtype=np.uint64)
-        tables_np.flags.writeable = False
-        return FoldedTables("w64", tables, tables_np)
     psi_tables = [[int(v) for v in h.top_table[n_sigma + k]] for k in range(2)]
     return FoldedTables("w128mix", tables, None, psi_tables)
 
 
+def eval_folded_stack(spec: TornadoSpec, folded: np.ndarray, xs: np.ndarray,
+                      keep_chars: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
+    """The folded loop over B trials: (derived keys, hashes). xs is (n,)
+    shared or (B, n) per trial; ``folded`` is a :func:`fold_stacks` result.
+
+    The derived keys are a (B, n, c + d) intp view of position-major storage,
+    as :func:`derive_stack` returns them, or None unless ``keep_chars``. For
+    i < c - 1 character i is the key byte; from c - 1 on it is ``acc & 255``
+    as the loop consumes it. The loop runs over blocks of about FOLD_BLOCK
+    keys, trial rows at a time when n is smaller, so its buffers stay in L2.
+    A block reads each position's table with one flat take at ch + 256 *
+    (its trial row); a block of one trial row needs no offset.
+    """
+    n_trials = folded.shape[1]
+    xs = np.asarray(xs, dtype=np.uint64)
+    n = xs.shape[-1]
+    evals = np.empty((n_trials, n), dtype=np.uint64)
+    store = np.empty((spec.positions, n_trials, n), dtype=np.intp) if keep_chars else None
+    cols = max(1, min(n, FOLD_BLOCK))
+    rows = max(1, min(n_trials, FOLD_BLOCK // cols))
+    base = trial_base(rows, folded.shape[2]) if rows > 1 else None
+    key_buf = np.empty((rows if xs.ndim == 2 else 1, cols), dtype=np.uint64)
+    idx_buf = np.empty((rows, cols), dtype=np.intp)
+    col_buf = np.empty((rows, cols), dtype=np.uint64)
+    m8, s8 = _U(255), _U(8)
+    c = spec.c
+    for r0 in range(0, n_trials, rows):
+        r1 = min(r0 + rows, n_trials)
+        tabs = [t[r0:r1].reshape(-1) for t in folded]
+        for c0 in range(0, n, cols):
+            c1 = min(c0 + cols, n)
+            acc = evals[r0:r1, c0:c1]
+            src = xs[r0:r1, c0:c1] if xs.ndim == 2 else xs[None, c0:c1]
+            key = key_buf[:len(src), :c1 - c0]
+            idx, col = idx_buf[:r1 - r0, :c1 - c0], col_buf[:r1 - r0, :c1 - c0]
+            key[...] = src
+            acc.fill(0)
+            for i, tab in enumerate(tabs):
+                if i == c - 1:
+                    acc ^= key  # the remaining low bits are the last input character
+                word = key if i < c - 1 else acc
+                ch = idx if store is None else store[i, r0:r1, c0:c1]
+                np.bitwise_and(word, m8, out=ch.view(np.uint64))
+                word >>= s8
+                if base is not None:
+                    ch = np.add(ch, base[:r1 - r0], out=idx)
+                # characters are below 256, so "wrap" reads the same entries as
+                # the default "raise", which would copy through a temporary for out=
+                acc ^= np.take(tab, ch, out=col, mode="wrap")
+    return (None if store is None else store.transpose(1, 2, 0)), evals
+
+
 def eval_folded_batch(h: TornadoHash, xs: np.ndarray) -> np.ndarray:
-    """Vectorized folded evaluation (w64 profile only)."""
+    """Vectorized folded evaluation (w64 profile only): the folded loop with
+    one trial."""
     f = h.folded
     if f.profile != "w64":
         raise ConfigError("batch folded evaluation only supports the w64 profile")
-    tabs = f.tables_np
-    assert tabs is not None
-    c, d = h.spec.c, h.spec.d
+    assert f.tables_np is not None
     xs = check_keys(h.spec, xs)
-    out = np.empty(len(xs), dtype=np.uint64)
-    n = min(len(xs), FOLD_BLOCK)
-    key_buf, col_buf, ch_buf = (np.empty(n, dtype=np.uint64) for _ in range(3))
-    m8, s8 = _U(255), _U(8)
-    for lo in range(0, len(xs), FOLD_BLOCK):
-        acc = out[lo:lo + FOLD_BLOCK]
-        key, col, ch_u = key_buf[:len(acc)], col_buf[:len(acc)], ch_buf[:len(acc)]
-        ch = ch_u.view(np.intp)
-        key[...] = xs[lo:lo + FOLD_BLOCK]
-        acc.fill(0)
-        # characters are below 256, so "wrap" reads the same entries as the
-        # default "raise", which would copy through a temporary for out=
-        for i in range(c - 1):
-            np.bitwise_and(key, m8, out=ch_u)
-            key >>= s8
-            acc ^= np.take(tabs[i], ch, out=col, mode="wrap")
-        acc ^= key
-        for i in range(c - 1, c + d):
-            np.bitwise_and(acc, m8, out=ch_u)
-            acc >>= s8
-            acc ^= np.take(tabs[i], ch, out=col, mode="wrap")
-    return out
+    return eval_folded_stack(h.spec, f.tables_np[:, None], xs, keep_chars=False)[1][0]
 
 
 def derived_injectivity_check(h: TornadoHash, keys) -> bool:

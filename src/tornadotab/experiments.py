@@ -12,7 +12,9 @@ on them (the engine a :class:`~tornadotab.core.TornadoHash` runs with one
 trial), and :func:`tornadotab.selectors.selection_mask` selects over the
 whole chunk. Top tables are filled per chunk; level entries are hashed from
 their addresses when the chunk has fewer keys than sigma, and so reads fewer
-entries than filling would write, and filled otherwise.
+entries than filling would write, and filled otherwise. A chunk that fills
+and evaluates a w64 spec folds its stacks and runs the folded loop, c + d
+gathers per key, which yields the same derived keys and hashes.
 Linear-independence checks first peel keys containing a position character
 unique in their trial (such keys cannot take part in any zero-set), falling
 back to exact F2 elimination for the rare survivors. Each peeling round
@@ -44,7 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import rng, selectors
+from . import core, rng, selectors
 from .core import TornadoSpec, Variant, check_key
 # the engine's stages, bound under the stage names that perfbench's tracer wraps
 from .core import derive_stack as _derive_chunk
@@ -82,8 +84,11 @@ class ExperimentReport:
             raise ValueError("estimate must be >= 0")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.verdict is Verdict.VIOLATION and not self.estimate - 4 * self.stderr > self.bound:
-            raise ValueError("Violation verdict requires estimate - 4*stderr > bound")
+        if self.verdict is Verdict.VIOLATION and not (
+                self.estimate - 4 * self.stderr > self.bound
+                or exact_violation(round(self.estimate * self.trials), self.trials, self.bound)):
+            raise ValueError("Violation verdict requires estimate - 4*stderr > bound or "
+                             "an exact binomial tail below EXACT_TAIL")
 
     def to_json_dict(self) -> dict:
         return {
@@ -120,16 +125,46 @@ def binomial_stderr(estimate: float, trials: int) -> float:
     return math.sqrt(estimate * (1.0 - estimate) / trials) if trials else 0.0
 
 
+EXACT_TAIL = 3.167e-5  # the one-sided normal tail beyond 4 sigma
+
+
+def exact_violation(count: int, trials: int, bound: float) -> bool:
+    """One-sided exact binomial test: whether P(Bin(trials, bound) >= count)
+    < EXACT_TAIL, with ``math`` only.
+
+    The tail is summed upward from ``count``. Above the mean the terms only
+    shrink, so the sum stops when they vanish or once it reaches EXACT_TAIL.
+    At or below the mean the tail is at least 1/2.
+    """
+    if count <= trials * bound:
+        return False
+    if bound <= 0:
+        return True
+    log_p, log_q = math.log(bound), math.log1p(-bound)
+    log_n = math.lgamma(trials + 1)
+    tail = 0.0
+    for k in range(count, trials + 1):
+        term = math.exp(log_n - math.lgamma(k + 1) - math.lgamma(trials - k + 1)
+                        + k * log_p + (trials - k) * log_q)
+        tail += term
+        if tail >= EXACT_TAIL or term <= tail * 1e-17:
+            break
+    return tail < EXACT_TAIL
+
+
 def _upper_report(name: str, count: int, trials: int, seed: int, bound: float,
                   spec: TornadoSpec, params: dict) -> ExperimentReport:
     """Report of an upper-bound experiment whose event happened in ``count`` of
-    ``trials`` trials: binomial stderr and the one-sided 4-sigma verdict,
-    informational below sigma = 256, where the bounds are not stated."""
+    ``trials`` trials: binomial stderr and a ``Violation`` when the exact
+    binomial test or the Wald rule (estimate - 4*stderr > bound) rejects the
+    bound; informational below sigma = 256, where the bounds are not stated.
+    The exact test needs fewer events for small bounds, the Wald rule for
+    bounds above about 1/2."""
     estimate = count / trials
     stderr = binomial_stderr(estimate, trials)
     if spec.sigma < 256:
         verdict = Verdict.INFORMATIONAL
-    elif estimate - 4 * stderr > bound:
+    elif estimate - 4 * stderr > bound or exact_violation(count, trials, bound):
         verdict = Verdict.VIOLATION
     else:
         verdict = Verdict.WITHIN_BOUND
@@ -229,7 +264,10 @@ def trial_blocks(spec: TornadoSpec, keys, evaluate: bool, master_seed: int, star
     source) when its keys read fewer entries than filling writes, which for
     sigma-wide level tables means n < sigma; else the tables are filled.
     ``evaluate`` counts the top tables in that size, fills them and evaluates
-    the derived keys.
+    the derived keys. A chunk that fills and evaluates, with a spec of the w64
+    folded profile, derives and evaluates with ``core.fold_stacks`` and
+    ``core.eval_folded_stack``; every other chunk with ``derive_stack`` and
+    ``eval_stack``.
     """
     sample = isinstance(keys, (int, np.integer))
     n_keys = int(keys) if sample else len(keys)
@@ -239,13 +277,21 @@ def trial_blocks(spec: TornadoSpec, keys, evaluate: bool, master_seed: int, star
     chunk = (1 << 23) // max(entries + n_keys * spec.positions * 2, 1)
     max_alpha = max(1 << spec.position_bits(i) for i in range(spec.positions))
     chunk = int(min(1 << 16, max(1, min(chunk, (1 << 24) // max_alpha))))
+    try:
+        fold = evaluate and n_keys >= spec.sigma and core.folded_profile(spec) == "w64"
+    except core.ConfigError:
+        fold = False
     for lo in range(start, stop, chunk):
         seeds = rng.trial_seed_vec(master_seed,
                                    np.arange(lo, min(lo + chunk, stop), dtype=np.uint64))
         xs = rng.sample_distinct_keys(seeds, n_keys, spec.key_bits) if sample else keys
         levels = seeds if n_keys < spec.sigma else _chunk_level_tables(spec, seeds)
-        chars = _derive_chunk(spec, levels, xs, len(seeds))
-        evals = _eval_chunk(spec, _chunk_top_tables(spec, seeds), chars) if evaluate else None
+        if fold:
+            folded = core.fold_stacks(spec, levels, _chunk_top_tables(spec, seeds))
+            chars, evals = core.eval_folded_stack(spec, folded, xs)
+        else:
+            chars = _derive_chunk(spec, levels, xs, len(seeds))
+            evals = _eval_chunk(spec, _chunk_top_tables(spec, seeds), chars) if evaluate else None
         yield lo, seeds, xs, chars, evals
 
 

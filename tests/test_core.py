@@ -8,12 +8,18 @@ from tornadotab.core import (
     TornadoHash,
     TornadoSpec,
     Variant,
+    derive_stack,
     derived_injectivity_check,
     dump_tables,
     eval_folded_batch,
+    eval_folded_stack,
+    eval_stack,
+    fold_stacks,
     fold_tables,
     folded_profile,
+    level_stacks,
     parse_spec_string,
+    top_stacks,
 )
 
 # chi2 inverse survival at significance 1e-6 with 255 degrees of freedom
@@ -330,6 +336,22 @@ class TestFolded:
         assert out.shape == (n,) and out.dtype == np.uint64
         assert np.array_equal(out, h.eval_batch(keys))
         assert np.array_equal(keys, before)
+
+    @pytest.mark.parametrize("n_trials,n", [(5, 4097), (2, FOLD_BLOCK + 3)],
+                             ids=["row-blocks", "column-blocks"])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-keys", "per-trial-keys"])
+    def test_folded_stack_block_edges(self, n_trials, n, shared):
+        """Blocks of several trial rows, the last one partial, and blocks of
+        one row's columns, the last one partial, against the engine."""
+        spec = W64_SPECS[0]
+        seeds = rng.trial_seed_vec(0xB10C, np.arange(n_trials, dtype=np.uint64))
+        levels, top = level_stacks(spec, seeds), top_stacks(spec, seeds)
+        xs = rng.raw_key_stream(n, n if shared else n_trials * n, 32)
+        xs = xs if shared else xs.reshape(n_trials, n)
+        chars, evals = eval_folded_stack(spec, fold_stacks(spec, levels, top), xs)
+        expected = derive_stack(spec, levels, xs, n_trials)
+        assert np.array_equal(chars, expected)
+        assert np.array_equal(evals, eval_stack(spec, top, expected))
 
     def test_folded_batch_read_only_and_list_input(self):
         h = TornadoHash.build(W64_SPECS[0], 0xB10C)

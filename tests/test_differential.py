@@ -5,7 +5,8 @@ The scalar ``derive``/``eval`` loops are the reference. Against them run
 with several trials each checked against its own ``TornadoHash.build``
 (its level entries both gathered from filled tables and hashed from their
 addresses), the scalar folded path and, for the ``w64`` profile, the batch
-folded path.
+folded path and the folded engine over several trials, whose derived keys
+and hashes must equal the engine's.
 """
 
 import numpy as np
@@ -20,7 +21,9 @@ from tornadotab.core import (
     Variant,
     derive_stack,
     eval_folded_batch,
+    eval_folded_stack,
     eval_stack,
+    fold_stacks,
     folded_profile,
     level_stacks,
     top_stacks,
@@ -78,8 +81,8 @@ def test_evaluation_paths_agree(case):
     assert h.eval_batch(xs).tolist() == expected
 
     seeds = rng.trial_seed_vec(seed, np.arange(ENGINE_TRIALS, dtype=np.uint64))
-    top = top_stacks(spec, seeds)
-    chars = derive_stack(spec, level_stacks(spec, seeds), xs, ENGINE_TRIALS)
+    levels, top = level_stacks(spec, seeds), top_stacks(spec, seeds)
+    chars = derive_stack(spec, levels, xs, ENGINE_TRIALS)
     evals = eval_stack(spec, top, chars)
     for b, trial_seed in enumerate(seeds.tolist()):
         assert evals[b].tolist() == [TornadoHash.build(spec, trial_seed).eval(x) for x in keys]
@@ -93,5 +96,13 @@ def test_evaluation_paths_agree(case):
     except ConfigError:
         return
     assert [h.eval_folded(x) for x in keys] == expected
-    if profile == "w64":
-        assert eval_folded_batch(h, xs).tolist() == expected
+    if profile != "w64":
+        return
+    assert eval_folded_batch(h, xs).tolist() == expected
+    folded = fold_stacks(spec, levels, top)
+    per_trial = np.stack([np.roll(xs, t) for t in range(ENGINE_TRIALS)])
+    for keys in (xs, per_trial):
+        engine_chars = derive_stack(spec, levels, keys, ENGINE_TRIALS)
+        folded_chars, folded_evals = eval_folded_stack(spec, folded, keys)
+        assert np.array_equal(folded_chars, engine_chars)
+        assert np.array_equal(folded_evals, eval_stack(spec, top, engine_chars))

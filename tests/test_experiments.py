@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tornadotab import experiments as ex
-from tornadotab import linprobe, rng, selectors
+from tornadotab import core, linprobe, rng, selectors
 from tornadotab.core import ConfigError, TornadoHash, TornadoSpec, Variant
 from tornadotab.gf2 import GenKey, genkey_from_key, is_linearly_independent
 
@@ -137,6 +137,36 @@ class TestChunkEngine:
             xs = [int(x) for x in keys[t]]
             assert [tuple(row) for row in chars[t].tolist()] == [h.derive(x) for x in xs]
             assert evals[t].tolist() == [h.eval(x) for x in xs]
+
+    def test_filled_w64_chunks_fold(self, monkeypatch):
+        """A chunk that fills its level tables, evaluates and has a w64 spec runs
+        the folded engine; a sparse chunk, an ``evaluate=False`` chunk and a
+        cb=16 chunk derive and evaluate."""
+        calls = []
+
+        def recorded(name, fn):
+            def run(*args):
+                calls.append(name)
+                return fn(*args)
+            return run
+
+        for owner, attr, name in ((core, "derive_stack", "derive"), (core, "eval_stack", "eval"),
+                                  (ex, "_derive_chunk", "derive"), (ex, "_eval_chunk", "eval")):
+            monkeypatch.setattr(owner, attr, recorded(name, getattr(owner, attr)))
+
+        def route(spec, keys, evaluate):
+            calls.clear()
+            for *_, evals in ex.trial_blocks(spec, keys, evaluate, 5, 0, 3):
+                assert (evals is None) is not evaluate
+            return sorted(set(calls))
+
+        w64 = TornadoSpec(8, 2, 4, 6, Variant.TORNADO)
+        assert route(w64, 256, True) == []
+        assert route(w64, np.arange(300, dtype=np.uint64), True) == []
+        assert route(w64, 255, True) == ["derive", "eval"]
+        assert route(w64, 256, False) == ["derive"]
+        assert route(TornadoSpec(16, 2, 4, 16, Variant.TORNADO), 1 << 16, True) == [
+            "derive", "eval"]
 
     def test_chaining_bin_counts_match_eval_batch(self):
         spec = TornadoSpec(8, 2, 4, 4, Variant.TORNADO)
@@ -720,6 +750,38 @@ class TestReports:
     def test_inconsistent_violation_rejected(self):
         with pytest.raises(ValueError):
             ex.ExperimentReport("x", 0.1, 0.5, 1.0, 10, 0, verdict=ex.Verdict.VIOLATION)
+
+    # (trials, bound, fewest events the exact binomial test flags, fewest the
+    # Wald rule flags); the second row is chaining k=8 at 2e4 trials
+    VERDICT_EVENTS = [
+        (20000, 6.3e-6, 4, 17),
+        (20000, 6.5e-5, 9, 19),
+        (100000, 6.5e-5, 20, 28),
+        (100000, 3.2e-3, 395, 400),
+    ]
+
+    @pytest.mark.parametrize("trials,bound,exact,wald", VERDICT_EVENTS)
+    def test_fewest_events_flagged(self, trials, bound, exact, wald):
+        def wald_fires(count):
+            est = count / trials
+            return est - 4 * ex.binomial_stderr(est, trials) > bound
+
+        assert [ex.exact_violation(k, trials, bound) for k in (exact - 1, exact)] == [False, True]
+        assert [wald_fires(k) for k in (wald - 1, wald)] == [False, True]
+        spec = TornadoSpec(8, 2, 2, 8, Variant.TORNADO)
+        verdicts = [ex._upper_report("x", k, trials, 0, bound, spec, {}).verdict
+                    for k in (exact - 1, exact)]
+        assert verdicts == [ex.Verdict.WITHIN_BOUND, ex.Verdict.VIOLATION]
+
+    def test_either_rule_gives_violation(self):
+        """Above a bound of about 1/2 the Wald rule fires first, and a report
+        accepts a Violation that only one rule supports."""
+        spec = TornadoSpec(8, 2, 2, 8, Variant.TORNADO)
+        assert not ex.exact_violation(660, 1000, 0.6)
+        assert ex._upper_report("x", 660, 1000, 0, 0.6, spec, {}).verdict is ex.Verdict.VIOLATION
+        exact_only = ex._upper_report("x", 4, 20000, 0, 6.3e-6, spec, {})
+        assert exact_only.verdict is ex.Verdict.VIOLATION
+        assert not exact_only.estimate - 4 * exact_only.stderr > exact_only.bound
 
     def test_json_and_csv_stable(self):
         rep = ex.ExperimentReport("demo", 0.5, 0.01, 0.9, 100, 0x42, {"k": 1})
