@@ -286,9 +286,9 @@ def trial_blocks(spec: TornadoSpec, keys, evaluate: bool, master_seed: int, star
                                    np.arange(lo, min(lo + chunk, stop), dtype=np.uint64))
         xs = rng.sample_distinct_keys(seeds, n_keys, spec.key_bits) if sample else keys
         levels = seeds if n_keys < spec.sigma else _chunk_level_tables(spec, seeds)
-        if fold:
-            folded = core.fold_stacks(spec, levels, _chunk_top_tables(spec, seeds))
-            chars, evals = core.eval_folded_stack(spec, folded, xs)
+        if fold:  # the folded stack replaces the level stacks, freed before the loop
+            levels = core.fold_stacks(spec, levels, _chunk_top_tables(spec, seeds))
+            chars, evals = core.eval_folded_stack(spec, levels, xs)
         else:
             chars = _derive_chunk(spec, levels, xs, len(seeds))
             evals = _eval_chunk(spec, _chunk_top_tables(spec, seeds), chars) if evaluate else None
