@@ -467,13 +467,19 @@ class FoldedTables:
     psi_tables: list[list[int]] | None = None
 
 
-def folded_profile(spec: TornadoSpec) -> str:
-    """Which fast-path profile a spec matches; raises if none."""
-    if (
+def is_w64(spec: TornadoSpec) -> bool:
+    """Whether a spec has the w64 folded profile: plain tornado with 8-bit
+    characters whose pending level entries and output fit one 64-bit word."""
+    return (
         spec.variant is Variant.TORNADO
         and spec.char_bits == 8
         and 8 * (spec.d + 1) + spec.out_bits <= 64
-    ):
+    )
+
+
+def folded_profile(spec: TornadoSpec) -> str:
+    """Which fast-path profile a spec matches; raises if none."""
+    if is_w64(spec):
         return "w64"
     if (
         spec.variant is Variant.TORNADO_MIX
@@ -544,54 +550,59 @@ def fold_tables(h: TornadoHash) -> FoldedTables:
 
 def eval_folded_stack(spec: TornadoSpec, folded: np.ndarray, xs: np.ndarray,
                       keep_chars: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
-    """The folded loop over B trials: (derived keys, hashes). xs is (n,)
+    """The folded loop over B trials: (derived keys, (B, n) hashes). xs is (n,)
     shared or (B, n) per trial; ``folded`` is a :func:`fold_stacks` result.
 
     The derived keys are a (B, n, c + d) intp view of position-major storage,
     as :func:`derive_stack` returns them, or None unless ``keep_chars``. For
     i < c - 1 character i is the key byte; from c - 1 on it is ``acc & 255``
     as the loop consumes it. The loop runs over blocks of about FOLD_BLOCK
-    keys, trial rows at a time when n is smaller, so its buffers stay in L2.
-    A block reads each position's table with one flat take at ch + 256 *
-    (its trial row); a block of one trial row needs no offset.
+    keys, so its buffers stay in L2: whole trial rows when n is smaller, else
+    part of one row. Either way a block is a contiguous run of the flat
+    (trial, key) order, and every step works on flat 1-D buffers. A block
+    reads each position's table with one flat take at ch + 256 * (its trial
+    row); a block of one trial row needs no offset.
     """
-    n_trials = folded.shape[1]
+    n_trials, width = folded.shape[1:]
     xs = np.asarray(xs, dtype=np.uint64)
     n = xs.shape[-1]
-    evals = np.empty((n_trials, n), dtype=np.uint64)
-    store = np.empty((spec.positions, n_trials, n), dtype=np.intp) if keep_chars else None
+    evals = np.empty(n_trials * n, dtype=np.uint64)
+    store = np.empty((spec.positions, n_trials * n), dtype=np.intp) if keep_chars else None
     cols = max(1, min(n, FOLD_BLOCK))
     rows = max(1, min(n_trials, FOLD_BLOCK // cols))
-    base = trial_base(rows, folded.shape[2]) if rows > 1 else None
-    key_buf = np.empty((rows if xs.ndim == 2 else 1, cols), dtype=np.uint64)
-    idx_buf = np.empty((rows, cols), dtype=np.intp)
-    col_buf = np.empty((rows, cols), dtype=np.uint64)
+    base = np.repeat(trial_base(rows, width), cols) if rows > 1 else None
+    key_buf, col_buf = np.empty(rows * cols, dtype=np.uint64), np.empty(rows * cols, dtype=np.uint64)
+    idx_buf = np.empty(rows * cols, dtype=np.intp)
+    flat = folded.reshape(spec.positions, -1)
     m8, s8 = _U(255), _U(8)
     c = spec.c
     for r0 in range(0, n_trials, rows):
         r1 = min(r0 + rows, n_trials)
-        tabs = [t[r0:r1].reshape(-1) for t in folded]
+        tabs = list(flat[:, r0 * width:r1 * width])
         for c0 in range(0, n, cols):
             c1 = min(c0 + cols, n)
-            acc = evals[r0:r1, c0:c1]
-            src = xs[r0:r1, c0:c1] if xs.ndim == 2 else xs[None, c0:c1]
-            key = key_buf[:len(src), :c1 - c0]
-            idx, col = idx_buf[:r1 - r0, :c1 - c0], col_buf[:r1 - r0, :c1 - c0]
-            key[...] = src
+            lo = r0 * n + c0
+            hi = lo + (r1 - r0) * (c1 - c0)
+            acc, key = evals[lo:hi], key_buf[:hi - lo]
+            idx, col = idx_buf[:hi - lo], col_buf[:hi - lo]
+            key.reshape(r1 - r0, c1 - c0)[...] = xs[r0:r1, c0:c1] if xs.ndim == 2 else xs[c0:c1]
             acc.fill(0)
             for i, tab in enumerate(tabs):
                 if i == c - 1:
                     acc ^= key  # the remaining low bits are the last input character
                 word = key if i < c - 1 else acc
-                ch = idx if store is None else store[i, r0:r1, c0:c1]
+                ch = idx if store is None else store[i, lo:hi]
                 np.bitwise_and(word, m8, out=ch.view(np.uint64))
                 word >>= s8
                 if base is not None:
-                    ch = np.add(ch, base[:r1 - r0], out=idx)
+                    ch = np.add(ch, base[:hi - lo], out=idx)
                 # characters are below 256, so "wrap" reads the same entries as
                 # the default "raise", which would copy through a temporary for out=
                 acc ^= np.take(tab, ch, out=col, mode="wrap")
-    return (None if store is None else store.transpose(1, 2, 0)), evals
+    evals = evals.reshape(n_trials, n)
+    if store is None:
+        return None, evals
+    return store.reshape(spec.positions, n_trials, n).transpose(1, 2, 0), evals
 
 
 def eval_folded_batch(h: TornadoHash, xs: np.ndarray) -> np.ndarray:

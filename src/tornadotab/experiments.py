@@ -84,6 +84,9 @@ class ExperimentReport:
             raise ValueError("estimate must be >= 0")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        # binomial reports give Violation by the exact test; the 4-stderr
+        # clause is for reports that are not binomial counts, such as the
+        # probing dominance report (stderr 0)
         if self.verdict is Verdict.VIOLATION and not (
                 self.estimate - 4 * self.stderr > self.bound
                 or exact_violation(round(self.estimate * self.trials), self.trials, self.bound)):
@@ -156,15 +159,16 @@ def _upper_report(name: str, count: int, trials: int, seed: int, bound: float,
                   spec: TornadoSpec, params: dict) -> ExperimentReport:
     """Report of an upper-bound experiment whose event happened in ``count`` of
     ``trials`` trials: binomial stderr and a ``Violation`` when the exact
-    binomial test or the Wald rule (estimate - 4*stderr > bound) rejects the
-    bound; informational below sigma = 256, where the bounds are not stated.
-    The exact test needs fewer events for small bounds, the Wald rule for
-    bounds above about 1/2."""
+    binomial test rejects the bound; informational below sigma = 256, where
+    the bounds are not stated. The Wald rule (estimate - 4*stderr > bound)
+    is not used: it needs more events than the exact test for small bounds,
+    and above a bound of about 1/2 its plug-in stderr is below the one under
+    the bound, so it flags counts whose exact tail is not small."""
     estimate = count / trials
     stderr = binomial_stderr(estimate, trials)
     if spec.sigma < 256:
         verdict = Verdict.INFORMATIONAL
-    elif estimate - 4 * stderr > bound or exact_violation(count, trials, bound):
+    elif exact_violation(count, trials, bound):
         verdict = Verdict.VIOLATION
     else:
         verdict = Verdict.WITHIN_BOUND
@@ -277,15 +281,13 @@ def trial_blocks(spec: TornadoSpec, keys, evaluate: bool, master_seed: int, star
     chunk = (1 << 23) // max(entries + n_keys * spec.positions * 2, 1)
     max_alpha = max(1 << spec.position_bits(i) for i in range(spec.positions))
     chunk = int(min(1 << 16, max(1, min(chunk, (1 << 24) // max_alpha))))
-    try:
-        fold = evaluate and n_keys >= spec.sigma and core.folded_profile(spec) == "w64"
-    except core.ConfigError:
-        fold = False
+    fill = n_keys >= spec.sigma
+    fold = evaluate and fill and core.is_w64(spec)
     for lo in range(start, stop, chunk):
         seeds = rng.trial_seed_vec(master_seed,
                                    np.arange(lo, min(lo + chunk, stop), dtype=np.uint64))
         xs = rng.sample_distinct_keys(seeds, n_keys, spec.key_bits) if sample else keys
-        levels = seeds if n_keys < spec.sigma else _chunk_level_tables(spec, seeds)
+        levels = _chunk_level_tables(spec, seeds) if fill else seeds
         if fold:  # the folded stack replaces the level stacks, freed before the loop
             levels = core.fold_stacks(spec, levels, _chunk_top_tables(spec, seeds))
             chars, evals = core.eval_folded_stack(spec, levels, xs)

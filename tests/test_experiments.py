@@ -751,34 +751,31 @@ class TestReports:
         with pytest.raises(ValueError):
             ex.ExperimentReport("x", 0.1, 0.5, 1.0, 10, 0, verdict=ex.Verdict.VIOLATION)
 
-    # (trials, bound, fewest events the exact binomial test flags, fewest the
-    # Wald rule flags); the second row is chaining k=8 at 2e4 trials
+    # (trials, bound, fewest events the exact binomial test flags); the
+    # second row is chaining k=8 at 2e4 trials
     VERDICT_EVENTS = [
-        (20000, 6.3e-6, 4, 17),
-        (20000, 6.5e-5, 9, 19),
-        (100000, 6.5e-5, 20, 28),
-        (100000, 3.2e-3, 395, 400),
+        (20000, 6.3e-6, 4),
+        (20000, 6.5e-5, 9),
+        (100000, 6.5e-5, 20),
+        (100000, 3.2e-3, 395),
     ]
 
-    @pytest.mark.parametrize("trials,bound,exact,wald", VERDICT_EVENTS)
-    def test_fewest_events_flagged(self, trials, bound, exact, wald):
-        def wald_fires(count):
-            est = count / trials
-            return est - 4 * ex.binomial_stderr(est, trials) > bound
-
+    @pytest.mark.parametrize("trials,bound,exact", VERDICT_EVENTS)
+    def test_fewest_events_flagged(self, trials, bound, exact):
         assert [ex.exact_violation(k, trials, bound) for k in (exact - 1, exact)] == [False, True]
-        assert [wald_fires(k) for k in (wald - 1, wald)] == [False, True]
         spec = TornadoSpec(8, 2, 2, 8, Variant.TORNADO)
         verdicts = [ex._upper_report("x", k, trials, 0, bound, spec, {}).verdict
                     for k in (exact - 1, exact)]
         assert verdicts == [ex.Verdict.WITHIN_BOUND, ex.Verdict.VIOLATION]
 
-    def test_either_rule_gives_violation(self):
-        """Above a bound of about 1/2 the Wald rule fires first, and a report
-        accepts a Violation that only one rule supports."""
+    def test_exact_test_alone_decides(self):
+        """660 of 1000 at bound 0.6 passes the Wald rule but has an exact tail
+        above EXACT_TAIL (5.3e-5), so it is within the bound; 4 of 2e4 at 6.3e-6
+        is a Violation that the Wald rule would miss, and the report accepts it."""
         spec = TornadoSpec(8, 2, 2, 8, Variant.TORNADO)
-        assert not ex.exact_violation(660, 1000, 0.6)
-        assert ex._upper_report("x", 660, 1000, 0, 0.6, spec, {}).verdict is ex.Verdict.VIOLATION
+        wald = ex._upper_report("x", 660, 1000, 0, 0.6, spec, {})
+        assert wald.estimate - 4 * wald.stderr > wald.bound
+        assert wald.verdict is ex.Verdict.WITHIN_BOUND
         exact_only = ex._upper_report("x", 4, 20000, 0, 6.3e-6, spec, {})
         assert exact_only.verdict is ex.Verdict.VIOLATION
         assert not exact_only.estimate - 4 * exact_only.stderr > exact_only.bound
