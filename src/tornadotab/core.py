@@ -349,15 +349,12 @@ class TornadoHash:
 
     # -- reference (scalar) paths -------------------------------------------
 
-    def input_chars(self, x: int) -> list[int]:
-        cb, cmask = self.spec.char_bits, (1 << self.spec.char_bits) - 1
-        return [(x >> (i * cb)) & cmask for i in range(self.spec.c)]
-
     def derive(self, x: int) -> tuple[int, ...]:
         """Derived key of ``x`` as a tuple of c + d characters."""
         spec = self.spec
         check_key(spec, x)
-        chars = self.input_chars(x)
+        cb, cmask = spec.char_bits, (1 << spec.char_bits) - 1
+        chars = [(x >> (i * cb)) & cmask for i in range(spec.c)]
         if spec.variant in (Variant.TORNADO, Variant.TORNADO_MIX):
             t0 = self.level_tables[0]
             acc = 0

@@ -39,7 +39,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -53,7 +52,7 @@ from .core import derive_stack as _derive_chunk
 from .core import eval_stack as _eval_chunk
 from .core import level_stacks as _chunk_level_tables
 from .core import top_stacks as _chunk_top_tables
-from .gf2 import GF2Basis, genkey_from_key, is_zero_set
+from .gf2 import GF2Basis, genkey_from_key, is_zero_set, offsets
 
 
 class Verdict(enum.Enum):
@@ -188,17 +187,11 @@ def check_count(name: str, value: int) -> None:
 def dependence_bound(mu: float, d: int, sigma_size: int) -> float:
     """Probability bound on derived selected keys being linearly dependent.
 
-    Warns when sigma_size < 256: the bound is stated for byte-or-larger
-    alphabets, smaller runs are informational.
+    The bound is stated for sigma_size >= 256, byte-or-larger alphabets;
+    smaller runs are informational.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
-    if sigma_size < 256:
-        warnings.warn(
-            f"sigma {sigma_size} < 256 is outside the bound's stated regime",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return 7.0 * mu**3 * (3.0 / sigma_size) ** (d + 1) + 2.0 ** (-sigma_size / 2)
 
 
@@ -342,15 +335,13 @@ def _dependent_rows(chars: np.ndarray, sizes: tuple[int, ...], alive: np.ndarray
     """Per-trial linear dependence of the alive derived keys."""
     core = _peel_alive(chars, sizes, alive)
     result = np.zeros(len(chars), dtype=bool)
-    offsets = [0]
-    for s in sizes:
-        offsets.append(offsets[-1] + s)
+    starts = offsets(sizes)
     for t in np.flatnonzero(core.any(axis=1)):
         basis = GF2Basis()
-        for row in chars[t][core[t]]:
+        for row in chars[t][core[t]].tolist():
             bits = 0
-            for i, ch in enumerate(row):
-                bits |= 1 << (offsets[i] + int(ch))
+            for start, ch in zip(starts, row):
+                bits |= 1 << (start + ch)
             if basis.insert(bits) is not None:
                 result[t] = True
                 break
@@ -416,12 +407,10 @@ def measure_dependence(
     check_count("trials", trials)
     selectors.candidates(sel, spec)
     mu_val = _mu_and_cap(sel, spec)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # verdict carries the tag
-        if spec.variant is Variant.TORNADO_MIX:
-            bound = dependence_bound_mix(mu_val, spec.d, spec.sigma, spec.psi)
-        else:
-            bound = dependence_bound(mu_val, spec.d, spec.sigma)
+    if spec.variant is Variant.TORNADO_MIX:
+        bound = dependence_bound_mix(mu_val, spec.d, spec.sigma, spec.psi)
+    else:
+        bound = dependence_bound(mu_val, spec.d, spec.sigma)
     _, dependent = _tail_counts(sel, spec, 0, True, trials, seed, workers)
     return _upper_report("dependence", dependent, trials, seed, bound, spec,
                          {"mu": mu_val, "selector": selectors.to_json_dict(sel)})
@@ -461,9 +450,7 @@ def large_mu_tail(
     check_count("trials", trials)
     selectors.candidates(sel, spec)
     mu_val = selectors.mu(sel, spec.out_bits)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # verdict carries the tag
-        bound = large_mu_bound(mu_val, delta, spec.d, spec.sigma, len(sel.query_keys))
+    bound = large_mu_bound(mu_val, delta, spec.d, spec.sigma, len(sel.query_keys))
     threshold = (1.0 + delta) * mu_val
     big, _ = _tail_counts(sel, spec, threshold, False, trials, seed, workers)
     return _upper_report("large_mu_tail", big, trials, seed, bound, spec,

@@ -19,7 +19,8 @@ from typing import Iterable, Sequence
 MAX_DIMENSION = 1 << 22
 
 
-def _offsets(sizes: Sequence[int]) -> list[int]:
+def offsets(sizes: Sequence[int]) -> list[int]:
+    """Start bit of each position's block in a bitset, then the total width."""
     off = [0]
     for s in sizes:
         off.append(off[-1] + s)
@@ -46,7 +47,7 @@ class GenKey:
         sizes = tuple(sizes)
         if len(chars) != len(sizes):
             raise ValueError("one character per position required")
-        off = _offsets(sizes)
+        off = offsets(sizes)
         bits = 0
         for i, a in enumerate(chars):
             if not 0 <= a < sizes[i]:
@@ -64,7 +65,7 @@ class GenKey:
 
     def position_chars(self) -> list[tuple[int, int]]:
         """The (position, character) pairs present, ascending."""
-        off = _offsets(self.sizes)
+        off = offsets(self.sizes)
         out = []
         b = self.bits
         while b:
@@ -85,7 +86,7 @@ class GenKey:
         """Restriction to positions 1..i (1-based; i=0 gives the empty key)."""
         if not 0 <= i <= len(self.sizes):
             raise ValueError(f"prefix {i} out of range")
-        off = _offsets(self.sizes)
+        off = offsets(self.sizes)
         return GenKey(self.sizes, self.bits & ((1 << off[i]) - 1))
 
 

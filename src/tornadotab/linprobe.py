@@ -223,7 +223,8 @@ def probe_experiment(
     sources and measures insertion probe counts for fresh query keys. A
     third table hashes n_star = (1 + 15*sqrt(log(1/star_delta)/sigma))*n
     keys with the baseline mixer; the tornado probe-length CDF is compared
-    against it for stochastic dominance within a DKW-style tolerance.
+    against it for stochastic dominance within a DKW-style tolerance. The gate
+    sees a stuck low top bit, not zeroed levels (simple tabulation passes too).
     """
     if m <= 0 or m & (m - 1):
         raise ValueError("m must be a power of two")

@@ -162,25 +162,21 @@ def _first_occurrences(vals: np.ndarray, bits: int) -> np.ndarray:
     return first
 
 
-def sample_distinct_keys(
-    seed: int | np.ndarray, n: int, bits: int, exclude: np.ndarray | None = None
-) -> np.ndarray:
-    """First ``n`` distinct stream values not in ``exclude``, in stream order.
+def sample_distinct_keys(seed: int | np.ndarray, n: int, bits: int) -> np.ndarray:
+    """First ``n`` distinct stream values, in stream order.
 
     A ``(B,)`` array of seeds gives a ``(B, n)`` block whose row b is the
     keys of ``seed[b]`` alone. The keys are defined by the stream, not by how
     much of it is drawn: a row draws ``n + max(64, n // 4)`` values, and one
-    left short (a nearly full universe, or many excluded keys) is drawn
-    again with twice as many.
+    left short (a nearly full universe) is drawn again with twice as many.
 
     Taking the first n distinct values of an iid-uniform stream yields a
     uniformly random n-subset of the universe, which is what the experiments
     need for "a random key set".
     """
     universe = 1 << bits
-    excluded = 0 if exclude is None else len(exclude)
-    if not 0 <= n <= universe - excluded:
-        raise ValueError(f"cannot sample {n} distinct keys from {universe - excluded}")
+    if not 0 <= n <= universe:
+        raise ValueError(f"cannot sample {n} distinct keys from {universe}")
     seeds = np.asarray(seed, dtype=np.uint64)
     rows = seeds.reshape(-1)
     out = np.empty((len(rows), n), dtype=np.uint64)
@@ -189,8 +185,6 @@ def sample_distinct_keys(
     while len(todo):
         vals = raw_key_stream(rows[todo], count, bits)
         keep = _first_occurrences(vals, bits)
-        if excluded:
-            keep &= ~np.isin(vals, exclude)
         rank = np.cumsum(keep, axis=1, dtype=np.int32)
         full = rank[:, -1] >= n
         done = todo[full]

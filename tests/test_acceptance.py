@@ -262,3 +262,30 @@ def test_15_chernoff_gate_sees_stuck_top_bit(monkeypatch):
     ok = real.verdict is ex.Verdict.WITHIN_BOUND and mutant.verdict is ex.Verdict.VIOLATION
     _report("15-chernoff-gate-can-fail", ok,
             f"real={real.estimate:.2e} stuck bit={mutant.estimate:.3f} bound={real.bound:.2e}")
+
+
+def _probing_dominance():
+    """Test 10's shape; the CDF dominance report carries the gate's verdict."""
+    spec = TornadoSpec(16, 2, 4, 16, Variant.TORNADO)
+    res = linprobe.probe_experiment(spec, n=3 * (1 << 14), m=1 << 16, queries=1 << 10,
+                                    trials=64, seed=MASTER_SEED, star_delta=0.01)
+    return res.to_reports()[1]
+
+
+def test_16_probing_gate_sees_stuck_top_bit(monkeypatch):
+    """The probing gate fails a hash whose top entries have the low bit stuck at 0.
+
+    Keys then hash only to even cells, so the tornado probe-length CDF falls
+    below the mixer's over n_star keys by more than the DKW tolerance (margin
+    -0.022 against 0.0135). At 32 trials it clears the wider tolerance (0.019)
+    by little and at 16 not at all, so 64 are run. This gate cannot see
+    zeroed level tables (simple tabulation meets the linear-probing bound);
+    test 13 catches those.
+    """
+    real = _probing_dominance()
+    _stick_top_low_bit(monkeypatch)
+    mutant = _probing_dominance()
+    ok = real.verdict is ex.Verdict.WITHIN_BOUND and mutant.verdict is ex.Verdict.VIOLATION
+    _report("16-probing-gate-can-fail", ok,
+            f"real margin={real.params['margin']:.4f} "
+            f"stuck bit margin={mutant.params['margin']:.4f} tol={real.bound:.4f}")

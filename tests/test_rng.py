@@ -106,12 +106,6 @@ def test_sample_distinct_keys_properties():
     assert np.array_equal(keys, again)
 
 
-def test_sample_distinct_keys_exclude():
-    excl = rng.sample_distinct_keys(5, 100, 8)
-    more = rng.sample_distinct_keys(5, 100, 8, exclude=excl)
-    assert not np.isin(more, excl).any()
-
-
 def test_sample_distinct_keys_whole_universe():
     keys = rng.sample_distinct_keys(9, 256, 8)
     assert sorted(int(k) for k in keys) == list(range(256))
@@ -122,8 +116,6 @@ def test_sample_distinct_keys_too_many():
         rng.sample_distinct_keys(1, 300, 8)
     with pytest.raises(ValueError):
         rng.sample_distinct_keys(np.arange(3, dtype=np.uint64), 300, 8)
-    with pytest.raises(ValueError):
-        rng.sample_distinct_keys(np.arange(3, dtype=np.uint64), 200, 8, exclude=np.arange(57))
     with pytest.raises(ValueError):
         rng.sample_distinct_keys(1, -1, 8)
 
@@ -138,11 +130,11 @@ def test_first_occurrence_branches_agree():
     assert rng._first_occurrences(vals, 64).tolist() == expect  # stable argsort
 
 
-def first_distinct_reference(seed, n, bits, exclude):
+def first_distinct_reference(seed, n, bits):
     """Walk the stream one value at a time, as the sampler's definition reads."""
     count = 64
     while True:
-        seen, picked = {int(x) for x in exclude}, []
+        seen, picked = set(), []
         for v in rng.raw_key_stream(seed, count, bits).tolist():
             if len(picked) == n:
                 return picked
@@ -154,21 +146,20 @@ def first_distinct_reference(seed, n, bits, exclude):
 
 @settings(max_examples=60, deadline=None)
 @given(b=st.integers(1, 5), n=st.integers(0, 300), bits=st.sampled_from([8, 9, 12, 40, 62, 64]),
-       seed=st.integers(0, rng.M64), n_excluded=st.integers(0, 64))
-def test_batched_rows_equal_single_seed_calls(b, n, bits, seed, n_excluded):
+       seed=st.integers(0, rng.M64))
+def test_batched_rows_equal_single_seed_calls(b, n, bits, seed):
     """Row b of a seed-array call is the B=1 call for seed b, and both are the
-    first n distinct non-excluded stream values; bits=8 and 9 make dense
-    universes where rows come up short and are redrawn, 62 and 64 take the
-    stable-argsort branch."""
-    exclude = np.unique(rng.raw_key_stream(seed ^ 1, n_excluded, bits))
-    n = min(n, (1 << bits) - len(exclude))
+    first n distinct stream values; bits=8 and 9 make dense universes where
+    rows come up short and are redrawn, 62 and 64 take the stable-argsort
+    branch."""
+    n = min(n, 1 << bits)
     seeds = rng.trial_seed_vec(seed, np.arange(b, dtype=np.uint64))
-    block = rng.sample_distinct_keys(seeds, n, bits, exclude)
+    block = rng.sample_distinct_keys(seeds, n, bits)
     assert block.shape == (b, n) and block.dtype == np.uint64
     for s, row in zip(seeds.tolist(), block):
-        single = rng.sample_distinct_keys(s, n, bits, exclude)
+        single = rng.sample_distinct_keys(s, n, bits)
         assert np.array_equal(row, single)
-        assert single.tolist() == first_distinct_reference(s, n, bits, exclude)
+        assert single.tolist() == first_distinct_reference(s, n, bits)
 
 
 def test_mixer_hash_matches_vec():
