@@ -21,10 +21,11 @@ back to exact F2 elimination for the rare survivors. Each peeling round
 works on the keys still alive only, and counts their characters by sort
 when few are left (``_peel_alive``).
 
-Dependence, the Chernoff joint tail and the large-mu tail count the same
-per-trial pair, (selected size >= threshold, derived keys dependent), so
-one range worker serves all three, and one builder makes every upper-bound
-report (those three and each chaining ``k``).
+One range worker serves all four tail experiments, dependence, the Chernoff
+joint tail, the large-mu tail and chaining: it returns a histogram of
+selected-set sizes and the dependent trials among those with at least a
+given size. Chaining is the size tail of the bin-0 selector over n keys
+sampled per trial. One builder makes every upper-bound report.
 
 The exact checks walk one blocked enumeration of every table filling at tiny
 sigma, ``_table_fillings``; survival's exact rate derives it with ``derive_stack``.
@@ -358,25 +359,25 @@ def _mu_and_cap(sel: selectors.Selector, spec: TornadoSpec) -> float:
     return mu_val
 
 
-def _tail_range(args) -> tuple[int, int]:
-    """(trials in [start, stop) whose selected set has >= threshold keys, those
-    of them whose selected derived keys are dependent; 0 unless count_dependent)."""
-    spec, sel, master_seed, threshold, count_dependent, start, stop = args
-    keys = selectors.candidates(sel, spec)
+def _tail_range(args) -> tuple[np.ndarray, int]:
+    """(histogram of selected-set sizes in the trials [start, stop), the trials
+    of >= dep_threshold selected keys whose derived keys are dependent, none
+    at math.inf). ``keys`` is the candidate array, or n to sample per trial."""
+    spec, sel, keys, master_seed, dep_threshold, start, stop = args
     sizes = tuple(1 << spec.position_bits(i) for i in range(spec.positions))
     evaluate = sel.kind is not selectors.SelectorKind.FIXED_SET
-    big = dependent = 0
-    for _, _, _, chars, evals in trial_blocks(spec, keys, evaluate, master_seed, start, stop):
+    hist = dependent = 0
+    for _, _, xs, chars, evals in trial_blocks(spec, keys, evaluate, master_seed, start, stop):
         if evaluate:
-            mask = selectors.selection_mask(sel, keys, evals, spec.out_bits)
+            mask = selectors.selection_mask(sel, xs, evals, spec.out_bits)
         else:
             mask = np.ones(chars.shape[:2], dtype=bool)
-        flag = mask.sum(axis=1) >= threshold
-        n_flag = int(flag.sum())
-        big += n_flag
-        if count_dependent and n_flag:
+        size = mask.sum(axis=1)
+        hist += np.bincount(size, minlength=mask.shape[1] + 1)
+        flag = size >= dep_threshold
+        if flag.any():
             dependent += int(_dependent_rows(chars, sizes, mask & flag[:, None]).sum())
-    return big, dependent
+    return hist, dependent
 
 
 def _run_ranges(fn, args_base: tuple, trials: int, workers: int):
@@ -389,10 +390,11 @@ def _run_ranges(fn, args_base: tuple, trials: int, workers: int):
         return list(pool.map(fn, jobs))
 
 
-def _tail_counts(sel: selectors.Selector, spec: TornadoSpec, threshold: float,
-                 count_dependent: bool, trials: int, seed: int, workers: int) -> tuple[int, int]:
-    parts = _run_ranges(_tail_range, (spec, sel, seed, threshold, count_dependent),
-                        trials, workers)
+def _tail_counts(sel: selectors.Selector, spec: TornadoSpec, keys, dep_threshold: float,
+                 trials: int, seed: int, workers: int) -> tuple[np.ndarray, int]:
+    """``_tail_range`` over [0, trials): the summed histograms and dependent counts."""
+    check_count("trials", trials)
+    parts = _run_ranges(_tail_range, (spec, sel, keys, seed, dep_threshold), trials, workers)
     return sum(p[0] for p in parts), sum(p[1] for p in parts)
 
 
@@ -404,14 +406,13 @@ def measure_dependence(
     workers: int = 1,
 ) -> ExperimentReport:
     """Fraction of seeds whose derived selected keys are linearly dependent."""
-    check_count("trials", trials)
-    selectors.candidates(sel, spec)
+    keys = selectors.candidates(sel, spec)
     mu_val = _mu_and_cap(sel, spec)
     if spec.variant is Variant.TORNADO_MIX:
         bound = dependence_bound_mix(mu_val, spec.d, spec.sigma, spec.psi)
     else:
         bound = dependence_bound(mu_val, spec.d, spec.sigma)
-    _, dependent = _tail_counts(sel, spec, 0, True, trials, seed, workers)
+    _, dependent = _tail_counts(sel, spec, keys, 0, trials, seed, workers)
     return _upper_report("dependence", dependent, trials, seed, bound, spec,
                          {"mu": mu_val, "selector": selectors.to_json_dict(sel)})
 
@@ -427,13 +428,13 @@ def chernoff_tail(
     """Joint probability of an oversized selected set with independent derived
     keys, against the upper-tail rate. The gate sees a stuck low bit in the top
     entries, not zeroed level tables (simple tabulation meets this bound too)."""
-    check_count("trials", trials)
-    selectors.candidates(sel, spec)
+    keys = selectors.candidates(sel, spec)
     mu_val = _mu_and_cap(sel, spec)
     bound = chernoff_bound(mu_val, delta)
     threshold = (1.0 + delta) * mu_val
-    big, dependent = _tail_counts(sel, spec, threshold, True, trials, seed, workers)
-    return _upper_report("chernoff_tail", big - dependent, trials, seed, bound, spec,
+    hist, dependent = _tail_counts(sel, spec, keys, threshold, trials, seed, workers)
+    joint = int(hist[math.ceil(threshold):].sum()) - dependent
+    return _upper_report("chernoff_tail", joint, trials, seed, bound, spec,
                          {"mu": mu_val, "delta": delta, "threshold": threshold,
                           "selector": selectors.to_json_dict(sel)})
 
@@ -447,26 +448,17 @@ def large_mu_tail(
     workers: int = 1,
 ) -> ExperimentReport:
     """Tail of the selected-set size when mu exceeds sigma/2."""
-    check_count("trials", trials)
-    selectors.candidates(sel, spec)
+    keys = selectors.candidates(sel, spec)
     mu_val = selectors.mu(sel, spec.out_bits)
     bound = large_mu_bound(mu_val, delta, spec.d, spec.sigma, len(sel.query_keys))
     threshold = (1.0 + delta) * mu_val
-    big, _ = _tail_counts(sel, spec, threshold, False, trials, seed, workers)
+    hist, _ = _tail_counts(sel, spec, keys, math.inf, trials, seed, workers)
+    big = int(hist[math.ceil(threshold):].sum())
     return _upper_report("large_mu_tail", big, trials, seed, bound, spec,
                          {"mu": mu_val, "delta": delta,
                           "delta0": large_mu_delta0(mu_val, delta, spec.sigma,
                                                     len(sel.query_keys)),
                           "selector": selectors.to_json_dict(sel)})
-
-
-def _chaining_range(args) -> np.ndarray:
-    """Bin-0 occupancy counts for trials in [start, stop)."""
-    spec, n, master_seed, start, stop = args
-    out = np.empty(stop - start, dtype=np.int64)
-    for lo, seeds, _, _, evals in trial_blocks(spec, n, True, master_seed, start, stop):
-        out[lo - start:lo - start + len(seeds)] = (evals == 0).sum(axis=1)
-    return out
 
 
 def chaining_tail(
@@ -478,17 +470,22 @@ def chaining_tail(
     workers: int = 1,
 ) -> list[ExperimentReport]:
     """Probability that a fixed bin receives >= k of n keys thrown into n bins,
-    each trial with its own key set. The gate sees a stuck low bit in the top
-    entries, not zeroed level tables (simple tabulation meets this bound too)."""
+    each trial with its own key set: the size tail of the bin-0 selector. The
+    gate sees a stuck low bit in the top entries, not zeroed level tables
+    (simple tabulation meets this bound too)."""
     if n & (n - 1) or n <= 0:
         raise ValueError("n must be a power of two")
     if (1 << spec.out_bits) != n:
         raise ValueError("chaining requires out_bits = log2(n)")
-    check_count("trials", trials)
-    counts = np.concatenate(_run_ranges(_chaining_range, (spec, n, seed), trials, workers))
-    return [_upper_report(f"chaining_tail_k{k}", int((counts >= k).sum()), trials, seed,
-                          chaining_bound(k, spec.d, spec.sigma), spec, {"n": n, "k": k})
-            for k in k_list]
+    k_list = list(k_list)
+    if not k_list:
+        raise ValueError("k_list must name at least one k")
+    bounds = [chaining_bound(k, spec.d, spec.sigma) for k in k_list]
+    hist, _ = _tail_counts(selectors.bin_selector((), 0), spec, n, math.inf, trials, seed,
+                           workers)
+    return [_upper_report(f"chaining_tail_k{k}", int(hist[k:].sum()), trials, seed, bound, spec,
+                          {"n": n, "k": k})
+            for k, bound in zip(k_list, bounds)]
 
 
 # -- exact checks (full table enumeration) ------------------------------------

@@ -149,8 +149,8 @@ def selection_mask(sel: Selector, keys: np.ndarray, evals: np.ndarray,
                    out_bits: int) -> np.ndarray:
     """Selection under B hash functions at once, a (B, n) bool mask.
 
-    ``keys`` is the sorted candidate set (n,) and ``evals`` its hashes under
-    each function (B, n); query keys are looked up among the candidates.
+    ``evals`` holds the hashes (B, n) of n keys under each function;
+    ``keys``, the sorted candidates, is read only to find the query keys.
     """
     kind = sel.kind
     if kind is SelectorKind.FIXED_SET:

@@ -186,6 +186,7 @@ class TestExitCodes:
         ("independence", "--trials", "-5"),
         ("independence", "--trials", "0"),
         ("chaining", "--trials", "0"),
+        ("chaining", "--k", "0"),
         ("chernoff", "--trials", "0"),
         ("survival", "--rounds", "0"),
         ("survival", "--trials", "0"),

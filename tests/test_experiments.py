@@ -703,6 +703,12 @@ class TestDegenerateRuns:
         with pytest.raises(ValueError, match="delta"):
             run()
 
+    @pytest.mark.parametrize("k_list", [[0], [-1], [], [4, 0]], ids=str)
+    def test_bad_k_rejected_before_any_trial(self, monkeypatch, k_list):
+        monkeypatch.setattr(ex, "_run_ranges", None)  # a trial run would call it
+        with pytest.raises(ValueError, match="k"):
+            ex.chaining_tail(SPEC_G, 16, k_list, 10, 1)
+
     def test_negative_rounds_rejected(self):
         spec = TornadoSpec(4, 2, 1, 1, Variant.SIMPLE_TORNADO)
         with pytest.raises(ValueError, match="rounds"):

@@ -296,11 +296,15 @@ def test_report(run, row, digest):
     assert sha256(out.encode()) == digest
 
 
+def chaining_run(workers=1):
+    spec = parse_spec_string("tornado,cb=8,c=2,d=4,r=8")
+    return experiments.chaining_tail(spec, 256, [4, 8], 768, 0x2026, workers=workers)
+
+
 def test_chaining_report():
     """``chaining_tail`` at the benchmark's shape: rows without their params
     column, and the SHA-256 of the whole CSV."""
-    spec = parse_spec_string("tornado,cb=8,c=2,d=4,r=8")
-    out = experiments.reports_to_csv(experiments.chaining_tail(spec, 256, [4, 8], 768, 0x2026))
+    out = experiments.reports_to_csv(chaining_run())
     assert [line.split(',"')[0] for line in out.splitlines()[1:]] == [
         "chaining_tail_k4,0.01953125,0.00499345669161538,0.07845913015325232,768,0x2026,"
         "WithinBound",
@@ -309,7 +313,8 @@ def test_chaining_report():
         "1e9d4e2752bde7ec44155f26584c11dadd9277aa675c28315f0ebb6844ed258f")
 
 
-@pytest.mark.parametrize("run", [large_mu_run, chernoff_run], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("run", [large_mu_run, chernoff_run, chaining_run],
+                         ids=lambda f: f.__name__)
 def test_two_workers_give_the_same_report(run):
     assert run(workers=2) == run(workers=1)
 
