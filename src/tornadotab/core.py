@@ -156,6 +156,8 @@ def parse_spec_string(text: str) -> TornadoSpec:
     try:
         variant = Variant(parts[0])
         fields = dict(p.split("=", 1) for p in parts[1:])
+        if len(fields) < len(parts) - 1 or fields.keys() - {"cb", "c", "d", "r", "psi"}:
+            raise ConfigError(f"bad spec string {text!r}: unknown or repeated field")
         return TornadoSpec(
             char_bits=int(fields["cb"]),
             c=int(fields["c"]),
@@ -424,44 +426,37 @@ class TornadoHash:
         check_key(spec, x)
         f = self._folded or self.folded  # the property call only until folded
         tabs = f.tables
-        c, d = spec.c, spec.d
+        c = spec.c
         acc = 0
-        for i in range(c - 1):
-            acc ^= tabs[i][x & 255]
+        for tab in tabs[:c - 1]:
+            acc ^= tab[x & 255]
             x >>= 8
         acc ^= x  # remaining low bits are the last input character
-        if f.profile == "w64":
-            for i in range(c - 1, c + d):
-                ch = acc & 255
-                acc >>= 8
-                acc ^= tabs[i][ch]
-            return acc
-        for i in range(c - 1, c + d - 2):
+        for tab in tabs[c - 1:]:
             ch = acc & 255
             acc >>= 8
-            acc ^= tabs[i][ch]
-        b1 = acc & 0xFFFF
-        acc >>= 16
-        b2 = acc & 0xFFFF
-        acc >>= 16
-        return acc ^ f.psi_tables[0][b1] ^ f.psi_tables[1][b2]  # type: ignore[index]
+            acc ^= tab[ch]
+        for tab in f.wide:
+            ch = acc & 0xFFFF
+            acc >>= 16
+            acc ^= tab[ch]
+        return acc
 
 
 @dataclass
 class FoldedTables:
     """Packed single-pass tables for the two supported fast-path profiles.
 
-    ``w64``: plain tornado with 8-bit characters, one 64-bit word per entry
-    packing (low to high) the not-yet-consumed derived characters then the
-    output bits. ``w128mix``: tornado-mix with 8-bit characters and 16-bit
-    tail characters, 128-bit entries for the character tables plus two
-    psi-indexed output tables.
+    Each entry packs (low to high) the level entries pending when its
+    position is consumed, then the top entry (:func:`_fold_layout`).
+    ``tables`` are 8-bit indexed: all c + d positions for ``w64``, also kept
+    as the (c + d, 256) uint64 ``tables_np``, and the first c + d - 2 for
+    ``w128mix``. ``wide`` holds its two 16-bit tables, empty for ``w64``.
     """
 
-    profile: str
     tables: list[list[int]]
     tables_np: np.ndarray | None = None
-    psi_tables: list[list[int]] | None = None
+    wide: list[list[int]] = field(default_factory=list)
 
 
 def is_w64(spec: TornadoSpec) -> bool:
@@ -524,25 +519,25 @@ def fold_stacks(spec: TornadoSpec, levels: dict[int, np.ndarray],
 def fold_tables(h: TornadoHash) -> FoldedTables:
     """Pack the logical tables of ``h`` into its profile's folded layout.
 
-    The packing mirrors the evaluation loop (:func:`_fold_layout`), so the
-    folded evaluation is equal to the reference path by construction. The
-    w64 tables are the stack fold of the hash's one trial; the w128mix
-    entries do not fit 64 bits and are packed as Python ints.
+    Every position packs by :func:`_fold_layout`, which mirrors the
+    evaluation loop, so the folded evaluation is equal to the reference path
+    by construction. The w64 tables are the stack fold of the hash's one
+    trial. The w128mix entries do not fit 64 bits and are packed as Python
+    ints; the first 16-bit table's top entries sit 16 bits up, above the
+    still-pending last character.
     """
     spec = h.spec
     if folded_profile(spec) == "w64":
         tables_np = _read_only(fold_stacks(spec, *h._stacks())[:, 0])
-        return FoldedTables("w64", tables_np.tolist(), tables_np)
-    n_sigma = spec.positions - 2  # the 8-bit positions
+        return FoldedTables(tables_np.tolist(), tables_np)
     tables: list[list[int]] = []
-    for p in range(n_sigma):
+    for p in range(spec.positions):
         pending, top_off = _fold_layout(spec, p)
         col = [x << top_off for x in h.top_table[p].tolist()]
         for level, off in pending:
             col = [v ^ (x << off) for v, x in zip(col, h.level_tables[level][p].tolist())]
         tables.append(col)
-    psi_tables = [[int(v) for v in h.top_table[n_sigma + k]] for k in range(2)]
-    return FoldedTables("w128mix", tables, None, psi_tables)
+    return FoldedTables(tables[:-2], wide=tables[-2:])
 
 
 def eval_folded_stack(spec: TornadoSpec, folded: np.ndarray, xs: np.ndarray,
@@ -606,9 +601,8 @@ def eval_folded_batch(h: TornadoHash, xs: np.ndarray) -> np.ndarray:
     """Vectorized folded evaluation (w64 profile only): the folded loop with
     one trial."""
     f = h.folded
-    if f.profile != "w64":
+    if f.tables_np is None:
         raise ConfigError("batch folded evaluation only supports the w64 profile")
-    assert f.tables_np is not None
     xs = check_keys(h.spec, xs)
     return eval_folded_stack(h.spec, f.tables_np[:, None], xs, keep_chars=False)[1][0]
 

@@ -222,8 +222,8 @@ def chernoff_bound(mu: float, delta: float) -> float:
 
 def chaining_bound(k: int, d: int, sigma_size: int) -> float:
     """Bound on a fixed bin of n receiving >= k of n thrown keys."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     return math.exp(k - 1) / float(k) ** k + 7.0 * (3.0 / sigma_size) ** (d + 1) + 2.0 ** (
         -sigma_size / 2
     )

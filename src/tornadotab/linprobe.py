@@ -232,6 +232,8 @@ def probe_experiment(
         raise ValueError("probing requires out_bits = log2(m)")
     if n / m > 4 / 5:
         raise ValueError("load factor above 4/5 is outside the supported regime")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if queries < 1 or trials < 1:
         raise ValueError("need at least one query and one trial")
     if not 0 < star_delta < 1:  # 0 divides by zero, 1 compares the baseline with itself
@@ -283,10 +285,10 @@ def probe_experiment(
 def histograms_csv(comparison: ProbeComparison) -> str:
     """Per-trial probe-length histograms: source, seed, probe_length, count."""
     lines = ["source,seed,probe_length,count"]
+    seeds = rng.trial_seed_vec(comparison.seed, np.arange(comparison.trials)).tolist()
     for st in (comparison.tornado, comparison.baseline, comparison.baseline_star):
-        for t in range(comparison.trials):
-            ts = rng.trial_seed(comparison.seed, t)
-            row = st.probe_lengths[t]
-            for length in np.unique(row):
-                lines.append(f"{st.source},{ts:#x},{length},{int((row == length).sum())}")
+        for ts, row in zip(seeds, st.probe_lengths):
+            lengths, counts = np.unique(row, return_counts=True)
+            lines.extend(f"{st.source},{ts:#x},{length},{count}"
+                         for length, count in zip(lengths.tolist(), counts.tolist()))
     return "\n".join(lines) + "\n"

@@ -199,6 +199,7 @@ class TestExitCodes:
         ("chernoff", "--bin", "-1"),
         ("chernoff", "--set-size", "0", "--trials", "10"),  # mu = 0
         ("independence", "--set-size", "0", "--trials", "10"),
+        ("dump-tables", "--spec", "tornado,cb=4,c=2,d=1,r=4,typo=9"),
     ])
     def test_degenerate_run_exits_1_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)

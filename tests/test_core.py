@@ -29,6 +29,13 @@ W64_SPECS = [
     TornadoSpec(8, 4, 4, 24, Variant.TORNADO),
     TornadoSpec(8, 4, 3, 32, Variant.TORNADO),
 ]
+MIX_SPECS = [
+    TornadoSpec(8, 8, 5, 64, Variant.TORNADO_MIX, psi_bits=16),
+    TornadoSpec(8, 4, 3, 64, Variant.TORNADO_MIX, psi_bits=16),
+    # d=2: both derived characters are wide, no 8-bit derived levels
+    TornadoSpec(8, 2, 2, 32, Variant.TORNADO_MIX, psi_bits=16),
+    TornadoSpec(8, 4, 2, 64, Variant.TORNADO_MIX, psi_bits=16),
+]
 
 
 def _derive_reference(h: TornadoHash, x: int) -> tuple[int, ...]:
@@ -111,6 +118,9 @@ class TestSpec:
             parse_spec_string("nonsense")
         with pytest.raises(ConfigError):
             parse_spec_string("tornado,cb=8")
+        for text in ("tornado,cb=8,c=2,d=4,r=8,bogus=1", "tornado,cb=8,c=2,d=4,r=8,cb=4"):
+            with pytest.raises(ConfigError, match="unknown or repeated field"):
+                parse_spec_string(text)
 
 
 class TestBuild:
@@ -367,20 +377,27 @@ class TestFolded:
         folded = fold_tables(TornadoHash.build(spec, 1))
         assert len(folded.tables) == 7
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            TornadoSpec(8, 8, 5, 64, Variant.TORNADO_MIX, psi_bits=16),
-            TornadoSpec(8, 4, 3, 64, Variant.TORNADO_MIX, psi_bits=16),
-            # d=2: both derived characters are wide, no 8-bit derived levels
-            TornadoSpec(8, 2, 2, 32, Variant.TORNADO_MIX, psi_bits=16),
-            TornadoSpec(8, 4, 2, 64, Variant.TORNADO_MIX, psi_bits=16),
-        ],
-    )
+    @pytest.mark.parametrize("spec", MIX_SPECS)
     def test_mix_profile_matches_reference(self, spec):
         h = TornadoHash.build(spec, 0xD00D)
         for x in rng.raw_key_stream(4, 2000, spec.key_bits):
             assert h.eval_folded(int(x)) == h.eval(int(x))
+
+    def test_every_position_folds_by_one_rule(self):
+        """w64 folds all c + d positions into 8-bit tables; w128mix folds the
+        first c + d - 2, then its two 16-bit positions: the first with its top
+        entry 16 bits up, above the last character, the second at 0."""
+        for spec in W64_SPECS:
+            folded = fold_tables(TornadoHash.build(spec, 1))
+            assert folded.wide == [] and len(folded.tables) == spec.positions
+        for spec in MIX_SPECS:
+            h = TornadoHash.build(spec, 1)
+            folded = fold_tables(h)
+            n8 = spec.positions - 2
+            assert len(folded.tables) == n8
+            assert [len(t) for t in folded.wide] == [1 << 16, 1 << 16]
+            assert folded.wide[0] == [v << 16 for v in h.top_table[n8].tolist()]
+            assert folded.wide[1] == h.top_table[n8 + 1].tolist()
 
     @pytest.mark.parametrize(
         "c,d,out_bits",

@@ -703,7 +703,7 @@ class TestDegenerateRuns:
         with pytest.raises(ValueError, match="delta"):
             run()
 
-    @pytest.mark.parametrize("k_list", [[0], [-1], [], [4, 0]], ids=str)
+    @pytest.mark.parametrize("k_list", [[0], [-1], [], [4, 0], [4.5]], ids=str)
     def test_bad_k_rejected_before_any_trial(self, monkeypatch, k_list):
         monkeypatch.setattr(ex, "_run_ranges", None)  # a trial run would call it
         with pytest.raises(ValueError, match="k"):

@@ -138,6 +138,11 @@ class TestProbeExperiment:
         with pytest.raises(ValueError, match="star_delta"):
             lp.probe_experiment(self.SPEC, 100, 1024, 16, 1, 1, star_delta=star_delta)
 
+    def test_negative_n_rejected(self, monkeypatch):
+        monkeypatch.setattr(lp, "trial_blocks", None)  # a trial run would call it
+        with pytest.raises(ValueError, match="n must be"):
+            lp.probe_experiment(self.SPEC, -5, 1024, 64, 1, 1)
+
     def test_star_overflow_detected(self):
         with pytest.raises(ValueError):
             lp.probe_experiment(self.SPEC, 800, 1024, 16, 1, 1, star_delta=0.01)
