@@ -21,10 +21,11 @@ in the documented order (levels ascending, positions ascending, slots
 ascending, then the top table).
 
 One batched engine builds, derives and evaluates: :func:`level_stacks` and
-:func:`top_stacks` fill the tables of B hash functions at once,
-:func:`derive_stack` computes derived characters, with level entries read
-from a filled stack or hashed from their addresses, and :func:`eval_stack`
-the top tabulation. For the w64 profile, :func:`fold_stacks` packs filled
+:func:`top_stacks` fill the tables of B hash functions at once, the level
+tables position-major, :func:`derive_stack` computes derived characters,
+with level entries read from a filled stack (through one gather index per
+position) or hashed from their addresses, and :func:`eval_stack` the top
+tabulation. For the w64 profile, :func:`fold_stacks` packs filled
 stacks into one 64-bit word per position and character, and the folded loop
 :func:`eval_folded_stack` derives and evaluates with c + d gathers per key.
 A :class:`TornadoHash` is a stack of one: ``build`` fills the stacks for its
@@ -199,27 +200,33 @@ def check_keys(spec: TornadoSpec, xs) -> np.ndarray:
 
 # -- the batched engine -------------------------------------------------------
 #
-# Every table is a contiguous stack with one leading row per hash function
-# (trial), so a TornadoHash is a stack of one and the Monte Carlo experiments
-# evaluate B functions with the same code. The entry trial ``b`` reads at
-# character ``ch`` lies at flat offset ``b * stride + ch`` (plus
-# ``j * alphabet`` for position ``j`` of a level table), and one ``np.take``
-# on the raveled table reads a whole (B, n) block. Derived characters are
-# ``intp``, stored position by position, so each position is a contiguous
-# block of offsets that needs no cast.
+# Every table is a contiguous stack over B hash functions (trials), so a
+# TornadoHash is a stack of one and the Monte Carlo experiments evaluate B
+# functions with the same code. A level stack is position-major, (npos, B,
+# sigma), and a top table is (B, alphabet_i). Either way the entries one
+# position reads form one flat row of B blocks, and trial ``b`` reads
+# character ``ch`` at flat offset ``b * alphabet + ch``. So one gather index
+# per position, ``chars + b * alphabet`` (the characters themselves when
+# B = 1), serves every table that reads the position, and one ``np.take``
+# into a preallocated buffer reads a whole (B, n) block. Derived characters
+# are ``intp``, stored position by position, so each position is a
+# contiguous block of indices that needs no cast. Every character is below
+# its alphabet, so ``mode="wrap"`` reads the same entries as the default
+# "raise", which would copy through a temporary for ``out=``.
 
 EVAL_BLOCK = 1 << 15  # keys per engine call in eval_batch; bounds the intp characters
 FOLD_BLOCK = 1 << 14  # keys per pass of eval_folded_batch; its four buffers stay in L2
 
 
 def level_stacks(spec: TornadoSpec, seeds: np.ndarray) -> dict[int, np.ndarray]:
-    """Level tables for many seeds at once: level -> (B, npos, sigma) uint32."""
+    """Level tables for many seeds at once: level -> (npos, B, sigma) uint32,
+    position-major, so a level table of trial b is ``stack[:, b]``."""
     out: dict[int, np.ndarray] = {}
-    s3 = seeds[:, None, None]
+    s3 = seeds[None, :, None]
     for level in spec.levels():
         npos = spec.level_input_positions(level)
         mask = _U((1 << spec.level_output_bits(level)) - 1)
-        pos = np.arange(npos, dtype=np.uint64)[None, :, None]
+        pos = np.arange(npos, dtype=np.uint64)[:, None, None]
         slot = np.arange(spec.sigma, dtype=np.uint64)[None, None, :]
         vals = rng.field_value_vec(s3, rng.KIND_LEVEL, level, pos, slot)
         vals &= mask
@@ -245,21 +252,6 @@ def trial_base(n_trials: int, stride: int) -> np.ndarray:
     return np.arange(n_trials, dtype=np.intp)[:, None] * stride
 
 
-def _xor_gather(table: np.ndarray, chars: np.ndarray, n_pos: int) -> np.ndarray:
-    """XOR over j < n_pos of table[b, j, chars[b, k, j]], as flat takes.
-
-    table is a contiguous (B, n_pos, alphabet) stack, so that entry sits at
-    flat offset b*n_pos*alphabet + j*alphabet + chars[b, k, j].
-    """
-    flat = table.reshape(-1)
-    alphabet = table.shape[-1]
-    base = trial_base(len(table), n_pos * alphabet)
-    acc = np.take(flat, chars[:, :, 0] + base)
-    for j in range(1, n_pos):
-        acc ^= np.take(flat, chars[:, :, j] + (base + j * alphabet))
-    return acc
-
-
 def derive_stack(spec: TornadoSpec, levels: dict[int, np.ndarray] | np.ndarray, xs: np.ndarray,
                  n_trials: int) -> np.ndarray:
     """Derived keys for each trial, (B, n, c + d) intp; xs is (n,) shared or
@@ -267,44 +259,75 @@ def derive_stack(spec: TornadoSpec, levels: dict[int, np.ndarray] | np.ndarray, 
     entries are gathered, or the (B,) trial seeds, whose entries are hashed
     from their addresses as they are read: the same bits.
 
-    Characters are kept as intp so they index the flat tables directly. The
-    result is a view of position-major storage: each chars[:, :, i] that a
-    gather or the peeling reads is one contiguous (B, n) block, where
-    key-major storage made every gather stride over all c + d positions.
+    The result is a view of position-major storage: each chars[:, :, i] is
+    one contiguous (B, n) block. With filled stacks and B > 1, each position
+    is stored as its gather index ``ch + b * sigma`` from the moment it is
+    final, so every level read of it uses that one index; the trial offsets
+    are taken off before return, and the characters returned are raw.
     """
     xs = np.asarray(xs, dtype=np.uint64)
     shape = xs.shape if xs.ndim == 2 else (n_trials, len(xs))
-    chars = np.empty((spec.positions,) + shape, dtype=np.intp).transpose(1, 2, 0)
+    store = np.empty((spec.positions,) + shape, dtype=np.intp)
+    filled = isinstance(levels, dict)
+    base = trial_base(shape[0], spec.sigma) if filled and shape[0] > 1 else None
+    if filled:
+        acc, buf = np.empty(shape, dtype=np.uint32), np.empty(shape, dtype=np.uint32)
 
-    def lookup(level: int, n_pos: int) -> np.ndarray:
-        """XOR over j < n_pos of the level's entries at chars[:, :, j]."""
-        if isinstance(levels, dict):
-            return _xor_gather(levels[level], chars, n_pos)
-        acc = rng.field_value_vec(levels[:, None], rng.KIND_LEVEL, level, 0, chars[:, :, 0])
+    def lookup(level: int) -> np.ndarray:
+        """XOR of the level's entries at every position it reads."""
+        n_pos = spec.level_input_positions(level)
+        if filled:
+            rows = levels[level].reshape(n_pos, -1)
+            out = np.take(rows[0], store[0], out=acc, mode="wrap")
+            for j in range(1, n_pos):
+                out ^= np.take(rows[j], store[j], out=buf, mode="wrap")
+            return out
+        vals = rng.field_value_vec(levels[:, None], rng.KIND_LEVEL, level, 0, store[0])
         for j in range(1, n_pos):
-            acc ^= rng.field_value_vec(levels[:, None], rng.KIND_LEVEL, level, j, chars[:, :, j])
-        acc &= _U((1 << spec.level_output_bits(level)) - 1)
-        return acc.view(np.intp)  # as chars
+            vals ^= rng.field_value_vec(levels[:, None], rng.KIND_LEVEL, level, j, store[j])
+        vals &= _U((1 << spec.level_output_bits(level)) - 1)
+        return vals.view(np.intp)  # as chars
+
+    def final(p: int) -> None:
+        """Position p is final: store it as its gather index."""
+        if base is not None:
+            store[p] += base
 
     cmask = _U(spec.sigma - 1)
     for i in range(spec.c):
-        chars[:, :, i] = (xs >> _U(i * spec.char_bits)) & cmask
-    if spec.variant in (Variant.TORNADO, Variant.TORNADO_MIX) and spec.c > 1:
-        chars[:, :, spec.c - 1] ^= lookup(0, spec.c - 1)
+        store[i] = (xs >> _U(i * spec.char_bits)) & cmask
+    twist = spec.variant in (Variant.TORNADO, Variant.TORNADO_MIX) and spec.c > 1
+    for i in range(spec.c - 1 if twist else spec.c):
+        final(i)
+    if twist:
+        store[spec.c - 1] ^= lookup(0)
+        final(spec.c - 1)
     for level in range(1, spec.d + 1):
-        chars[:, :, spec.c + level - 1] = lookup(level, spec.level_input_positions(level))
-    return chars
+        store[spec.c + level - 1] = lookup(level)
+        final(spec.c + level - 1)
+    if base is not None:
+        store -= base
+    return store.transpose(1, 2, 0)
 
 
 def eval_stack(spec: TornadoSpec, top: list[np.ndarray], chars: np.ndarray) -> np.ndarray:
     """Top-table hash of each derived key, (B, n) uint64.
 
-    top[i] is a contiguous (B, alphabet_i) table, so one flat take per
-    position reads it; a tornado-mix tail position has a psi-wide alphabet.
+    top[i] is a contiguous (B, alphabet_i) table, so position i reads it at
+    the one gather index ``chars[:, :, i] + b * alphabet_i``; a tornado-mix
+    tail position has a psi-wide alphabet.
     """
-    h = np.zeros(chars.shape[:2], dtype=np.uint64)
+    n_trials = chars.shape[0]
+    h = np.empty(chars.shape[:2], dtype=np.uint64)
+    buf = np.empty_like(h)
+    idx = np.empty(h.shape, dtype=np.intp) if n_trials > 1 else None
     for i, tbl in enumerate(top):
-        h ^= np.take(tbl.reshape(-1), chars[:, :, i] + trial_base(len(tbl), tbl.shape[1]))
+        ix = chars[:, :, i]
+        if idx is not None:
+            ix = np.add(ix, trial_base(n_trials, tbl.shape[1]), out=idx)
+        np.take(tbl.reshape(-1), ix, out=buf if i else h, mode="wrap")
+        if i:
+            h ^= buf
     return h
 
 
@@ -313,14 +336,33 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _checked_table(t, shape: tuple[int, ...], bits: int, dtype, what: str) -> np.ndarray:
+    """``t`` as a read-only contiguous array of ``dtype``, copied unless it
+    already is one; ConfigError unless it has ``shape`` and every entry is an
+    integer in [0, 2**bits). The engine gathers with ``mode="wrap"``, so an
+    entry out of range would alias another entry instead of failing."""
+    a = np.asarray(t)
+    if a.shape != shape:
+        raise ConfigError(f"{what} has shape {a.shape}, expected {shape}")
+    if a.size and (a.dtype.kind not in "uiO" or (a.dtype.kind != "u" and int(a.min()) < 0)
+                   or int(a.max()) >> bits):
+        raise ConfigError(f"{what} entries must be integers in [0, 2**{bits})")
+    if a.dtype != dtype or a.flags.writeable or not a.flags.c_contiguous:
+        a = _read_only(np.array(a, dtype=dtype))
+    return a
+
+
 class TornadoHash:
     """An instantiated tornado tabulation hash function.
 
     Immutable after construction; safe to share across threads. Normally
     created through :meth:`build`; the direct constructor exists for tests
-    that need hand-crafted tables, in build's shapes: ``level_tables`` maps a
-    level to a (positions, sigma) array (kept as uint32), ``top_table`` holds
-    one 1-D uint64 array per derived-key position.
+    that need hand-crafted tables, in build's shapes: ``level_tables`` maps
+    each level of the spec to a (positions, sigma) array of entries below
+    2**level_output_bits, ``top_table`` holds one array of 2**position_bits
+    entries below 2**out_bits per derived-key position. Other tables raise
+    ConfigError. The tables are kept read-only, as uint32 and uint64; a
+    writable table is copied.
     """
 
     __slots__ = ("spec", "seed", "level_tables", "top_table", "_folded")
@@ -332,21 +374,30 @@ class TornadoHash:
         level_tables: dict[int, np.ndarray],
         top_table: list[np.ndarray],
     ):
+        if sorted(level_tables) != list(spec.levels()):
+            raise ConfigError(f"level tables {sorted(level_tables)} do not match the levels "
+                              f"{list(spec.levels())} of {spec.spec_string()}")
+        if len(top_table) != spec.positions:
+            raise ConfigError(f"{len(top_table)} top tables for {spec.positions} positions")
         self.spec = spec
         self.seed = seed
-        # the engine's dtype, exact for every level width (psi_bits <= 20); no
-        # copy for build's tables
-        self.level_tables = {lv: np.asarray(t, dtype=np.uint32)
-                             for lv, t in level_tables.items()}
-        self.top_table = top_table
+        self.level_tables = {
+            lv: _checked_table(t, (spec.level_input_positions(lv), spec.sigma),
+                               spec.level_output_bits(lv), np.uint32, f"level {lv} table")
+            for lv, t in level_tables.items()}
+        self.top_table = [
+            _checked_table(t, (1 << spec.position_bits(i),), spec.out_bits, np.uint64,
+                           f"top table {i}")
+            for i, t in enumerate(top_table)]
         self._folded: FoldedTables | None = None
 
     @classmethod
     def build(cls, spec: TornadoSpec, seed: int) -> "TornadoHash":
         """Fill the engine's stacks for the one seed and keep read-only views:
-        level -> (positions, sigma) and one 1-D top table per position."""
+        level -> (positions, sigma), the trial's column of each position-major
+        stack, and one 1-D top table per position."""
         seeds = np.array([seed], dtype=np.uint64)
-        levels = {lv: _read_only(t[0]) for lv, t in level_stacks(spec, seeds).items()}
+        levels = {lv: _read_only(t[:, 0]) for lv, t in level_stacks(spec, seeds).items()}
         return cls(spec, seed, levels, [_read_only(t[0]) for t in top_stacks(spec, seeds)])
 
     # -- reference (scalar) paths -------------------------------------------
@@ -393,7 +444,7 @@ class TornadoHash:
     # -- batch paths: the engine with B = 1 ------------------------------------
 
     def _stacks(self) -> tuple[dict[int, np.ndarray], list[np.ndarray]]:
-        return ({lv: t[None] for lv, t in self.level_tables.items()},
+        return ({lv: t[:, None] for lv, t in self.level_tables.items()},
                 [t[None] for t in self.top_table])
 
     def derive_batch(self, xs: np.ndarray) -> np.ndarray:
@@ -469,20 +520,6 @@ def is_w64(spec: TornadoSpec) -> bool:
     )
 
 
-def folded_profile(spec: TornadoSpec) -> str:
-    """Which fast-path profile a spec matches; raises if none."""
-    if is_w64(spec):
-        return "w64"
-    if (
-        spec.variant is Variant.TORNADO_MIX
-        and spec.char_bits == 8
-        and spec.psi_bits == 16
-        and 8 * (spec.d - 1) + 32 + spec.out_bits <= 128
-    ):
-        return "w128mix"
-    raise ConfigError(f"no folded profile for {spec.spec_string()}")
-
-
 def _fold_layout(spec: TornadoSpec, p: int) -> tuple[list[tuple[int, int]], int]:
     """Where the folded entry of position ``p`` (0-based) packs its parts:
     (level, bit offset) of each level entry pending when p is consumed, and
@@ -506,13 +543,15 @@ def _fold_layout(spec: TornadoSpec, p: int) -> tuple[list[tuple[int, int]], int]
 def fold_stacks(spec: TornadoSpec, levels: dict[int, np.ndarray],
                 top: list[np.ndarray]) -> np.ndarray:
     """Folded tables of B trials (w64 profile), a contiguous (c + d, B, 256)
-    uint64 stack, from :func:`level_stacks` and :func:`top_stacks` output."""
+    uint64 stack, from :func:`level_stacks` and :func:`top_stacks` output.
+    Position p packs ``top[p]`` and each pending level's (B, 256) block
+    ``levels[level][p]``, all in the same trial-major order."""
     folded = np.empty((spec.positions,) + top[0].shape, dtype=np.uint64)
     for p, col in enumerate(folded):
         pending, top_off = _fold_layout(spec, p)
         np.left_shift(top[p], _U(top_off), out=col)
         for level, off in pending:
-            col ^= levels[level][:, p].astype(np.uint64) << _U(off)
+            col ^= levels[level][p].astype(np.uint64) << _U(off)
     return folded
 
 
@@ -527,9 +566,12 @@ def fold_tables(h: TornadoHash) -> FoldedTables:
     still-pending last character.
     """
     spec = h.spec
-    if folded_profile(spec) == "w64":
+    if is_w64(spec):
         tables_np = _read_only(fold_stacks(spec, *h._stacks())[:, 0])
         return FoldedTables(tables_np.tolist(), tables_np)
+    if not (spec.variant is Variant.TORNADO_MIX and spec.char_bits == 8 and spec.psi_bits == 16
+            and 8 * (spec.d - 1) + 32 + spec.out_bits <= 128):
+        raise ConfigError(f"no folded layout for {spec.spec_string()}")
     tables: list[list[int]] = []
     for p in range(spec.positions):
         pending, top_off = _fold_layout(spec, p)

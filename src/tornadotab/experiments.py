@@ -599,7 +599,8 @@ def survival_one_round_exact(char_bits: int, c: int, zero_set) -> Fraction:
     xs = np.array(_check_zero_set4(spec, zero_set), dtype=np.uint64)
     survived = 0
     for block in _table_fillings(char_bits, c * spec.sigma):
-        stack = block.reshape(len(block), c, spec.sigma)
+        # the block's slot order is pos * sigma + ch; the engine's stacks are position-major
+        stack = np.ascontiguousarray(block.reshape(len(block), c, spec.sigma).transpose(1, 0, 2))
         chars = _derive_chunk(spec, {1: stack}, xs, len(block))
         survived += int(_even_quad(*chars[:, :, c].T).sum())
     return Fraction(survived, 1 << (char_bits * c * spec.sigma))

@@ -3,6 +3,7 @@ import pytest
 
 from tornadotab import rng
 from tornadotab.core import (
+    EVAL_BLOCK,
     FOLD_BLOCK,
     ConfigError,
     TornadoHash,
@@ -16,7 +17,6 @@ from tornadotab.core import (
     eval_stack,
     fold_stacks,
     fold_tables,
-    folded_profile,
     level_stacks,
     parse_spec_string,
     top_stacks,
@@ -166,6 +166,92 @@ class TestBuild:
             h.top_table[0][0] = 1
 
 
+class TestHandBuiltTables:
+    """The constructor rejects tables that build could not have made; the
+    engine's wrapped gathers would otherwise alias them silently."""
+
+    SPEC = TornadoSpec(8, 2, 3, 16, Variant.TORNADO_MIX, psi_bits=12)  # levels 2, 3 are wide
+
+    def tables(self):
+        h = TornadoHash.build(self.SPEC, 0x7AB)
+        return h, {lv: t.copy() for lv, t in h.level_tables.items()}, [t.copy() for t in h.top_table]
+
+    def test_build_tables_accepted_without_copy(self):
+        h, levels, top = self.tables()
+        hh = TornadoHash(self.SPEC, h.seed, h.level_tables, h.top_table)
+        assert all(hh.level_tables[lv] is t for lv, t in h.level_tables.items())
+        assert all(a is b for a, b in zip(hh.top_table, h.top_table))
+        keys = rng.raw_key_stream(4, 300, self.SPEC.key_bits)
+        assert np.array_equal(TornadoHash(self.SPEC, h.seed, levels, top).eval_batch(keys),
+                              h.eval_batch(keys))
+
+    @pytest.mark.parametrize("cut", [(slice(None), slice(0, 128)), (slice(0, 1), slice(None))],
+                             ids=["128-columns", "one-position-short"])
+    def test_level_table_shape(self, cut):
+        h, levels, top = self.tables()
+        levels[1] = levels[1][cut]
+        with pytest.raises(ConfigError, match="level 1 table has shape"):
+            TornadoHash(self.SPEC, h.seed, levels, top)
+
+    def test_level_set(self):
+        h, levels, top = self.tables()
+        del levels[3]
+        with pytest.raises(ConfigError, match="do not match the levels"):
+            TornadoHash(self.SPEC, h.seed, levels, top)
+        with pytest.raises(ConfigError, match="do not match the levels"):
+            TornadoHash(self.SPEC, h.seed, {**levels, 3: h.level_tables[3], 4: levels[1]}, top)
+
+    @pytest.mark.parametrize("i,size", [(0, 128), (3, 256), (4, 1 << 13)])
+    def test_top_table_length(self, i, size):
+        h, levels, top = self.tables()
+        top[i] = np.zeros(size, dtype=np.uint64)
+        with pytest.raises(ConfigError, match=f"top table {i} has shape"):
+            TornadoHash(self.SPEC, h.seed, levels, top)
+        with pytest.raises(ConfigError, match="top tables for 5 positions"):
+            TornadoHash(self.SPEC, h.seed, levels, top[:-1])
+
+    @pytest.mark.parametrize("level,value,ok", [
+        (0, 255, True), (0, 256, False), (1, 256, False),
+        (2, (1 << 12) - 1, True), (2, 1 << 12, False), (3, (1 << 32) + 1, False), (3, -1, False),
+    ])
+    def test_level_entry_width(self, level, value, ok):
+        h, levels, top = self.tables()
+        levels[level] = levels[level].astype(np.int64)
+        levels[level][0, 5] = value
+        if ok:
+            assert int(TornadoHash(self.SPEC, h.seed, levels, top).level_tables[level][0, 5]) == value
+            return
+        with pytest.raises(ConfigError, match=f"level {level} table entries must be integers"):
+            TornadoHash(self.SPEC, h.seed, levels, top)
+
+    @pytest.mark.parametrize("value,ok", [((1 << 16) - 1, True), (1 << 16, False),
+                                          (1 << 63, False)])
+    def test_top_entry_width(self, value, ok):
+        h, levels, top = self.tables()
+        top[4][7] = np.uint64(value)
+        if ok:
+            assert int(TornadoHash(self.SPEC, h.seed, levels, top).top_table[4][7]) == value
+            return
+        with pytest.raises(ConfigError, match="top table 4 entries must be integers"):
+            TornadoHash(self.SPEC, h.seed, levels, top)
+
+    def test_non_integer_tables(self):
+        h, levels, top = self.tables()
+        with pytest.raises(ConfigError, match="top table 0 entries must be integers"):
+            TornadoHash(self.SPEC, h.seed, levels, [top[0].astype(float)] + top[1:])
+
+    def test_writable_tables_are_copied(self):
+        """A later write to the caller's arrays does not reach the hash."""
+        h, levels, top = self.tables()
+        hh = TornadoHash(self.SPEC, h.seed, levels, top)
+        keys = rng.raw_key_stream(6, 200, self.SPEC.key_bits)
+        expected = hh.eval_batch(keys)
+        levels[0][:] = 0
+        top[0][:] = 1 << 20  # out of range for r=16
+        assert np.array_equal(hh.eval_batch(keys), expected)
+        assert not hh.level_tables[0].flags.writeable and not hh.top_table[0].flags.writeable
+
+
 class TestDerive:
     @pytest.mark.parametrize(
         "spec",
@@ -294,6 +380,84 @@ class TestEval:
         batch = h.eval_batch(xs)
         for i in range(0, 300, 23):
             assert int(batch[i]) == h.eval(int(xs[i]))
+
+
+class TestEngineLayout:
+    """The position-major level stacks: trial b's tables are column b, and
+    the engine gives each trial the bits a stack of one gives it."""
+
+    SPECS = [
+        TornadoSpec(4, 3, 0, 8, Variant.SIMPLE_TABULATION),
+        TornadoSpec(4, 3, 2, 8, Variant.SIMPLE_TORNADO),
+        TornadoSpec(8, 4, 4, 24, Variant.TORNADO),
+        TornadoSpec(8, 1, 2, 24, Variant.TORNADO),  # c = 1: no twist
+        TornadoSpec(4, 3, 3, 20, Variant.TORNADO_MIX, psi_bits=6),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.spec_string())
+    def test_stack_column_is_the_built_table(self, spec):
+        seeds = rng.trial_seed_vec(0x1A70, np.arange(3, dtype=np.uint64))
+        stacks = level_stacks(spec, seeds)
+        assert sorted(stacks) == list(spec.levels())
+        for b, seed in enumerate(seeds.tolist()):
+            h = TornadoHash.build(spec, seed)
+            for lv, stack in stacks.items():
+                assert stack.shape == (spec.level_input_positions(lv), len(seeds), spec.sigma)
+                assert stack.flags.c_contiguous
+                assert np.array_equal(stack[:, b], h.level_tables[lv])
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.spec_string())
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-keys", "per-trial-keys"])
+    def test_stack_of_b_equals_stacks_of_one(self, spec, shared):
+        n_trials, n = 4, 97
+        seeds = rng.trial_seed_vec(0x1A71, np.arange(n_trials, dtype=np.uint64))
+        levels, top = level_stacks(spec, seeds), top_stacks(spec, seeds)
+        xs = rng.raw_key_stream(5, n if shared else n_trials * n, spec.key_bits)
+        xs = xs if shared else xs.reshape(n_trials, n)
+        chars = derive_stack(spec, levels, xs, n_trials)
+        evals = eval_stack(spec, top, chars)
+        assert chars.shape == (n_trials, n, spec.positions)
+        assert np.array_equal(derive_stack(spec, seeds, xs, n_trials), chars)
+        for b in range(n_trials):
+            one = {lv: t[:, b:b + 1] for lv, t in levels.items()}
+            keys = xs if shared else xs[b]
+            chars_b = derive_stack(spec, one, keys, 1)
+            assert np.array_equal(chars_b[0], chars[b])
+            assert np.array_equal(eval_stack(spec, [t[b:b + 1] for t in top], chars_b)[0],
+                                  evals[b])
+
+
+class TestEvalBatchBlocks:
+    """eval_batch at the edges of its EVAL_BLOCK blocks, a short last block
+    included: every key of the w64 spec against the folded loop, and a sample
+    of the mix spec and of a spec with no folded layout against scalar eval."""
+
+    SIZES = [0, 1, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1, 2 * EVAL_BLOCK + 5]
+
+    @staticmethod
+    def sample(n):
+        """First, last, both sides of each block edge, and a spread between."""
+        edges = [e + d for e in range(EVAL_BLOCK, n, EVAL_BLOCK) for d in (-1, 0, 1)]
+        return sorted({i for i in [0, n - 1, *edges, *range(0, n, 997)] if 0 <= i < n})
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_w64_every_key(self, n):
+        h = TornadoHash.build(parse_spec_string("tornado,cb=8,c=4,d=4,r=24"), 0xE1)
+        keys = rng.raw_key_stream(11, n, 32)
+        out = h.eval_batch(keys)
+        assert out.shape == (n,) and out.dtype == np.uint64
+        assert np.array_equal(out, eval_folded_batch(h, keys))
+
+    @pytest.mark.parametrize("text", ["tornadomix,cb=8,c=8,d=5,r=64,psi=16",
+                                      "simpletornado,cb=16,c=2,d=3,r=20"])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_sampled_against_scalar(self, text, n):
+        h = TornadoHash.build(parse_spec_string(text), 0xE2)
+        keys = rng.raw_key_stream(12, n, h.spec.key_bits)
+        out = h.eval_batch(keys)
+        assert out.shape == (n,) and out.dtype == np.uint64
+        for i in self.sample(n):
+            assert int(out[i]) == h.eval(int(keys[i])), i
 
 
 class TestInjectivity:
@@ -430,8 +594,8 @@ class TestFolded:
     def test_unsupported_profile_rejected(self):
         with pytest.raises(ConfigError):
             fold_tables(TornadoHash.build(TornadoSpec(4, 2, 1, 8, Variant.TORNADO), 1))
-        with pytest.raises(ConfigError):
-            folded_profile(TornadoSpec(8, 4, 8, 24, Variant.TORNADO))  # too wide
+        with pytest.raises(ConfigError, match="no folded layout"):
+            fold_tables(TornadoHash.build(TornadoSpec(8, 4, 8, 24, Variant.TORNADO), 1))  # too wide
 
     def test_batch_mix_rejected(self):
         spec = TornadoSpec(8, 8, 5, 64, Variant.TORNADO_MIX, psi_bits=16)

@@ -24,7 +24,8 @@ from tornadotab.core import (
     eval_folded_stack,
     eval_stack,
     fold_stacks,
-    folded_profile,
+    fold_tables,
+    is_w64,
     level_stacks,
     top_stacks,
 )
@@ -92,11 +93,11 @@ def test_evaluation_paths_agree(case):
     assert np.array_equal(eval_stack(spec, top, hashed), evals)
 
     try:
-        profile = folded_profile(spec)
+        fold_tables(h)
     except ConfigError:
         return
     assert [h.eval_folded(x) for x in keys] == expected
-    if profile != "w64":
+    if not is_w64(spec):
         return
     assert eval_folded_batch(h, xs).tolist() == expected
     folded = fold_stacks(spec, levels, top)

@@ -60,14 +60,15 @@ def test_field_value_vec_blocks(size, dtype, seed, kind, major, minor, values, s
 @given(b=st.integers(1, 4), npos=st.integers(1, 4), sigma=st.sampled_from([1, 16, 256, 300]),
        seed=st.integers(0, rng.M64), level=st.integers(0, 8))
 def test_field_value_vec_level_broadcast(b, npos, sigma, seed, level):
-    """The level_stacks shape: (B,1,1) seeds x (1,npos,1) positions x
-    (1,1,S) slots, each element the scalar field_value; inputs unchanged."""
-    seeds = rng.trial_seed_vec(seed, np.arange(b, dtype=np.uint64))[:, None, None]
-    pos = np.arange(npos, dtype=np.uint64)[None, :, None]
+    """The position-major level_stacks shape: (npos,1,1) positions x (1,B,1)
+    seeds x (1,1,S) slots, each element the scalar field_value; inputs
+    unchanged."""
+    seeds = rng.trial_seed_vec(seed, np.arange(b, dtype=np.uint64))[None, :, None]
+    pos = np.arange(npos, dtype=np.uint64)[:, None, None]
     slots = np.arange(sigma, dtype=np.uint64)[None, None, :]
     copies = [a.copy() for a in (seeds, pos, slots)]
     vec = rng.field_value_vec(seeds, rng.KIND_LEVEL, level, pos, slots)
-    assert vec.shape == (b, npos, sigma)
+    assert vec.shape == (npos, b, sigma)
     assert vec.reshape(-1).tolist() == field_value_reference(seeds, rng.KIND_LEVEL, level,
                                                              pos, slots)
     assert all(np.array_equal(a, c) for a, c in zip((seeds, pos, slots), copies))
