@@ -412,13 +412,13 @@ class TornadoHash:
             t0 = self.level_tables[0]
             acc = 0
             for j in range(spec.c - 1):
-                acc ^= int(t0[j, chars[j]])
+                acc ^= t0.item(j, chars[j])
             chars[spec.c - 1] ^= acc
         for level in range(1, spec.d + 1):
             tbl = self.level_tables[level]
             val = 0
             for j in range(spec.level_input_positions(level)):
-                val ^= int(tbl[j, chars[j]])
+                val ^= tbl.item(j, chars[j])
             chars.append(val)
         return tuple(chars)
 
@@ -426,7 +426,7 @@ class TornadoHash:
         chars = self.derive(x)
         h = 0
         for i, ch in enumerate(chars):
-            h ^= int(self.top_table[i][ch])
+            h ^= self.top_table[i].item(ch)
         return h
 
     def select_bits(self, x: int, s: int) -> int:

@@ -1,23 +1,26 @@
 """Selector functions: which keys of a base set get selected under a hash.
 
-A selector looks at a key, the selection bits of its hash value, and the
-selection bits of the query keys' hash values; query keys are always
-selected. The families here are analytic: the expected selected-set size
-under a fully random hash (``mu``) has a closed form, which the bound
-checks in :mod:`tornadotab.experiments` rely on.
+Every selector follows one rule. It reads only the high s "select" bits of
+each key's hash (the R_s x R_t split, s = :func:`selection_bit_count`) and
+selects a key when those bits take one of a short list of wanted values;
+query keys are always selected. The wanted values are absolute, or relative
+to the reference query key's select bits. The families differ only in s and
+the wanted values:
 
-* ``FIXED_SET``: a fixed key set, hash-independent (0 selection bits).
-* ``BIT_PREFIX``: keys whose high ``s`` output bits land in a target set,
-  optionally relative to the first query key's prefix.
-* ``DYADIC_INTERVAL``: keys hashing into the length-``2^l`` dyadic interval
-  containing the anchor query's hash or one of its two neighbors
-  (``out_bits - l`` selection bits).
-* ``BIN``: keys hashing to one fixed (or query-relative) output value; all
-  output bits are selection bits.
+* ``FIXED_SET``: s = 0 and the one value 0, so every key, whatever the hash.
+* ``BIT_PREFIX``: s = ``s_bits`` and the targets, each XORed with the
+  reference's prefix when ``relative_to_query`` is set.
+* ``DYADIC_INTERVAL``: s = ``out_bits - l`` and the anchor's prefix with
+  its two neighbors mod 2^s: keys hashing into the length-``2^l`` dyadic
+  interval containing the anchor's hash or into one next to it.
+* ``BIN``: s = ``out_bits`` and the bin value, or the reference's hash.
 
-:func:`selection_mask` is the one implementation of the four families. It
-selects under B hash functions at once, so :func:`select` calls it with one
-row and the Monte Carlo chunks with one row per trial.
+So under a fully random hash a non-query key is selected with probability
+min(count / 2^s, 1), and ``mu`` is one closed form, which the bound checks
+in :mod:`tornadotab.experiments` rely on. :func:`selection_mask` is the one
+implementation of the rule. It selects under B hash functions at once, so
+:func:`select` calls it with one row and the Monte Carlo chunks with one
+row per trial.
 """
 
 from __future__ import annotations
@@ -99,45 +102,50 @@ def hard_instance(char_bits: int) -> Selector:
 
 
 def selection_bit_count(sel: Selector, out_bits: int) -> int:
-    """How many high output bits the selector reads (its s in R_s x R_t)."""
-    if sel.kind is SelectorKind.FIXED_SET:
-        return 0
+    """How many high output bits the selector reads (its s in R_s x R_t),
+    after checking that it fits the ``out_bits``-bit output."""
+    _check_fit(sel, out_bits)
     if sel.kind is SelectorKind.BIT_PREFIX:
         return sel.s_bits  # type: ignore[return-value]
     if sel.kind is SelectorKind.DYADIC_INTERVAL:
         return out_bits - sel.interval_bits  # type: ignore[operator]
-    return out_bits
+    return 0 if sel.kind is SelectorKind.FIXED_SET else out_bits
 
 
-def _check_prefix_width(sel: Selector, out_bits: int) -> None:
-    if sel.s_bits > out_bits:  # type: ignore[operator]
-        raise ConfigError(f"prefix of {sel.s_bits} bits wider than the {out_bits}-bit output")
-
-
-def _check_bin(sel: Selector, out_bits: int) -> None:
+def _check_fit(sel: Selector, out_bits: int) -> None:
+    width = sel.s_bits if sel.s_bits is not None else sel.interval_bits
+    if width is not None and width > out_bits:
+        raise ConfigError(f"{sel.kind.value} of {width} bits wider than the {out_bits}-bit output")
     if sel.bin_value is not None and not 0 <= sel.bin_value < 1 << out_bits:
         raise ConfigError(f"bin {sel.bin_value} outside the {out_bits}-bit output range")
+
+
+def _wanted(sel: Selector, s: int, ref) -> list:
+    """The values of the s select bits that select a key. ``ref`` holds the
+    reference query key's select bits, a (B, 1) column or a scalar."""
+    if sel.kind is SelectorKind.BIT_PREFIX:
+        targets = sorted(sel.targets)  # type: ignore[arg-type]
+        return [ref ^ _U(t) if sel.relative_to_query else _U(t) for t in targets]
+    if sel.kind is SelectorKind.DYADIC_INTERVAL:
+        top = (1 << s) - 1  # the anchor's interval -1, +0, +1, wrapping
+        return [(ref + _U(off)) & _U(top) for off in (top, 0, 1)]
+    if sel.kind is SelectorKind.BIN:
+        return [ref if sel.bin_value is None else _U(sel.bin_value)]
+    return [_U(0)]
 
 
 def mu(sel: Selector, out_bits: int) -> float:
     """Exact expected selected-set size under a fully random hash.
 
-    Query keys contribute probability 1 each, every other base key the
-    per-key selection probability of the family.
+    Query keys count 1 each. Every other base key is selected when its s
+    select bits take one of the selector's wanted values, with probability
+    min(count / 2^s, 1): the dyadic interval's three values cover all 2^s
+    when s <= 1. The count does not depend on the reference query key, and
+    every 2^-s is exact in a float.
     """
-    n_free = len(sel.keys - sel.query_keys)
-    n_q = len(sel.query_keys)
-    if sel.kind is SelectorKind.FIXED_SET:
-        return float(len(sel.keys | sel.query_keys))
-    if sel.kind is SelectorKind.BIT_PREFIX:
-        _check_prefix_width(sel, out_bits)
-        return n_free * len(sel.targets) / (1 << sel.s_bits) + n_q  # type: ignore[arg-type]
-    if sel.kind is SelectorKind.DYADIC_INTERVAL:
-        if sel.interval_bits > out_bits:  # type: ignore[operator]
-            raise ConfigError("interval wider than the output range")
-        return n_free * min(3.0 * (1 << sel.interval_bits) / (1 << out_bits), 1.0) + n_q
-    _check_bin(sel, out_bits)
-    return n_free / (1 << out_bits) + n_q
+    s = selection_bit_count(sel, out_bits)
+    count = len(_wanted(sel, s, _U(0)))
+    return len(sel.keys - sel.query_keys) * min(count / (1 << s), 1.0) + len(sel.query_keys)
 
 
 def candidates(sel: Selector, spec: TornadoSpec) -> np.ndarray:
@@ -149,45 +157,24 @@ def selection_mask(sel: Selector, keys: np.ndarray, evals: np.ndarray,
                    out_bits: int) -> np.ndarray:
     """Selection under B hash functions at once, a (B, n) bool mask.
 
-    ``evals`` holds the hashes (B, n) of n keys under each function;
-    ``keys``, the sorted candidates, is read only to find the query keys.
+    ``evals`` holds the hashes (B, n) of n keys under each function; a key
+    is selected when its s select bits equal one of the wanted values, or
+    when it is a query key. ``keys``, the sorted candidates, is read only to
+    find the query keys; the reference is the least one (a dyadic
+    interval's only query key is its anchor).
     """
-    kind = sel.kind
-    if kind is SelectorKind.FIXED_SET:
-        return np.ones(evals.shape, dtype=bool)
-    q_idx = {q: int(np.searchsorted(keys, q)) for q in sel.query_keys}
-    if kind is SelectorKind.BIT_PREFIX:
-        _check_prefix_width(sel, out_bits)
-        targets = sorted(sel.targets)  # type: ignore[arg-type]
-        if sel.s_bits == 0:  # empty prefix: numpy cannot shift uint64 by 64
-            mask = np.full(evals.shape, 0 in targets, dtype=bool)
-        else:
-            pref = evals >> _U(out_bits - sel.s_bits)  # type: ignore[operator]
-            mask = np.zeros(evals.shape, dtype=bool)
-            if sel.relative_to_query:
-                qpref = pref[:, q_idx[min(sel.query_keys)]]
-                for t in targets:
-                    mask |= pref == (qpref[:, None] ^ _U(t))
-            else:
-                for t in targets:
-                    mask |= pref == _U(t)
-    elif kind is SelectorKind.DYADIC_INTERVAL:
-        if sel.interval_bits >= out_bits:  # type: ignore[operator]
-            mask = np.ones(evals.shape, dtype=bool)
-        else:
-            iv_mask = (1 << (out_bits - sel.interval_bits)) - 1  # type: ignore[operator]
-            iv = evals >> _U(sel.interval_bits)
-            center = iv[:, q_idx[sel.anchor]][:, None]
-            mask = np.zeros(evals.shape, dtype=bool)
-            for off in (iv_mask, 0, 1):  # the anchor's interval -1, +0, +1, wrapping
-                mask |= iv == ((center + _U(off)) & _U(iv_mask))
+    s = selection_bit_count(sel, out_bits)
+    if s == 0:  # every key reads 0: numpy cannot shift a uint64 by 64
+        mask = np.full(evals.shape, 0 in _wanted(sel, 0, _U(0)), dtype=bool)
     else:
-        _check_bin(sel, out_bits)
-        if sel.bin_value is None:
-            target = evals[:, q_idx[min(sel.query_keys)]][:, None]
-        else:
-            target = _U(sel.bin_value)
-        mask = evals == target
+        bits = evals if s == out_bits else evals >> _U(out_bits - s)
+        ref = None
+        if sel.query_keys:
+            ref = bits[:, [np.searchsorted(keys, min(sel.query_keys))]]
+        wanted = _wanted(sel, s, ref)
+        mask = bits == wanted[0] if wanted else np.zeros(evals.shape, dtype=bool)
+        for w in wanted[1:]:
+            mask |= bits == w
     if sel.query_keys:
         mask[:, np.isin(keys, np.fromiter(sel.query_keys, dtype=np.uint64))] = True
     return mask

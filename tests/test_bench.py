@@ -100,12 +100,12 @@ class TestThroughput:
             bench.throughput("poly2-mersenne", 10, reps=0)
 
     def test_timing_grows_with_n(self):
-        # doubling the buffer should scale total time; generous margin for noise
-        small = min(bench.throughput("simple-tabulation", 20000, reps=5, seed=1).total_ns
+        # 8x the buffer should scale total time; a 2x floor leaves room for noise
+        small = min(bench.throughput("simple-tabulation", 5000, reps=5, seed=1).total_ns
                     for _ in range(2))
         big = min(bench.throughput("simple-tabulation", 40000, reps=5, seed=1).total_ns
                   for _ in range(2))
-        assert big >= 1.4 * small
+        assert big >= 2 * small
 
     def test_csv_row(self):
         r = bench.throughput("poly2-mersenne", 500, reps=3, seed=2)

@@ -178,6 +178,102 @@ class TestSelectionMask:
         assert mask.tolist() == [[True, True, True, False], [True, True, True, False]]
 
 
+def _scalar_select(sel, keys, row, out_bits):
+    """The selected keys under one hash row, written from the family definitions."""
+    h = dict(zip(keys, row))
+    kind = sel.kind
+    if kind is selectors.SelectorKind.FIXED_SET:
+        chosen = set(keys)
+    elif kind is selectors.SelectorKind.BIT_PREFIX:
+        def pre(x):
+            return h[x] >> (out_bits - sel.s_bits)
+        shift = pre(min(sel.query_keys)) if sel.relative_to_query else 0
+        chosen = {x for x in keys if pre(x) ^ shift in sel.targets}
+    elif kind is selectors.SelectorKind.DYADIC_INTERVAL:
+        n_iv = 1 << (out_bits - sel.interval_bits)
+        center = h[sel.anchor] >> sel.interval_bits
+        near = {(center + off) % n_iv for off in (-1, 0, 1)}
+        chosen = {x for x in keys if h[x] >> sel.interval_bits in near}
+    else:
+        target = h[min(sel.query_keys)] if sel.bin_value is None else sel.bin_value
+        chosen = {x for x in keys if h[x] == target}
+    return frozenset(chosen | sel.query_keys)
+
+
+def _mask_cases(r):
+    keys = list(range(40))
+    q = [3, 17]
+    yield selectors.bit_prefix(keys, 0, {0})
+    yield selectors.bit_prefix(keys, 0, set())
+    yield selectors.bit_prefix(keys, 0, set(), q)
+    yield selectors.bit_prefix(keys, 1, {1}, q)
+    yield selectors.bit_prefix(keys, r, {0, (1 << r) - 1})
+    yield selectors.bit_prefix(keys, r, set())
+    yield selectors.bit_prefix(keys, 1, {0}, q, relative_to_query=True)
+    yield selectors.bit_prefix(keys, r, {0, 1}, q, relative_to_query=True)
+    for l in sorted({0, 1, r - 1, r}):
+        yield selectors.dyadic_interval(keys, 17, l)
+    yield selectors.bin_selector(keys, (1 << r) - 1, q)
+    yield selectors.bin_selector(keys, None, q)
+
+
+class TestOneSelectionRule:
+    """Every entry point checks the fit; the one mask matches the definitions."""
+
+    WIDE = [selectors.dyadic_interval(range(100), anchor=5, interval_bits=12),
+            selectors.bit_prefix(range(4), 9, {0}),
+            selectors.bin_selector(range(4), 256)]
+
+    @pytest.mark.parametrize("sel", WIDE)
+    def test_every_entry_point_rejects_a_misfit(self, sel):
+        keys = selectors.candidates(sel, SPEC)
+        evals = build().eval_batch(keys)[None]
+        with pytest.raises(ConfigError, match="wider|outside"):
+            selectors.select(sel, build())
+        with pytest.raises(ConfigError, match="wider|outside"):
+            selectors.selection_mask(sel, keys, evals, 8)
+        with pytest.raises(ConfigError, match="wider|outside"):
+            selectors.selection_bit_count(sel, 8)
+        with pytest.raises(ConfigError, match="wider|outside"):
+            selectors.mu(sel, 8)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 8, 64])
+    def test_mask_matches_scalar_definitions(self, r):
+        gen = np.random.default_rng(r)
+        top = (1 << r) - 1
+        # values near the query keys' and the extremes, so neighbors, wraps
+        # and bins all get hit at every width
+        base = int(gen.integers(0, top, endpoint=True, dtype=np.uint64))
+        pool = np.array([0, top, base, (base + 1) & top, (base - 1) & top,
+                         base ^ 1, base ^ (1 << (r - 1))], dtype=np.uint64)
+        evals = pool[gen.integers(0, len(pool), size=(6, 40))]
+        evals[:3] = gen.integers(0, top, size=(3, 40), endpoint=True, dtype=np.uint64)
+        keys = np.arange(40, dtype=np.uint64)
+        for sel in _mask_cases(r):
+            mask = selectors.selection_mask(sel, keys, evals, r)
+            for row, bits in zip(evals.tolist(), mask):
+                want = _scalar_select(sel, list(range(40)), row, r)
+                assert frozenset(np.flatnonzero(bits).tolist()) == want, sel
+
+    def test_mu_equals_the_closed_forms_exactly(self):
+        for r in (1, 2, 8, 33, 64):
+            for n_free in (0, 1, 7, 1000, 4097):
+                free = range(n_free)
+                for n_q in (0, 1, 3):
+                    q = range(n_free, n_free + n_q)
+                    for s in sorted({0, 1, r // 2, r}):
+                        for size in (0, 1, 3, 5):
+                            sel = selectors.bit_prefix(free, s, range(min(size, 1 << s)), q)
+                            assert selectors.mu(sel, r) == \
+                                n_free * len(sel.targets) / (1 << s) + n_q
+                    sel = selectors.bin_selector(free, 0, q)
+                    assert selectors.mu(sel, r) == n_free / (1 << r) + n_q
+                for l in sorted({0, 1, r // 2, r}):
+                    sel = selectors.dyadic_interval(free, n_free, l)
+                    assert selectors.mu(sel, r) == \
+                        n_free * min(3.0 * (1 << l) / (1 << r), 1.0) + 1
+
+
 class TestSSelectorProperty:
     def test_selection_invariant_under_free_bit_reseed(self):
         # replacing the free-bit slice of the top table cannot change selection
