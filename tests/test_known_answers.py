@@ -184,6 +184,16 @@ def hard_dependence_run(workers=1):
                                           workers=workers)
 
 
+def pruned_slots_dependence_run():
+    """512 keys at c = 3 whose untwisted positions hold few characters:
+    position 0 holds only 7 and position 1 holds 0 and 1; the twisted
+    position 2 holds every character. A 2-bit prefix selector gives mu = 128."""
+    spec = parse_spec_string("tornado,cb=8,c=3,d=2,r=8")
+    keys = [(a << 16) | (b << 8) | 7 for a in range(256) for b in (0, 1)]
+    return experiments.measure_dependence(selectors.bit_prefix(keys, 2, {0}), spec, 3000,
+                                          0x2026)
+
+
 def chernoff_run(workers=1):
     """The selector and spec of the ``chernoff`` CLI vector above."""
     spec = parse_spec_string("tornado,cb=8,c=2,d=4,r=3")
@@ -259,6 +269,9 @@ REPORT_RUNS = [
     (hard_dependence_run,
      "dependence,0.001,0.0005770615218501404,0.27685546875,3000,0x2026,WithinBound",
      "9dcbcd9da1b1e3d0952fdd060d6ec964b177560f3cee3ae78475b508ac891211"),
+    (pruned_slots_dependence_run,
+     "dependence,0.04466666666666667,0.0037714522205447402,23.625,3000,0x2026,WithinBound",
+     "67d11627c0809f03a47925c647566865154ce12bd44c1dbb51de8a89e2996604"),
     (chernoff_bench_shape_run,
      "chernoff_tail,0.0,0.0,0.0009832468224052102,400,0x2026,WithinBound",
      "8c1df45c208ee7617f0a48f07fb4c8c193e2185b4016799cfe4d73ec2b24e506"),
