@@ -25,9 +25,11 @@ One batched engine builds, derives and evaluates: :func:`level_stacks` and
 tables position-major, :func:`derive_stack` computes derived characters,
 with level entries read from a filled stack (through one gather index per
 position) or hashed from their addresses, and :func:`eval_stack` the top
-tabulation. For the w64 profile, :func:`fold_stacks` packs filled
-stacks into one 64-bit word per position and character, and the folded loop
-:func:`eval_folded_stack` derives and evaluates with c + d gathers per key.
+tabulation. For the w64 profile, :func:`fold_stacks` packs one 64-bit word
+per position and character, from filled stacks or hashed straight from the
+trial seeds (then only at the slots shared keys read at the untwisted input
+positions), and the folded loop :func:`eval_folded_stack` derives and
+evaluates with c + d gathers per key.
 A :class:`TornadoHash` is a stack of one: ``build`` fills the stacks for its
 seed, ``derive_batch``/``eval_batch`` run the engine with B = 1, and
 ``eval_folded_batch`` runs the folded loop with B = 1, while
@@ -540,18 +542,64 @@ def _fold_layout(spec: TornadoSpec, p: int) -> tuple[list[tuple[int, int]], int]
     return pending, off
 
 
-def fold_stacks(spec: TornadoSpec, levels: dict[int, np.ndarray],
-                top: list[np.ndarray]) -> np.ndarray:
+def _read_slots(spec: TornadoSpec, p: int, xs: np.ndarray | None) -> np.ndarray | None:
+    """The slots of position ``p`` that the keys ``xs`` read, where the slot
+    rule prunes: the distinct characters shared (n,) keys hold at an
+    untwisted input position (0..c-2). None, for all slots, at every other
+    position, for per-trial (B, n) keys, for no keys, and where the keys
+    hold every character."""
+    if xs is None or xs.ndim != 1 or p >= spec.c - 1:
+        return None
+    chars = ((xs >> _U(p * spec.char_bits)) & _U(spec.sigma - 1)).astype(np.intp)
+    slots = np.flatnonzero(np.bincount(chars, minlength=spec.sigma))
+    return None if len(slots) == spec.sigma else slots
+
+
+def fold_stacks(spec: TornadoSpec, tables: tuple[dict[int, np.ndarray], list[np.ndarray]]
+                | np.ndarray, xs: np.ndarray | None = None) -> np.ndarray:
     """Folded tables of B trials (w64 profile), a contiguous (c + d, B, 256)
-    uint64 stack, from :func:`level_stacks` and :func:`top_stacks` output.
-    Position p packs ``top[p]`` and each pending level's (B, 256) block
-    ``levels[level][p]``, all in the same trial-major order."""
-    folded = np.empty((spec.positions,) + top[0].shape, dtype=np.uint64)
+    uint64 stack. ``tables`` is ``(levels, top)`` as :func:`level_stacks`
+    and :func:`top_stacks` return them, whose entries are read, or the (B,)
+    trial seeds, whose entries are hashed from their addresses: the same
+    bits, as in :func:`derive_stack`.
+
+    The stack is built one position at a time: at each slot of position p,
+    the top entry and each pending level's entry are masked, shifted to
+    their :func:`_fold_layout` offsets and XORed. Slot rule: with shared
+    (n,) keys ``xs``, an untwisted input position (0..c-2) packs only the
+    characters the keys hold there, and its other slots are 0; every other
+    position, and every position for per-trial (B, n) keys or no keys, packs
+    all 256 slots. An entry no key reads cannot change a hash, so the stack
+    evaluates the keys of ``xs`` as the full stack does, and it is a
+    function of the seeds and the keys only.
+    """
+    filled = isinstance(tables, tuple)
+    n_trials = len(tables[1][0]) if filled else len(tables)
+    xs = None if xs is None else np.asarray(xs, dtype=np.uint64)
+    folded = np.empty((spec.positions, n_trials, spec.sigma), dtype=np.uint64)
     for p, col in enumerate(folded):
         pending, top_off = _fold_layout(spec, p)
-        np.left_shift(top[p], _U(top_off), out=col)
-        for level, off in pending:
-            col ^= levels[level][p].astype(np.uint64) << _U(off)
+        slots = _read_slots(spec, p, xs)
+        acc = col if slots is None else np.empty((n_trials, len(slots)), dtype=np.uint64)
+        for level, off in [(None, top_off)] + pending:
+            if filled:
+                tbl = tables[1][p] if level is None else tables[0][level][p]
+                vals = (tbl if slots is None else tbl[:, slots]).astype(np.uint64)
+            else:
+                kind, major, bits = ((rng.KIND_TOP, 0, spec.out_bits) if level is None else
+                                     (rng.KIND_LEVEL, level, spec.level_output_bits(level)))
+                at = np.arange(spec.sigma, dtype=np.uint64) if slots is None else slots
+                vals = rng.field_value_vec(tables[:, None], kind, major, p, at)
+                vals &= _U((1 << bits) - 1)
+            if level is None:  # the top entry comes first and starts the position
+                np.left_shift(vals, _U(off), out=acc)
+                continue
+            if off:
+                vals <<= _U(off)
+            acc ^= vals
+        if slots is not None:
+            col.fill(0)
+            col[:, slots] = acc
     return folded
 
 
@@ -567,7 +615,7 @@ def fold_tables(h: TornadoHash) -> FoldedTables:
     """
     spec = h.spec
     if is_w64(spec):
-        tables_np = _read_only(fold_stacks(spec, *h._stacks())[:, 0])
+        tables_np = _read_only(fold_stacks(spec, h._stacks())[:, 0])
         return FoldedTables(tables_np.tolist(), tables_np)
     if not (spec.variant is Variant.TORNADO_MIX and spec.char_bits == 8 and spec.psi_bits == 16
             and 8 * (spec.d - 1) + 32 + spec.out_bits <= 128):

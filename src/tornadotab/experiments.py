@@ -13,8 +13,10 @@ trial), and :func:`tornadotab.selectors.selection_mask` selects over the
 whole chunk. Top tables are filled per chunk; level entries are hashed from
 their addresses when the chunk has fewer keys than sigma, and so reads fewer
 entries than filling would write, and filled otherwise. A chunk that fills
-and evaluates a w64 spec folds its stacks and runs the folded loop, c + d
-gathers per key, which yields the same derived keys and hashes.
+and evaluates a w64 spec fills the folded stack straight from its seeds,
+only at the slots its shared keys read at the untwisted input positions,
+and runs the folded loop, c + d gathers per key, which yields the same
+derived keys and hashes. Every other filling chunk fills every slot.
 Linear-independence checks first peel keys containing a position character
 unique in their trial (such keys cannot take part in any zero-set), falling
 back to exact F2 elimination for the rare survivors. Each peeling round
@@ -263,9 +265,12 @@ def trial_blocks(spec: TornadoSpec, keys, evaluate: bool, master_seed: int, star
     sigma-wide level tables means n < sigma; else the tables are filled.
     ``evaluate`` counts the top tables in that size, fills them and evaluates
     the derived keys. A chunk that fills and evaluates, with a spec of the w64
-    folded profile, derives and evaluates with ``core.fold_stacks`` and
-    ``core.eval_folded_stack``; every other chunk with ``derive_stack`` and
-    ``eval_stack``.
+    folded profile, fills its folded stack from the seeds with
+    ``core.fold_stacks`` (no level or top stacks; shared keys fill only the
+    slots they read at the untwisted input positions) and derives and
+    evaluates with ``core.eval_folded_stack``. Every other chunk derives and
+    evaluates with ``derive_stack`` and ``eval_stack``, and a filled one
+    fills every slot of its level and top tables.
     """
     sample = isinstance(keys, (int, np.integer))
     n_keys = int(keys) if sample else len(keys)
@@ -281,11 +286,10 @@ def trial_blocks(spec: TornadoSpec, keys, evaluate: bool, master_seed: int, star
         seeds = rng.trial_seed_vec(master_seed,
                                    np.arange(lo, min(lo + chunk, stop), dtype=np.uint64))
         xs = rng.sample_distinct_keys(seeds, n_keys, spec.key_bits) if sample else keys
-        levels = _chunk_level_tables(spec, seeds) if fill else seeds
-        if fold:  # the folded stack replaces the level stacks, freed before the loop
-            levels = core.fold_stacks(spec, levels, _chunk_top_tables(spec, seeds))
-            chars, evals = core.eval_folded_stack(spec, levels, xs)
+        if fold:
+            chars, evals = core.eval_folded_stack(spec, core.fold_stacks(spec, seeds, xs), xs)
         else:
+            levels = _chunk_level_tables(spec, seeds) if fill else seeds
             chars = _derive_chunk(spec, levels, xs, len(seeds))
             evals = _eval_chunk(spec, _chunk_top_tables(spec, seeds), chars) if evaluate else None
         yield lo, seeds, xs, chars, evals

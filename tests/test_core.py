@@ -522,7 +522,7 @@ class TestFolded:
         levels, top = level_stacks(spec, seeds), top_stacks(spec, seeds)
         xs = rng.raw_key_stream(n, n if shared else n_trials * n, 32)
         xs = xs if shared else xs.reshape(n_trials, n)
-        chars, evals = eval_folded_stack(spec, fold_stacks(spec, levels, top), xs)
+        chars, evals = eval_folded_stack(spec, fold_stacks(spec, (levels, top)), xs)
         expected = derive_stack(spec, levels, xs, n_trials)
         assert np.array_equal(chars, expected)
         assert np.array_equal(evals, eval_stack(spec, top, expected))
@@ -727,3 +727,66 @@ class TestDump:
         lines = dump_tables(TornadoHash.build(spec, 1)).strip().split("\n")
         assert len(lines) - 1 == 256
         assert all(len(l) == 6 for l in lines[1:])
+
+
+class TestFoldFromSeeds:
+    """fold_stacks from the trial seeds against the fold of the filled
+    tables: shared keys fold only the characters they hold at each untwisted
+    input position, per-trial keys fold every slot."""
+
+    SPECS = [TornadoSpec(8, 2, 3, 8, Variant.TORNADO), TornadoSpec(8, 3, 2, 8, Variant.TORNADO),
+             TornadoSpec(8, 4, 3, 24, Variant.TORNADO)]
+
+    @staticmethod
+    def keys(spec, n_distinct, rows, n, seed):
+        """(rows, n) keys whose untwisted input positions each hold
+        ``n_distinct`` characters, all of them in every row as n >= 256; the
+        twisted position is random."""
+        xs = rng.raw_key_stream(seed, rows * n, spec.key_bits).reshape(rows, n)
+        for p in range(spec.c - 1):
+            palette = np.random.default_rng([seed, p]).choice(256, n_distinct, replace=False)
+            chars = palette[(np.arange(n) * (2 * p + 1) + p) % n_distinct].astype(np.uint64)
+            xs &= ~np.uint64(255 << (8 * p))
+            xs |= chars << np.uint64(8 * p)
+        return xs
+
+    @staticmethod
+    def assert_folded_loop_is_the_engine(spec, folded, levels, top, xs, n_trials):
+        chars, evals = eval_folded_stack(spec, folded, xs)
+        expected = derive_stack(spec, levels, xs, n_trials)
+        assert np.array_equal(chars, expected)
+        assert np.array_equal(evals, eval_stack(spec, top, expected))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.spec_string())
+    @pytest.mark.parametrize("n_distinct", [1, 2, 256])
+    def test_shared_keys_fold_the_slots_they_read(self, spec, n_distinct):
+        n_trials = 5
+        seeds = rng.trial_seed_vec(0x5107, np.arange(n_trials, dtype=np.uint64))
+        levels, top = level_stacks(spec, seeds), top_stacks(spec, seeds)
+        xs = self.keys(spec, n_distinct, 1, 300, 0x5108)[0]
+        folded = fold_stacks(spec, seeds, xs)
+        full = fold_stacks(spec, (levels, top))
+        assert folded.shape == full.shape == (spec.positions, n_trials, 256)
+        for p in range(spec.positions):
+            read = np.zeros(256, dtype=bool)
+            if p < spec.c - 1:
+                read[((xs >> np.uint64(8 * p)) & np.uint64(255)).astype(np.intp)] = True
+                assert read.sum() == n_distinct
+            else:
+                read[:] = True
+            assert np.array_equal(folded[p][:, read], full[p][:, read])
+            assert not folded[p][:, ~read].any()
+        self.assert_folded_loop_is_the_engine(spec, folded, levels, top, xs, n_trials)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.spec_string())
+    @pytest.mark.parametrize("n_distinct", [1, 2])
+    def test_per_trial_keys_fold_every_slot(self, spec, n_distinct):
+        n_trials = 3
+        seeds = rng.trial_seed_vec(0x5109, np.arange(n_trials, dtype=np.uint64))
+        levels, top = level_stacks(spec, seeds), top_stacks(spec, seeds)
+        xs = self.keys(spec, n_distinct, n_trials, 300, 0x510A)
+        full = fold_stacks(spec, (levels, top))
+        folded = fold_stacks(spec, seeds, xs)
+        assert np.array_equal(folded, full)
+        assert np.array_equal(fold_stacks(spec, seeds), full)
+        self.assert_folded_loop_is_the_engine(spec, folded, levels, top, xs, n_trials)

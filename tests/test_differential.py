@@ -100,7 +100,7 @@ def test_evaluation_paths_agree(case):
     if not is_w64(spec):
         return
     assert eval_folded_batch(h, xs).tolist() == expected
-    folded = fold_stacks(spec, levels, top)
+    folded = fold_stacks(spec, (levels, top))
     per_trial = np.stack([np.roll(xs, t) for t in range(ENGINE_TRIALS)])
     for keys in (xs, per_trial):
         engine_chars = derive_stack(spec, levels, keys, ENGINE_TRIALS)

@@ -271,19 +271,46 @@ class TestMeasureDependence:
     def test_level_source_follows_key_count(self, monkeypatch):
         """Fewer keys than characters hash the level entries they read (a
         probing pool of n_star + queries keys included); the 512-key hard
-        instance at sigma = 256 fills the tables."""
+        instance at sigma = 256 fills its tables, and as a w64 chunk it fills
+        them into the folded stack, from the chunk's seeds."""
         def fill(spec, seeds):
             raise RuntimeError("level tables filled")
 
+        def fold(spec, tables, xs=None):
+            assert not isinstance(tables, tuple) and np.ndim(xs) == 1
+            raise RuntimeError("folded stack filled from the seeds")
+
         monkeypatch.setattr(ex, "_chunk_level_tables", fill)
+        monkeypatch.setattr(core, "fold_stacks", fold)
         spec = TornadoSpec(8, 2, 3, 8, Variant.TORNADO)
         keys = [(a << 8) | b for a in range(32) for b in (0, 1)]
         ex.measure_dependence(selectors.fixed_set(keys), spec, 50, 1)
         probing = linprobe.probe_experiment(TornadoSpec(12, 2, 4, 12, Variant.TORNADO),
                                             1024, 4096, 64, 3, 1)
         assert probing.n_star + 64 < 4096
-        with pytest.raises(RuntimeError, match="filled"):
+        with pytest.raises(RuntimeError, match="folded stack filled from the seeds"):
             ex.measure_dependence(selectors.hard_instance(8), spec, 50, 1)
+
+    def test_hard_instance_chunk_hashes_only_the_slots_it_reads(self, monkeypatch):
+        """The hard instance's position 0 holds two characters, and five
+        tables read it: a chunk hashes 2 x 5 + 256 x (4 + 3 + 2 + 1) = 2570
+        entries per trial at d = 3, where filling every slot hashes 10 level
+        and 5 top tables of 256, 3840. Per-trial keys still fill every slot."""
+        entries = []
+        field_value_vec = rng.field_value_vec
+
+        def counted(*args):
+            out = field_value_vec(*args)
+            entries.append(out.size)
+            return out
+
+        monkeypatch.setattr(rng, "field_value_vec", counted)
+        spec = TornadoSpec(8, 2, 3, 8, Variant.TORNADO)
+        keys = np.array(sorted(selectors.hard_instance(8).keys), dtype=np.uint64)
+        for source, per_trial in ((keys, 2570), (len(keys), 3840)):
+            entries.clear()
+            [(_, seeds, *_)] = ex.trial_blocks(spec, source, True, 0x2026, 0, 64)
+            assert sum(entries) == per_trial * len(seeds) == per_trial * 64
 
 
 def peel_reference(chars, sizes, alive):
