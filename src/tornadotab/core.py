@@ -543,11 +543,9 @@ def _fold_layout(spec: TornadoSpec, p: int) -> tuple[list[tuple[int, int]], int]
 
 
 def _read_slots(spec: TornadoSpec, p: int, xs: np.ndarray | None) -> np.ndarray | None:
-    """The slots of position ``p`` that the keys ``xs`` read, where the slot
-    rule prunes: the distinct characters shared (n,) keys hold at an
-    untwisted input position (0..c-2). None, for all slots, at every other
-    position, for per-trial (B, n) keys, for no keys, and where the keys
-    hold every character."""
+    """The slots of position ``p`` that :func:`fold_stacks` packs: the
+    characters shared (n,) keys hold at an untwisted input position, or None
+    for all of them."""
     if xs is None or xs.ndim != 1 or p >= spec.c - 1:
         return None
     chars = ((xs >> _U(p * spec.char_bits)) & _U(spec.sigma - 1)).astype(np.intp)
@@ -593,10 +591,10 @@ def fold_stacks(spec: TornadoSpec, tables: tuple[dict[int, np.ndarray], list[np.
                 vals &= _U((1 << bits) - 1)
             if level is None:  # the top entry comes first and starts the position
                 np.left_shift(vals, _U(off), out=acc)
-                continue
-            if off:
-                vals <<= _U(off)
-            acc ^= vals
+            else:
+                if off:
+                    vals <<= _U(off)
+                acc ^= vals
         if slots is not None:
             col.fill(0)
             col[:, slots] = acc
