@@ -19,9 +19,9 @@ and runs the folded loop, c + d gathers per key, which yields the same
 derived keys and hashes. Every other filling chunk fills every slot.
 Linear-independence checks first peel keys containing a position character
 unique in their trial (such keys cannot take part in any zero-set), falling
-back to exact F2 elimination for the rare survivors. Each peeling round
-works on the keys still alive only, and counts their characters by sort
-when few are left (``_peel_alive``).
+back to exact F2 elimination for the rare survivors. Peeling counts one
+position at a time over the keys still alive, until b - 1 steps after the
+last kill drop nothing, by sort when few are left (``_peel_alive``).
 
 One range worker serves all four tail experiments, dependence, the Chernoff
 joint tail, the large-mu tail and chaining: it returns a histogram of
@@ -55,7 +55,7 @@ from .core import derive_stack as _derive_chunk
 from .core import eval_stack as _eval_chunk
 from .core import level_stacks as _chunk_level_tables
 from .core import top_stacks as _chunk_top_tables
-from .gf2 import GF2Basis, genkey_from_key, is_zero_set, offsets
+from .gf2 import GenKey, genkey_from_key, is_linearly_independent, is_zero_set
 
 
 class Verdict(enum.Enum):
@@ -308,29 +308,30 @@ def _occurs_once(code: np.ndarray, n_codes: int) -> np.ndarray:
 
 
 def _peel_alive(chars: np.ndarray, sizes: tuple[int, ...], alive: np.ndarray) -> np.ndarray:
-    """Drop keys owning a position character unique within their trial,
-    round after round until none does; the (B, n) mask of the keys left.
+    """Drop keys owning a position character unique within their trial until
+    none does; the (B, n) mask of the keys left.
 
-    Works on the flat indices of the alive keys and one code array (character
-    plus trial offset) per position over them. Each round drops the killed
-    entries from all of them, so later rounds touch only the survivors, and
-    ``_occurs_once`` counts by sort once a bincount over B x alphabet would
-    cost more. The fixed point does not depend on the order in which keys
-    die, so the mask is that of whole-block rounds.
+    A step counts position i over the flat indices of the alive keys only, by
+    sort once few are left, and drops the keys whose character there is
+    unique, which leaves none unique at i. Steps go from the last position
+    (derived characters are the hash's draws; structured key sets repeat input
+    ones) down and round again, until b - 1 steps after the last kill drop
+    nothing. The fixed point does not depend on the order in which keys die,
+    so the mask is that of whole-block rounds.
     """
     n_trials, n_keys, b = chars.shape
-    idx = np.flatnonzero(alive)
-    trial = idx // n_keys
-    # the engine's chars are position-major: each chars[:, :, i] flattens to a view
-    codes = [chars[:, :, i].reshape(-1)[idx] + trial * sizes[i] for i in range(b)]
-    while len(idx):
-        keep = np.ones(len(idx), dtype=bool)
-        for i in range(b):
-            keep &= ~_occurs_once(codes[i], n_trials * sizes[i])
-        if keep.all():
-            break
-        idx = idx[keep]
-        codes = [code[keep] for code in codes]
+    i = b - 1
+    if alive.all():  # the first step reads the position's flat block, with no gather
+        code = (chars[:, :, i] + np.arange(n_trials)[:, None] * sizes[i]).reshape(-1)
+        idx, i, clean = np.flatnonzero(~_occurs_once(code, n_trials * sizes[i])), i - 1, 1
+    else:
+        idx, clean = np.flatnonzero(alive), 0
+    while len(idx) and clean < b:  # clean: the positions in a row with no unique character
+        # the engine's chars are position-major: each chars[:, :, i] flattens to a view
+        code = chars[:, :, i].reshape(-1)[idx] + idx // n_keys * sizes[i]
+        once = _occurs_once(code, n_trials * sizes[i])
+        idx, clean = (idx[~once], 1) if once.any() else (idx, clean + 1)
+        i = (i - 1) % b
     out = np.zeros(alive.shape, dtype=bool)
     out.reshape(-1)[idx] = True
     return out
@@ -338,18 +339,11 @@ def _peel_alive(chars: np.ndarray, sizes: tuple[int, ...], alive: np.ndarray) ->
 
 def _dependent_rows(chars: np.ndarray, sizes: tuple[int, ...], alive: np.ndarray) -> np.ndarray:
     """Per-trial linear dependence of the alive derived keys."""
-    core = _peel_alive(chars, sizes, alive)
+    left = _peel_alive(chars, sizes, alive)
     result = np.zeros(len(chars), dtype=bool)
-    starts = offsets(sizes)
-    for t in np.flatnonzero(core.any(axis=1)):
-        basis = GF2Basis()
-        for row in chars[t][core[t]].tolist():
-            bits = 0
-            for start, ch in zip(starts, row):
-                bits |= 1 << (start + ch)
-            if basis.insert(bits) is not None:
-                result[t] = True
-                break
+    for t in np.flatnonzero(left.any(axis=1)):
+        rows = chars[t][left[t]].tolist()
+        result[t] = not is_linearly_independent(GenKey.from_chars(row, sizes) for row in rows)
     return result
 
 

@@ -348,13 +348,25 @@ def random_block(seed, n_trials, n_keys, sizes, spread, density):
 
 
 def switching_block(n_trials):
-    """Each trial's 16 keys at alphabet 256 peel over three rounds: keys 0-11
-    own their position-0 character; then key 12, which shared its position-1
-    character with key 0 alone; keys 13-15 remain."""
+    """Each trial's 16 keys at alphabet 256 peel in four steps, from the last
+    position down: position 1 drops nothing; position 0 drops keys 0-11, which
+    own their characters there; position 1 then drops key 12, which shared its
+    character with key 0 alone; position 0 drops nothing, and keys 13-15 remain."""
     pos0 = np.r_[np.arange(10, 22), [0, 0, 0, 0]]
     pos1 = np.r_[[5], [7] * 11, [5, 6, 6, 6]]
     chars = position_major([np.tile(pos0, (n_trials, 1)), np.tile(pos1, (n_trials, 1))])
     return chars, np.ones((n_trials, 16), dtype=bool)
+
+
+def cascade_block(n_trials):
+    """Each trial's 8 keys peel along a chain that alternates positions: key 0
+    alone owns its position-1 character, and each kill leaves the next key's
+    character at the other position unique, so the loop comes back to each
+    position several times before keys 6 and 7 remain. Trials permute the keys."""
+    pos0 = np.array([1, 1, 2, 2, 3, 3, 9, 9])
+    pos1 = np.array([50, 51, 51, 52, 52, 53, 53, 53])
+    order = np.array([np.random.default_rng(t).permutation(8) for t in range(n_trials)])
+    return position_major([pos0[order], pos1[order]]), np.ones((n_trials, 8), dtype=bool), order
 
 
 class TestPeeling:
@@ -387,8 +399,9 @@ class TestPeeling:
 
     @pytest.mark.parametrize("n_trials", [1, 4])
     def test_counting_switches_between_rounds(self, monkeypatch, n_trials):
-        """Round 1 counts 16 keys a trial with a bincount, rounds 2 and 3 count
-        the few left by sorting; the result is the reference's."""
+        """The dense first step and the second count 16 keys a trial with a
+        bincount, the two steps after them the few left by sorting; the result
+        is the reference's."""
         chars, alive = switching_block(n_trials)
         want = peel_reference(chars, (256, 256), alive)
         assert want[:, 13:].all() and not want[:, :13].any()
@@ -405,8 +418,27 @@ class TestPeeling:
         for name in ("bincount", "unique"):
             monkeypatch.setattr(np, name, spy(name))
         got = ex._peel_alive(chars, (256, 256), alive)
-        assert calls == ["bincount"] * 2 + ["unique"] * 4
+        assert calls == ["bincount"] * 2 + ["unique"] * 2
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_trials", [1, 5])
+    def test_cascade_comes_back_to_each_position(self, monkeypatch, n_trials):
+        """The last position drops key 0 first, and every kill after it is found
+        by coming back to the other position: steps alternate 1, 0, 1, ... until
+        the step after the last kill drops nothing."""
+        chars, alive, order = cascade_block(n_trials)
+        want = peel_reference(chars, (64, 256), alive)
+        assert np.array_equal(want, order >= 6)
+        positions = []
+        occurs_once = ex._occurs_once
+
+        def step(code, n_codes):
+            positions.append({64 * n_trials: 0, 256 * n_trials: 1}[n_codes])
+            return occurs_once(code, n_codes)
+
+        monkeypatch.setattr(ex, "_occurs_once", step)
+        assert np.array_equal(ex._peel_alive(chars, (64, 256), alive), want)
+        assert positions == [1, 0] * 3 + [1]
 
     def test_alive_as_strided_view(self):
         chars, alive = random_block(7, 12, 40, (256, 256, 256), 5, 0.9)
