@@ -31,7 +31,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _seed(text: str) -> int:
-    return int(text, 0)
+    seed = int(text, 0)
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed {text} is outside [0, 2^64)")
+    return seed
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -398,6 +398,8 @@ class TornadoHash:
         """Fill the engine's stacks for the one seed and keep read-only views:
         level -> (positions, sigma), the trial's column of each position-major
         stack, and one 1-D top table per position."""
+        if not 0 <= seed < 1 << 64:
+            raise ConfigError(f"seed {seed} is outside [0, 2^64)")
         seeds = np.array([seed], dtype=np.uint64)
         levels = {lv: _read_only(t[:, 0]) for lv, t in level_stacks(spec, seeds).items()}
         return cls(spec, seed, levels, [_read_only(t[0]) for t in top_stacks(spec, seeds)])

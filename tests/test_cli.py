@@ -167,6 +167,28 @@ class TestDumpTables:
         assert path.read_text().count("\n") == 17
 
 
+    def test_top_seed_accepted(self, capsys):
+        code, out, _ = run(capsys, "dump-tables", "--spec", "tornado,cb=4,c=2,d=1,r=4",
+                           "--seed", "0xffffffffffffffff")
+        assert code == 0
+        assert out.startswith("tornado-tables v1 tornado,cb=4,c=2,d=1,r=4 seed=0xffffffffffffffff\n")
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("command", [
+        ("dump-tables", "--spec", "tornado,cb=8,c=2,d=2,r=8"),
+        ("independence", "--trials", "10"),
+    ])
+    @pytest.mark.parametrize("seed", ["-1", "0x10000000000000000", "0x1ffffffffffffffff"])
+    def test_seed_outside_64_bits_is_a_usage_error(self, capsys, command, seed):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*command, "--seed", seed])
+        out = capsys.readouterr()
+        assert exc.value.code == 1
+        assert out.out == ""
+        assert f"argument --seed: seed {seed} is outside [0, 2^64)" in out.err
+
+
 class TestExitCodes:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

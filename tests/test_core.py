@@ -158,6 +158,15 @@ class TestBuild:
             assert int(h.top_table[i].max()) < (1 << spec.out_bits)
             assert len(h.top_table[i]) == 1 << spec.position_bits(i)
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 65) - 1])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ConfigError, match=r"outside \[0, 2\^64\)"):
+            TornadoHash.build(TornadoSpec(8, 2, 1, 8, Variant.TORNADO), seed)
+
+    def test_seed_range_ends_accepted(self):
+        spec = TornadoSpec(8, 2, 1, 8, Variant.TORNADO)
+        assert [TornadoHash.build(spec, s).seed for s in (0, (1 << 64) - 1)] == [0, (1 << 64) - 1]
+
     def test_tables_immutable(self):
         h = TornadoHash.build(TornadoSpec(8, 2, 1, 8, Variant.TORNADO), 1)
         with pytest.raises(ValueError):
