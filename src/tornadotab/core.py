@@ -25,11 +25,11 @@ One batched engine builds, derives and evaluates: :func:`level_stacks` and
 tables position-major, :func:`derive_stack` computes derived characters,
 with level entries read from a filled stack (through one gather index per
 position) or hashed from their addresses, and :func:`eval_stack` the top
-tabulation. For the w64 profile, :func:`fold_stacks` packs one 64-bit word
-per position and character, from filled stacks or hashed straight from the
-trial seeds (then only at the slots shared keys read at the untwisted input
-positions), and the folded loop :func:`eval_folded_stack` derives and
-evaluates with c + d gathers per key.
+tabulation; each table entry is hashed from its address by one reader,
+``_hashed``. For the w64 profile, :func:`fold_stacks` packs one 64-bit word
+per position and character, hashed from the trial seeds (only at the slots
+shared keys read at the untwisted input positions), and the folded loop
+:func:`eval_folded_stack` derives and evaluates with c + d gathers per key.
 A :class:`TornadoHash` is a stack of one: ``build`` fills the stacks for its
 seed, ``derive_batch``/``eval_batch`` run the engine with B = 1, and
 ``eval_folded_batch`` runs the folded loop with B = 1, while
@@ -186,6 +186,14 @@ def check_key(spec: TornadoSpec, x: int) -> None:
         raise _outside_universe(spec, x)
 
 
+def check_seed(seed: int) -> None:
+    """ConfigError unless ``seed`` is an integer in [0, 2**64), so no two seeds alias."""
+    if not isinstance(seed, (int, np.integer)):
+        raise ConfigError(f"seed {seed!r} is not an integer")
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"seed {seed} is outside [0, 2^64)")
+
+
 def check_keys(spec: TornadoSpec, xs) -> np.ndarray:
     """Array form of :func:`check_key`: the keys as uint64, checked with one
     max pass (and one min pass for a signed or object dtype)."""
@@ -220,33 +228,35 @@ EVAL_BLOCK = 1 << 15  # keys per engine call in eval_batch; bounds the intp char
 FOLD_BLOCK = 1 << 14  # keys per pass of eval_folded_batch; its four buffers stay in L2
 
 
+def _hashed(spec: TornadoSpec, seeds: np.ndarray, level: int | None, reads) -> np.ndarray:
+    """XOR of the level's entries (the top table's for ``level=None``) that
+    each ``(position, slots)`` pair of ``reads`` addresses, hashed from the
+    (B,) seeds and masked once to the table's entry width. The result
+    broadcasts (B, 1) against each pair's position and slots."""
+    kind, major, bits = ((rng.KIND_TOP, 0, spec.out_bits) if level is None else
+                         (rng.KIND_LEVEL, level, spec.level_output_bits(level)))
+    out = None
+    for pos, slots in reads:
+        vals = rng.field_value_vec(seeds[:, None], kind, major, pos, slots)
+        out = vals if out is None else np.bitwise_xor(out, vals, out=out)
+    out &= _U((1 << bits) - 1)
+    return out
+
+
 def level_stacks(spec: TornadoSpec, seeds: np.ndarray) -> dict[int, np.ndarray]:
     """Level tables for many seeds at once: level -> (npos, B, sigma) uint32,
     position-major, so a level table of trial b is ``stack[:, b]``."""
     out: dict[int, np.ndarray] = {}
-    s3 = seeds[None, :, None]
     for level in spec.levels():
-        npos = spec.level_input_positions(level)
-        mask = _U((1 << spec.level_output_bits(level)) - 1)
-        pos = np.arange(npos, dtype=np.uint64)[:, None, None]
-        slot = np.arange(spec.sigma, dtype=np.uint64)[None, None, :]
-        vals = rng.field_value_vec(s3, rng.KIND_LEVEL, level, pos, slot)
-        vals &= mask
-        out[level] = vals.astype(np.uint32)
+        pos = np.arange(spec.level_input_positions(level), dtype=np.uint64)[:, None, None]
+        out[level] = _hashed(spec, seeds, level, [(pos, np.arange(spec.sigma))]).astype(np.uint32)
     return out
 
 
 def top_stacks(spec: TornadoSpec, seeds: np.ndarray) -> list[np.ndarray]:
     """Top tables for many seeds at once, one (B, alphabet_i) uint64 per position."""
-    out = []
-    mask = _U(((1 << spec.out_bits) - 1) & rng.M64)
-    for i in range(spec.positions):
-        size = 1 << spec.position_bits(i)
-        slots = np.arange(size, dtype=np.uint64)[None, :]
-        vals = rng.field_value_vec(seeds[:, None], rng.KIND_TOP, 0, i, slots)
-        vals &= mask
-        out.append(vals)
-    return out
+    return [_hashed(spec, seeds, None, [(i, np.arange(1 << spec.position_bits(i)))])
+            for i in range(spec.positions)]
 
 
 def trial_base(n_trials: int, stride: int) -> np.ndarray:
@@ -284,11 +294,8 @@ def derive_stack(spec: TornadoSpec, levels: dict[int, np.ndarray] | np.ndarray, 
             for j in range(1, n_pos):
                 out ^= np.take(rows[j], store[j], out=buf, mode="wrap")
             return out
-        vals = rng.field_value_vec(levels[:, None], rng.KIND_LEVEL, level, 0, store[0])
-        for j in range(1, n_pos):
-            vals ^= rng.field_value_vec(levels[:, None], rng.KIND_LEVEL, level, j, store[j])
-        vals &= _U((1 << spec.level_output_bits(level)) - 1)
-        return vals.view(np.intp)  # as chars
+        reads = ((j, store[j]) for j in range(n_pos))
+        return _hashed(spec, levels, level, reads).view(np.intp)  # as chars
 
     def final(p: int) -> None:
         """Position p is final: store it as its gather index."""
@@ -381,6 +388,7 @@ class TornadoHash:
                               f"{list(spec.levels())} of {spec.spec_string()}")
         if len(top_table) != spec.positions:
             raise ConfigError(f"{len(top_table)} top tables for {spec.positions} positions")
+        check_seed(seed)
         self.spec = spec
         self.seed = seed
         self.level_tables = {
@@ -398,8 +406,7 @@ class TornadoHash:
         """Fill the engine's stacks for the one seed and keep read-only views:
         level -> (positions, sigma), the trial's column of each position-major
         stack, and one 1-D top table per position."""
-        if not 0 <= seed < 1 << 64:
-            raise ConfigError(f"seed {seed} is outside [0, 2^64)")
+        check_seed(seed)
         seeds = np.array([seed], dtype=np.uint64)
         levels = {lv: _read_only(t[:, 0]) for lv, t in level_stacks(spec, seeds).items()}
         return cls(spec, seed, levels, [_read_only(t[0]) for t in top_stacks(spec, seeds)])
@@ -506,8 +513,8 @@ class FoldedTables:
     position is consumed, then the top entry (:func:`_fold_layout`).
     ``tables`` are 8-bit indexed: all c + d positions for ``w64``, also kept
     as the (c + d, 256) uint64 ``tables_np``, and the first c + d - 2 for
-    ``w128mix``. ``wide`` holds its two 16-bit tables, empty for ``w64``.
-    """
+    ``w128mix``. ``wide`` holds its two 16-bit tables, empty for ``w64``;
+    :func:`fold_tables` packs both profiles with one loop."""
 
     tables: list[list[int]]
     tables_np: np.ndarray | None = None
@@ -544,60 +551,45 @@ def _fold_layout(spec: TornadoSpec, p: int) -> tuple[list[tuple[int, int]], int]
     return pending, off
 
 
-def _read_slots(spec: TornadoSpec, p: int, xs: np.ndarray | None) -> np.ndarray | None:
+def _read_slots(spec: TornadoSpec, p: int, xs: np.ndarray) -> np.ndarray:
     """The slots of position ``p`` that :func:`fold_stacks` packs: the
-    characters shared (n,) keys hold at an untwisted input position, or None
-    for all of them."""
-    if xs is None or xs.ndim != 1 or p >= spec.c - 1:
-        return None
+    characters shared (n,) keys hold at an untwisted input position, else all."""
+    if xs.ndim != 1 or p >= spec.c - 1:
+        return np.arange(spec.sigma)
     chars = ((xs >> _U(p * spec.char_bits)) & _U(spec.sigma - 1)).astype(np.intp)
-    slots = np.flatnonzero(np.bincount(chars, minlength=spec.sigma))
-    return None if len(slots) == spec.sigma else slots
+    return np.flatnonzero(np.bincount(chars, minlength=spec.sigma))
 
 
-def fold_stacks(spec: TornadoSpec, tables: tuple[dict[int, np.ndarray], list[np.ndarray]]
-                | np.ndarray, xs: np.ndarray | None = None) -> np.ndarray:
-    """Folded tables of B trials (w64 profile), a contiguous (c + d, B, 256)
-    uint64 stack. ``tables`` is ``(levels, top)`` as :func:`level_stacks`
-    and :func:`top_stacks` return them, whose entries are read, or the (B,)
-    trial seeds, whose entries are hashed from their addresses: the same
-    bits, as in :func:`derive_stack`.
+def fold_stacks(spec: TornadoSpec, seeds: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Folded tables of B trials (w64 profile) for the keys ``xs``, a
+    contiguous (c + d, B, 256) uint64 stack whose entries are hashed from
+    their addresses under the (B,) trial seeds.
 
     The stack is built one position at a time: at each slot of position p,
-    the top entry and each pending level's entry are masked, shifted to
-    their :func:`_fold_layout` offsets and XORed. Slot rule: with shared
-    (n,) keys ``xs``, an untwisted input position (0..c-2) packs only the
-    characters the keys hold there, and its other slots are 0; every other
-    position, and every position for per-trial (B, n) keys or no keys, packs
-    all 256 slots. An entry no key reads cannot change a hash, so the stack
-    evaluates the keys of ``xs`` as the full stack does, and it is a
-    function of the seeds and the keys only.
+    the top entry and each pending level's entry are shifted to their
+    :func:`_fold_layout` offsets and XORed. Slot rule: with shared (n,) keys
+    ``xs``, an untwisted input position (0..c-2) packs only the characters
+    the keys hold there, and its other slots are 0; every other position,
+    and every position for per-trial (B, n) keys, packs all 256 slots. An
+    entry no key reads cannot change a hash, so the stack evaluates the keys
+    of ``xs`` as the full stack does, and it is a function of the seeds and
+    the keys only.
     """
-    filled = isinstance(tables, tuple)
-    n_trials = len(tables[1][0]) if filled else len(tables)
-    xs = None if xs is None else np.asarray(xs, dtype=np.uint64)
-    folded = np.empty((spec.positions, n_trials, spec.sigma), dtype=np.uint64)
+    xs = np.asarray(xs, dtype=np.uint64)
+    folded = np.empty((spec.positions, len(seeds), spec.sigma), dtype=np.uint64)
     for p, col in enumerate(folded):
         pending, top_off = _fold_layout(spec, p)
         slots = _read_slots(spec, p, xs)
-        acc = col if slots is None else np.empty((n_trials, len(slots)), dtype=np.uint64)
-        for level, off in [(None, top_off)] + pending:
-            if filled:
-                tbl = tables[1][p] if level is None else tables[0][level][p]
-                vals = (tbl if slots is None else tbl[:, slots]).astype(np.uint64)
-            else:
-                kind, major, bits = ((rng.KIND_TOP, 0, spec.out_bits) if level is None else
-                                     (rng.KIND_LEVEL, level, spec.level_output_bits(level)))
-                at = np.arange(spec.sigma, dtype=np.uint64) if slots is None else slots
-                vals = rng.field_value_vec(tables[:, None], kind, major, p, at)
-                vals &= _U((1 << bits) - 1)
-            if level is None:  # the top entry comes first and starts the position
-                np.left_shift(vals, _U(off), out=acc)
-            else:
-                if off:
-                    vals <<= _U(off)
-                acc ^= vals
-        if slots is not None:
+        part = len(slots) < spec.sigma
+        acc = np.empty((len(seeds), len(slots)), dtype=np.uint64) if part else col
+        # the top entry comes first and starts the position
+        np.left_shift(_hashed(spec, seeds, None, [(p, slots)]), _U(top_off), out=acc)
+        for level, off in pending:
+            vals = _hashed(spec, seeds, level, [(p, slots)])
+            if off:
+                vals <<= _U(off)
+            acc ^= vals
+        if part:
             col.fill(0)
             col[:, slots] = acc
     return folded
@@ -606,19 +598,17 @@ def fold_stacks(spec: TornadoSpec, tables: tuple[dict[int, np.ndarray], list[np.
 def fold_tables(h: TornadoHash) -> FoldedTables:
     """Pack the logical tables of ``h`` into its profile's folded layout.
 
-    Every position packs by :func:`_fold_layout`, which mirrors the
-    evaluation loop, so the folded evaluation is equal to the reference path
-    by construction. The w64 tables are the stack fold of the hash's one
-    trial. The w128mix entries do not fit 64 bits and are packed as Python
-    ints; the first 16-bit table's top entries sit 16 bits up, above the
-    still-pending last character.
+    One loop packs both profiles from the hash's own entries, by
+    :func:`_fold_layout`, which mirrors the evaluation loop, so the folded
+    evaluation is equal to the reference path by construction. The entries
+    are Python ints: w128mix entries do not fit 64 bits, and its first
+    16-bit table's top entries sit 16 bits up, above the still-pending last
+    character. The w64 tables are also kept as one uint64 array.
     """
     spec = h.spec
-    if is_w64(spec):
-        tables_np = _read_only(fold_stacks(spec, h._stacks())[:, 0])
-        return FoldedTables(tables_np.tolist(), tables_np)
-    if not (spec.variant is Variant.TORNADO_MIX and spec.char_bits == 8 and spec.psi_bits == 16
-            and 8 * (spec.d - 1) + 32 + spec.out_bits <= 128):
+    w64 = is_w64(spec)
+    if not (w64 or (spec.variant is Variant.TORNADO_MIX and spec.char_bits == 8
+                    and spec.psi_bits == 16 and 8 * (spec.d - 1) + 32 + spec.out_bits <= 128)):
         raise ConfigError(f"no folded layout for {spec.spec_string()}")
     tables: list[list[int]] = []
     for p in range(spec.positions):
@@ -627,6 +617,8 @@ def fold_tables(h: TornadoHash) -> FoldedTables:
         for level, off in pending:
             col = [v ^ (x << off) for v, x in zip(col, h.level_tables[level][p].tolist())]
         tables.append(col)
+    if w64:
+        return FoldedTables(tables, _read_only(np.array(tables, dtype=np.uint64)))
     return FoldedTables(tables[:-2], wide=tables[-2:])
 
 
@@ -698,8 +690,10 @@ def eval_folded_batch(h: TornadoHash, xs: np.ndarray) -> np.ndarray:
 
 
 def derived_injectivity_check(h: TornadoHash, keys) -> bool:
-    """True iff the derived keys of the given distinct keys are distinct."""
-    keys = np.asarray(list(keys), dtype=np.uint64)
+    """True iff the derived keys of the given keys are distinct; ValueError if a key repeats."""
+    keys = check_keys(h.spec, list(keys))
+    if len(np.unique(keys)) != len(keys):
+        raise ValueError("derived_injectivity_check needs distinct keys")
     if len(keys) <= 1:
         return True
     chars = h.derive_batch(keys)

@@ -32,9 +32,9 @@ sampled per trial. One builder makes every upper-bound report.
 The exact checks walk one blocked enumeration of every table filling at tiny
 sigma, ``_table_fillings``; survival's exact rate derives it with ``derive_stack``.
 
-Every entry point rejects a trial count below 1 and selector candidates
-outside the spec's key universe, and a report refuses a non-finite estimate,
-so no degenerate run reaches a verdict.
+Every entry point rejects a trial count below 1, a master seed outside
+[0, 2^64) and selector candidates outside the spec's key universe, and a
+report refuses a non-finite estimate, so no degenerate run reaches a verdict.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import core, rng, selectors
-from .core import TornadoSpec, Variant, check_key
+from .core import TornadoSpec, Variant, check_key, check_seed
 # the engine's stages, bound under the stage names that perfbench's tracer wraps
 from .core import derive_stack as _derive_chunk
 from .core import eval_stack as _eval_chunk
@@ -392,6 +392,7 @@ def _tail_counts(sel: selectors.Selector, spec: TornadoSpec, keys, dep_threshold
                  trials: int, seed: int, workers: int) -> tuple[np.ndarray, int]:
     """``_tail_range`` over [0, trials): the summed histograms and dependent counts."""
     check_count("trials", trials)
+    check_seed(seed)
     parts = _run_ranges(_tail_range, (spec, sel, keys, seed, dep_threshold), trials, workers)
     return sum(p[0] for p in parts), sum(p[1] for p in parts)
 
@@ -565,6 +566,7 @@ def survival_rounds(spec: TornadoSpec, zero_set, trials: int, seed: int,
     which the four derived characters pair up at every derived position of
     the spec with d = rounds. Zero rounds survive with certainty."""
     check_count("trials", trials)
+    check_seed(seed)
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
     keys = _check_zero_set4(spec, zero_set)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .core import TornadoSpec
+from .core import TornadoSpec, check_seed
 from .experiments import ExperimentReport, Verdict, trial_blocks
 
 
@@ -238,6 +238,7 @@ def probe_experiment(
         raise ValueError("need at least one query and one trial")
     if not 0 < star_delta < 1:  # 0 divides by zero, 1 compares the baseline with itself
         raise ValueError(f"star_delta must be in (0, 1), got {star_delta}")
+    check_seed(seed)
     n_star = math.ceil((1.0 + 15.0 * math.sqrt(math.log(1.0 / star_delta) / spec.sigma)) * n)
     if n_star >= m:
         raise ValueError(

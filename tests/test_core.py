@@ -38,6 +38,13 @@ MIX_SPECS = [
 ]
 
 
+def _fold_reference(spec: TornadoSpec, seeds: np.ndarray) -> np.ndarray:
+    """The (c + d, B, 256) stack of each seed's built tables as fold_tables
+    packs them, with Python ints: no code shared with fold_stacks."""
+    return np.stack([fold_tables(TornadoHash.build(spec, s)).tables_np for s in seeds.tolist()],
+                    axis=1)
+
+
 def _derive_reference(h: TornadoHash, x: int) -> tuple[int, ...]:
     """Second, independent transcription of the derivation recurrence."""
     spec = h.spec
@@ -163,6 +170,11 @@ class TestBuild:
         with pytest.raises(ConfigError, match=r"outside \[0, 2\^64\)"):
             TornadoHash.build(TornadoSpec(8, 2, 1, 8, Variant.TORNADO), seed)
 
+    def test_non_integer_seed_rejected(self):
+        """A float seed would build the tables of its integer part."""
+        with pytest.raises(ConfigError, match="seed 1.5 is not an integer"):
+            TornadoHash.build(TornadoSpec(8, 2, 1, 8, Variant.TORNADO), 1.5)
+
     def test_seed_range_ends_accepted(self):
         spec = TornadoSpec(8, 2, 1, 8, Variant.TORNADO)
         assert [TornadoHash.build(spec, s).seed for s in (0, (1 << 64) - 1)] == [0, (1 << 64) - 1]
@@ -248,6 +260,12 @@ class TestHandBuiltTables:
         h, levels, top = self.tables()
         with pytest.raises(ConfigError, match="top table 0 entries must be integers"):
             TornadoHash(self.SPEC, h.seed, levels, [top[0].astype(float)] + top[1:])
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        h, levels, top = self.tables()
+        with pytest.raises(ConfigError, match=r"outside \[0, 2\^64\)"):
+            TornadoHash(self.SPEC, seed, levels, top)
 
     def test_writable_tables_are_copied(self):
         """A later write to the caller's arrays does not reach the hash."""
@@ -495,9 +513,18 @@ class TestInjectivity:
             h = TornadoHash.build(spec, 0xBEE)
             assert derived_injectivity_check(h, range(256))
 
-    def test_duplicate_keys_reported_non_injective(self):
+    def test_duplicate_keys_rejected(self):
+        """A repeated key is no collision of the derivation."""
         h = TornadoHash.build(TornadoSpec(8, 2, 1, 8, Variant.TORNADO), 0)
-        assert not derived_injectivity_check(h, [7, 7])
+        for keys in ([7, 7], [1, 2, 3, 2]):
+            with pytest.raises(ValueError, match="distinct keys"):
+                derived_injectivity_check(h, keys)
+
+    @pytest.mark.parametrize("key", [-1, 1 << 16])
+    def test_key_outside_universe_rejected(self, key):
+        h = TornadoHash.build(TornadoSpec(8, 2, 1, 8, Variant.TORNADO), 0)
+        with pytest.raises(ConfigError, match="outside the 16-bit key universe"):
+            derived_injectivity_check(h, [key, 3])
 
 
 class TestFolded:
@@ -525,13 +552,16 @@ class TestFolded:
     @pytest.mark.parametrize("shared", [True, False], ids=["shared-keys", "per-trial-keys"])
     def test_folded_stack_block_edges(self, n_trials, n, shared):
         """Blocks of several trial rows, the last one partial, and blocks of
-        one row's columns, the last one partial, against the engine."""
+        one row's columns, the last one partial, against the engine, over the
+        seeds' fold and over the reference fold of their built tables."""
         spec = W64_SPECS[0]
         seeds = rng.trial_seed_vec(0xB10C, np.arange(n_trials, dtype=np.uint64))
         levels, top = level_stacks(spec, seeds), top_stacks(spec, seeds)
         xs = rng.raw_key_stream(n, n if shared else n_trials * n, 32)
         xs = xs if shared else xs.reshape(n_trials, n)
-        chars, evals = eval_folded_stack(spec, fold_stacks(spec, (levels, top)), xs)
+        chars, evals = eval_folded_stack(spec, fold_stacks(spec, seeds, xs), xs)
+        ref_chars, ref_evals = eval_folded_stack(spec, _fold_reference(spec, seeds), xs)
+        assert np.array_equal(chars, ref_chars) and np.array_equal(evals, ref_evals)
         expected = derive_stack(spec, levels, xs, n_trials)
         assert np.array_equal(chars, expected)
         assert np.array_equal(evals, eval_stack(spec, top, expected))
@@ -590,6 +620,23 @@ class TestFolded:
         zero_top = [np.zeros_like(t) for t in h.top_table]
         hz = TornadoHash(spec, 0, zero_levels, zero_top)
         assert hz.eval_folded(0) == 0
+
+    @pytest.mark.parametrize("spec", [W64_SPECS[0], MIX_SPECS[1]], ids=lambda s: s.spec_string())
+    def test_hand_built_tables_fold_their_own_entries(self, spec):
+        """Tables no seed made, under an unrelated seed: the fold packs the
+        hash's own entries, not entries hashed from its seed."""
+        h = TornadoHash.build(spec, 0x4A4D)
+        levels = {lv: t ^ np.uint32(0x5A & ((1 << spec.level_output_bits(lv)) - 1))
+                  for lv, t in h.level_tables.items()}
+        top = [t ^ np.uint64(0x3C3C & ((1 << spec.out_bits) - 1)) for t in h.top_table]
+        hand = TornadoHash(spec, 0x4A4D + 1, levels, top)
+        keys = rng.raw_key_stream(0x4A4E, 500, spec.key_bits)
+        expected = hand.eval_batch(keys)
+        assert not np.array_equal(expected, h.eval_batch(keys))
+        assert not np.array_equal(expected, TornadoHash.build(spec, hand.seed).eval_batch(keys))
+        assert [hand.eval_folded(int(x)) for x in keys] == [hand.eval(int(x)) for x in keys]
+        if hand.folded.tables_np is not None:
+            assert np.array_equal(eval_folded_batch(hand, keys), expected)
 
     def test_hand_made_uint64_level_tables(self):
         spec = TornadoSpec(8, 4, 4, 24, Variant.TORNADO)
@@ -739,9 +786,9 @@ class TestDump:
 
 
 class TestFoldFromSeeds:
-    """fold_stacks from the trial seeds against the fold of the filled
-    tables: shared keys fold only the characters they hold at each untwisted
-    input position, per-trial keys fold every slot."""
+    """fold_stacks from the trial seeds against fold_tables of each seed's
+    built tables: shared keys fold only the characters they hold at each
+    untwisted input position, per-trial keys fold every slot."""
 
     SPECS = [TornadoSpec(8, 2, 3, 8, Variant.TORNADO), TornadoSpec(8, 3, 2, 8, Variant.TORNADO),
              TornadoSpec(8, 4, 3, 24, Variant.TORNADO)]
@@ -774,7 +821,7 @@ class TestFoldFromSeeds:
         levels, top = level_stacks(spec, seeds), top_stacks(spec, seeds)
         xs = self.keys(spec, n_distinct, 1, 300, 0x5108)[0]
         folded = fold_stacks(spec, seeds, xs)
-        full = fold_stacks(spec, (levels, top))
+        full = _fold_reference(spec, seeds)
         assert folded.shape == full.shape == (spec.positions, n_trials, 256)
         for p in range(spec.positions):
             read = np.zeros(256, dtype=bool)
@@ -794,8 +841,6 @@ class TestFoldFromSeeds:
         seeds = rng.trial_seed_vec(0x5109, np.arange(n_trials, dtype=np.uint64))
         levels, top = level_stacks(spec, seeds), top_stacks(spec, seeds)
         xs = self.keys(spec, n_distinct, n_trials, 300, 0x510A)
-        full = fold_stacks(spec, (levels, top))
         folded = fold_stacks(spec, seeds, xs)
-        assert np.array_equal(folded, full)
-        assert np.array_equal(fold_stacks(spec, seeds), full)
+        assert np.array_equal(folded, _fold_reference(spec, seeds))
         self.assert_folded_loop_is_the_engine(spec, folded, levels, top, xs, n_trials)

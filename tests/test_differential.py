@@ -6,7 +6,9 @@ with several trials each checked against its own ``TornadoHash.build``
 (its level entries both gathered from filled tables and hashed from their
 addresses), the scalar folded path and, for the ``w64`` profile, the batch
 folded path and the folded engine over several trials, whose derived keys
-and hashes must equal the engine's.
+and hashes must equal the engine's. Its stack, folded from the trial seeds,
+must equal ``fold_tables`` of each trial's built tables at every slot the
+keys read.
 """
 
 import numpy as np
@@ -100,9 +102,18 @@ def test_evaluation_paths_agree(case):
     if not is_w64(spec):
         return
     assert eval_folded_batch(h, xs).tolist() == expected
-    folded = fold_stacks(spec, (levels, top))
+    reference = np.stack([fold_tables(TornadoHash.build(spec, s)).tables_np
+                          for s in seeds.tolist()], axis=1)
     per_trial = np.stack([np.roll(xs, t) for t in range(ENGINE_TRIALS)])
     for keys in (xs, per_trial):
+        folded = fold_stacks(spec, seeds, keys)
+        for p in range(spec.positions):
+            read = np.ones(256, dtype=bool)
+            if keys.ndim == 1 and p < spec.c - 1:  # shared keys: only the characters they hold
+                read[:] = False
+                read[((keys >> np.uint64(8 * p)) & np.uint64(255)).astype(np.intp)] = True
+            assert np.array_equal(folded[p][:, read], reference[p][:, read])
+            assert not folded[p][:, ~read].any()
         engine_chars = derive_stack(spec, levels, keys, ENGINE_TRIALS)
         folded_chars, folded_evals = eval_folded_stack(spec, folded, keys)
         assert np.array_equal(folded_chars, engine_chars)

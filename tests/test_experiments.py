@@ -276,8 +276,8 @@ class TestMeasureDependence:
         def fill(spec, seeds):
             raise RuntimeError("level tables filled")
 
-        def fold(spec, tables, xs=None):
-            assert not isinstance(tables, tuple) and np.ndim(xs) == 1
+        def fold(spec, seeds, xs):
+            assert np.ndim(xs) == 1
             raise RuntimeError("folded stack filled from the seeds")
 
         monkeypatch.setattr(ex, "_chunk_level_tables", fill)
@@ -722,16 +722,16 @@ class TestLargeMu:
 SPEC_G = TornadoSpec(4, 2, 2, 4, Variant.TORNADO)
 KEYS_G = [1, 2, 3, 40]
 COUNTED_ENTRY_POINTS = {
-    "dependence": lambda trials: ex.measure_dependence(
-        selectors.fixed_set(KEYS_G), SPEC_G, trials, 1),
-    "chernoff": lambda trials: ex.chernoff_tail(
-        selectors.bin_selector(KEYS_G, 0), SPEC_G, 0.5, trials, 1),
-    "large_mu": lambda trials: ex.large_mu_tail(  # mu = 20 > sigma/2
+    "dependence": lambda trials, seed=1: ex.measure_dependence(
+        selectors.fixed_set(KEYS_G), SPEC_G, trials, seed),
+    "chernoff": lambda trials, seed=1: ex.chernoff_tail(
+        selectors.bin_selector(KEYS_G, 0), SPEC_G, 0.5, trials, seed),
+    "large_mu": lambda trials, seed=1: ex.large_mu_tail(  # mu = 20 > sigma/2
         selectors.bin_selector(range(40), 0), TornadoSpec(4, 2, 2, 1, Variant.TORNADO), 0.5,
-        trials, 1),
-    "chaining": lambda trials: ex.chaining_tail(SPEC_G, 16, [2], trials, 1),
-    "survival": lambda trials: ex.survival_rounds(
-        TornadoSpec(4, 2, 1, 1, Variant.SIMPLE_TORNADO), ZS16, trials, 1, 1),
+        trials, seed),
+    "chaining": lambda trials, seed=1: ex.chaining_tail(SPEC_G, 16, [2], trials, seed),
+    "survival": lambda trials, seed=1: ex.survival_rounds(
+        TornadoSpec(4, 2, 1, 1, Variant.SIMPLE_TORNADO), ZS16, trials, seed, 1),
 }
 
 
@@ -741,6 +741,15 @@ class TestDegenerateRuns:
     def test_trial_count_below_one_rejected(self, entry, trials):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             COUNTED_ENTRY_POINTS[entry](trials)
+
+    @pytest.mark.parametrize("entry", sorted(COUNTED_ENTRY_POINTS))
+    @pytest.mark.parametrize("seed", [-1, 1 << 64], ids=["minus-one", "two-to-64"])
+    def test_seed_outside_64_bits_rejected_before_any_trial(self, monkeypatch, entry, seed):
+        """A wider seed would fold into 64 bits and rerun another seed's trials."""
+        monkeypatch.setattr(ex, "_run_ranges", None)  # the tail experiments' trial run
+        monkeypatch.setattr(ex, "trial_blocks", None)  # survival's
+        with pytest.raises(ConfigError, match=r"seed .* is outside \[0, 2\^64\)"):
+            COUNTED_ENTRY_POINTS[entry](10, seed)
 
     @pytest.mark.parametrize("entry", sorted(COUNTED_ENTRY_POINTS))
     def test_one_trial_accepted(self, entry):

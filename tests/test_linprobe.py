@@ -5,7 +5,7 @@ import pytest
 
 from tornadotab import experiments, rng
 from tornadotab import linprobe as lp
-from tornadotab.core import TornadoHash, TornadoSpec, Variant, parse_spec_string
+from tornadotab.core import ConfigError, TornadoHash, TornadoSpec, Variant, parse_spec_string
 
 
 class TestProbeTable:
@@ -142,6 +142,12 @@ class TestProbeExperiment:
         monkeypatch.setattr(lp, "trial_blocks", None)  # a trial run would call it
         with pytest.raises(ValueError, match="n must be"):
             lp.probe_experiment(self.SPEC, -5, 1024, 64, 1, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64], ids=["minus-one", "two-to-64"])
+    def test_seed_outside_64_bits_rejected(self, monkeypatch, seed):
+        monkeypatch.setattr(lp, "trial_blocks", None)  # a trial run would call it
+        with pytest.raises(ConfigError, match=r"seed .* is outside \[0, 2\^64\)"):
+            lp.probe_experiment(self.SPEC, 100, 1024, 16, 1, seed)
 
     def test_star_overflow_detected(self):
         with pytest.raises(ValueError):
