@@ -84,6 +84,18 @@ TABLES = {
     "tornadomix,cb=8,c=8,d=5,r=64,psi=16": (
         "c3151c911075ba0afe22d415f3dccee21f4a857437164dfea99a52f1c49b5961",
         "8a3f1f8a6fe5fdc7cd23f6c7ded563738728f5d064e2601b24d5a0f385a17db3"),
+    # the engine packs a position's level entries into uint64 lanes; these
+    # specs need more than one lane: a level that would straddle bit 64, three
+    # lanes, and the two parallel psi-wide levels in different lanes
+    "tornado,cb=12,c=5,d=5,r=40": (
+        "be973ea2a3544719a1369a5902b43f5a83dfc96929039ea3257cfe74f7a59722",
+        "84705f6d85a7a44bdcdf8e701558e8bf056c6d84fd346a3fc9b9bb091c16f894"),
+    "simpletornado,cb=4,c=2,d=40,r=16": (
+        "3251d9ea3f537a9f39c49399a77ea4955cc3aba6058178b608bf5b3696db139d",
+        "74e1e9d13a31e848bcc980c696558c4de94b19e86a04fc2733bb1f129655379d"),
+    "tornadomix,cb=6,c=4,d=8,r=48,psi=12": (
+        "d55e9892038ab1a194f26e875b2a2a43ea557069078bff62d2af9aa229de2332",
+        "98c8b7c339953d063c2470662c50525151e3c37e957a3daad9383c3370ed5422"),
 }
 
 
