@@ -23,13 +23,15 @@ ascending, then the top table).
 One batched engine builds, derives and evaluates: :func:`level_stacks` and
 :func:`top_stacks` fill the tables of B hash functions at once, the level
 tables position-major, :func:`derive_stack` computes derived characters,
-with level entries read from a filled stack (through one gather index per
-position) or hashed from their addresses, and :func:`eval_stack` the top
-tabulation; each table entry is hashed from its address by one reader,
-``_hashed``. For the w64 profile, :func:`fold_stacks` packs one 64-bit word
-per position and character, hashed from the trial seeds (only at the slots
-shared keys read at the untwisted input positions), and the folded loop
-:func:`eval_folded_stack` derives and evaluates with c + d gathers per key.
+and :func:`eval_stack` the top tabulation; each table entry is hashed from
+its address by one reader, ``_hashed``. Filled level stacks are packed into
+64-bit lanes, the levels in order at fixed bit offsets, so a key reads each
+position once per lane with one gather; level entries hashed from their
+addresses are still read once per (level, position). For the w64 profile,
+:func:`fold_stacks` packs one 64-bit word per position and character,
+hashed from the trial seeds (only at the slots shared keys read at the
+untwisted input positions), and the folded loop :func:`eval_folded_stack`
+derives and evaluates with c + d gathers per key.
 A :class:`TornadoHash` is a stack of one: ``build`` fills the stacks for its
 seed, ``derive_batch``/``eval_batch`` run the engine with B = 1, and
 ``eval_folded_batch`` runs the folded loop with B = 1, while
@@ -223,6 +225,17 @@ def check_keys(spec: TornadoSpec, xs) -> np.ndarray:
 # contiguous block of indices that needs no cast. Every character is below
 # its alphabet, so ``mode="wrap"`` reads the same entries as the default
 # "raise", which would copy through a temporary for ``out=``.
+#
+# Every level that reads a position reads it at the same index, so filled
+# level stacks are packed into lanes (``_lanes``): the levels in order, each
+# at a fixed bit offset of a 64-bit word, a new lane starting before a level
+# would cross bit 64. One gather of a lane's word at a position then reads
+# the entries of all its levels there, and a derived character is its
+# level's bits of the lane's accumulator. The w64 spec then makes 7 gathers
+# per key for its 25 level-entry reads, and the mix spec 11 for 56.
+# Chunks whose level entries are hashed from their addresses still read one
+# address per (level, position): packing them would add a mask and a shift
+# per read.
 
 EVAL_BLOCK = 1 << 15  # keys per engine call in eval_batch; bounds the intp characters
 FOLD_BLOCK = 1 << 14  # keys per pass of eval_folded_batch; its four buffers stay in L2
@@ -264,6 +277,45 @@ def trial_base(n_trials: int, stride: int) -> np.ndarray:
     return np.arange(n_trials, dtype=np.intp)[:, None] * stride
 
 
+def _lanes(spec: TornadoSpec) -> list[list[tuple[int, int]]]:
+    """The engine's lanes of packed level entries: the levels in order, each
+    as (level, bit offset) at the offset the levels before it in its lane
+    leave; a new lane starts before a level would cross bit 64."""
+    lanes: list[list[tuple[int, int]]] = []
+    off = 64
+    for level in spec.levels():
+        if off + spec.level_output_bits(level) > 64:
+            lanes.append([])
+            off = 0
+        lanes[-1].append((level, off))
+        off += spec.level_output_bits(level)
+    return lanes
+
+
+def _lane_words(spec: TornadoSpec, levels: dict[int, np.ndarray], lane: list[tuple[int, int]],
+                row: int) -> np.ndarray:
+    """A lane's packed words, (positions read, row): at each position and
+    flat (trial, slot) offset, every level of the lane that reads the
+    position has its entry at its offset, and the other levels hold 0.
+
+    The words are uint32 when the lane fits 32 bits, so a lane of one level
+    gathers from that level's uint32 stack itself, not from a copy."""
+    last, top = lane[-1]
+    dtype = np.uint32 if top + spec.level_output_bits(last) <= 32 else np.uint64
+    words = None
+    # the last level reads the most positions, so its entries start the words;
+    # at offset 0 it is the lane's only level, so the stack is never written
+    for level, off in reversed(lane):
+        rows = levels[level].reshape(spec.level_input_positions(level), row)
+        if words is not None:
+            words[:len(rows)] |= np.left_shift(rows, dtype(off), dtype=dtype)
+        elif off:
+            words = np.left_shift(rows, dtype(off), dtype=dtype)
+        else:
+            words = rows.astype(dtype, copy=False)
+    return words
+
+
 def derive_stack(spec: TornadoSpec, levels: dict[int, np.ndarray] | np.ndarray, xs: np.ndarray,
                  n_trials: int) -> np.ndarray:
     """Derived keys for each trial, (B, n, c + d) intp; xs is (n,) shared or
@@ -272,50 +324,65 @@ def derive_stack(spec: TornadoSpec, levels: dict[int, np.ndarray] | np.ndarray, 
     from their addresses as they are read: the same bits.
 
     The result is a view of position-major storage: each chars[:, :, i] is
-    one contiguous (B, n) block. With filled stacks and B > 1, each position
-    is stored as its gather index ``ch + b * sigma`` from the moment it is
-    final, so every level read of it uses that one index; the trial offsets
-    are taken off before return, and the characters returned are raw.
+    one contiguous (B, n) block. Hashed entries are read level by level, one
+    address per (level, position) read. Filled stacks are first packed into
+    the :func:`_lanes` words of :func:`_lane_words`, and the positions are
+    walked in order. Position p is made final: a key character, the twist
+    from level 0's bits, or a derived character ``(acc >> off) & mask`` from
+    its level's lane accumulator. Then each lane with a level that reads p
+    XORs one gather of its words at p into its accumulator, so a key costs
+    one gather per (lane, position) read. With B > 1 the gather index
+    ``ch + b * sigma`` of a position goes to a buffer that every lane reads.
     """
     xs = np.asarray(xs, dtype=np.uint64)
     shape = xs.shape if xs.ndim == 2 else (n_trials, len(xs))
     store = np.empty((spec.positions,) + shape, dtype=np.intp)
-    filled = isinstance(levels, dict)
-    base = trial_base(shape[0], spec.sigma) if filled and shape[0] > 1 else None
-    if filled:
-        acc, buf = np.empty(shape, dtype=np.uint32), np.empty(shape, dtype=np.uint32)
-
-    def lookup(level: int) -> np.ndarray:
-        """XOR of the level's entries at every position it reads."""
-        n_pos = spec.level_input_positions(level)
-        if filled:
-            rows = levels[level].reshape(n_pos, -1)
-            out = np.take(rows[0], store[0], out=acc, mode="wrap")
-            for j in range(1, n_pos):
-                out ^= np.take(rows[j], store[j], out=buf, mode="wrap")
-            return out
-        reads = ((j, store[j]) for j in range(n_pos))
-        return _hashed(spec, levels, level, reads).view(np.intp)  # as chars
-
-    def final(p: int) -> None:
-        """Position p is final: store it as its gather index."""
-        if base is not None:
-            store[p] += base
-
     cmask = _U(spec.sigma - 1)
     for i in range(spec.c):
         store[i] = (xs >> _U(i * spec.char_bits)) & cmask
     twist = spec.variant in (Variant.TORNADO, Variant.TORNADO_MIX) and spec.c > 1
-    for i in range(spec.c - 1 if twist else spec.c):
-        final(i)
-    if twist:
-        store[spec.c - 1] ^= lookup(0)
-        final(spec.c - 1)
-    for level in range(1, spec.d + 1):
-        store[spec.c + level - 1] = lookup(level)
-        final(spec.c + level - 1)
-    if base is not None:
-        store -= base
+    if not isinstance(levels, dict):
+        def lookup(level: int) -> np.ndarray:
+            """XOR of the level's entries at every position it reads."""
+            reads = ((j, store[j]) for j in range(spec.level_input_positions(level)))
+            return _hashed(spec, levels, level, reads).view(np.intp)  # as chars
+
+        if twist:
+            store[spec.c - 1] ^= lookup(0)
+        for level in range(1, spec.d + 1):
+            store[spec.c + level - 1] = lookup(level)
+        return store.transpose(1, 2, 0)
+
+    lanes = _lanes(spec)
+    where = {level: (i, off) for i, lane in enumerate(lanes) for level, off in lane}
+    words = [_lane_words(spec, levels, lane, shape[0] * spec.sigma) for lane in lanes]
+    acc = [np.empty(shape, dtype=w.dtype) for w in words]
+    bufs = {w.dtype: np.empty(shape, dtype=w.dtype) for w in words}
+    base = trial_base(shape[0], spec.sigma)
+    idx = np.empty(shape, dtype=np.intp) if shape[0] > 1 else None
+    n_read = max((len(w) for w in words), default=0)
+
+    def bits(level: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The level's XOR of entries at every position it reads, from its lane."""
+        i, off = where[level]
+        word = np.right_shift(acc[i], off, out=out) if off else acc[i]
+        return np.bitwise_and(word, (1 << spec.level_output_bits(level)) - 1, out=out)
+
+    for p in range(spec.positions):
+        chars = store[p].view(np.uint64)
+        if p == spec.c - 1 and twist:
+            chars ^= bits(0)
+        elif p >= spec.c:
+            bits(p - spec.c + 1, chars)
+        if p >= n_read:
+            continue
+        ix = store[p] if idx is None else np.add(store[p], base, out=idx)
+        for a, w in zip(acc, words):
+            if p < len(w):  # a lane that reads at all reads position 0 first
+                buf = bufs[w.dtype]
+                np.take(w[p], ix, out=buf if p else a, mode="wrap")
+                if p:
+                    a ^= buf
     return store.transpose(1, 2, 0)
 
 

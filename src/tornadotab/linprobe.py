@@ -133,12 +133,6 @@ def run_lengths_at(occ: np.ndarray, hashes: np.ndarray) -> np.ndarray:
     return out
 
 
-def total_displacement(m: int, hashes) -> int:
-    """Sum of (probes - 1) over an insertion sequence; order-invariant."""
-    table = ProbeTable(m)
-    return sum(table.insert(i, h) - 1 for i, h in enumerate(hashes))
-
-
 @dataclass
 class ProbeStats:
     """Per-query samples from one hash source, one row per trial."""

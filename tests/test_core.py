@@ -9,6 +9,7 @@ from tornadotab.core import (
     TornadoHash,
     TornadoSpec,
     Variant,
+    _lanes,
     derive_stack,
     derived_injectivity_check,
     dump_tables,
@@ -419,7 +420,30 @@ class TestEngineLayout:
         TornadoSpec(8, 4, 4, 24, Variant.TORNADO),
         TornadoSpec(8, 1, 2, 24, Variant.TORNADO),  # c = 1: no twist
         TornadoSpec(4, 3, 3, 20, Variant.TORNADO_MIX, psi_bits=6),
+        # several lanes of packed level entries
+        TornadoSpec(12, 5, 5, 40, Variant.TORNADO),
+        TornadoSpec(4, 2, 40, 16, Variant.SIMPLE_TORNADO),
+        TornadoSpec(6, 4, 8, 48, Variant.TORNADO_MIX, psi_bits=12),
     ]
+
+    # spec -> the engine's lanes, each a list of (level, bit offset)
+    LANES = {
+        # level 5 would straddle bit 64
+        "tornado,cb=12,c=5,d=5,r=40": [[(0, 0), (1, 12), (2, 24), (3, 36), (4, 48)], [(5, 0)]],
+        "simpletornado,cb=4,c=2,d=40,r=16": [
+            [(lv, 4 * ((lv - 1) % 16)) for lv in range(lo, min(lo + 16, 41))]
+            for lo in (1, 17, 33)],
+        # the two parallel psi-wide levels land in different lanes
+        "tornadomix,cb=6,c=4,d=8,r=48,psi=12": [[(lv, 6 * lv) for lv in range(8)], [(8, 0)]],
+        "tornado,cb=8,c=4,d=4,r=24": [[(lv, 8 * lv) for lv in range(5)]],
+        "tornadomix,cb=8,c=8,d=5,r=64,psi=16": [
+            [(0, 0), (1, 8), (2, 16), (3, 24), (4, 32), (5, 48)]],
+        "simpletab,cb=8,c=4,d=0,r=32": [],
+    }
+
+    @pytest.mark.parametrize("text", LANES)
+    def test_lanes(self, text):
+        assert _lanes(parse_spec_string(text)) == self.LANES[text]
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.spec_string())
     def test_stack_column_is_the_built_table(self, spec):
