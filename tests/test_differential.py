@@ -74,7 +74,7 @@ def _case(spec, seed=0x5EED):
 @example(_case(TornadoSpec(8, 2, 2, 64, Variant.TORNADO_MIX, psi_bits=20)))
 @example(_case(TornadoSpec(8, 8, 5, 64, Variant.TORNADO_MIX, psi_bits=16)))  # w128mix
 @example(_case(TornadoSpec(8, 4, 4, 24, Variant.TORNADO)))  # w64
-# several uint64 lanes of packed level entries in the engine
+# several 64-bit lanes of packed level entries in the engine
 @example(_case(TornadoSpec(12, 5, 5, 40, Variant.TORNADO)))  # level 5 would straddle bit 64
 @example(_case(TornadoSpec(4, 2, 40, 16, Variant.SIMPLE_TORNADO)))  # three lanes
 @example(_case(TornadoSpec(6, 4, 8, 48, Variant.TORNADO_MIX, psi_bits=12)))

@@ -84,7 +84,7 @@ TABLES = {
     "tornadomix,cb=8,c=8,d=5,r=64,psi=16": (
         "c3151c911075ba0afe22d415f3dccee21f4a857437164dfea99a52f1c49b5961",
         "8a3f1f8a6fe5fdc7cd23f6c7ded563738728f5d064e2601b24d5a0f385a17db3"),
-    # the engine packs a position's level entries into uint64 lanes; these
+    # the engine packs a position's level entries into 64-bit lanes; these
     # specs need more than one lane: a level that would straddle bit 64, three
     # lanes, and the two parallel psi-wide levels in different lanes
     "tornado,cb=12,c=5,d=5,r=40": (
