@@ -74,6 +74,9 @@ def _case(spec, seed=0x5EED):
 @example(_case(TornadoSpec(8, 2, 2, 64, Variant.TORNADO_MIX, psi_bits=20)))
 @example(_case(TornadoSpec(8, 8, 5, 64, Variant.TORNADO_MIX, psi_bits=16)))  # w128mix
 @example(_case(TornadoSpec(8, 4, 4, 24, Variant.TORNADO)))  # w64
+@example(_case(TornadoSpec(8, 1, 3, 32, Variant.TORNADO)))  # w64 at c = 1: no twist
+# w128mix whose level entries need 72 bits, past one 64-bit word
+@example(_case(TornadoSpec(8, 4, 6, 48, Variant.TORNADO_MIX, psi_bits=16)))
 # several 64-bit lanes of packed level entries in the engine
 @example(_case(TornadoSpec(12, 5, 5, 40, Variant.TORNADO)))  # level 5 would straddle bit 64
 @example(_case(TornadoSpec(4, 2, 40, 16, Variant.SIMPLE_TORNADO)))  # three lanes

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from tornadotab import cli, experiments, linprobe, rng, selectors
-from tornadotab.core import TornadoHash, TornadoSpec, Variant, dump_tables, parse_spec_string
+from tornadotab.core import (TornadoHash, TornadoSpec, Variant, dump_tables, eval_folded_batch,
+                             eval_folded_stack, fold_stacks, is_w64, parse_spec_string)
 
 
 def sha256(data: bytes) -> str:
@@ -107,6 +108,35 @@ def test_dump_and_eval_batch(text):
     assert sha256(dump_tables(h).encode()) == dump_digest
     assert array_digest(h.eval_batch(rng.raw_key_stream(0x5EED, 5000, spec.key_bits))) == (
         eval_digest)
+
+
+# spec -> digest of eval_folded (and, for the w64 profile, eval_folded_batch)
+# over the 5000 keys of TABLES, under seed 0x5EED
+FOLDED = {
+    # c = 1: no twist, the key is the last input character
+    "tornado,cb=8,c=1,d=3,r=32":
+        "9003a1f07d528faf6403f552b56122c08606683360f8ca12f2d0d81aa569db6b",
+    # its level entries need 72 bits, past one 64-bit word
+    "tornadomix,cb=8,c=4,d=6,r=48,psi=16":
+        "1a055cda1670daf3d393a3f2eaf7338f17ea887801a2e7fe7b16180309376b86",
+}
+# (derived keys, hashes) of the folded loop over three trials folded from
+# their seeds, for the same keys
+FOLDED_STACK = ("433383059f036ac7281983167e43e990b66cb86ea3e1e746851ee96a1132b607",
+                "9689483ba3405824987734a833e5976a56a8d72274ac6870418bc7ca29baa6d0")
+
+
+@pytest.mark.parametrize("text", FOLDED)
+def test_eval_folded(text):
+    spec = parse_spec_string(text)
+    h = TornadoHash.build(spec, 0x5EED)
+    keys = rng.raw_key_stream(0x5EED, 5000, spec.key_bits)
+    assert array_digest([h.eval_folded(int(x)) for x in keys]) == FOLDED[text]
+    if is_w64(spec):
+        assert array_digest(eval_folded_batch(h, keys)) == FOLDED[text]
+        seeds = rng.trial_seed_vec(0x5EED, np.arange(3, dtype=np.uint64))
+        chars, evals = eval_folded_stack(spec, fold_stacks(spec, seeds, keys), keys)
+        assert (array_digest(chars), array_digest(evals)) == FOLDED_STACK
 
 
 SELECTOR_KEYS = range(0, 65536, 37)
