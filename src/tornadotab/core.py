@@ -27,8 +27,10 @@ and :func:`eval_stack` the top tabulation; each table entry is hashed from
 its address by one reader, ``_hashed``. Filled level stacks are packed into
 64-bit lanes, the levels in order at fixed bit offsets, so a key reads each
 position once per lane with one gather; level entries hashed from their
-addresses are still read once per (level, position). For the w64 profile,
-:func:`fold_stacks` packs one 64-bit word per position and character,
+addresses are still read once per (level, position). A folded table packs
+the same levels at the same offsets, all in one word, with the top entry
+above them (:func:`_fold_layout`), so a key costs c + d lookups: the w64
+profile in 64 bits, w128mix in 128. :func:`fold_stacks` packs w64 words
 hashed from the trial seeds (only at the slots shared keys read at the
 untwisted input positions), and the folded loop :func:`eval_folded_stack`
 derives and evaluates with c + d gathers per key.
@@ -554,68 +556,47 @@ class TornadoHash:
         spec = self.spec
         check_key(spec, x)
         f = self._folded or self.folded  # the property call only until folded
-        tabs = f.tables
-        c = spec.c
         acc = 0
-        for tab in tabs[:c - 1]:
+        for tab in f.tables[:spec.c - 1]:
             acc ^= tab[x & 255]
             x >>= 8
-        acc ^= x  # remaining low bits are the last input character
-        for tab in tabs[c - 1:]:
-            ch = acc & 255
-            acc >>= 8
-            acc ^= tab[ch]
-        for tab in f.wide:
-            ch = acc & 0xFFFF
-            acc >>= 16
-            acc ^= tab[ch]
-        return acc
+        acc ^= x  # the remaining bits are the last input character, at level 0's offset 0
+        for tab, off, mask in f.steps:
+            acc ^= tab[(acc >> off) & mask]
+        return acc >> f.top_off
 
 
 @dataclass
 class FoldedTables:
-    """Packed single-pass tables for the two supported fast-path profiles.
-
-    Each entry packs (low to high) the level entries pending when its
-    position is consumed, then the top entry (:func:`_fold_layout`).
-    ``tables`` are 8-bit indexed: all c + d positions for ``w64``, also kept
-    as the (c + d, 256) uint64 ``tables_np``, and the first c + d - 2 for
-    ``w128mix``. ``wide`` holds its two 16-bit tables, empty for ``w64``;
-    :func:`fold_tables` packs both profiles with one loop."""
+    """Packed single-pass tables of the w64 and w128mix profiles, one per
+    position, packed by :func:`_fold_layout`. ``steps`` holds (table, offset,
+    mask) for each position from c - 1 on, whose character is
+    ``(acc >> offset) & mask``. The w64 tables are also kept as the
+    (c + d, 256) uint64 ``tables_np``."""
 
     tables: list[list[int]]
+    steps: list[tuple[list[int], int, int]]
+    top_off: int
     tables_np: np.ndarray | None = None
-    wide: list[list[int]] = field(default_factory=list)
 
 
 def is_w64(spec: TornadoSpec) -> bool:
     """Whether a spec has the w64 folded profile: plain tornado with 8-bit
-    characters whose pending level entries and output fit one 64-bit word."""
-    return (
-        spec.variant is Variant.TORNADO
-        and spec.char_bits == 8
-        and 8 * (spec.d + 1) + spec.out_bits <= 64
-    )
+    characters whose level entries and output fit one 64-bit word."""
+    return (spec.variant is Variant.TORNADO and spec.char_bits == 8
+            and _fold_layout(spec)[1] + spec.out_bits <= 64)
 
 
-def _fold_layout(spec: TornadoSpec, p: int) -> tuple[list[tuple[int, int]], int]:
-    """Where the folded entry of position ``p`` (0-based) packs its parts:
-    (level, bit offset) of each level entry pending when p is consumed, and
-    the bit offset of the top entry.
-
-    Pending are every level for an input position before the last (read from
-    the key, before any shift), else the levels deriving a position after p.
-    Each pending level sits at the offset the ones before it leave, and the
-    top entry after them: the offset the accumulator will have shifted that
-    part to by the time its character is consumed.
-    """
-    first = 0 if p < spec.c - 1 else p - spec.c + 2
-    pending, off = [], 0
-    for level in range(first, spec.d + 1):
-        if p < spec.level_input_positions(level):
-            pending.append((level, off))
+def _fold_layout(spec: TornadoSpec) -> tuple[dict[int, int], int]:
+    """Bit offset of each level in a folded word, and ``top_off``, that of
+    the top entry: the levels in order, as in :func:`_lanes` but in one
+    word, and the top entry above them all. The entry of position p holds
+    the entries of the levels that read p, 0 for the others."""
+    offs, off = {}, 0
+    for level in spec.levels():
+        offs[level] = off
         off += spec.level_output_bits(level)
-    return pending, off
+    return offs, off
 
 
 def _read_slots(spec: TornadoSpec, p: int, xs: np.ndarray) -> np.ndarray:
@@ -633,29 +614,27 @@ def fold_stacks(spec: TornadoSpec, seeds: np.ndarray, xs: np.ndarray) -> np.ndar
     their addresses under the (B,) trial seeds.
 
     The stack is built one position at a time: at each slot of position p,
-    the top entry and each pending level's entry are shifted to their
-    :func:`_fold_layout` offsets and XORed. Slot rule: with shared (n,) keys
-    ``xs``, an untwisted input position (0..c-2) packs only the characters
-    the keys hold there, and its other slots are 0; every other position,
-    and every position for per-trial (B, n) keys, packs all 256 slots. An
-    entry no key reads cannot change a hash, so the stack evaluates the keys
-    of ``xs`` as the full stack does, and it is a function of the seeds and
-    the keys only.
+    the top entry and the entry of each level that reads p are shifted to
+    their :func:`_fold_layout` offsets and XORed. Slot rule: with shared
+    (n,) keys ``xs``, an untwisted input position (0..c-2) packs only the
+    characters the keys hold there, and its other slots are 0; every other
+    position, and every position for per-trial (B, n) keys, packs all 256
+    slots. An entry no key reads cannot change a hash, so the stack
+    evaluates the keys of ``xs`` as the full stack does, and it is a
+    function of the seeds and the keys only.
     """
     xs = np.asarray(xs, dtype=np.uint64)
     folded = np.empty((spec.positions, len(seeds), spec.sigma), dtype=np.uint64)
+    offs, top_off = _fold_layout(spec)
     for p, col in enumerate(folded):
-        pending, top_off = _fold_layout(spec, p)
         slots = _read_slots(spec, p, xs)
         part = len(slots) < spec.sigma
         acc = np.empty((len(seeds), len(slots)), dtype=np.uint64) if part else col
         # the top entry comes first and starts the position
         np.left_shift(_hashed(spec, seeds, None, [(p, slots)]), _U(top_off), out=acc)
-        for level, off in pending:
-            vals = _hashed(spec, seeds, level, [(p, slots)])
-            if off:
-                vals <<= _U(off)
-            acc ^= vals
+        for level, off in offs.items():
+            if p < spec.level_input_positions(level):
+                acc ^= _hashed(spec, seeds, level, [(p, slots)]) << _U(off)
         if part:
             col.fill(0)
             col[:, slots] = acc
@@ -666,27 +645,29 @@ def fold_tables(h: TornadoHash) -> FoldedTables:
     """Pack the logical tables of ``h`` into its profile's folded layout.
 
     One loop packs both profiles from the hash's own entries, by
-    :func:`_fold_layout`, which mirrors the evaluation loop, so the folded
-    evaluation is equal to the reference path by construction. The entries
-    are Python ints: w128mix entries do not fit 64 bits, and its first
-    16-bit table's top entries sit 16 bits up, above the still-pending last
-    character. The w64 tables are also kept as one uint64 array.
+    :func:`_fold_layout`, so the folded evaluation is equal to the reference
+    path by construction. A spec folds if its top entry fits the word:
+    ``top_off + out_bits`` at most 64 for plain tornado (w64), at most 128
+    for tornado-mix with psi = 16 (w128mix), both with 8-bit characters. The
+    entries are Python ints, as w128mix entries do not fit 64 bits; the w64
+    tables are also kept as one uint64 array.
     """
     spec = h.spec
-    w64 = is_w64(spec)
-    if not (w64 or (spec.variant is Variant.TORNADO_MIX and spec.char_bits == 8
-                    and spec.psi_bits == 16 and 8 * (spec.d - 1) + 32 + spec.out_bits <= 128)):
+    offs, top_off = _fold_layout(spec)
+    word = 64 if spec.variant is Variant.TORNADO else 128 if spec.psi_bits == 16 else 0
+    if spec.char_bits != 8 or top_off + spec.out_bits > word:
         raise ConfigError(f"no folded layout for {spec.spec_string()}")
     tables: list[list[int]] = []
     for p in range(spec.positions):
-        pending, top_off = _fold_layout(spec, p)
         col = [x << top_off for x in h.top_table[p].tolist()]
-        for level, off in pending:
-            col = [v ^ (x << off) for v, x in zip(col, h.level_tables[level][p].tolist())]
+        for level, off in offs.items():
+            if p < spec.level_input_positions(level):
+                col = [v ^ (x << off) for v, x in zip(col, h.level_tables[level][p].tolist())]
         tables.append(col)
-    if w64:
-        return FoldedTables(tables, _read_only(np.array(tables, dtype=np.uint64)))
-    return FoldedTables(tables[:-2], wide=tables[-2:])
+    steps = [(tables[p], offs[p - spec.c + 1], (1 << spec.position_bits(p)) - 1)
+             for p in range(spec.c - 1, spec.positions)]
+    return FoldedTables(tables, steps, top_off,
+                        _read_only(np.array(tables, dtype=np.uint64)) if word == 64 else None)
 
 
 def eval_folded_stack(spec: TornadoSpec, folded: np.ndarray, xs: np.ndarray,
@@ -696,10 +677,11 @@ def eval_folded_stack(spec: TornadoSpec, folded: np.ndarray, xs: np.ndarray,
 
     The derived keys are a (B, n, c + d) intp view of position-major storage,
     as :func:`derive_stack` returns them, or None unless ``keep_chars``. For
-    i < c - 1 character i is the key byte; from c - 1 on it is ``acc & 255``
-    as the loop consumes it. The loop runs over blocks of about FOLD_BLOCK
-    keys, so its buffers stay in L2: whole trial rows when n is smaller, else
-    part of one row. Either way a block is a contiguous run of the flat
+    i < c - 1 character i is the key byte; from c - 1 on it is
+    ``(acc >> off) & 255`` at the :func:`_fold_layout` offset of its level,
+    and the hashes are acc shifted down by top_off. The loop runs over
+    blocks of about FOLD_BLOCK keys, so its buffers stay in L2: whole trial
+    rows when n is smaller, else part of one row. Either way a block is a contiguous run of the flat
     (trial, key) order, and every step works on flat 1-D buffers. A block
     reads each position's table with one flat take at ch + 256 * (its trial
     row); a block of one trial row needs no offset.
@@ -715,8 +697,10 @@ def eval_folded_stack(spec: TornadoSpec, folded: np.ndarray, xs: np.ndarray,
     key_buf, col_buf = np.empty(rows * cols, dtype=np.uint64), np.empty(rows * cols, dtype=np.uint64)
     idx_buf = np.empty(rows * cols, dtype=np.intp)
     flat = folded.reshape(spec.positions, -1)
-    m8, s8 = _U(255), _U(8)
-    c = spec.c
+    offs, top_off = _fold_layout(spec)
+    m8, c = _U(255), spec.c
+    # bit of its word (the key before c - 1, acc from there) where position i's character sits
+    shifts = [_U(8 * i) for i in range(c - 1)] + [_U(offs[lv]) for lv in spec.levels()]
     for r0 in range(0, n_trials, rows):
         r1 = min(r0 + rows, n_trials)
         tabs = list(flat[:, r0 * width:r1 * width])
@@ -727,19 +711,17 @@ def eval_folded_stack(spec: TornadoSpec, folded: np.ndarray, xs: np.ndarray,
             acc, key = evals[lo:hi], key_buf[:hi - lo]
             idx, col = idx_buf[:hi - lo], col_buf[:hi - lo]
             key.reshape(r1 - r0, c1 - c0)[...] = xs[r0:r1, c0:c1] if xs.ndim == 2 else xs[c0:c1]
-            acc.fill(0)
+            np.right_shift(key, _U(8 * (c - 1)), out=acc)  # the last input character
             for i, tab in enumerate(tabs):
-                if i == c - 1:
-                    acc ^= key  # the remaining low bits are the last input character
-                word = key if i < c - 1 else acc
                 ch = idx if store is None else store[i, lo:hi]
-                np.bitwise_and(word, m8, out=ch.view(np.uint64))
-                word >>= s8
+                word = np.right_shift(key if i < c - 1 else acc, shifts[i], out=ch.view(np.uint64))
+                word &= m8
                 if base is not None:
                     ch = np.add(ch, base[:hi - lo], out=idx)
                 # characters are below 256, so "wrap" reads the same entries as
                 # the default "raise", which would copy through a temporary for out=
                 acc ^= np.take(tab, ch, out=col, mode="wrap")
+            acc >>= _U(top_off)
     evals = evals.reshape(n_trials, n)
     if store is None:
         return None, evals

@@ -9,6 +9,7 @@ from tornadotab.core import (
     TornadoHash,
     TornadoSpec,
     Variant,
+    _fold_layout,
     _lanes,
     derive_stack,
     derived_injectivity_check,
@@ -610,21 +611,34 @@ class TestFolded:
         for x in rng.raw_key_stream(4, 2000, spec.key_bits):
             assert h.eval_folded(int(x)) == h.eval(int(x))
 
-    def test_every_position_folds_by_one_rule(self):
-        """w64 folds all c + d positions into 8-bit tables; w128mix folds the
-        first c + d - 2, then its two 16-bit positions: the first with its top
-        entry 16 bits up, above the last character, the second at 0."""
-        for spec in W64_SPECS:
-            folded = fold_tables(TornadoHash.build(spec, 1))
-            assert folded.wide == [] and len(folded.tables) == spec.positions
-        for spec in MIX_SPECS:
-            h = TornadoHash.build(spec, 1)
-            folded = fold_tables(h)
-            n8 = spec.positions - 2
-            assert len(folded.tables) == n8
-            assert [len(t) for t in folded.wide] == [1 << 16, 1 << 16]
-            assert folded.wide[0] == [v << 16 for v in h.top_table[n8].tolist()]
-            assert folded.wide[1] == h.top_table[n8 + 1].tolist()
+    @pytest.mark.parametrize("spec", W64_SPECS + MIX_SPECS + [
+        TornadoSpec(8, 1, 3, 32, Variant.TORNADO),
+        TornadoSpec(8, 4, 6, 48, Variant.TORNADO_MIX, psi_bits=16),  # levels past 64 bits
+    ], ids=lambda s: s.spec_string())
+    def test_every_position_folds_by_one_rule(self, spec):
+        """Read at a level's offset, every folded entry gives back that
+        level's entry if the level reads the position, else 0, and at top_off
+        the top entry. The levels sit in order, as in the engine's lanes, and
+        the loop reads the character of position c - 1 + level at the
+        level's offset."""
+        h = TornadoHash.build(spec, 1)
+        folded = fold_tables(h)
+        offs, top_off = _fold_layout(spec)
+        assert list(offs) == list(spec.levels()) == list(range(spec.d + 1))
+        assert top_off == sum(spec.level_output_bits(lv) for lv in offs)
+        if top_off <= 64:
+            assert _lanes(spec) == [list(offs.items())]
+        assert len(folded.tables) == spec.positions
+        for p, col in enumerate(folded.tables):
+            assert [v >> top_off for v in col] == h.top_table[p].tolist()
+            for level, off in offs.items():
+                reads = p < spec.level_input_positions(level)
+                want = h.level_tables[level][p].tolist() if reads else [0] * len(col)
+                mask = (1 << spec.level_output_bits(level)) - 1
+                assert [(v >> off) & mask for v in col] == want, (p, level)
+        assert [(tab, off, mask + 1) for tab, off, mask in folded.steps] == [
+            (folded.tables[spec.c - 1 + lv], offs[lv], len(folded.tables[spec.c - 1 + lv]))
+            for lv in offs]
 
     @pytest.mark.parametrize(
         "c,d,out_bits",
