@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -100,6 +101,8 @@ def _cmd_lowerbound(args) -> int:
     """Hard-instance dependence and its floor. At sigma >= 256 the verdict
     stands, but it cannot see zeroed level tables (0.25 against a bound of
     0.277); the 32-column two-column instance of acceptance test 13 can."""
+    if not (math.isfinite(args.floor_const) and args.floor_const > 0):
+        raise ConfigError(f"--floor-const must be a positive number, got {args.floor_const}")
     spec = _spec_from(args)
     sel = selectors.hard_instance(spec.char_bits)
     rep = experiments.measure_dependence(sel, spec, args.trials, args.seed, workers=_workers())

@@ -184,10 +184,21 @@ def _outside_universe(spec: TornadoSpec, x) -> ConfigError:
                        f"{spec.spec_string()}")
 
 
-def check_key(spec: TornadoSpec, x: int) -> None:
-    """ConfigError unless ``0 <= x < 2**key_bits``."""
+def _is_int(x) -> bool:
+    """Whether ``x`` is an integer key: a Python or NumPy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def check_key(spec: TornadoSpec, x) -> int:
+    """``x`` as the Python int the scalar loops use; ConfigError unless it is
+    an integer (not a bool or a float) with ``0 <= x < 2**key_bits``."""
+    if type(x) is not int:
+        if not _is_int(x):
+            raise ConfigError(f"key {x!r} is not an integer")
+        x = int(x)
     if not 0 <= x < spec.key_limit:
         raise _outside_universe(spec, x)
+    return x
 
 
 def check_seed(seed: int) -> None:
@@ -200,16 +211,22 @@ def check_seed(seed: int) -> None:
 
 def check_keys(spec: TornadoSpec, xs) -> np.ndarray:
     """Array form of :func:`check_key`: the keys as uint64, checked with one
-    max pass (and one min pass for a signed or object dtype)."""
-    xs = np.asarray(xs)
-    if xs.size:
-        if xs.dtype.kind not in "uiO":
-            raise ConfigError(f"keys must be integers, got dtype {xs.dtype}")
-        lo = 0 if xs.dtype.kind == "u" else int(xs.min())
-        hi = int(xs.max())
+    max pass (and one min pass for a signed or object dtype).
+
+    NumPy infers float64 for a list of ints on both sides of 2**63, so such
+    a list is read again as objects; an object array must hold integers."""
+    arr = np.asarray(xs)
+    if arr.dtype.kind == "f" and not isinstance(xs, np.ndarray):
+        arr = np.array(xs, dtype=object)
+    if arr.size:
+        if arr.dtype.kind not in "uiO" or (arr.dtype.kind == "O"
+                                           and not all(map(_is_int, arr.flat))):
+            raise ConfigError(f"keys must be integers, got dtype {np.asarray(xs).dtype}")
+        lo = 0 if arr.dtype.kind == "u" else int(arr.min())
+        hi = int(arr.max())
         if lo < 0 or hi >= spec.key_limit:
             raise _outside_universe(spec, lo if lo < 0 else hi)
-    return xs.astype(np.uint64, copy=False)
+    return arr.astype(np.uint64, copy=False)
 
 
 # -- the batched engine -------------------------------------------------------
@@ -485,7 +502,7 @@ class TornadoHash:
     def derive(self, x: int) -> tuple[int, ...]:
         """Derived key of ``x`` as a tuple of c + d characters."""
         spec = self.spec
-        check_key(spec, x)
+        x = check_key(spec, x)
         cb, cmask = spec.char_bits, (1 << spec.char_bits) - 1
         chars = [(x >> (i * cb)) & cmask for i in range(spec.c)]
         if spec.variant in (Variant.TORNADO, Variant.TORNADO_MIX):
@@ -554,7 +571,7 @@ class TornadoHash:
     def eval_folded(self, x: int) -> int:
         """Shift/xor evaluation over the folded tables; equals ``eval(x)``."""
         spec = self.spec
-        check_key(spec, x)
+        x = check_key(spec, x)
         f = self._folded or self.folded  # the property call only until folded
         acc = 0
         for tab in f.tables[:spec.c - 1]:

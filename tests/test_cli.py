@@ -55,6 +55,16 @@ class TestIndependence:
         _, pooled, _ = run(capsys, *args)
         assert serial == pooled
 
+    def test_keys_on_both_sides_of_2_63(self, capsys):
+        """NumPy reads a list of such keys as float64; the run must not."""
+        code, out, _ = run(
+            capsys, "independence", "--sigma-bits", "8", "--c", "8", "--d", "4",
+            "--out-bits", "64", "--set-size", "8", "--trials", "100",
+        )
+        assert code == 0
+        keys = [int(k, 16) for k in json.loads(out)[0]["params"]["selector"]["keys"]]
+        assert min(keys) < 1 << 63 <= max(keys)
+
     def test_invalid_spec_exits_1(self, capsys):
         code, _, err = run(capsys, "independence", "--sigma-bits", "99")
         assert code == 1
@@ -215,6 +225,11 @@ class TestExitCodes:
         ("chernoff", "--delta", "nan"),
         ("chernoff", "--delta", "inf"),
         ("lowerbound", "--out-bits", "1"),
+        # a NaN floor is not valid JSON, and one <= 0 makes above_floor always true
+        ("lowerbound", "--floor-const", "nan", "--trials", "100"),
+        ("lowerbound", "--floor-const", "inf", "--trials", "100"),
+        ("lowerbound", "--floor-const", "0", "--trials", "100"),
+        ("lowerbound", "--floor-const", "-1", "--trials", "100"),
         ("probing", "--star-delta", "0"),
         ("probing", "--star-delta", "1"),
         ("chernoff", "--bin", "64"),  # out-bits 6: no hash value reaches bin 64

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tornadotab import rng
+from tornadotab import rng, selectors
 from tornadotab.core import (
     EVAL_BLOCK,
     FOLD_BLOCK,
@@ -19,6 +19,7 @@ from tornadotab.core import (
     eval_stack,
     fold_stacks,
     fold_tables,
+    is_w64,
     level_stacks,
     parse_spec_string,
     top_stacks,
@@ -726,7 +727,7 @@ class TestKeyDomain:
         h = TornadoHash.build(self.SPEC, 1)
         with pytest.raises(ConfigError):
             h.eval_batch(np.array([1.5]))
-        with pytest.raises(TypeError):
+        with pytest.raises(ConfigError):
             h.eval(1.5)
 
     def test_edges_accepted(self):
@@ -736,6 +737,63 @@ class TestKeyDomain:
         assert batch.tolist() == [h.eval(0), h.eval(top)]
         assert eval_folded_batch(h, [0, top]).tolist() == [h.eval_folded(0), h.eval_folded(top)]
         assert h.eval_batch([]).shape == (0,)
+
+    # the 64-bit universe in both folded profiles: w64 and w128mix
+    WIDE_SPECS = [TornadoSpec(8, 8, 3, 32, Variant.TORNADO),
+                  TornadoSpec(8, 8, 5, 64, Variant.TORNADO_MIX, psi_bits=16)]
+
+    @pytest.mark.parametrize("spec", WIDE_SPECS, ids=lambda s: s.spec_string())
+    def test_int_list_across_2_63(self, spec):
+        """NumPy infers float64 for Python ints on both sides of 2**63; every
+        batch entry point reads such a list exactly and still rejects floats."""
+        h = TornadoHash.build(spec, 1)
+        keys = [1, 2**63, 2**64 - 1]
+        expected = [h.eval(x) for x in keys]
+        assert h.eval_batch(keys).tolist() == expected
+        assert [tuple(r) for r in h.derive_batch(keys).tolist()] == [h.derive(x) for x in keys]
+        if is_w64(spec):
+            assert eval_folded_batch(h, keys).tolist() == expected
+        assert derived_injectivity_check(h, keys)
+        assert selectors.candidates(selectors.fixed_set(keys), spec).tolist() == keys
+        for bad in ([1, 2.0], [2**63, 1.5], [1, None], np.array([1, 2.0], dtype=object)):
+            with pytest.raises(ConfigError, match="integers"):
+                h.eval_batch(bad)
+        with pytest.raises(ConfigError, match="integers"):
+            selectors.candidates(selectors.fixed_set([1, 2**63, 2.0]), spec)
+
+    @pytest.mark.parametrize("key", [
+        0x89ABCDEF, np.uint64(0x89ABCDEF), np.int64(0x89ABCDEF), np.uint32(0x89ABCDEF),
+        np.uint64(2**64 - 1), 2**64 - 1,
+    ], ids=lambda k: f"{type(k).__name__}-{int(k):#x}")
+    @pytest.mark.parametrize("spec", WIDE_SPECS, ids=lambda s: s.spec_string())
+    def test_every_path_one_answer(self, spec, key):
+        """A key of any integer type gives every path the answer of its
+        Python int, and the scalar paths return Python ints."""
+        h = TornadoHash.build(spec, 1)
+        x, out = int(key), spec.out_bits
+        want = h.eval(x)
+        got = [h.eval(key), h.eval_folded(key), h.select_bits(key, 5) << (out - 5)
+               | h.free_bits(key, out - 5)]
+        assert got == [want] * 3 and all(type(v) is int for v in got)
+        assert h.derive(key) == h.derive(x) and all(type(v) is int for v in h.derive(key))
+        assert h.eval_batch([key]).tolist() == [want]
+        assert h.derive_batch([key]).tolist() == [list(h.derive(x))]
+        if is_w64(spec):
+            assert eval_folded_batch(h, [key]).tolist() == [want]
+
+    @pytest.mark.parametrize("key", [True, np.bool_(True), 3.0, np.float64(3.0), "3", None],
+                             ids=repr)
+    @pytest.mark.parametrize("spec", WIDE_SPECS, ids=lambda s: s.spec_string())
+    def test_non_integer_key_rejected_everywhere(self, spec, key):
+        h = TornadoHash.build(spec, 1)
+        calls = [h.eval, h.eval_folded, h.derive, lambda k: h.select_bits(k, 1),
+                 lambda k: h.free_bits(k, 1), lambda k: h.eval_batch([k]),
+                 lambda k: h.derive_batch([k])]
+        if is_w64(spec):
+            calls.append(lambda k: eval_folded_batch(h, [k]))
+        for call in calls:
+            with pytest.raises(ConfigError):
+                call(key)
 
     def test_full_64_bit_universe(self):
         spec = TornadoSpec(8, 8, 5, 64, Variant.TORNADO_MIX, psi_bits=16)
