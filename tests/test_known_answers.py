@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from tornadotab import cli, experiments, linprobe, rng, selectors
-from tornadotab.core import (TornadoHash, TornadoSpec, Variant, dump_tables, eval_folded_batch,
-                             eval_folded_stack, fold_stacks, is_w64, parse_spec_string)
+from tornadotab.core import (TornadoHash, TornadoSpec, Variant, derive_stack, dump_tables,
+                             eval_folded_batch, eval_folded_stack, eval_stack, fold_stacks, is_w64,
+                             level_stacks, parse_spec_string, top_stacks)
 
 
 def sha256(data: bytes) -> str:
@@ -137,6 +138,49 @@ def test_eval_folded(text):
         seeds = rng.trial_seed_vec(0x5EED, np.arange(3, dtype=np.uint64))
         chars, evals = eval_folded_stack(spec, fold_stacks(spec, seeds, keys), keys)
         assert (array_digest(chars), array_digest(evals)) == FOLDED_STACK
+
+
+# spec -> (derived keys, hashes) of derive_stack and eval_stack over the
+# filled stacks of three trials, for the 5000 keys of TABLES: two lanes of
+# level entries beside the top tables, and a 16-bit spec whose levels need
+# more than one lane
+FILLED_STACKS = {
+    "tornadomix,cb=8,c=8,d=5,r=64,psi=16": (
+        "e27f48ca436b0e5661226f2a35fbc3bc62aa60c08dd6d704cc25ab4141252977",
+        "4b4330ff2f572e17f5173fe1b4cdd956f480c94bf5a0f231fd6ed331e01f1c60"),
+    "tornado,cb=16,c=2,d=4,r=16": (
+        "1cd779d3d5457bcec015cfc1cba9f90177e29a108ed3a32ebf0aa173fee56198",
+        "c140437ff2cfdd451da2603192c96caca0f71a8130a53e1360691a7de3891033"),
+}
+
+
+@pytest.mark.parametrize("text", FILLED_STACKS)
+def test_filled_stacks(text):
+    spec = parse_spec_string(text)
+    keys = rng.raw_key_stream(0x5EED, 5000, spec.key_bits)
+    seeds = rng.trial_seed_vec(0x5EED, np.arange(3, dtype=np.uint64))
+    chars = derive_stack(spec, level_stacks(spec, seeds), keys, 3)
+    evals = eval_stack(spec, top_stacks(spec, seeds), chars)
+    assert (array_digest(chars), array_digest(evals)) == FILLED_STACKS[text]
+
+
+# keys -> derived keys of a chunk that fills its tables and does not evaluate,
+# three trials of tornado,cb=8,c=4,d=4,r=24 under master seed 0x5EED: the
+# 5000 keys of TABLES shared by every trial, and 300 keys sampled per trial
+UNEVALUATED_CHUNKS = {
+    "shared": "dcfa144d67783576a9c1f3f91d51512e19a8b9f648dc3437226460c2cd32278a",
+    "sampled": "e1e73edb811af4f4226c94d3a70c858ab54607d31980f365cbe8e3859e6def30",
+}
+
+
+@pytest.mark.parametrize("keys", UNEVALUATED_CHUNKS)
+def test_unevaluated_chunk(keys):
+    spec = parse_spec_string("tornado,cb=8,c=4,d=4,r=24")
+    xs = rng.raw_key_stream(0x5EED, 5000, spec.key_bits) if keys == "shared" else 300
+    (chunk,) = experiments.trial_blocks(spec, xs, False, 0x5EED, 0, 3)
+    *_, chars, evals = chunk
+    assert evals is None
+    assert array_digest(chars) == UNEVALUATED_CHUNKS[keys]
 
 
 SELECTOR_KEYS = range(0, 65536, 37)
