@@ -22,30 +22,32 @@ ascending, then the top table).
 
 One batched engine builds, derives and evaluates: :func:`level_stacks` and
 :func:`top_stacks` fill the tables of B hash functions at once, the level
-tables position-major, :func:`derive_stack` computes derived characters,
-and :func:`eval_stack` the top tabulation; each table entry is hashed from
-its address by one reader, ``_hashed``. Filled level stacks are packed into
-64-bit lanes, the levels in order at fixed bit offsets, so a key reads each
-position once per lane with one gather; level entries hashed from their
-addresses are still read once per (level, position). A folded table packs
-the same levels at the same offsets, all in one word, with the top entry
-above them (:func:`_fold_layout`), so a key costs c + d lookups: the w64
-profile in 64 bits, w128mix in 128. :func:`fold_stacks` packs w64 words
-hashed from the trial seeds (only at the slots shared keys read at the
-untwisted input positions), and the folded loop :func:`eval_folded_stack`
-derives and evaluates with c + d gathers per key.
-A :class:`TornadoHash` is a stack of one: ``build`` fills the stacks for its
-seed, ``derive_batch``/``eval_batch`` run the engine with B = 1, and
-``eval_folded_batch`` runs the folded loop with B = 1, while
-:mod:`tornadotab.experiments` runs both on chunks of trials. The scalar
-``derive``/``eval`` and ``eval_folded`` are independent transcriptions that
-the tests hold against the engine.
+tables position-major; each table entry is hashed from its address by one
+reader, ``_hashed``. Filled tables are packed into 64-bit lanes
+(:func:`_lanes`): the levels in order at fixed bit offsets, then the top
+entry, in the last lane if it fits there, else in its own. One lane walk,
+:func:`eval_folded_stack`, derives and evaluates over them with one gather
+per (lane, position) read, so a key costs c + d lookups when every entry
+fits one lane. :func:`fold_stacks` packs the lanes of B trials from their
+seeds (only at the slots shared keys read at the untwisted input
+positions); :func:`derive_stack` walks the lanes of filled level stacks,
+or reads level entries hashed from their addresses once per (level,
+position), and :func:`eval_stack` evaluates the top tables over the
+derived keys. A :class:`TornadoHash` is a stack of one: ``build`` fills
+the stacks for its seed, and ``derive_batch``, ``eval_batch`` and
+``eval_folded_batch`` walk its lanes, packed on first use, with B = 1,
+while :mod:`tornadotab.experiments` runs the same code on chunks of
+trials. The scalar folded word packs every entry in one lane with no width
+limit, so ``eval_folded`` costs c + d lookups: w64 in 64 bits, w128mix in
+128. The scalar ``derive``/``eval`` and ``eval_folded`` are independent
+transcriptions that the tests hold against the engine.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -245,19 +247,19 @@ def check_keys(spec: TornadoSpec, xs) -> np.ndarray:
 # its alphabet, so ``mode="wrap"`` reads the same entries as the default
 # "raise", which would copy through a temporary for ``out=``.
 #
-# Every level that reads a position reads it at the same index, so filled
-# level stacks are packed into lanes (``_lanes``): the levels in order, each
-# at a fixed bit offset of a 64-bit word, a new lane starting before a level
-# would cross bit 64. One gather of a lane's word at a position then reads
-# the entries of all its levels there, and a derived character is its
-# level's bits of the lane's accumulator. The w64 spec then makes 7 gathers
-# per key for its 25 level-entry reads, and the mix spec 11 for 56.
+# Every entry that reads a position reads it at the same index, so filled
+# tables are packed into lanes (``_lanes``): the levels in order and then
+# the top entry, each at a fixed bit offset of a 64-bit word, a new lane
+# starting before an entry would cross bit 64. One gather of a lane's word
+# at a position then reads the entries of all its levels there, and a
+# derived character is its level's bits of the lane's accumulator. The w64
+# spec is one lane, c + d gathers per key; the mix spec is a lane of its
+# levels and one of its top entries, 24 gathers per key for 69 entry reads.
 # Chunks whose level entries are hashed from their addresses still read one
 # address per (level, position): packing them would add a mask and a shift
 # per read.
 
-EVAL_BLOCK = 1 << 15  # keys per engine call in eval_batch; bounds the intp characters
-FOLD_BLOCK = 1 << 14  # keys per pass of eval_folded_batch; its four buffers stay in L2
+FOLD_BLOCK = 1 << 14  # keys per pass of the lane walk; its buffers stay in L2
 
 
 def _hashed(spec: TornadoSpec, seeds: np.ndarray, level: int | None, reads) -> np.ndarray:
@@ -296,43 +298,81 @@ def trial_base(n_trials: int, stride: int) -> np.ndarray:
     return np.arange(n_trials, dtype=np.intp)[:, None] * stride
 
 
-def _lanes(spec: TornadoSpec) -> list[list[tuple[int, int]]]:
-    """The engine's lanes of packed level entries: the levels in order, each
-    as (level, bit offset) at the offset the levels before it in its lane
-    leave; a new lane starts before a level would cross bit 64."""
-    lanes: list[list[tuple[int, int]]] = []
-    off = 64
-    for level in spec.levels():
-        if off + spec.level_output_bits(level) > 64:
+def _reads(spec: TornadoSpec, level: int | None) -> int:
+    """How many positions, from 0 on, a level (the top entry for None) reads."""
+    return spec.positions if level is None else spec.level_input_positions(level)
+
+
+def _bits(spec: TornadoSpec, level: int | None) -> int:
+    """Entry width of a level (the top entry for None)."""
+    return spec.out_bits if level is None else spec.level_output_bits(level)
+
+
+def _lanes(spec: TornadoSpec, width: int | None = 64,
+           top: bool = True) -> list[list[tuple[int | None, int]]]:
+    """Where packed words hold each entry: lanes of (level, bit offset), the
+    levels in order and then, with ``top``, the top entry (level None), each
+    at the offset the entries before it in its lane leave. A new lane starts
+    before an entry would cross bit ``width``; with no width, every entry is
+    in one lane, the scalar folded word."""
+    lanes: list[list[tuple[int | None, int]]] = []
+    off = 0
+    for level in spec.levels() + ((None,) if top else ()):
+        if not lanes or width and off + _bits(spec, level) > width:
             lanes.append([])
             off = 0
         lanes[-1].append((level, off))
-        off += spec.level_output_bits(level)
+        off += _bits(spec, level)
     return lanes
 
 
-def _lane_words(spec: TornadoSpec, levels: dict[int, np.ndarray], lane: list[tuple[int, int]],
-                row: int) -> np.ndarray:
-    """A lane's packed words, (positions read, row): at each position and
-    flat (trial, slot) offset, every level of the lane that reads the
-    position has its entry at its offset, and the other levels hold 0.
+class Lane(NamedTuple):
+    """One lane of packed words: its :func:`_lanes` entries, and for each
+    position p from 0 to the last one an entry reads, the (B, alphabet_p)
+    words of the B trials."""
 
-    The words are uint32 when the lane fits 32 bits, so a lane of one level
-    gathers from that level's uint32 stack itself, not from a copy."""
-    last, top = lane[-1]
-    dtype = np.uint32 if top + spec.level_output_bits(last) <= 32 else np.uint64
-    words = None
-    # the last level reads the most positions, so its entries start the words;
-    # at offset 0 it is the lane's only level, so the stack is never written
-    for level, off in reversed(lane):
-        rows = levels[level].reshape(spec.level_input_positions(level), row)
-        if words is not None:
-            words[:len(rows)] |= np.left_shift(rows, dtype(off), dtype=dtype)
-        elif off:
-            words = np.left_shift(rows, dtype(off), dtype=dtype)
-        else:
-            words = rows.astype(dtype, copy=False)
-    return words
+    entries: list[tuple[int | None, int]]
+    words: list[np.ndarray]
+
+
+def _pack(spec: TornadoSpec, lanes: list[list[tuple[int | None, int]]], entry,
+          slots: list[np.ndarray | None] | None = None) -> list[Lane]:
+    """Pack ``lanes``: at each position p and (trial, slot), a lane's word
+    holds the entry of each of its levels that reads p, and the top entry, at
+    its offset; the other levels hold 0. ``entry(level, p, s)`` gives the (B,
+    len(s)) entries at the slots ``s = slots[p]``, or (B, alphabet_p) at
+    every slot for s None; with slots, the other slots hold 0.
+
+    The words are uint32 when the lane fits 32 bits, so a lane of one entry
+    keeps a uint32 source array itself, not a copy. A lane that reads no
+    position (level 0 at c = 1) is left out."""
+    packed = []
+    for lane in lanes:
+        last, end = lane[-1]
+        dtype = np.uint32 if end + _bits(spec, last) <= 32 else np.uint64
+        words = []
+        for p in range(max(_reads(spec, level) for level, _ in lane)):
+            s = None if slots is None else slots[p]
+            word = None
+            # highest offset first: an entry at offset 0 comes last, so it starts
+            # the word only as the one entry that reads p, and no source is written
+            for level, off in reversed(lane):
+                if p < _reads(spec, level):
+                    e = entry(level, p, s)
+                    if off:
+                        e = np.left_shift(e, dtype(off), dtype=dtype)
+                    if word is None:
+                        word = e.astype(dtype, copy=False)
+                    else:
+                        word ^= e
+            if s is not None:
+                full = np.zeros((len(word), 1 << spec.position_bits(p)), dtype=dtype)
+                full[:, s] = word
+                word = full
+            words.append(word)
+        if words:
+            packed.append(Lane(lane, words))
+    return packed
 
 
 def derive_stack(spec: TornadoSpec, levels: dict[int, np.ndarray] | np.ndarray, xs: np.ndarray,
@@ -343,65 +383,32 @@ def derive_stack(spec: TornadoSpec, levels: dict[int, np.ndarray] | np.ndarray, 
     from their addresses as they are read: the same bits.
 
     The result is a view of position-major storage: each chars[:, :, i] is
-    one contiguous (B, n) block. Hashed entries are read level by level, one
-    address per (level, position) read. Filled stacks are first packed into
-    the :func:`_lanes` words of :func:`_lane_words`, and the positions are
-    walked in order. Position p is made final: a key character, the twist
-    from level 0's bits, or a derived character ``(acc >> off) & mask`` from
-    its level's lane accumulator. Then each lane with a level that reads p
-    XORs one gather of its words at p into its accumulator, so a key costs
-    one gather per (lane, position) read. With B > 1 the gather index
-    ``ch + b * sigma`` of a position goes to a buffer that every lane reads.
+    one contiguous (B, n) block. Filled stacks are packed into their
+    :func:`_lanes` with no top entry and walked by :func:`eval_folded_stack`.
+    Hashed entries are read level by level, one address per (level,
+    position) read; a spec whose levels read no position takes that path
+    too, and reads nothing.
     """
     xs = np.asarray(xs, dtype=np.uint64)
-    shape = xs.shape if xs.ndim == 2 else (n_trials, len(xs))
-    store = np.empty((spec.positions,) + shape, dtype=np.intp)
+    if isinstance(levels, dict):
+        lanes = _pack(spec, _lanes(spec, top=False), lambda level, p, s: levels[level][p])
+        if lanes:
+            return eval_folded_stack(spec, lanes, xs)[0]
+    store = np.empty((spec.positions,) + (xs.shape if xs.ndim == 2 else (n_trials, len(xs))),
+                     dtype=np.intp)
     cmask = _U(spec.sigma - 1)
     for i in range(spec.c):
         store[i] = (xs >> _U(i * spec.char_bits)) & cmask
-    twist = spec.variant in (Variant.TORNADO, Variant.TORNADO_MIX) and spec.c > 1
-    if not isinstance(levels, dict):
-        def lookup(level: int) -> np.ndarray:
-            """XOR of the level's entries at every position it reads."""
-            reads = ((j, store[j]) for j in range(spec.level_input_positions(level)))
-            return _hashed(spec, levels, level, reads).view(np.intp)  # as chars
 
-        if twist:
-            store[spec.c - 1] ^= lookup(0)
-        for level in range(1, spec.d + 1):
-            store[spec.c + level - 1] = lookup(level)
-        return store.transpose(1, 2, 0)
+    def lookup(level: int) -> np.ndarray:
+        """XOR of the level's entries at every position it reads."""
+        reads = ((j, store[j]) for j in range(spec.level_input_positions(level)))
+        return _hashed(spec, levels, level, reads).view(np.intp)  # as chars
 
-    lanes = _lanes(spec)
-    where = {level: (i, off) for i, lane in enumerate(lanes) for level, off in lane}
-    words = [_lane_words(spec, levels, lane, shape[0] * spec.sigma) for lane in lanes]
-    acc = [np.empty(shape, dtype=w.dtype) for w in words]
-    bufs = {w.dtype: np.empty(shape, dtype=w.dtype) for w in words}
-    base = trial_base(shape[0], spec.sigma)
-    idx = np.empty(shape, dtype=np.intp) if shape[0] > 1 else None
-    n_read = max((len(w) for w in words), default=0)
-
-    def bits(level: int, out: np.ndarray | None = None) -> np.ndarray:
-        """The level's XOR of entries at every position it reads, from its lane."""
-        i, off = where[level]
-        word = np.right_shift(acc[i], off, out=out) if off else acc[i]
-        return np.bitwise_and(word, (1 << spec.level_output_bits(level)) - 1, out=out)
-
-    for p in range(spec.positions):
-        chars = store[p].view(np.uint64)
-        if p == spec.c - 1 and twist:
-            chars ^= bits(0)
-        elif p >= spec.c:
-            bits(p - spec.c + 1, chars)
-        if p >= n_read:
-            continue
-        ix = store[p] if idx is None else np.add(store[p], base, out=idx)
-        for a, w in zip(acc, words):
-            if p < len(w):  # a lane that reads at all reads position 0 first
-                buf = bufs[w.dtype]
-                np.take(w[p], ix, out=buf if p else a, mode="wrap")
-                if p:
-                    a ^= buf
+    if spec.variant in (Variant.TORNADO, Variant.TORNADO_MIX) and spec.c > 1:
+        store[spec.c - 1] ^= lookup(0)
+    for level in range(1, spec.d + 1):
+        store[spec.c + level - 1] = lookup(level)
     return store.transpose(1, 2, 0)
 
 
@@ -460,7 +467,7 @@ class TornadoHash:
     writable table is copied.
     """
 
-    __slots__ = ("spec", "seed", "level_tables", "top_table", "_folded")
+    __slots__ = ("spec", "seed", "level_tables", "top_table", "_packed", "_folded")
 
     def __init__(
         self,
@@ -485,6 +492,7 @@ class TornadoHash:
             _checked_table(t, (1 << spec.position_bits(i),), spec.out_bits, np.uint64,
                            f"top table {i}")
             for i, t in enumerate(top_table)]
+        self._packed: list[Lane] | None = None
         self._folded: FoldedTables | None = None
 
     @classmethod
@@ -538,27 +546,26 @@ class TornadoHash:
             raise ConfigError(f"t must be in 0..{self.spec.out_bits}")
         return self.eval(x) & ((1 << t) - 1)
 
-    # -- batch paths: the engine with B = 1 ------------------------------------
+    # -- batch paths: the lane walk with B = 1 --------------------------------
 
-    def _stacks(self) -> tuple[dict[int, np.ndarray], list[np.ndarray]]:
-        return ({lv: t[:, None] for lv, t in self.level_tables.items()},
-                [t[None] for t in self.top_table])
+    def _walk(self, xs, keep_chars: bool) -> tuple[np.ndarray | None, np.ndarray]:
+        """:func:`eval_folded_stack` over the hash's lanes, packed from its own
+        tables on first use (a lane of one entry keeps that table, not a copy)."""
+        spec = self.spec
+        xs = check_keys(spec, xs)
+        if self._packed is None:
+            levels, top = self.level_tables, self.top_table
+            self._packed = _pack(spec, _lanes(spec), lambda level, p, s: (
+                top[p] if level is None else levels[level][p])[None])
+        return eval_folded_stack(spec, self._packed, xs, keep_chars)
 
     def derive_batch(self, xs: np.ndarray) -> np.ndarray:
         """Derived keys of a key array, an intp ``(len(xs), c + d)`` view."""
-        xs = check_keys(self.spec, xs)
-        return derive_stack(self.spec, self._stacks()[0], xs, 1)[0]
+        return self._walk(xs, True)[0][0]
 
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Hashes of a key array, uint64, computed EVAL_BLOCK keys at a time."""
-        spec = self.spec
-        xs = check_keys(spec, xs)
-        levels, top = self._stacks()
-        h = np.empty(len(xs), dtype=np.uint64)
-        for lo in range(0, len(xs), EVAL_BLOCK):
-            chars = derive_stack(spec, levels, xs[lo:lo + EVAL_BLOCK], 1)
-            h[lo:lo + EVAL_BLOCK] = eval_stack(spec, top, chars)[0]
-        return h
+        """Hashes of a key array, uint64."""
+        return self._walk(xs, False)[1][0]
 
     # -- folded fast path ----------------------------------------------------
 
@@ -586,91 +593,61 @@ class TornadoHash:
 @dataclass
 class FoldedTables:
     """Packed single-pass tables of the w64 and w128mix profiles, one per
-    position, packed by :func:`_fold_layout`. ``steps`` holds (table, offset,
-    mask) for each position from c - 1 on, whose character is
-    ``(acc >> offset) & mask``. The w64 tables are also kept as the
-    (c + d, 256) uint64 ``tables_np``."""
+    position, packed by :func:`_lanes` in one lane of no width limit.
+    ``steps`` holds (table, offset, mask) for each position from c - 1 on,
+    whose character is ``(acc >> offset) & mask``."""
 
     tables: list[list[int]]
     steps: list[tuple[list[int], int, int]]
     top_off: int
-    tables_np: np.ndarray | None = None
 
 
-def is_w64(spec: TornadoSpec) -> bool:
-    """Whether a spec has the w64 folded profile: plain tornado with 8-bit
-    characters whose level entries and output fit one 64-bit word."""
-    return (spec.variant is Variant.TORNADO and spec.char_bits == 8
-            and _fold_layout(spec)[1] + spec.out_bits <= 64)
-
-
-def _fold_layout(spec: TornadoSpec) -> tuple[dict[int, int], int]:
-    """Bit offset of each level in a folded word, and ``top_off``, that of
-    the top entry: the levels in order, as in :func:`_lanes` but in one
-    word, and the top entry above them all. The entry of position p holds
-    the entries of the levels that read p, 0 for the others."""
-    offs, off = {}, 0
-    for level in spec.levels():
-        offs[level] = off
-        off += spec.level_output_bits(level)
-    return offs, off
-
-
-def _read_slots(spec: TornadoSpec, p: int, xs: np.ndarray) -> np.ndarray:
+def _read_slots(spec: TornadoSpec, p: int, xs: np.ndarray) -> np.ndarray | None:
     """The slots of position ``p`` that :func:`fold_stacks` packs: the
-    characters shared (n,) keys hold at an untwisted input position, else all."""
+    characters shared (n,) keys hold at an untwisted input position, else
+    None, every slot."""
     if xs.ndim != 1 or p >= spec.c - 1:
-        return np.arange(spec.sigma)
+        return None
     chars = ((xs >> _U(p * spec.char_bits)) & _U(spec.sigma - 1)).astype(np.intp)
     return np.flatnonzero(np.bincount(chars, minlength=spec.sigma))
 
 
-def fold_stacks(spec: TornadoSpec, seeds: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Folded tables of B trials (w64 profile) for the keys ``xs``, a
-    contiguous (c + d, B, 256) uint64 stack whose entries are hashed from
-    their addresses under the (B,) trial seeds.
+def fold_stacks(spec: TornadoSpec, seeds: np.ndarray, xs: np.ndarray) -> list[Lane]:
+    """The :func:`_lanes` of B trials for the keys ``xs``, their entries
+    hashed from their addresses under the (B,) trial seeds.
 
-    The stack is built one position at a time: at each slot of position p,
-    the top entry and the entry of each level that reads p are shifted to
-    their :func:`_fold_layout` offsets and XORed. Slot rule: with shared
-    (n,) keys ``xs``, an untwisted input position (0..c-2) packs only the
-    characters the keys hold there, and its other slots are 0; every other
-    position, and every position for per-trial (B, n) keys, packs all 256
-    slots. An entry no key reads cannot change a hash, so the stack
-    evaluates the keys of ``xs`` as the full stack does, and it is a
-    function of the seeds and the keys only.
+    Slot rule: with shared (n,) keys ``xs``, an untwisted input position
+    (0..c-2) packs only the characters the keys hold there, and its other
+    slots are 0; every other position, and every position for per-trial
+    (B, n) keys, packs every slot. An entry no key reads cannot change a
+    hash, so the lanes evaluate the keys of ``xs`` as full lanes do, and they
+    are a function of the seeds and the keys only.
     """
     xs = np.asarray(xs, dtype=np.uint64)
-    folded = np.empty((spec.positions, len(seeds), spec.sigma), dtype=np.uint64)
-    offs, top_off = _fold_layout(spec)
-    for p, col in enumerate(folded):
-        slots = _read_slots(spec, p, xs)
-        part = len(slots) < spec.sigma
-        acc = np.empty((len(seeds), len(slots)), dtype=np.uint64) if part else col
-        # the top entry comes first and starts the position
-        np.left_shift(_hashed(spec, seeds, None, [(p, slots)]), _U(top_off), out=acc)
-        for level, off in offs.items():
-            if p < spec.level_input_positions(level):
-                acc ^= _hashed(spec, seeds, level, [(p, slots)]) << _U(off)
-        if part:
-            col.fill(0)
-            col[:, slots] = acc
-    return folded
+
+    def entry(level: int | None, p: int, s: np.ndarray | None) -> np.ndarray:
+        slots = np.arange(1 << spec.position_bits(p)) if s is None else s
+        return _hashed(spec, seeds, level, [(p, slots)])
+
+    return _pack(spec, _lanes(spec), entry,
+                 [_read_slots(spec, p, xs) for p in range(spec.positions)])
 
 
 def fold_tables(h: TornadoHash) -> FoldedTables:
     """Pack the logical tables of ``h`` into its profile's folded layout.
 
     One loop packs both profiles from the hash's own entries, by
-    :func:`_fold_layout`, so the folded evaluation is equal to the reference
-    path by construction. A spec folds if its top entry fits the word:
-    ``top_off + out_bits`` at most 64 for plain tornado (w64), at most 128
-    for tornado-mix with psi = 16 (w128mix), both with 8-bit characters. The
-    entries are Python ints, as w128mix entries do not fit 64 bits; the w64
-    tables are also kept as one uint64 array.
+    :func:`_lanes` with no width limit: the levels in order, the top entry
+    at ``top_off`` above them. So the folded evaluation is equal to the
+    reference path by construction. A spec folds if its top entry fits the
+    word: ``top_off + out_bits`` at most 64 for plain tornado (w64), at most
+    128 for tornado-mix with psi = 16 (w128mix), both with 8-bit characters.
+    The entries are Python ints, as w128mix entries do not fit 64 bits.
     """
     spec = h.spec
-    offs, top_off = _fold_layout(spec)
+    (lane,) = _lanes(spec, None)
+    offs = dict(lane)
+    top_off = offs.pop(None)
     word = 64 if spec.variant is Variant.TORNADO else 128 if spec.psi_bits == 16 else 0
     if spec.char_bits != 8 or top_off + spec.out_bits > word:
         raise ConfigError(f"no folded layout for {spec.spec_string()}")
@@ -683,76 +660,92 @@ def fold_tables(h: TornadoHash) -> FoldedTables:
         tables.append(col)
     steps = [(tables[p], offs[p - spec.c + 1], (1 << spec.position_bits(p)) - 1)
              for p in range(spec.c - 1, spec.positions)]
-    return FoldedTables(tables, steps, top_off,
-                        _read_only(np.array(tables, dtype=np.uint64)) if word == 64 else None)
+    return FoldedTables(tables, steps, top_off)
 
 
-def eval_folded_stack(spec: TornadoSpec, folded: np.ndarray, xs: np.ndarray,
-                      keep_chars: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
-    """The folded loop over B trials: (derived keys, (B, n) hashes). xs is (n,)
-    shared or (B, n) per trial; ``folded`` is a :func:`fold_stacks` result.
+def eval_folded_stack(spec: TornadoSpec, lanes: list[Lane], xs: np.ndarray,
+                      keep_chars: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The lane walk over B trials: (derived keys, (B, n) hashes). xs is (n,)
+    shared or (B, n) per trial; ``lanes`` come from :func:`fold_stacks`, a
+    hash's own tables or, with no top entry, filled level stacks, and then
+    the hashes are None.
 
     The derived keys are a (B, n, c + d) intp view of position-major storage,
-    as :func:`derive_stack` returns them, or None unless ``keep_chars``. For
-    i < c - 1 character i is the key byte; from c - 1 on it is
-    ``(acc >> off) & 255`` at the :func:`_fold_layout` offset of its level,
-    and the hashes are acc shifted down by top_off. The loop runs over
-    blocks of about FOLD_BLOCK keys, so its buffers stay in L2: whole trial
-    rows when n is smaller, else part of one row. Either way a block is a contiguous run of the flat
-    (trial, key) order, and every step works on flat 1-D buffers. A block
-    reads each position's table with one flat take at ch + 256 * (its trial
-    row); a block of one trial row needs no offset.
+    as :func:`derive_stack` returns them, or None unless ``keep_chars``. The
+    positions are walked in order. Position p is made final: a key
+    character, or ``(acc >> off) & mask`` of its level's lane accumulator.
+    Level 0's lane starts at the last input character, so at c - 1 that is
+    the twisted character. Then each lane that reads p XORs one gather of
+    its words at p into its accumulator, and the hash is the top entry's
+    bits. A tornado-mix position of psi bits, which only the top entry
+    reads, gathers over its own alphabet.
+
+    The walk runs over blocks of about FOLD_BLOCK keys, so its buffers stay
+    in L2: whole trial rows when n is smaller, else part of one row. Either
+    way a block is a contiguous run of the flat (trial, key) order, and
+    every step works on flat 1-D buffers. A block reads a position's words
+    with one flat take at ch + alphabet * (its trial row); a block of one
+    trial row needs no offset.
     """
-    n_trials, width = folded.shape[1:]
     xs = np.asarray(xs, dtype=np.uint64)
-    n = xs.shape[-1]
-    evals = np.empty(n_trials * n, dtype=np.uint64)
+    n_trials, n = len(lanes[0].words[0]), xs.shape[-1]
+    where = {level: (i, off) for i, lane in enumerate(lanes) for level, off in lane.entries}
+    dtypes = [lane.words[0].dtype for lane in lanes]
+    top = where.get(None)
+    evals = np.empty(n_trials * n, dtype=np.uint64) if top else None
     store = np.empty((spec.positions, n_trials * n), dtype=np.intp) if keep_chars else None
     cols = max(1, min(n, FOLD_BLOCK))
     rows = max(1, min(n_trials, FOLD_BLOCK // cols))
-    base = np.repeat(trial_base(rows, width), cols) if rows > 1 else None
-    key_buf, col_buf = np.empty(rows * cols, dtype=np.uint64), np.empty(rows * cols, dtype=np.uint64)
-    idx_buf = np.empty(rows * cols, dtype=np.intp)
-    flat = folded.reshape(spec.positions, -1)
-    offs, top_off = _fold_layout(spec)
-    m8, c = _U(255), spec.c
-    # bit of its word (the key before c - 1, acc from there) where position i's character sits
-    shifts = [_U(8 * i) for i in range(c - 1)] + [_U(offs[lv]) for lv in spec.levels()]
+    alphas = [1 << spec.position_bits(p) for p in range(spec.positions)]
+    bases = {a: np.repeat(trial_base(rows, a), cols) for a in set(alphas)} if rows > 1 else None
+    key_buf, idx_buf = np.empty(rows * cols, dtype=np.uint64), np.empty(rows * cols, dtype=np.intp)
+    acc_bufs = [np.empty(rows * cols, dtype=dt) for dt in dtypes]
+    col_bufs = {dt: np.empty(rows * cols, dtype=dt) for dt in dtypes}
+    twist = 0 in where  # level 0 is the first entry of lane 0, at offset 0
+    # per position: (lane and offset of its character's bits, None for a key
+    # character; the character mask; the lanes that read it)
+    steps = [(where.get(p - spec.c + 1), (1 << spec.position_bits(p)) - 1,
+              [i for i, lane in enumerate(lanes) if p < len(lane.words)])
+             for p in range(spec.positions)]
     for r0 in range(0, n_trials, rows):
         r1 = min(r0 + rows, n_trials)
-        tabs = list(flat[:, r0 * width:r1 * width])
+        tabs = [[w[r0:r1].reshape(-1) for w in lane.words] for lane in lanes]
         for c0 in range(0, n, cols):
             c1 = min(c0 + cols, n)
             lo = r0 * n + c0
-            hi = lo + (r1 - r0) * (c1 - c0)
-            acc, key = evals[lo:hi], key_buf[:hi - lo]
-            idx, col = idx_buf[:hi - lo], col_buf[:hi - lo]
+            m = (r1 - r0) * (c1 - c0)
+            key, idx = key_buf[:m], idx_buf[:m]
+            acc = [a[:m] for a in acc_bufs]
+            if top and dtypes[top[0]] == np.uint64:  # the top lane accumulates in place
+                acc[top[0]] = evals[lo:lo + m]
             key.reshape(r1 - r0, c1 - c0)[...] = xs[r0:r1, c0:c1] if xs.ndim == 2 else xs[c0:c1]
-            np.right_shift(key, _U(8 * (c - 1)), out=acc)  # the last input character
-            for i, tab in enumerate(tabs):
-                ch = idx if store is None else store[i, lo:hi]
-                word = np.right_shift(key if i < c - 1 else acc, shifts[i], out=ch.view(np.uint64))
-                word &= m8
-                if base is not None:
-                    ch = np.add(ch, base[:hi - lo], out=idx)
-                # characters are below 256, so "wrap" reads the same entries as
-                # the default "raise", which would copy through a temporary for out=
-                acc ^= np.take(tab, ch, out=col, mode="wrap")
-            acc >>= _U(top_off)
-    evals = evals.reshape(n_trials, n)
-    if store is None:
-        return None, evals
-    return store.reshape(spec.positions, n_trials, n).transpose(1, 2, 0), evals
+            if twist:
+                np.right_shift(key, _U(spec.char_bits * (spec.c - 1)), out=acc[0])
+            for p, (bits, mask, readers) in enumerate(steps):
+                ch = idx if store is None else store[p, lo:lo + m]
+                word, off = (key, spec.char_bits * p) if bits is None else (acc[bits[0]], bits[1])
+                out = ch.view(np.uint64)
+                np.bitwise_and(np.right_shift(word, off, out=out) if off else word, mask, out=out)
+                if bases is not None:
+                    ch = np.add(ch, bases[alphas[p]][:m], out=idx)
+                for i in readers:
+                    # characters are below their alphabet, so "wrap" reads the same
+                    # entries as the default "raise", which would copy for out=
+                    if p or (twist and i == 0):
+                        acc[i] ^= np.take(tabs[i][p], ch, out=col_bufs[dtypes[i]][:m], mode="wrap")
+                    else:
+                        np.take(tabs[i][p], ch, out=acc[i], mode="wrap")
+            if top and (top[1] or dtypes[top[0]] != np.uint64):
+                np.right_shift(acc[top[0]], top[1], out=evals[lo:lo + m])
+    chars = None if store is None else (
+        store.reshape(spec.positions, n_trials, n).transpose(1, 2, 0))
+    return chars, None if evals is None else evals.reshape(n_trials, n)
 
 
 def eval_folded_batch(h: TornadoHash, xs: np.ndarray) -> np.ndarray:
-    """Vectorized folded evaluation (w64 profile only): the folded loop with
-    one trial."""
-    f = h.folded
-    if f.tables_np is None:
-        raise ConfigError("batch folded evaluation only supports the w64 profile")
-    xs = check_keys(h.spec, xs)
-    return eval_folded_stack(h.spec, f.tables_np[:, None], xs, keep_chars=False)[1][0]
+    """Hashes of a key array by the lane walk with one trial, as
+    ``h.eval_batch``, for every spec."""
+    return h._walk(xs, False)[1][0]
 
 
 def derived_injectivity_check(h: TornadoHash, keys) -> bool:

@@ -10,13 +10,14 @@ pipeline of every Monte Carlo experiment (linear probing's included), draws
 a chunk's seeds and keys and runs the batched engine of :mod:`tornadotab.core`
 on them (the engine a :class:`~tornadotab.core.TornadoHash` runs with one
 trial), and :func:`tornadotab.selectors.selection_mask` selects over the
-whole chunk. Top tables are filled per chunk; level entries are hashed from
-their addresses when the chunk has fewer keys than sigma, and so reads fewer
-entries than filling would write, and filled otherwise. A chunk that fills
-and evaluates a w64 spec fills the folded stack straight from its seeds,
-only at the slots its shared keys read at the untwisted input positions,
-and runs the folded loop, c + d gathers per key, which yields the same
-derived keys and hashes. Every other filling chunk fills every slot.
+whole chunk. Level entries are hashed from their addresses when the chunk
+has fewer keys than sigma, and so reads fewer entries than filling would
+write, and filled otherwise. A chunk that fills and evaluates packs the
+engine's lanes straight from its seeds, only at the slots its shared keys
+read at the untwisted input positions, and walks them, one gather per
+(lane, position) read, which yields the same derived keys and hashes as
+deriving and evaluating. A filling chunk that does not evaluate walks the
+lanes of its filled level tables, with no top entry.
 Linear-independence checks first peel keys containing a position character
 unique in their trial (such keys cannot take part in any zero-set), falling
 back to exact F2 elimination for the rare survivors. Peeling counts one
@@ -264,13 +265,13 @@ def trial_blocks(spec: TornadoSpec, keys, evaluate: bool, master_seed: int, star
     source) when its keys read fewer entries than filling writes, which for
     sigma-wide level tables means n < sigma; else the tables are filled.
     ``evaluate`` counts the top tables in that size, fills them and evaluates
-    the derived keys. A chunk that fills and evaluates, with a spec of the w64
-    folded profile, fills its folded stack from the seeds with
-    ``core.fold_stacks`` (no level or top stacks; shared keys fill only the
-    slots they read at the untwisted input positions) and derives and
-    evaluates with ``core.eval_folded_stack``. Every other chunk derives and
-    evaluates with ``derive_stack`` and ``eval_stack``, and a filled one
-    fills every slot of its level and top tables.
+    the derived keys. A chunk that fills and evaluates packs its lanes from
+    the seeds with ``core.fold_stacks`` (no level or top stacks; shared keys
+    fill only the slots they read at the untwisted input positions) and
+    walks them with ``core.eval_folded_stack``. Every other chunk derives
+    with ``derive_stack``: a filled one, which does not evaluate, walks the
+    lanes of its level tables with no top entry, and a hashed one evaluates
+    with ``eval_stack`` if asked.
     """
     sample = isinstance(keys, (int, np.integer))
     n_keys = int(keys) if sample else len(keys)
@@ -281,12 +282,11 @@ def trial_blocks(spec: TornadoSpec, keys, evaluate: bool, master_seed: int, star
     max_alpha = max(1 << spec.position_bits(i) for i in range(spec.positions))
     chunk = int(min(1 << 16, max(1, min(chunk, (1 << 24) // max_alpha))))
     fill = n_keys >= spec.sigma
-    fold = evaluate and fill and core.is_w64(spec)
     for lo in range(start, stop, chunk):
         seeds = rng.trial_seed_vec(master_seed,
                                    np.arange(lo, min(lo + chunk, stop), dtype=np.uint64))
         xs = rng.sample_distinct_keys(seeds, n_keys, spec.key_bits) if sample else keys
-        if fold:
+        if fill and evaluate:
             chars, evals = core.eval_folded_stack(spec, core.fold_stacks(spec, seeds, xs), xs)
         else:
             levels = _chunk_level_tables(spec, seeds) if fill else seeds

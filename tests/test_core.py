@@ -3,13 +3,11 @@ import pytest
 
 from tornadotab import rng, selectors
 from tornadotab.core import (
-    EVAL_BLOCK,
     FOLD_BLOCK,
     ConfigError,
     TornadoHash,
     TornadoSpec,
     Variant,
-    _fold_layout,
     _lanes,
     derive_stack,
     derived_injectivity_check,
@@ -19,7 +17,6 @@ from tornadotab.core import (
     eval_stack,
     fold_stacks,
     fold_tables,
-    is_w64,
     level_stacks,
     parse_spec_string,
     top_stacks,
@@ -41,11 +38,35 @@ MIX_SPECS = [
 ]
 
 
-def _fold_reference(spec: TornadoSpec, seeds: np.ndarray) -> np.ndarray:
-    """The (c + d, B, 256) stack of each seed's built tables as fold_tables
-    packs them, with Python ints: no code shared with fold_stacks."""
-    return np.stack([fold_tables(TornadoHash.build(spec, s)).tables_np for s in seeds.tolist()],
-                    axis=1)
+def _assert_lanes_hold(spec: TornadoSpec, lanes, seeds: np.ndarray, read=lambda p: None):
+    """Read back at its offset, every entry of every lane word is that
+    trial's level or top entry where it reads the position, else 0, with
+    Python ints: no code shared with the packing. Lanes hold the entries of
+    ``_lanes(spec)``, and slots outside ``read(p)`` (a bool mask, None for
+    every slot) are 0 in every word."""
+    levels, top = level_stacks(spec, seeds), top_stacks(spec, seeds)
+    assert [lane.entries for lane in lanes] == _lanes(spec)
+    for lane in lanes:
+        assert len(lane.words) == max(spec.positions if lv is None else
+                                      spec.level_input_positions(lv) for lv, _ in lane.entries)
+        for p, words in enumerate(lane.words):
+            alpha = 1 << spec.position_bits(p)
+            assert words.shape == (len(seeds), alpha)
+            mask = read(p)
+            mask = np.ones(alpha, dtype=bool) if mask is None else mask
+            rows = words.tolist()
+            assert not any(row[ch] for row in rows for ch in np.flatnonzero(~mask))
+            for level, off in lane.entries:
+                bits = spec.out_bits if level is None else spec.level_output_bits(level)
+                if level is None:
+                    want = top[p]
+                elif p < spec.level_input_positions(level):
+                    want = levels[level][p]
+                else:
+                    want = np.zeros_like(words)
+                got = [[(v >> off) & ((1 << bits) - 1) for v in row] for row in rows]
+                assert np.array_equal(np.array(got, dtype=np.uint64)[:, mask], want[:, mask]), (
+                    p, level)
 
 
 def _derive_reference(h: TornadoHash, x: int) -> tuple[int, ...]:
@@ -428,24 +449,43 @@ class TestEngineLayout:
         TornadoSpec(6, 4, 8, 48, Variant.TORNADO_MIX, psi_bits=12),
     ]
 
-    # spec -> the engine's lanes, each a list of (level, bit offset)
+    # spec -> the engine's lanes, each a list of (level, bit offset), the top
+    # entry as level None after the levels
     LANES = {
-        # level 5 would straddle bit 64
-        "tornado,cb=12,c=5,d=5,r=40": [[(0, 0), (1, 12), (2, 24), (3, 36), (4, 48)], [(5, 0)]],
+        # level 5 would straddle bit 64; the top entry shares its lane
+        "tornado,cb=12,c=5,d=5,r=40": [[(0, 0), (1, 12), (2, 24), (3, 36), (4, 48)],
+                                       [(5, 0), (None, 12)]],
         "simpletornado,cb=4,c=2,d=40,r=16": [
             [(lv, 4 * ((lv - 1) % 16)) for lv in range(lo, min(lo + 16, 41))]
             for lo in (1, 17, 33)],
         # the two parallel psi-wide levels land in different lanes
-        "tornadomix,cb=6,c=4,d=8,r=48,psi=12": [[(lv, 6 * lv) for lv in range(8)], [(8, 0)]],
-        "tornado,cb=8,c=4,d=4,r=24": [[(lv, 8 * lv) for lv in range(5)]],
+        "tornadomix,cb=6,c=4,d=8,r=48,psi=12": [[(lv, 6 * lv) for lv in range(8)],
+                                                [(8, 0), (None, 12)]],
+        # w64: one lane
+        "tornado,cb=8,c=4,d=4,r=24": [[(lv, 8 * lv) for lv in range(5)] + [(None, 40)]],
+        # the levels fill 64 bits, so the top entry has its own lane
         "tornadomix,cb=8,c=8,d=5,r=64,psi=16": [
-            [(0, 0), (1, 8), (2, 16), (3, 24), (4, 32), (5, 48)]],
-        "simpletab,cb=8,c=4,d=0,r=32": [],
+            [(0, 0), (1, 8), (2, 16), (3, 24), (4, 32), (5, 48)], [(None, 0)]],
+        "tornado,cb=8,c=4,d=4,r=32": [[(lv, 8 * lv) for lv in range(5)], [(None, 0)]],
+        # the top entry shares the lane after a lane break
+        "tornado,cb=16,c=2,d=4,r=16": [[(0, 0), (1, 16), (2, 32), (3, 48)], [(4, 0), (None, 16)]],
+        "simpletab,cb=8,c=4,d=0,r=32": [[(None, 0)]],
     }
+    LANES["simpletornado,cb=4,c=2,d=40,r=16"][-1].append((None, 32))
 
     @pytest.mark.parametrize("text", LANES)
     def test_lanes(self, text):
-        assert _lanes(parse_spec_string(text)) == self.LANES[text]
+        """The lanes with the top entry, without it (the same levels, an
+        emptied lane dropped), and with no width limit (every entry in one
+        lane at its cumulative offset, the scalar folded word)."""
+        spec = parse_spec_string(text)
+        lanes = self.LANES[text]
+        assert _lanes(spec) == lanes
+        levels = [[e for e in lane if e[0] is not None] for lane in lanes]
+        assert _lanes(spec, top=False) == [lane for lane in levels if lane]
+        widths = [spec.level_output_bits(lv) for lv in spec.levels()] + [spec.out_bits]
+        assert _lanes(spec, None) == [list(zip([*spec.levels(), None],
+                                               np.cumsum([0] + widths[:-1]).tolist()))]
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.spec_string())
     def test_stack_column_is_the_built_table(self, spec):
@@ -481,25 +521,30 @@ class TestEngineLayout:
 
 
 class TestEvalBatchBlocks:
-    """eval_batch at the edges of its EVAL_BLOCK blocks, a short last block
-    included: every key of the w64 spec against the folded loop, and a sample
-    of the mix spec and of a spec with no folded layout against scalar eval."""
+    """eval_batch at the edges of the lane walk's FOLD_BLOCK blocks, a short
+    last block included: every key of the w64 spec against the engine's
+    hashed reference, and a sample of the mix spec and of a spec with no
+    folded layout against scalar eval."""
 
-    SIZES = [0, 1, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1, 2 * EVAL_BLOCK + 5]
+    SIZES = [0, 1, FOLD_BLOCK - 1, FOLD_BLOCK, FOLD_BLOCK + 1, 2 * FOLD_BLOCK + 5]
 
     @staticmethod
     def sample(n):
         """First, last, both sides of each block edge, and a spread between."""
-        edges = [e + d for e in range(EVAL_BLOCK, n, EVAL_BLOCK) for d in (-1, 0, 1)]
+        edges = [e + d for e in range(FOLD_BLOCK, n, FOLD_BLOCK) for d in (-1, 0, 1)]
         return sorted({i for i in [0, n - 1, *edges, *range(0, n, 997)] if 0 <= i < n})
 
     @pytest.mark.parametrize("n", SIZES)
     def test_w64_every_key(self, n):
-        h = TornadoHash.build(parse_spec_string("tornado,cb=8,c=4,d=4,r=24"), 0xE1)
+        spec = parse_spec_string("tornado,cb=8,c=4,d=4,r=24")
+        h = TornadoHash.build(spec, 0xE1)
         keys = rng.raw_key_stream(11, n, 32)
         out = h.eval_batch(keys)
         assert out.shape == (n,) and out.dtype == np.uint64
-        assert np.array_equal(out, eval_folded_batch(h, keys))
+        seeds = np.array([h.seed], dtype=np.uint64)
+        chars = derive_stack(spec, seeds, keys, 1)
+        assert np.array_equal(out, eval_stack(spec, top_stacks(spec, seeds), chars)[0])
+        assert np.array_equal(h.derive_batch(keys), chars[0])
 
     @pytest.mark.parametrize("text", ["tornadomix,cb=8,c=8,d=5,r=64,psi=16",
                                       "simpletornado,cb=16,c=2,d=3,r=20"])
@@ -578,19 +623,20 @@ class TestFolded:
     @pytest.mark.parametrize("shared", [True, False], ids=["shared-keys", "per-trial-keys"])
     def test_folded_stack_block_edges(self, n_trials, n, shared):
         """Blocks of several trial rows, the last one partial, and blocks of
-        one row's columns, the last one partial, against the engine, over the
-        seeds' fold and over the reference fold of their built tables."""
-        spec = W64_SPECS[0]
-        seeds = rng.trial_seed_vec(0xB10C, np.arange(n_trials, dtype=np.uint64))
-        levels, top = level_stacks(spec, seeds), top_stacks(spec, seeds)
-        xs = rng.raw_key_stream(n, n if shared else n_trials * n, 32)
-        xs = xs if shared else xs.reshape(n_trials, n)
-        chars, evals = eval_folded_stack(spec, fold_stacks(spec, seeds, xs), xs)
-        ref_chars, ref_evals = eval_folded_stack(spec, _fold_reference(spec, seeds), xs)
-        assert np.array_equal(chars, ref_chars) and np.array_equal(evals, ref_evals)
-        expected = derive_stack(spec, levels, xs, n_trials)
-        assert np.array_equal(chars, expected)
-        assert np.array_equal(evals, eval_stack(spec, top, expected))
+        one row's columns, the last one partial, against the hashed engine,
+        for the w64 spec (one lane) and the mix spec (a lane of levels and
+        one of top entries, whose psi-wide positions have their own
+        alphabet), over the seeds' fold and over the filled level stacks."""
+        for spec in (W64_SPECS[0], MIX_SPECS[1]):
+            seeds = rng.trial_seed_vec(0xB10C, np.arange(n_trials, dtype=np.uint64))
+            xs = rng.raw_key_stream(n, n if shared else n_trials * n, spec.key_bits)
+            xs = xs if shared else xs.reshape(n_trials, n)
+            chars, evals = eval_folded_stack(spec, fold_stacks(spec, seeds, xs), xs)
+            expected = derive_stack(spec, seeds, xs, n_trials)
+            assert np.array_equal(chars, expected)
+            assert np.array_equal(evals, eval_stack(spec, top_stacks(spec, seeds), expected))
+            assert np.array_equal(derive_stack(spec, level_stacks(spec, seeds), xs, n_trials),
+                                  expected)
 
     def test_folded_batch_read_only_and_list_input(self):
         h = TornadoHash.build(W64_SPECS[0], 0xB10C)
@@ -619,16 +665,19 @@ class TestFolded:
     def test_every_position_folds_by_one_rule(self, spec):
         """Read at a level's offset, every folded entry gives back that
         level's entry if the level reads the position, else 0, and at top_off
-        the top entry. The levels sit in order, as in the engine's lanes, and
-        the loop reads the character of position c - 1 + level at the
-        level's offset."""
+        the top entry. The folded word is the engine's lanes with no width
+        limit: the levels in order, then the top entry, so a spec whose
+        entries fit 64 bits folds as its one engine lane. The loop reads the
+        character of position c - 1 + level at the level's offset."""
         h = TornadoHash.build(spec, 1)
         folded = fold_tables(h)
-        offs, top_off = _fold_layout(spec)
+        (lane,) = _lanes(spec, None)
+        offs = dict(lane)
+        top_off = offs.pop(None)
         assert list(offs) == list(spec.levels()) == list(range(spec.d + 1))
         assert top_off == sum(spec.level_output_bits(lv) for lv in offs)
-        if top_off <= 64:
-            assert _lanes(spec) == [list(offs.items())]
+        if top_off + spec.out_bits <= 64:
+            assert _lanes(spec) == [lane]
         assert len(folded.tables) == spec.positions
         for p, col in enumerate(folded.tables):
             assert [v >> top_off for v in col] == h.top_table[p].tolist()
@@ -650,7 +699,7 @@ class TestFolded:
         spec = TornadoSpec(8, c, d, out_bits, Variant.TORNADO)
         h = TornadoHash.build(spec, 0xFACE ^ (c << 8) ^ d)
         keys = rng.raw_key_stream(c * 31 + d, 3000, spec.key_bits)
-        assert np.array_equal(h.eval_batch(keys), eval_folded_batch(h, keys))
+        assert eval_folded_batch(h, keys).tolist() == [h.eval_folded(int(x)) for x in keys]
 
     def test_zero_tables_hash_zero(self):
         spec = TornadoSpec(8, 4, 4, 24, Variant.TORNADO)
@@ -674,8 +723,7 @@ class TestFolded:
         assert not np.array_equal(expected, h.eval_batch(keys))
         assert not np.array_equal(expected, TornadoHash.build(spec, hand.seed).eval_batch(keys))
         assert [hand.eval_folded(int(x)) for x in keys] == [hand.eval(int(x)) for x in keys]
-        if hand.folded.tables_np is not None:
-            assert np.array_equal(eval_folded_batch(hand, keys), expected)
+        assert np.array_equal(eval_folded_batch(hand, keys), expected)
 
     def test_hand_made_uint64_level_tables(self):
         spec = TornadoSpec(8, 4, 4, 24, Variant.TORNADO)
@@ -692,11 +740,17 @@ class TestFolded:
         with pytest.raises(ConfigError, match="no folded layout"):
             fold_tables(TornadoHash.build(TornadoSpec(8, 4, 8, 24, Variant.TORNADO), 1))  # too wide
 
-    def test_batch_mix_rejected(self):
-        spec = TornadoSpec(8, 8, 5, 64, Variant.TORNADO_MIX, psi_bits=16)
+    @pytest.mark.parametrize("spec", MIX_SPECS + [
+        TornadoSpec(8, 4, 8, 24, Variant.TORNADO),  # no folded layout
+        TornadoSpec(16, 2, 4, 16, Variant.TORNADO),
+        TornadoSpec(4, 3, 2, 8, Variant.SIMPLE_TORNADO),
+    ], ids=lambda s: s.spec_string())
+    def test_batch_every_spec(self, spec):
+        """The batch folded path walks the lanes of every spec, tornado-mix
+        and specs with no scalar folded layout included."""
         h = TornadoHash.build(spec, 1)
-        with pytest.raises(ConfigError):
-            eval_folded_batch(h, np.arange(4, dtype=np.uint64))
+        keys = rng.raw_key_stream(0xBA7, 300, spec.key_bits)
+        assert eval_folded_batch(h, keys).tolist() == [h.eval(int(x)) for x in keys]
 
 
 class TestKeyDomain:
@@ -751,8 +805,7 @@ class TestKeyDomain:
         expected = [h.eval(x) for x in keys]
         assert h.eval_batch(keys).tolist() == expected
         assert [tuple(r) for r in h.derive_batch(keys).tolist()] == [h.derive(x) for x in keys]
-        if is_w64(spec):
-            assert eval_folded_batch(h, keys).tolist() == expected
+        assert eval_folded_batch(h, keys).tolist() == expected
         assert derived_injectivity_check(h, keys)
         assert selectors.candidates(selectors.fixed_set(keys), spec).tolist() == keys
         for bad in ([1, 2.0], [2**63, 1.5], [1, None], np.array([1, 2.0], dtype=object)):
@@ -778,8 +831,7 @@ class TestKeyDomain:
         assert h.derive(key) == h.derive(x) and all(type(v) is int for v in h.derive(key))
         assert h.eval_batch([key]).tolist() == [want]
         assert h.derive_batch([key]).tolist() == [list(h.derive(x))]
-        if is_w64(spec):
-            assert eval_folded_batch(h, [key]).tolist() == [want]
+        assert eval_folded_batch(h, [key]).tolist() == [want]
 
     @pytest.mark.parametrize("key", [True, np.bool_(True), 3.0, np.float64(3.0), "3", None],
                              ids=repr)
@@ -788,9 +840,7 @@ class TestKeyDomain:
         h = TornadoHash.build(spec, 1)
         calls = [h.eval, h.eval_folded, h.derive, lambda k: h.select_bits(k, 1),
                  lambda k: h.free_bits(k, 1), lambda k: h.eval_batch([k]),
-                 lambda k: h.derive_batch([k])]
-        if is_w64(spec):
-            calls.append(lambda k: eval_folded_batch(h, [k]))
+                 lambda k: h.derive_batch([k]), lambda k: eval_folded_batch(h, [k])]
         for call in calls:
             with pytest.raises(ConfigError):
                 call(key)
@@ -882,12 +932,15 @@ class TestDump:
 
 
 class TestFoldFromSeeds:
-    """fold_stacks from the trial seeds against fold_tables of each seed's
-    built tables: shared keys fold only the characters they hold at each
-    untwisted input position, per-trial keys fold every slot."""
+    """fold_stacks from the trial seeds against each trial's tables: shared
+    keys fold only the characters they hold at each untwisted input
+    position, per-trial keys fold every slot. A mix spec packs its top
+    entries in a lane of their own, with psi-wide words at its last two
+    positions."""
 
     SPECS = [TornadoSpec(8, 2, 3, 8, Variant.TORNADO), TornadoSpec(8, 3, 2, 8, Variant.TORNADO),
-             TornadoSpec(8, 4, 3, 24, Variant.TORNADO)]
+             TornadoSpec(8, 4, 3, 24, Variant.TORNADO),
+             TornadoSpec(8, 3, 3, 64, Variant.TORNADO_MIX, psi_bits=10)]
 
     @staticmethod
     def keys(spec, n_distinct, rows, n, seed):
@@ -903,40 +956,36 @@ class TestFoldFromSeeds:
         return xs
 
     @staticmethod
-    def assert_folded_loop_is_the_engine(spec, folded, levels, top, xs, n_trials):
-        chars, evals = eval_folded_stack(spec, folded, xs)
-        expected = derive_stack(spec, levels, xs, n_trials)
+    def assert_walk_is_the_engine(spec, lanes, seeds, xs):
+        """The walk over the lanes against the hashed engine."""
+        chars, evals = eval_folded_stack(spec, lanes, xs)
+        expected = derive_stack(spec, seeds, xs, len(seeds))
         assert np.array_equal(chars, expected)
-        assert np.array_equal(evals, eval_stack(spec, top, expected))
+        assert np.array_equal(evals, eval_stack(spec, top_stacks(spec, seeds), expected))
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.spec_string())
     @pytest.mark.parametrize("n_distinct", [1, 2, 256])
     def test_shared_keys_fold_the_slots_they_read(self, spec, n_distinct):
-        n_trials = 5
-        seeds = rng.trial_seed_vec(0x5107, np.arange(n_trials, dtype=np.uint64))
-        levels, top = level_stacks(spec, seeds), top_stacks(spec, seeds)
+        seeds = rng.trial_seed_vec(0x5107, np.arange(5, dtype=np.uint64))
         xs = self.keys(spec, n_distinct, 1, 300, 0x5108)[0]
-        folded = fold_stacks(spec, seeds, xs)
-        full = _fold_reference(spec, seeds)
-        assert folded.shape == full.shape == (spec.positions, n_trials, 256)
-        for p in range(spec.positions):
-            read = np.zeros(256, dtype=bool)
-            if p < spec.c - 1:
-                read[((xs >> np.uint64(8 * p)) & np.uint64(255)).astype(np.intp)] = True
-                assert read.sum() == n_distinct
-            else:
-                read[:] = True
-            assert np.array_equal(folded[p][:, read], full[p][:, read])
-            assert not folded[p][:, ~read].any()
-        self.assert_folded_loop_is_the_engine(spec, folded, levels, top, xs, n_trials)
+        lanes = fold_stacks(spec, seeds, xs)
+
+        def read(p):
+            if p >= spec.c - 1:
+                return None
+            held = np.zeros(256, dtype=bool)
+            held[((xs >> np.uint64(8 * p)) & np.uint64(255)).astype(np.intp)] = True
+            assert held.sum() == n_distinct
+            return held
+
+        _assert_lanes_hold(spec, lanes, seeds, read)
+        self.assert_walk_is_the_engine(spec, lanes, seeds, xs)
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.spec_string())
     @pytest.mark.parametrize("n_distinct", [1, 2])
     def test_per_trial_keys_fold_every_slot(self, spec, n_distinct):
-        n_trials = 3
-        seeds = rng.trial_seed_vec(0x5109, np.arange(n_trials, dtype=np.uint64))
-        levels, top = level_stacks(spec, seeds), top_stacks(spec, seeds)
-        xs = self.keys(spec, n_distinct, n_trials, 300, 0x510A)
-        folded = fold_stacks(spec, seeds, xs)
-        assert np.array_equal(folded, _fold_reference(spec, seeds))
-        self.assert_folded_loop_is_the_engine(spec, folded, levels, top, xs, n_trials)
+        seeds = rng.trial_seed_vec(0x5109, np.arange(3, dtype=np.uint64))
+        xs = self.keys(spec, n_distinct, 3, 300, 0x510A)
+        lanes = fold_stacks(spec, seeds, xs)
+        _assert_lanes_hold(spec, lanes, seeds)
+        self.assert_walk_is_the_engine(spec, lanes, seeds, xs)

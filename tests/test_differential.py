@@ -1,14 +1,13 @@
 """Every evaluation path agrees on random valid specs and keys.
 
 The scalar ``derive``/``eval`` loops are the reference. Against them run
-``derive_batch``/``eval_batch`` (the engine with one trial), the engine
-with several trials each checked against its own ``TornadoHash.build``
-(its level entries both gathered from filled tables and hashed from their
-addresses), the scalar folded path and, for the ``w64`` profile, the batch
-folded path and the folded engine over several trials, whose derived keys
-and hashes must equal the engine's. Its stack, folded from the trial seeds,
-must equal ``fold_tables`` of each trial's built tables at every slot the
-keys read.
+``derive_batch``/``eval_batch``/``eval_folded_batch`` (the lane walk with
+one trial), the engine with several trials each checked against its own
+``TornadoHash.build`` (its level entries both gathered from filled tables
+and hashed from their addresses), the scalar folded path where the spec
+has one, and the lane walk over several trials, packed from the trial
+seeds by ``fold_stacks``, whose derived keys and hashes must equal the
+hashed engine's, for shared and for per-trial keys.
 """
 
 import numpy as np
@@ -27,7 +26,6 @@ from tornadotab.core import (
     eval_stack,
     fold_stacks,
     fold_tables,
-    is_w64,
     level_stacks,
     top_stacks,
 )
@@ -81,6 +79,9 @@ def _case(spec, seed=0x5EED):
 @example(_case(TornadoSpec(12, 5, 5, 40, Variant.TORNADO)))  # level 5 would straddle bit 64
 @example(_case(TornadoSpec(4, 2, 40, 16, Variant.SIMPLE_TORNADO)))  # three lanes
 @example(_case(TornadoSpec(6, 4, 8, 48, Variant.TORNADO_MIX, psi_bits=12)))
+# the top entry in a lane of its own, and sharing the lane after a lane break
+@example(_case(TornadoSpec(8, 4, 4, 32, Variant.TORNADO)))
+@example(_case(TornadoSpec(16, 2, 4, 16, Variant.TORNADO)))
 def test_evaluation_paths_agree(case):
     spec, seed, keys = case
     h = TornadoHash.build(spec, seed)
@@ -101,27 +102,16 @@ def test_evaluation_paths_agree(case):
     assert np.array_equal(hashed, chars)
     assert np.array_equal(eval_stack(spec, top, hashed), evals)
 
+    assert eval_folded_batch(h, xs).tolist() == expected
+    per_trial = np.stack([np.roll(xs, t) for t in range(ENGINE_TRIALS)])
+    for batch in (xs, per_trial):
+        hashed = derive_stack(spec, seeds, batch, ENGINE_TRIALS)
+        walked_chars, walked_evals = eval_folded_stack(spec, fold_stacks(spec, seeds, batch), batch)
+        assert np.array_equal(walked_chars, hashed)
+        assert np.array_equal(walked_evals, eval_stack(spec, top, hashed))
+
     try:
         fold_tables(h)
     except ConfigError:
         return
     assert [h.eval_folded(x) for x in keys] == expected
-    if not is_w64(spec):
-        return
-    assert eval_folded_batch(h, xs).tolist() == expected
-    reference = np.stack([fold_tables(TornadoHash.build(spec, s)).tables_np
-                          for s in seeds.tolist()], axis=1)
-    per_trial = np.stack([np.roll(xs, t) for t in range(ENGINE_TRIALS)])
-    for keys in (xs, per_trial):
-        folded = fold_stacks(spec, seeds, keys)
-        for p in range(spec.positions):
-            read = np.ones(256, dtype=bool)
-            if keys.ndim == 1 and p < spec.c - 1:  # shared keys: only the characters they hold
-                read[:] = False
-                read[((keys >> np.uint64(8 * p)) & np.uint64(255)).astype(np.intp)] = True
-            assert np.array_equal(folded[p][:, read], reference[p][:, read])
-            assert not folded[p][:, ~read].any()
-        engine_chars = derive_stack(spec, levels, keys, ENGINE_TRIALS)
-        folded_chars, folded_evals = eval_folded_stack(spec, folded, keys)
-        assert np.array_equal(folded_chars, engine_chars)
-        assert np.array_equal(folded_evals, eval_stack(spec, top, engine_chars))

@@ -144,9 +144,9 @@ class TestChunkEngine:
             assert evals[t].tolist() == [h.eval(x) for x in xs]
 
     def test_filled_w64_chunks_fold(self, monkeypatch):
-        """A chunk that fills its level tables, evaluates and has a w64 spec runs
-        the folded engine; a sparse chunk, an ``evaluate=False`` chunk and a
-        cb=16 chunk derive and evaluate."""
+        """A chunk that fills its tables and evaluates walks the lanes folded
+        from its seeds, for any spec (a cb=16 chunk included); a sparse chunk
+        derives and evaluates, and an ``evaluate=False`` chunk derives."""
         calls = []
 
         def recorded(name, fn):
@@ -170,8 +170,8 @@ class TestChunkEngine:
         assert route(w64, np.arange(300, dtype=np.uint64), True) == []
         assert route(w64, 255, True) == ["derive", "eval"]
         assert route(w64, 256, False) == ["derive"]
-        assert route(TornadoSpec(16, 2, 4, 16, Variant.TORNADO), 1 << 16, True) == [
-            "derive", "eval"]
+        assert route(TornadoSpec(16, 2, 4, 16, Variant.TORNADO), 1 << 16, True) == []
+        assert route(TornadoSpec(8, 2, 3, 16, Variant.TORNADO_MIX, psi_bits=10), 256, True) == []
 
     def test_chaining_bin_counts_match_eval_batch(self):
         spec = TornadoSpec(8, 2, 4, 4, Variant.TORNADO)

@@ -15,7 +15,7 @@ import pytest
 
 from tornadotab import cli, experiments, linprobe, rng, selectors
 from tornadotab.core import (TornadoHash, TornadoSpec, Variant, derive_stack, dump_tables,
-                             eval_folded_batch, eval_folded_stack, eval_stack, fold_stacks, is_w64,
+                             eval_folded_batch, eval_folded_stack, eval_stack, fold_stacks,
                              level_stacks, parse_spec_string, top_stacks)
 
 
@@ -111,8 +111,8 @@ def test_dump_and_eval_batch(text):
         eval_digest)
 
 
-# spec -> digest of eval_folded (and, for the w64 profile, eval_folded_batch)
-# over the 5000 keys of TABLES, under seed 0x5EED
+# spec -> digest of eval_folded and eval_folded_batch over the 5000 keys of
+# TABLES, under seed 0x5EED
 FOLDED = {
     # c = 1: no twist, the key is the last input character
     "tornado,cb=8,c=1,d=3,r=32":
@@ -121,8 +121,8 @@ FOLDED = {
     "tornadomix,cb=8,c=4,d=6,r=48,psi=16":
         "1a055cda1670daf3d393a3f2eaf7338f17ea887801a2e7fe7b16180309376b86",
 }
-# (derived keys, hashes) of the folded loop over three trials folded from
-# their seeds, for the same keys
+# (derived keys, hashes) of the lane walk over three trials folded from their
+# seeds, for the same keys and the c = 1 spec
 FOLDED_STACK = ("433383059f036ac7281983167e43e990b66cb86ea3e1e746851ee96a1132b607",
                 "9689483ba3405824987734a833e5976a56a8d72274ac6870418bc7ca29baa6d0")
 
@@ -133,17 +133,17 @@ def test_eval_folded(text):
     h = TornadoHash.build(spec, 0x5EED)
     keys = rng.raw_key_stream(0x5EED, 5000, spec.key_bits)
     assert array_digest([h.eval_folded(int(x)) for x in keys]) == FOLDED[text]
-    if is_w64(spec):
-        assert array_digest(eval_folded_batch(h, keys)) == FOLDED[text]
+    assert array_digest(eval_folded_batch(h, keys)) == FOLDED[text]
+    if spec.c == 1:
         seeds = rng.trial_seed_vec(0x5EED, np.arange(3, dtype=np.uint64))
         chars, evals = eval_folded_stack(spec, fold_stacks(spec, seeds, keys), keys)
         assert (array_digest(chars), array_digest(evals)) == FOLDED_STACK
 
 
 # spec -> (derived keys, hashes) of derive_stack and eval_stack over the
-# filled stacks of three trials, for the 5000 keys of TABLES: two lanes of
-# level entries beside the top tables, and a 16-bit spec whose levels need
-# more than one lane
+# filled stacks of three trials, for the 5000 keys of TABLES: the mix spec,
+# whose levels fill one lane and whose top entries take a lane of their own,
+# and a 16-bit spec whose levels need two lanes
 FILLED_STACKS = {
     "tornadomix,cb=8,c=8,d=5,r=64,psi=16": (
         "e27f48ca436b0e5661226f2a35fbc3bc62aa60c08dd6d704cc25ab4141252977",
@@ -161,6 +161,9 @@ def test_filled_stacks(text):
     seeds = rng.trial_seed_vec(0x5EED, np.arange(3, dtype=np.uint64))
     chars = derive_stack(spec, level_stacks(spec, seeds), keys, 3)
     evals = eval_stack(spec, top_stacks(spec, seeds), chars)
+    assert (array_digest(chars), array_digest(evals)) == FILLED_STACKS[text]
+    # the lane walk over the lanes packed from the seeds, as a filled chunk runs it
+    chars, evals = eval_folded_stack(spec, fold_stacks(spec, seeds, keys), keys)
     assert (array_digest(chars), array_digest(evals)) == FILLED_STACKS[text]
 
 
