@@ -216,10 +216,15 @@ def check_keys(spec: TornadoSpec, xs) -> np.ndarray:
     max pass (and one min pass for a signed or object dtype).
 
     NumPy infers float64 for a list of ints on both sides of 2**63, so such
-    a list is read again as objects; an object array must hold integers."""
+    a list is read again as objects; an object array must hold integers.
+    NumPy infers int64 for a list of ints and bools, so such a list is
+    refused by the types of its items."""
     arr = np.asarray(xs)
-    if arr.dtype.kind == "f" and not isinstance(xs, np.ndarray):
-        arr = np.array(xs, dtype=object)
+    if not isinstance(xs, np.ndarray):
+        if arr.dtype.kind == "f":
+            arr = np.array(xs, dtype=object)
+        elif arr.dtype.kind in "iu" and {bool, np.bool_} & set(map(type, xs)):
+            raise ConfigError("keys must be integers, not bools")
     if arr.size:
         if arr.dtype.kind not in "uiO" or (arr.dtype.kind == "O"
                                            and not all(map(_is_int, arr.flat))):

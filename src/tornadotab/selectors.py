@@ -149,8 +149,9 @@ def mu(sel: Selector, out_bits: int) -> float:
 
 
 def candidates(sel: Selector, spec: TornadoSpec) -> np.ndarray:
-    """The selector's sorted candidate keys, checked against the key universe."""
-    return check_keys(spec, sorted(sel.keys | sel.query_keys))
+    """The selector's sorted candidate keys, checked against the key universe
+    before they are sorted, so a key that is not an integer is a ConfigError."""
+    return np.sort(check_keys(spec, list(sel.keys | sel.query_keys)))
 
 
 def selection_mask(sel: Selector, keys: np.ndarray, evals: np.ndarray,

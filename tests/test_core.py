@@ -845,6 +845,17 @@ class TestKeyDomain:
             with pytest.raises(ConfigError):
                 call(key)
 
+    @pytest.mark.parametrize("keys", [[1, True], [True, 2], [1, np.bool_(False)],
+                                      np.array([1, True], dtype=object)], ids=repr)
+    def test_bool_among_int_keys_rejected(self, keys):
+        """NumPy reads a list of ints and bools as int64, so a bool would hash
+        as the key 0 or 1; every batch path rejects it, as eval(True) does."""
+        h = TornadoHash.build(self.SPEC, 1)
+        for call in (h.eval_batch, h.derive_batch, lambda k: eval_folded_batch(h, k),
+                     lambda k: derived_injectivity_check(h, k)):
+            with pytest.raises(ConfigError, match="integers"):
+                call(keys)
+
     def test_full_64_bit_universe(self):
         spec = TornadoSpec(8, 8, 5, 64, Variant.TORNADO_MIX, psi_bits=16)
         h = TornadoHash.build(spec, 1)

@@ -327,6 +327,18 @@ class TestValidationAndJson:
         with pytest.raises(ConfigError):
             selectors.dyadic_interval([1], 0, -1)
 
+    @pytest.mark.parametrize("keys", [[1, None], [1, "2"], [3, 1.5], [0, True]], ids=repr)
+    def test_candidates_reject_non_integer_keys(self, keys):
+        """A key that is not an integer is a ConfigError before the keys are
+        sorted, not a TypeError from comparing it with an int."""
+        for sel in (selectors.fixed_set(keys), selectors.bin_selector([0], 1, keys)):
+            with pytest.raises(ConfigError, match="integers"):
+                selectors.candidates(sel, SPEC)
+
+    def test_candidates_sorted(self):
+        keys = [2**15, 7, 0, 513, 2**16 - 1]
+        assert selectors.candidates(selectors.fixed_set(keys), SPEC).tolist() == sorted(keys)
+
     def test_mu_rejects_wide_interval(self):
         sel = selectors.dyadic_interval([1], 0, 9)
         with pytest.raises(ConfigError):
