@@ -313,16 +313,15 @@ def _bits(spec: TornadoSpec, level: int | None) -> int:
     return spec.out_bits if level is None else spec.level_output_bits(level)
 
 
-def _lanes(spec: TornadoSpec, width: int | None = 64,
-           top: bool = True) -> list[list[tuple[int | None, int]]]:
+def _lanes(spec: TornadoSpec, width: int | None = 64) -> list[list[tuple[int | None, int]]]:
     """Where packed words hold each entry: lanes of (level, bit offset), the
-    levels in order and then, with ``top``, the top entry (level None), each
-    at the offset the entries before it in its lane leave. A new lane starts
-    before an entry would cross bit ``width``; with no width, every entry is
-    in one lane, the scalar folded word."""
+    levels in order and then the top entry (level None), each at the offset
+    the entries before it in its lane leave. A new lane starts before an
+    entry would cross bit ``width``; with no width, every entry is in one
+    lane, the scalar folded word."""
     lanes: list[list[tuple[int | None, int]]] = []
     off = 0
-    for level in spec.levels() + ((None,) if top else ()):
+    for level in spec.levels() + (None,):
         if not lanes or width and off + _bits(spec, level) > width:
             lanes.append([])
             off = 0
@@ -396,7 +395,8 @@ def derive_stack(spec: TornadoSpec, levels: dict[int, np.ndarray] | np.ndarray, 
     """
     xs = np.asarray(xs, dtype=np.uint64)
     if isinstance(levels, dict):
-        lanes = _pack(spec, _lanes(spec, top=False), lambda level, p, s: levels[level][p])
+        lanes = [[e for e in lane if e[0] is not None] for lane in _lanes(spec)]  # no top entry
+        lanes = _pack(spec, [lane for lane in lanes if lane], lambda level, p, s: levels[level][p])
         if lanes:
             return eval_folded_stack(spec, lanes, xs)[0]
     store = np.empty((spec.positions,) + (xs.shape if xs.ndim == 2 else (n_trials, len(xs))),

@@ -475,14 +475,10 @@ class TestEngineLayout:
 
     @pytest.mark.parametrize("text", LANES)
     def test_lanes(self, text):
-        """The lanes with the top entry, without it (the same levels, an
-        emptied lane dropped), and with no width limit (every entry in one
-        lane at its cumulative offset, the scalar folded word)."""
+        """The lanes, and with no width limit every entry in one lane at its
+        cumulative offset, the scalar folded word."""
         spec = parse_spec_string(text)
-        lanes = self.LANES[text]
-        assert _lanes(spec) == lanes
-        levels = [[e for e in lane if e[0] is not None] for lane in lanes]
-        assert _lanes(spec, top=False) == [lane for lane in levels if lane]
+        assert _lanes(spec) == self.LANES[text]
         widths = [spec.level_output_bits(lv) for lv in spec.levels()] + [spec.out_bits]
         assert _lanes(spec, None) == [list(zip([*spec.levels(), None],
                                                np.cumsum([0] + widths[:-1]).tolist()))]
