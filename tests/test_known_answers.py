@@ -311,6 +311,15 @@ def chernoff_bench_shape_flagged_run():
     return _chernoff_bench_shape(0.1)
 
 
+def tornado_mix_chernoff_run():
+    """128 keys at sigma = 256 and psi = 2^10, bin 0 of 8: a chunk that
+    evaluates over hashed entries, psi-wide positions included; 332 of the
+    2000 trials reach the threshold of 20 keys."""
+    spec = parse_spec_string("tornadomix,cb=8,c=2,d=2,r=3,psi=10")
+    return experiments.chernoff_tail(selectors.bin_selector(range(128), 0), spec, 0.25, 2000,
+                                     0x2026)
+
+
 def two_column_dependence_run():
     """A 64-key fixed set at sigma = 256: fewer keys than characters."""
     spec = parse_spec_string("tornado,cb=8,c=2,d=2,r=8")
@@ -367,6 +376,9 @@ REPORT_RUNS = [
     (chernoff_bench_shape_flagged_run,
      "chernoff_tail,0.165,0.018559027452967464,0.7335667685372868,400,0x2026,WithinBound",
      "c41edfb03cadb55d0ca77d26342866604e2b1306cc67efddd24143195d0edee9"),
+    (tornado_mix_chernoff_run,
+     "chernoff_tail,0.166,0.008319975961503736,0.6294738128496303,2000,0x2026,WithinBound",
+     "b638627aa5938a7ac3f00ef9110953433214421ff736d6648197d37c68ea9e6d"),
     (two_column_dependence_run,
      "dependence,0.006333333333333333,0.001448357946345012,2.953125,3000,0x2026,WithinBound",
      "d984c965f7f74be398aac1398fc802f082e7a597c491092ccb1fbf45e1083391"),
@@ -423,19 +435,23 @@ def test_two_workers_give_the_same_report(run):
 
 # (spec, n, m, queries, trials, star_delta) -> SHA-256 of ``histograms_csv``
 # under seed 0x2026: a pool (n_star + queries keys) below sigma, a pool of at
-# least sigma, and a sigma = 2^16 run of 20 trials that spans several chunks
+# least sigma, a pool of at least sigma (373) whose inserted and queried keys
+# (216) are fewer, and a sigma = 2^16 run of 20 trials that spans several chunks
 PROBE_RUNS = [
     (("tornado,cb=12,c=2,d=4,r=12", 1024, 4096, 64, 3, 0.01),
      "f0ef5662916e7437ea4d8b076c089e73ca9f41525df7a9a5e38078cc5e5dc187"),
     (("tornado,cb=8,c=2,d=4,r=10", 256, 1024, 32, 4, 0.5),
      "03fe96cdfc2b42e686075899f3da5379e7117fdb5f11260c4a6cb550586c8c6c"),
+    (("tornado,cb=8,c=2,d=4,r=10", 200, 1024, 16, 4, 0.5),
+     "c3d423b5e1f6573a635a78721e5d5927608dd2fe08ba744ad57f7add7dd88e71"),
     (("tornado,cb=16,c=2,d=4,r=16", 1024, 1 << 16, 64, 20, 0.01),
      "2b66e7fbcf06d2dae836a4f93461b720d293a349f8cae437844746cea563b22f"),
 ]
 
 
 @pytest.mark.parametrize("args,digest", PROBE_RUNS,
-                         ids=["pool_below_sigma", "pool_above_sigma", "several_chunks"])
+                         ids=["pool_below_sigma", "pool_above_sigma", "read_below_sigma",
+                              "several_chunks"])
 def test_probe_histograms(args, digest):
     text, n, m, queries, trials, star_delta = args
     comparison = linprobe.probe_experiment(parse_spec_string(text), n, m, queries, trials,
