@@ -32,8 +32,9 @@ fits one lane. :func:`fold_stacks` packs the lanes of B trials from their
 seeds (only at the slots shared keys read at the untwisted input
 positions); :func:`derive_stack` walks the lanes of filled level stacks,
 or reads level entries hashed from their addresses once per (level,
-position), and :func:`eval_stack` evaluates the top tables over the
-derived keys. A :class:`TornadoHash` is a stack of one: ``build`` fills
+position), and :func:`eval_stack` evaluates the derived keys over filled
+top tables, or over top entries hashed from their addresses once per
+(key, position). A :class:`TornadoHash` is a stack of one: ``build`` fills
 the stacks for its seed, and ``derive_batch``, ``eval_batch`` and
 ``eval_folded_batch`` walk its lanes, packed on first use, with B = 1,
 while :mod:`tornadotab.experiments` runs the same code on chunks of
@@ -260,9 +261,9 @@ def check_keys(spec: TornadoSpec, xs) -> np.ndarray:
 # derived character is its level's bits of the lane's accumulator. The w64
 # spec is one lane, c + d gathers per key; the mix spec is a lane of its
 # levels and one of its top entries, 24 gathers per key for 69 entry reads.
-# Chunks whose level entries are hashed from their addresses still read one
-# address per (level, position): packing them would add a mask and a shift
-# per read.
+# Chunks whose entries are hashed from their addresses still read one address
+# per (level, position), and per position for the top entry: packing them
+# would add a mask and a shift per read.
 
 FOLD_BLOCK = 1 << 14  # keys per pass of the lane walk; its buffers stay in L2
 
@@ -417,13 +418,20 @@ def derive_stack(spec: TornadoSpec, levels: dict[int, np.ndarray] | np.ndarray, 
     return store.transpose(1, 2, 0)
 
 
-def eval_stack(spec: TornadoSpec, top: list[np.ndarray], chars: np.ndarray) -> np.ndarray:
-    """Top-table hash of each derived key, (B, n) uint64.
+def eval_stack(spec: TornadoSpec, top: list[np.ndarray] | np.ndarray,
+               chars: np.ndarray) -> np.ndarray:
+    """Top-table hash of each derived key, (B, n) uint64. ``top`` is a
+    :func:`top_stacks` result, whose entries are gathered, or the (B,) trial
+    seeds, whose entries are hashed from their addresses as they are read:
+    the same bits.
 
     top[i] is a contiguous (B, alphabet_i) table, so position i reads it at
     the one gather index ``chars[:, :, i] + b * alphabet_i``; a tornado-mix
-    tail position has a psi-wide alphabet.
+    tail position has a psi-wide alphabet. Hashed entries are read one
+    address per (key, position).
     """
+    if isinstance(top, np.ndarray):
+        return _hashed(spec, top, None, ((i, chars[:, :, i]) for i in range(spec.positions)))
     n_trials = chars.shape[0]
     h = np.empty(chars.shape[:2], dtype=np.uint64)
     buf = np.empty_like(h)

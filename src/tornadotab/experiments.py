@@ -10,9 +10,11 @@ pipeline of every Monte Carlo experiment (linear probing's included), draws
 a chunk's seeds and keys and runs the batched engine of :mod:`tornadotab.core`
 on them (the engine a :class:`~tornadotab.core.TornadoHash` runs with one
 trial), and :func:`tornadotab.selectors.selection_mask` selects over the
-whole chunk. Level entries are hashed from their addresses when the chunk
-has fewer keys than sigma, and so reads fewer entries than filling would
-write, and filled otherwise. A chunk that fills and evaluates packs the
+whole chunk. A chunk's level and top entries are hashed from their
+addresses when it derives fewer keys than sigma, and so reads fewer entries
+than filling would write, and filled otherwise; a caller that reads only
+some key columns (linear probing) names them, and only those count and are
+derived. A chunk that fills and evaluates packs the
 engine's lanes straight from its seeds, only at the slots its shared keys
 read at the untwisted input positions, and walks them, one gather per
 (lane, position) read, which yields the same derived keys and hashes as
@@ -33,9 +35,10 @@ sampled per trial. One builder makes every upper-bound report.
 The exact checks walk one blocked enumeration of every table filling at tiny
 sigma, ``_table_fillings``; survival's exact rate derives it with ``derive_stack``.
 
-Every entry point rejects a trial count below 1, a master seed outside
-[0, 2^64) and selector candidates outside the spec's key universe, and a
-report refuses a non-finite estimate, so no degenerate run reaches a verdict.
+Every entry point rejects a trial count that is not an integer of at least
+1 (a bool is not one), a master seed outside [0, 2^64) and selector
+candidates outside the spec's key universe, and a report refuses a
+non-finite estimate, so no degenerate run reaches a verdict.
 """
 
 from __future__ import annotations
@@ -51,7 +54,9 @@ import numpy as np
 
 from . import core, rng, selectors
 from .core import TornadoSpec, Variant, check_key, check_seed
-# the engine's stages, bound under the stage names that perfbench's tracer wraps
+# the engine's stages, bound under the stage names that perfbench's tracer wraps;
+# no chunk fills top tables (it hashes its top entries or packs them into its
+# lanes), so the top-fill stage is bound for the tracer only
 from .core import derive_stack as _derive_chunk
 from .core import eval_stack as _eval_chunk
 from .core import level_stacks as _chunk_level_tables
@@ -180,7 +185,10 @@ def _upper_report(name: str, count: int, trials: int, seed: int, bound: float,
 
 
 def check_count(name: str, value: int) -> None:
-    """Reject a trial or round count below 1, which no estimate can rest on."""
+    """Reject a count that is not an integer (a bool is not one) or is below
+    1, which no estimate can rest on."""
+    if not core._is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
@@ -254,24 +262,28 @@ def large_mu_bound(mu: float, delta: float, d: int, sigma_size: int, n_queries: 
 
 
 def trial_blocks(spec: TornadoSpec, keys, evaluate: bool, master_seed: int, start: int,
-                 stop: int):
+                 stop: int, read=None):
     """Run the engine over the trials [start, stop) in chunks; yield (first
     trial, seeds, keys, chars, evals or None) per chunk.
 
     ``keys`` is the (n,) array every trial hashes, or an int n: each trial
     then samples its own n keys, one ``sample_distinct_keys`` call per chunk.
-    A chunk is sized so that its tables and derived characters take about
-    2^23 entries. Its level entries are hashed as read (the seeds are the
-    source) when its keys read fewer entries than filling writes, which for
-    sigma-wide level tables means n < sigma; else the tables are filled.
-    ``evaluate`` counts the top tables in that size, fills them and evaluates
-    the derived keys. A chunk that fills and evaluates packs its lanes from
-    the seeds with ``core.fold_stacks`` (no level or top stacks; shared keys
-    fill only the slots they read at the untwisted input positions) and
-    walks them with ``core.eval_folded_stack``. Every other chunk derives
-    with ``derive_stack``: a filled one, which does not evaluate, walks the
-    lanes of its level tables with no top entry, and a hashed one evaluates
-    with ``eval_stack`` if asked.
+    ``read`` indexes the key columns each trial derives and evaluates (all of
+    them for None): chars and evals cover those columns only, while the
+    yielded keys are every column. A chunk is sized by all n keys so that
+    its tables and derived characters take about 2^23 entries; ``evaluate``
+    counts the top tables in that size.
+
+    Table entries are hashed as read (the seeds are the source) when the
+    read columns read fewer entries than filling writes, which for
+    sigma-wide level tables means fewer read columns than sigma; else the
+    tables are filled. A hashed chunk derives with ``derive_stack`` and, if
+    asked, evaluates with ``eval_stack``, both from the seeds, so it fills no
+    table. A filling chunk that evaluates packs its lanes from the seeds with
+    ``core.fold_stacks`` (shared keys fill only the slots they read at the
+    untwisted input positions) and walks them with
+    ``core.eval_folded_stack``; one that does not evaluate derives with
+    ``derive_stack``, which walks the lanes of its level tables.
     """
     sample = isinstance(keys, (int, np.integer))
     n_keys = int(keys) if sample else len(keys)
@@ -281,17 +293,20 @@ def trial_blocks(spec: TornadoSpec, keys, evaluate: bool, master_seed: int, star
     chunk = (1 << 23) // max(entries + n_keys * spec.positions * 2, 1)
     max_alpha = max(1 << spec.position_bits(i) for i in range(spec.positions))
     chunk = int(min(1 << 16, max(1, min(chunk, (1 << 24) // max_alpha))))
-    fill = n_keys >= spec.sigma
+    fill = (n_keys if read is None else len(read)) >= spec.sigma
     for lo in range(start, stop, chunk):
         seeds = rng.trial_seed_vec(master_seed,
                                    np.arange(lo, min(lo + chunk, stop), dtype=np.uint64))
         xs = rng.sample_distinct_keys(seeds, n_keys, spec.key_bits) if sample else keys
+        ys = xs if read is None else xs[..., read]
+        evals = None
         if fill and evaluate:
-            chars, evals = core.eval_folded_stack(spec, core.fold_stacks(spec, seeds, xs), xs)
+            chars, evals = core.eval_folded_stack(spec, core.fold_stacks(spec, seeds, ys), ys)
         else:
-            levels = _chunk_level_tables(spec, seeds) if fill else seeds
-            chars = _derive_chunk(spec, levels, xs, len(seeds))
-            evals = _eval_chunk(spec, _chunk_top_tables(spec, seeds), chars) if evaluate else None
+            chars = _derive_chunk(spec, _chunk_level_tables(spec, seeds) if fill else seeds, ys,
+                                  len(seeds))
+            if evaluate:
+                evals = _eval_chunk(spec, seeds, chars)
         yield lo, seeds, xs, chars, evals
 
 

@@ -3,13 +3,17 @@
 The reference `ProbeTable` implements textbook linear probing. The
 experiment path never materializes individual insertions: the final
 occupancy pattern of a linear probing table is a function of the hash
-multiset alone, computable with one prefix scan, and probe/run lengths for
-fresh queries only depend on that pattern. The two paths are required to
-agree and are tested against each other.
+multiset alone, computable with one prefix scan over one period of the
+table, and probe/run lengths for fresh queries only depend on that pattern.
+The two paths are required to agree and are tested against each other.
+Every scan refuses a hash cell outside the table.
 
 ``probe_experiment`` takes each trial's key pool and tornado hashes from
 :func:`tornadotab.experiments.trial_blocks`, a chunk of trials at a time,
-and scans the occupancy of each trial and each hash source in turn.
+and scans the occupancy of each trial and each hash source in turn. Tornado
+derives and evaluates only the keys it inserts and queries, not the pool's
+n_star - n keys in between, which only the mixer baseline's n_star table
+hashes.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from . import rng
 from .core import TornadoSpec, check_seed
-from .experiments import ExperimentReport, Verdict, trial_blocks
+from .experiments import ExperimentReport, Verdict, check_count, trial_blocks
 
 
 class TableFullError(RuntimeError):
@@ -86,20 +90,39 @@ class ProbeTable:
 
 
 def occupancy_from_hashes(m: int, hashes: np.ndarray) -> np.ndarray:
-    """Final occupancy of linear probing with the given hash multiset.
+    """Final occupancy of linear probing with the given hash multiset, by one
+    scan over one period of the m cells.
 
-    Cell j ends up occupied iff some cyclic window ending at j holds at
-    least as many hashes as cells, which reduces to a running-minimum scan
-    over the doubled table (no run can wrap twice since the table is not
-    full).
+    With s = counts - 1 per cell, the keys that leave cell j are the largest
+    sum of s over a cyclic window ending at j, or none. At the cell where the
+    prefix sum of s is lowest every such window sums below 0 (the whole table
+    sums to n - m < 0), so no key leaves it and no run crosses into the next
+    cell. The scan starts there: with b the running sum of s from the start,
+    a cell is occupied iff b reaches the lowest earlier value of b, or 0.
+    ValueError if a hash is outside [0, m).
     """
     if len(hashes) >= m:
         raise TableFullError("table would be full")
     counts = np.bincount(np.asarray(hashes, dtype=np.int64), minlength=m)
-    cc = np.concatenate([counts, counts])
-    b = np.cumsum(cc - 1)
-    runmin = np.minimum.accumulate(np.concatenate(([0], b[:-1])))
-    return ((b - runmin) >= 0)[m:]
+    if len(counts) > m:
+        raise ValueError(f"hash cell {len(counts) - 1} outside [0, {m})")
+    prefix = np.cumsum(counts - 1)
+    start = int(prefix.argmin()) + 1
+    # the running sum of s from cell ``start`` on, wrapping round to cell start - 1
+    b = np.concatenate((prefix[start:], prefix[:start] + prefix[-1])) - prefix[start - 1]
+    low = np.minimum(np.minimum.accumulate(b), 0)
+    occ = np.empty(m, dtype=bool)
+    occ[0] = b[0] >= 0
+    np.greater_equal(b[1:], low[:-1], out=occ[1:])
+    return np.roll(occ, start)
+
+
+def _cells(hashes: np.ndarray, m: int) -> np.ndarray:
+    """The hash cells as int64; ValueError unless each is in [0, m)."""
+    cells = np.asarray(hashes, dtype=np.int64)
+    if cells.size and (cells.min() < 0 or cells.max() >= m):
+        raise ValueError(f"hash cells must be in [0, {m})")
+    return cells
 
 
 def _empty_positions(occ: np.ndarray) -> np.ndarray:
@@ -113,16 +136,17 @@ def fresh_probe_lengths(occ: np.ndarray, hashes: np.ndarray) -> np.ndarray:
     """Probes needed to insert fresh keys at the given hash cells (occupancy
     holds only previously inserted keys): distance to the next empty cell + 1."""
     m = len(occ)
+    hashes = _cells(hashes, m)
     empt = _empty_positions(occ)
     e2 = np.concatenate([empt, empt + m])
-    idx = np.searchsorted(e2, np.asarray(hashes, dtype=np.int64))
+    idx = np.searchsorted(e2, hashes)
     return e2[idx] - hashes + 1
 
 
 def run_lengths_at(occ: np.ndarray, hashes: np.ndarray) -> np.ndarray:
     """Run length of the occupied interval containing each hash cell."""
     m = len(occ)
-    hashes = np.asarray(hashes, dtype=np.int64)
+    hashes = _cells(hashes, m)
     empt = _empty_positions(occ)
     nxt = np.concatenate([empt, empt + m])
     prv = np.concatenate([empt - m, empt])
@@ -228,8 +252,8 @@ def probe_experiment(
         raise ValueError("load factor above 4/5 is outside the supported regime")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if queries < 1 or trials < 1:
-        raise ValueError("need at least one query and one trial")
+    check_count("queries", queries)
+    check_count("trials", trials)
     if not 0 < star_delta < 1:  # 0 divides by zero, 1 compares the baseline with itself
         raise ValueError(f"star_delta must be in (0, 1), got {star_delta}")
     check_seed(seed)
@@ -241,12 +265,15 @@ def probe_experiment(
     shapes = (trials, queries)
     stats = {name: ProbeStats(name, np.zeros(shapes, np.int64), np.zeros(shapes, np.int64))
              for name in ("tornado", "random", "random_star")}
-    for lo, seeds, pools, _, evals in trial_blocks(spec, n_star + queries, True, seed, 0, trials):
+    # tornado derives and evaluates only the n inserted keys and the queries
+    read = np.r_[0:n, n_star:n_star + queries]
+    for lo, seeds, pools, _, evals in trial_blocks(spec, n_star + queries, True, seed, 0, trials,
+                                                   read):
         for b, ts in enumerate(seeds.tolist()):
             # the mixer hashes key by key, so the n-key table's hashes are a prefix
             mixed = rng.mixer_hash_vec(ts, pools[b], spec.out_bits)
             for name, hashes, qhashes in (
-                ("tornado", evals[b, :n], evals[b, n_star:]),
+                ("tornado", evals[b, :n], evals[b, n:]),
                 ("random", mixed[:n], mixed[n_star:]),
                 ("random_star", mixed[:n_star], mixed[n_star:]),
             ):

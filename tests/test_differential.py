@@ -3,8 +3,8 @@
 The scalar ``derive``/``eval`` loops are the reference. Against them run
 ``derive_batch``/``eval_batch``/``eval_folded_batch`` (the lane walk with
 one trial), the engine with several trials each checked against its own
-``TornadoHash.build`` (its level entries both gathered from filled tables
-and hashed from their addresses), the scalar folded path where the spec
+``TornadoHash.build`` (its level and top entries both gathered from filled
+tables and hashed from their addresses), the scalar folded path where the spec
 has one, and the lane walk over several trials, packed from the trial
 seeds by ``fold_stacks``, whose derived keys and hashes must equal the
 hashed engine's, for shared and for per-trial keys.
@@ -70,6 +70,7 @@ def _case(spec, seed=0x5EED):
 @example(_case(TornadoSpec(16, 1, 3, 17, Variant.SIMPLE_TORNADO)))
 @example(_case(TornadoSpec(4, 3, 0, 7, Variant.SIMPLE_TABULATION)))
 @example(_case(TornadoSpec(8, 2, 2, 64, Variant.TORNADO_MIX, psi_bits=20)))
+@example(_case(TornadoSpec(8, 2, 2, 3, Variant.TORNADO_MIX, psi_bits=10)))
 @example(_case(TornadoSpec(8, 8, 5, 64, Variant.TORNADO_MIX, psi_bits=16)))  # w128mix
 @example(_case(TornadoSpec(8, 4, 4, 24, Variant.TORNADO)))  # w64
 @example(_case(TornadoSpec(8, 1, 3, 32, Variant.TORNADO)))  # w64 at c = 1: no twist
@@ -101,6 +102,7 @@ def test_evaluation_paths_agree(case):
     hashed = derive_stack(spec, seeds, xs, ENGINE_TRIALS)
     assert np.array_equal(hashed, chars)
     assert np.array_equal(eval_stack(spec, top, hashed), evals)
+    assert np.array_equal(eval_stack(spec, seeds, chars), evals)
 
     assert eval_folded_batch(h, xs).tolist() == expected
     per_trial = np.stack([np.roll(xs, t) for t in range(ENGINE_TRIALS)])

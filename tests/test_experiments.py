@@ -146,22 +146,24 @@ class TestChunkEngine:
     def test_filled_w64_chunks_fold(self, monkeypatch):
         """A chunk that fills its tables and evaluates walks the lanes folded
         from its seeds, for any spec (a cb=16 chunk included); a sparse chunk
-        derives and evaluates, and an ``evaluate=False`` chunk derives."""
+        derives and evaluates with the seeds as the source, filling no table,
+        and an ``evaluate=False`` chunk derives over filled level tables."""
         calls = []
 
         def recorded(name, fn):
-            def run(*args):
-                calls.append(name)
-                return fn(*args)
+            def run(spec, source, *args):
+                calls.append(name if isinstance(source, np.ndarray) else name + " filled")
+                return fn(spec, source, *args)
             return run
 
         for owner, attr, name in ((core, "derive_stack", "derive"), (core, "eval_stack", "eval"),
-                                  (ex, "_derive_chunk", "derive"), (ex, "_eval_chunk", "eval")):
+                                  (ex, "_derive_chunk", "derive"), (ex, "_eval_chunk", "eval"),
+                                  (core, "top_stacks", "top"), (ex, "_chunk_top_tables", "top")):
             monkeypatch.setattr(owner, attr, recorded(name, getattr(owner, attr)))
 
-        def route(spec, keys, evaluate):
+        def route(spec, keys, evaluate, read=None):
             calls.clear()
-            for *_, evals in ex.trial_blocks(spec, keys, evaluate, 5, 0, 3):
+            for *_, evals in ex.trial_blocks(spec, keys, evaluate, 5, 0, 3, read):
                 assert (evals is None) is not evaluate
             return sorted(set(calls))
 
@@ -169,9 +171,30 @@ class TestChunkEngine:
         assert route(w64, 256, True) == []
         assert route(w64, np.arange(300, dtype=np.uint64), True) == []
         assert route(w64, 255, True) == ["derive", "eval"]
-        assert route(w64, 256, False) == ["derive"]
+        assert route(w64, 256, False) == ["derive filled"]
+        assert route(w64, 300, True, np.arange(255)) == ["derive", "eval"]
+        assert route(w64, 300, True, np.arange(256)) == []
         assert route(TornadoSpec(16, 2, 4, 16, Variant.TORNADO), 1 << 16, True) == []
         assert route(TornadoSpec(8, 2, 3, 16, Variant.TORNADO_MIX, psi_bits=10), 256, True) == []
+        assert route(TornadoSpec(8, 2, 3, 16, Variant.TORNADO_MIX, psi_bits=10), 128, True) == [
+            "derive", "eval"]
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-keys", "per-trial-keys"])
+    @pytest.mark.parametrize("n_read", [40, 300], ids=["hashed", "folded"])
+    def test_read_columns(self, shared, n_read):
+        """With ``read``, a chunk yields every key column, and the derived keys
+        and hashes of the read columns, in their order, as a run over all
+        columns gives them."""
+        spec = TornadoSpec(8, 2, 4, 12, Variant.TORNADO)
+        keys = rng.raw_key_stream(3, 400, spec.key_bits) if shared else 400
+        read = np.r_[0:n_read - 10, 390:400]
+        full = list(ex.trial_blocks(spec, keys, True, 9, 0, 3))
+        part = list(ex.trial_blocks(spec, keys, True, 9, 0, 3, read))
+        assert len(full) == len(part)
+        for (_, _, xs, chars, evals), (_, _, ys, rchars, revals) in zip(full, part):
+            assert np.array_equal(xs, ys)
+            assert np.array_equal(chars[:, read], rchars)
+            assert np.array_equal(evals[:, read], revals)
 
     def test_chaining_bin_counts_match_eval_batch(self):
         spec = TornadoSpec(8, 2, 4, 4, Variant.TORNADO)
@@ -741,6 +764,21 @@ class TestDegenerateRuns:
     def test_trial_count_below_one_rejected(self, entry, trials):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             COUNTED_ENTRY_POINTS[entry](trials)
+
+    @pytest.mark.parametrize("entry", sorted(COUNTED_ENTRY_POINTS))
+    @pytest.mark.parametrize("trials", [True, 2.5, 3.0, np.float64(3), "3"], ids=repr)
+    def test_trial_count_not_an_integer_rejected(self, monkeypatch, entry, trials):
+        """``True`` would run one trial and report ``trials`` as True."""
+        monkeypatch.setattr(ex, "_run_ranges", None)  # the tail experiments' trial run
+        monkeypatch.setattr(ex, "trial_blocks", None)  # survival's
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            COUNTED_ENTRY_POINTS[entry](trials)
+
+    @pytest.mark.parametrize("value", [True, 1.0, None])
+    def test_check_count_refuses_non_integers(self, value):
+        with pytest.raises(ValueError, match="rounds must be an integer"):
+            ex.check_count("rounds", value)
+        ex.check_count("rounds", np.int64(1))
 
     @pytest.mark.parametrize("entry", sorted(COUNTED_ENTRY_POINTS))
     @pytest.mark.parametrize("seed", [-1, 1 << 64], ids=["minus-one", "two-to-64"])

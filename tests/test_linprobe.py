@@ -93,6 +93,58 @@ class TestFastPath:
                 assert clone.insert("probe", q) == probes[q]
                 assert table.run_length(q) == runs[q]
 
+    @staticmethod
+    def _check_against_table(m, hashes):
+        """Occupancy, fresh probe lengths and run lengths at every cell, against
+        ``ProbeTable``."""
+        table = lp.ProbeTable(m)
+        for i, h in enumerate(hashes):
+            table.insert(i, int(h))
+        occ = lp.occupancy_from_hashes(m, np.asarray(hashes, dtype=np.int64))
+        assert np.array_equal(occ, table.occupancy())
+        queries = np.arange(m)
+        probes = lp.fresh_probe_lengths(occ, queries)
+        runs = lp.run_lengths_at(occ, queries)
+        for q in range(m):
+            clone = lp.ProbeTable(m)
+            clone.cells, clone.count = list(table.cells), table.count
+            assert clone.insert("probe", q) == probes[q]
+            assert table.run_length(q) == runs[q]
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8, 16, 32, 64])
+    def test_edge_loads_match_reference(self, m):
+        """No key; a single empty cell left (n = m - 1), at random hashes and
+        with every hash in one cell; and runs that wrap past cell m - 1."""
+        rs = np.random.default_rng(m)
+        cases = [[], list(rs.integers(0, m, m - 1))]
+        cases += [[cell] * (m - 1) for cell in {0, m // 2, m - 1}]
+        if m >= 4:
+            cases += [[m - 1] * (m // 2), [m - 2, m - 1, m - 1],
+                      [m - 1] * 2 + [0] * (m // 2 - 1)]
+        for hashes in cases:
+            self._check_against_table(m, hashes)
+
+    def test_wrapping_runs_match_reference(self):
+        rs = np.random.default_rng(3)
+        for _ in range(100):
+            m = int(rs.choice([8, 16, 32, 64]))
+            n = int(rs.integers(m // 2, m))
+            # hashes crowd the last cells, so runs cross cell m - 1 into cell 0
+            hashes = (m - 1 - rs.integers(0, m // 4, n)) % m
+            self._check_against_table(m, hashes)
+
+    def test_hash_cells_outside_the_table_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            lp.occupancy_from_hashes(65536, [70000])
+        with pytest.raises(ValueError):
+            lp.occupancy_from_hashes(8, [-1])
+        occ = lp.occupancy_from_hashes(8, [1, 1, 5])
+        for bad in ([9], [8], [-1], [0, 8]):
+            with pytest.raises(ValueError, match=r"hash cells must be in \[0, 8\)"):
+                lp.fresh_probe_lengths(occ, bad)
+            with pytest.raises(ValueError, match=r"hash cells must be in \[0, 8\)"):
+                lp.run_lengths_at(occ, bad)
+
     def test_full_table_guard(self):
         with pytest.raises(lp.TableFullError):
             lp.occupancy_from_hashes(4, np.zeros(4, dtype=np.int64))
@@ -141,6 +193,14 @@ class TestProbeExperiment:
         with pytest.raises(ConfigError, match=r"seed .* is outside \[0, 2\^64\)"):
             lp.probe_experiment(self.SPEC, 100, 1024, 16, 1, seed)
 
+    @pytest.mark.parametrize("field", ["trials", "queries"])
+    @pytest.mark.parametrize("value", [True, 2.5, 0])
+    def test_counts_must_be_positive_integers(self, monkeypatch, field, value):
+        monkeypatch.setattr(lp, "trial_blocks", None)  # a trial run would call it
+        counts = {"queries": 16, "trials": 1, field: value}
+        with pytest.raises(ValueError, match=field):
+            lp.probe_experiment(self.SPEC, 100, 1024, counts["queries"], counts["trials"], 1)
+
     def test_star_overflow_detected(self):
         with pytest.raises(ValueError):
             lp.probe_experiment(self.SPEC, 800, 1024, 16, 1, 1, star_delta=0.01)
@@ -182,13 +242,13 @@ class TestProbeExperiment:
         those of the trial's own TornadoHash over its own key pool."""
         spec = parse_spec_string("tornado,cb=16,c=2,d=4,r=16")
         n, m, queries, trials, seed = 1024, 1 << 16, 64, 20, 0x2026
-        top_stacks, chunks = experiments._chunk_top_tables, []
+        derive, chunks = experiments._derive_chunk, []
 
-        def counted(spec, seeds):
-            chunks.append(len(seeds))
-            return top_stacks(spec, seeds)
+        def counted(spec, levels, xs, n_trials):
+            chunks.append(n_trials)
+            return derive(spec, levels, xs, n_trials)
 
-        monkeypatch.setattr(experiments, "_chunk_top_tables", counted)
+        monkeypatch.setattr(experiments, "_derive_chunk", counted)
         res = lp.probe_experiment(spec, n, m, queries, trials, seed)
         assert len(chunks) > 1 and sum(chunks) == trials
         for t in range(trials):
