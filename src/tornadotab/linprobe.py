@@ -98,8 +98,8 @@ def occupancy_from_hashes(m: int, hashes: np.ndarray) -> np.ndarray:
     prefix sum of s is lowest every such window sums below 0 (the whole table
     sums to n - m < 0), so no key leaves it and no run crosses into the next
     cell. The scan starts there: with b the running sum of s from the start,
-    a cell is occupied iff b reaches the lowest earlier value of b, or 0.
-    ValueError if a hash is outside [0, m).
+    a cell is occupied iff b there is at least the lowest of 0 and the
+    earlier values of b. ValueError if a hash is outside [0, m).
     """
     if len(hashes) >= m:
         raise TableFullError("table would be full")
@@ -110,11 +110,8 @@ def occupancy_from_hashes(m: int, hashes: np.ndarray) -> np.ndarray:
     start = int(prefix.argmin()) + 1
     # the running sum of s from cell ``start`` on, wrapping round to cell start - 1
     b = np.concatenate((prefix[start:], prefix[:start] + prefix[-1])) - prefix[start - 1]
-    low = np.minimum(np.minimum.accumulate(b), 0)
-    occ = np.empty(m, dtype=bool)
-    occ[0] = b[0] >= 0
-    np.greater_equal(b[1:], low[:-1], out=occ[1:])
-    return np.roll(occ, start)
+    low = np.minimum.accumulate(np.concatenate(([0], b[:-1])))  # lowest of 0 and earlier b
+    return np.roll(b >= low, start)
 
 
 def _cells(hashes: np.ndarray, m: int) -> np.ndarray:

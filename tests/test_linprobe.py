@@ -77,21 +77,7 @@ class TestFastPath:
         for _ in range(300):
             m = int(rs.choice([8, 16, 32]))
             n = int(rs.integers(0, m - 1))
-            hashes = rs.integers(0, m, n)
-            table = lp.ProbeTable(m)
-            for i, h in enumerate(hashes):
-                table.insert(i, int(h))
-            occ = lp.occupancy_from_hashes(m, hashes)
-            assert np.array_equal(occ, table.occupancy())
-            queries = np.arange(m)
-            probes = lp.fresh_probe_lengths(occ, queries)
-            runs = lp.run_lengths_at(occ, queries)
-            for q in range(m):
-                clone = lp.ProbeTable(m)
-                for i, h in enumerate(hashes):
-                    clone.insert(i, int(h))
-                assert clone.insert("probe", q) == probes[q]
-                assert table.run_length(q) == runs[q]
+            self._check_against_table(m, rs.integers(0, m, n))
 
     @staticmethod
     def _check_against_table(m, hashes):
