@@ -110,8 +110,11 @@ def occupancy_from_hashes(m: int, hashes: np.ndarray) -> np.ndarray:
     start = int(prefix.argmin()) + 1
     # the running sum of s from cell ``start`` on, wrapping round to cell start - 1
     b = np.concatenate((prefix[start:], prefix[:start] + prefix[-1])) - prefix[start - 1]
-    low = np.minimum.accumulate(np.concatenate(([0], b[:-1])))  # lowest of 0 and earlier b
-    return np.roll(b >= low, start)
+    low = np.minimum(np.minimum.accumulate(b), 0)  # low[j]: lowest of 0 and b[:j + 1]
+    occ = np.empty(m, dtype=bool)
+    occ[0] = b[0] >= 0
+    np.greater_equal(b[1:], low[:-1], out=occ[1:])
+    return np.roll(occ, start)
 
 
 def _cells(hashes: np.ndarray, m: int) -> np.ndarray:
