@@ -20,27 +20,26 @@ key word, and tables are filled by the canonical PRG of :mod:`tornadotab.rng`
 in the documented order (levels ascending, positions ascending, slots
 ascending, then the top table).
 
-One batched engine builds, derives and evaluates: :func:`level_stacks` and
+One batched engine builds, derives and evaluates. Each table entry is
+hashed from its address by one reader, ``_hashed``: :func:`level_stacks` and
 :func:`top_stacks` fill the tables of B hash functions at once, the level
-tables position-major; each table entry is hashed from its address by one
-reader, ``_hashed``. Filled tables are packed into 64-bit lanes
-(:func:`_lanes`): the levels in order at fixed bit offsets, then the top
-entry, in the last lane if it fits there, else in its own. One lane walk,
-:func:`eval_folded_stack`, derives and evaluates over them with one gather
-per (lane, position) read, so a key costs c + d lookups when every entry
-fits one lane. :func:`fold_stacks` packs the lanes of B trials from their
-seeds (only at the slots shared keys read at the untwisted input
-positions); :func:`derive_stack` walks the lanes of filled level stacks,
-or reads level entries hashed from their addresses once per (level,
-position), and :func:`eval_stack` evaluates the derived keys over filled
-top tables, or over top entries hashed from their addresses once per
-(key, position). A :class:`TornadoHash` is a stack of one: ``build`` fills
-the stacks for its seed, and ``derive_batch``, ``eval_batch`` and
-``eval_folded_batch`` walk its lanes, packed on first use, with B = 1,
-while :mod:`tornadotab.experiments` runs the same code on chunks of
-trials. The scalar folded word packs every entry in one lane with no width
-limit, so ``eval_folded`` costs c + d lookups: w64 in 64 bits, w128mix in
-128. The scalar ``derive``/``eval`` and ``eval_folded`` are independent
+tables position-major, and :func:`derive_stack` and :func:`eval_stack` hash
+the entries a chunk of keys reads as they are read, once per (level,
+position) and once per (key, position). Filled entries are read only through
+64-bit lanes (:func:`_lanes`): the levels in order at fixed bit offsets, then
+the top entry, in the last lane if it fits there, else in its own. One lane
+walk, :func:`eval_folded_stack`, derives and evaluates over them with one
+gather per (lane, position) read, so a key costs c + d lookups when every
+entry fits one lane. :func:`fold_stacks` packs the lanes of B trials from
+their seeds (only at the slots shared keys read at the untwisted input
+positions, and with no top entry for a chunk that does not evaluate). A
+:class:`TornadoHash` is a stack of one: ``build`` fills the stacks for its
+seed, and ``derive_batch``, ``eval_batch`` and ``eval_folded_batch`` walk
+its lanes, packed on first use, with B = 1, while
+:mod:`tornadotab.experiments` runs the same code on chunks of trials. The
+scalar folded word packs every entry in one lane with no width limit, so
+``eval_folded`` costs c + d lookups: w64 in 64 bits, w128mix in 128. The
+scalar ``derive``/``eval`` and ``eval_folded`` are independent
 transcriptions that the tests hold against the engine.
 """
 
@@ -242,12 +241,13 @@ def check_keys(spec: TornadoSpec, xs) -> np.ndarray:
 # Every table is a contiguous stack over B hash functions (trials), so a
 # TornadoHash is a stack of one and the Monte Carlo experiments evaluate B
 # functions with the same code. A level stack is position-major, (npos, B,
-# sigma), and a top table is (B, alphabet_i). Either way the entries one
-# position reads form one flat row of B blocks, and trial ``b`` reads
-# character ``ch`` at flat offset ``b * alphabet + ch``. So one gather index
-# per position, ``chars + b * alphabet`` (the characters themselves when
-# B = 1), serves every table that reads the position, and one ``np.take``
-# into a preallocated buffer reads a whole (B, n) block. Derived characters
+# sigma), a top table is (B, alphabet_i), and so are a lane's words at a
+# position. Either way the entries one position reads form one flat row of
+# B blocks, and trial ``b`` reads character ``ch`` at flat offset
+# ``b * alphabet + ch``. So one gather index per position,
+# ``chars + b * alphabet`` (the characters themselves for one trial row),
+# serves every lane that reads the position, and one ``np.take`` into a
+# preallocated buffer reads a block of keys. Derived characters
 # are ``intp``, stored position by position, so each position is a
 # contiguous block of indices that needs no cast. Every character is below
 # its alphabet, so ``mode="wrap"`` reads the same entries as the default
@@ -261,9 +261,9 @@ def check_keys(spec: TornadoSpec, xs) -> np.ndarray:
 # derived character is its level's bits of the lane's accumulator. The w64
 # spec is one lane, c + d gathers per key; the mix spec is a lane of its
 # levels and one of its top entries, 24 gathers per key for 69 entry reads.
-# Chunks whose entries are hashed from their addresses still read one address
-# per (level, position), and per position for the top entry: packing them
-# would add a mask and a shift per read.
+# Chunks whose entries are hashed from their addresses, not filled, read one
+# address per (level, position), and per position for the top entry: packing
+# them would add a mask and a shift per read.
 
 FOLD_BLOCK = 1 << 14  # keys per pass of the lane walk; its buffers stay in L2
 
@@ -299,11 +299,6 @@ def top_stacks(spec: TornadoSpec, seeds: np.ndarray) -> list[np.ndarray]:
             for i in range(spec.positions)]
 
 
-def trial_base(n_trials: int, stride: int) -> np.ndarray:
-    """(B, 1) flat offset of each trial's block in a table of row size stride."""
-    return np.arange(n_trials, dtype=np.intp)[:, None] * stride
-
-
 def _reads(spec: TornadoSpec, level: int | None) -> int:
     """How many positions, from 0 on, a level (the top entry for None) reads."""
     return spec.positions if level is None else spec.level_input_positions(level)
@@ -314,15 +309,16 @@ def _bits(spec: TornadoSpec, level: int | None) -> int:
     return spec.out_bits if level is None else spec.level_output_bits(level)
 
 
-def _lanes(spec: TornadoSpec, width: int | None = 64) -> list[list[tuple[int | None, int]]]:
+def _lanes(spec: TornadoSpec, width: int | None = 64,
+           top: bool = True) -> list[list[tuple[int | None, int]]]:
     """Where packed words hold each entry: lanes of (level, bit offset), the
-    levels in order and then the top entry (level None), each at the offset
-    the entries before it in its lane leave. A new lane starts before an
-    entry would cross bit ``width``; with no width, every entry is in one
-    lane, the scalar folded word."""
+    levels in order and then, if ``top``, the top entry (level None), each
+    at the offset the entries before it in its lane leave. A new lane starts
+    before an entry would cross bit ``width``; with no width, every entry is
+    in one lane, the scalar folded word."""
     lanes: list[list[tuple[int | None, int]]] = []
     off = 0
-    for level in spec.levels() + (None,):
+    for level in spec.levels() + ((None,) if top else ()):
         if not lanes or width and off + _bits(spec, level) > width:
             lanes.append([])
             off = 0
@@ -380,28 +376,18 @@ def _pack(spec: TornadoSpec, lanes: list[list[tuple[int | None, int]]], entry,
     return packed
 
 
-def derive_stack(spec: TornadoSpec, levels: dict[int, np.ndarray] | np.ndarray, xs: np.ndarray,
-                 n_trials: int) -> np.ndarray:
-    """Derived keys for each trial, (B, n, c + d) intp; xs is (n,) shared or
-    (B, n) per trial. ``levels`` is a :func:`level_stacks` result, whose
-    entries are gathered, or the (B,) trial seeds, whose entries are hashed
-    from their addresses as they are read: the same bits.
+def derive_stack(spec: TornadoSpec, seeds: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Derived keys for each of the (B,) trial seeds, (B, n, c + d) intp; xs
+    is (n,) shared or (B, n) per trial. Each level entry is hashed from its
+    address as it is read, one address per (level, position) read: the bits
+    a filled table holds there. A spec whose levels read no position reads
+    nothing.
 
     The result is a view of position-major storage: each chars[:, :, i] is
-    one contiguous (B, n) block. Filled stacks are packed into their
-    :func:`_lanes` with no top entry and walked by :func:`eval_folded_stack`.
-    Hashed entries are read level by level, one address per (level,
-    position) read; a spec whose levels read no position takes that path
-    too, and reads nothing.
+    one contiguous (B, n) block.
     """
     xs = np.asarray(xs, dtype=np.uint64)
-    if isinstance(levels, dict):
-        lanes = [[e for e in lane if e[0] is not None] for lane in _lanes(spec)]  # no top entry
-        lanes = _pack(spec, [lane for lane in lanes if lane], lambda level, p, s: levels[level][p])
-        if lanes:
-            return eval_folded_stack(spec, lanes, xs)[0]
-    store = np.empty((spec.positions,) + (xs.shape if xs.ndim == 2 else (n_trials, len(xs))),
-                     dtype=np.intp)
+    store = np.empty((spec.positions, len(seeds), xs.shape[-1]), dtype=np.intp)
     cmask = _U(spec.sigma - 1)
     for i in range(spec.c):
         store[i] = (xs >> _U(i * spec.char_bits)) & cmask
@@ -409,7 +395,7 @@ def derive_stack(spec: TornadoSpec, levels: dict[int, np.ndarray] | np.ndarray, 
     def lookup(level: int) -> np.ndarray:
         """XOR of the level's entries at every position it reads."""
         reads = ((j, store[j]) for j in range(spec.level_input_positions(level)))
-        return _hashed(spec, levels, level, reads).view(np.intp)  # as chars
+        return _hashed(spec, seeds, level, reads).view(np.intp)  # as chars
 
     if spec.variant in (Variant.TORNADO, Variant.TORNADO_MIX) and spec.c > 1:
         store[spec.c - 1] ^= lookup(0)
@@ -418,32 +404,12 @@ def derive_stack(spec: TornadoSpec, levels: dict[int, np.ndarray] | np.ndarray, 
     return store.transpose(1, 2, 0)
 
 
-def eval_stack(spec: TornadoSpec, top: list[np.ndarray] | np.ndarray,
-               chars: np.ndarray) -> np.ndarray:
-    """Top-table hash of each derived key, (B, n) uint64. ``top`` is a
-    :func:`top_stacks` result, whose entries are gathered, or the (B,) trial
-    seeds, whose entries are hashed from their addresses as they are read:
-    the same bits.
-
-    top[i] is a contiguous (B, alphabet_i) table, so position i reads it at
-    the one gather index ``chars[:, :, i] + b * alphabet_i``; a tornado-mix
-    tail position has a psi-wide alphabet. Hashed entries are read one
-    address per (key, position).
-    """
-    if isinstance(top, np.ndarray):
-        return _hashed(spec, top, None, ((i, chars[:, :, i]) for i in range(spec.positions)))
-    n_trials = chars.shape[0]
-    h = np.empty(chars.shape[:2], dtype=np.uint64)
-    buf = np.empty_like(h)
-    idx = np.empty(h.shape, dtype=np.intp) if n_trials > 1 else None
-    for i, tbl in enumerate(top):
-        ix = chars[:, :, i]
-        if idx is not None:
-            ix = np.add(ix, trial_base(n_trials, tbl.shape[1]), out=idx)
-        np.take(tbl.reshape(-1), ix, out=buf if i else h, mode="wrap")
-        if i:
-            h ^= buf
-    return h
+def eval_stack(spec: TornadoSpec, seeds: np.ndarray, chars: np.ndarray) -> np.ndarray:
+    """Top-table hash of each derived key under the (B,) trial seeds, (B, n)
+    uint64. Each top entry is hashed from its address as it is read, one
+    address per (key, position); a tornado-mix tail position has a psi-wide
+    alphabet."""
+    return _hashed(spec, seeds, None, ((i, chars[:, :, i]) for i in range(spec.positions)))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -625,9 +591,11 @@ def _read_slots(spec: TornadoSpec, p: int, xs: np.ndarray) -> np.ndarray | None:
     return np.flatnonzero(np.bincount(chars, minlength=spec.sigma))
 
 
-def fold_stacks(spec: TornadoSpec, seeds: np.ndarray, xs: np.ndarray) -> list[Lane]:
+def fold_stacks(spec: TornadoSpec, seeds: np.ndarray, xs: np.ndarray,
+                top: bool = True) -> list[Lane]:
     """The :func:`_lanes` of B trials for the keys ``xs``, their entries
-    hashed from their addresses under the (B,) trial seeds.
+    hashed from their addresses under the (B,) trial seeds; with no top
+    entry unless ``top``, for a walk that only derives.
 
     Slot rule: with shared (n,) keys ``xs``, an untwisted input position
     (0..c-2) packs only the characters the keys hold there, and its other
@@ -642,7 +610,7 @@ def fold_stacks(spec: TornadoSpec, seeds: np.ndarray, xs: np.ndarray) -> list[La
         slots = np.arange(1 << spec.position_bits(p)) if s is None else s
         return _hashed(spec, seeds, level, [(p, slots)])
 
-    return _pack(spec, _lanes(spec), entry,
+    return _pack(spec, _lanes(spec, top=top), entry,
                  [_read_slots(spec, p, xs) for p in range(spec.positions)])
 
 
@@ -679,9 +647,8 @@ def fold_tables(h: TornadoHash) -> FoldedTables:
 def eval_folded_stack(spec: TornadoSpec, lanes: list[Lane], xs: np.ndarray,
                       keep_chars: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The lane walk over B trials: (derived keys, (B, n) hashes). xs is (n,)
-    shared or (B, n) per trial; ``lanes`` come from :func:`fold_stacks`, a
-    hash's own tables or, with no top entry, filled level stacks, and then
-    the hashes are None.
+    shared or (B, n) per trial; ``lanes`` come from :func:`fold_stacks` or a
+    hash's own tables, and with no top entry the hashes are None.
 
     The derived keys are a (B, n, c + d) intp view of position-major storage,
     as :func:`derive_stack` returns them, or None unless ``keep_chars``. The
@@ -710,7 +677,8 @@ def eval_folded_stack(spec: TornadoSpec, lanes: list[Lane], xs: np.ndarray,
     cols = max(1, min(n, FOLD_BLOCK))
     rows = max(1, min(n_trials, FOLD_BLOCK // cols))
     alphas = [1 << spec.position_bits(p) for p in range(spec.positions)]
-    bases = {a: np.repeat(trial_base(rows, a), cols) for a in set(alphas)} if rows > 1 else None
+    bases = ({a: np.repeat(np.arange(rows, dtype=np.intp) * a, cols) for a in set(alphas)}
+             if rows > 1 else None)
     key_buf, idx_buf = np.empty(rows * cols, dtype=np.uint64), np.empty(rows * cols, dtype=np.intp)
     acc_bufs = [np.empty(rows * cols, dtype=dt) for dt in dtypes]
     col_bufs = {dt: np.empty(rows * cols, dtype=dt) for dt in dtypes}

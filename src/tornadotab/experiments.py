@@ -10,16 +10,15 @@ pipeline of every Monte Carlo experiment (linear probing's included), draws
 a chunk's seeds and keys and runs the batched engine of :mod:`tornadotab.core`
 on them (the engine a :class:`~tornadotab.core.TornadoHash` runs with one
 trial), and :func:`tornadotab.selectors.selection_mask` selects over the
-whole chunk. A chunk's level and top entries are hashed from their
-addresses when it derives fewer keys than sigma, and so reads fewer entries
-than filling would write, and filled otherwise; a caller that reads only
+whole chunk. A chunk has one of two routes. It hashes its level and top
+entries from their addresses as it reads them (``derive_stack``, then
+``eval_stack`` if it evaluates) when it derives fewer keys than sigma, and
+so reads fewer entries than filling would write; a caller that reads only
 some key columns (linear probing) names them, and only those count and are
-derived. A chunk that fills and evaluates packs the
-engine's lanes straight from its seeds, only at the slots its shared keys
-read at the untwisted input positions, and walks them, one gather per
-(lane, position) read, which yields the same derived keys and hashes as
-deriving and evaluating. A filling chunk that does not evaluate walks the
-lanes of its filled level tables, with no top entry.
+derived. Otherwise it packs the engine's lanes straight from its seeds,
+only at the slots its shared keys read at the untwisted input positions
+and with a top entry only if it evaluates, and walks them, one gather per
+(lane, position) read, which yields the same derived keys and hashes.
 Linear-independence checks first peel keys containing a position character
 unique in their trial (such keys cannot take part in any zero-set), falling
 back to exact F2 elimination for the rare survivors. Peeling counts one
@@ -33,7 +32,8 @@ given size. Chaining is the size tail of the bin-0 selector over n keys
 sampled per trial. One builder makes every upper-bound report.
 
 The exact checks walk one blocked enumeration of every table filling at tiny
-sigma, ``_table_fillings``; survival's exact rate derives it with ``derive_stack``.
+sigma, ``_table_fillings``; survival's exact rate packs each block of level
+fillings into the engine's lanes and walks them.
 
 Every entry point rejects a trial count that is not an integer of at least
 1 (a bool is not one), a master seed outside [0, 2^64) and selector
@@ -55,8 +55,8 @@ import numpy as np
 from . import core, rng, selectors
 from .core import TornadoSpec, Variant, check_key, check_seed
 # the engine's stages, bound under the stage names that perfbench's tracer wraps;
-# no chunk fills top tables (it hashes its top entries or packs them into its
-# lanes), so the top-fill stage is bound for the tracer only
+# no chunk fills level or top tables (it hashes its entries or packs them into
+# its lanes), so both fill stages are bound for the tracer only
 from .core import derive_stack as _derive_chunk
 from .core import eval_stack as _eval_chunk
 from .core import level_stacks as _chunk_level_tables
@@ -276,14 +276,13 @@ def trial_blocks(spec: TornadoSpec, keys, evaluate: bool, master_seed: int, star
 
     Table entries are hashed as read (the seeds are the source) when the
     read columns read fewer entries than filling writes, which for
-    sigma-wide level tables means fewer read columns than sigma; else the
-    tables are filled. A hashed chunk derives with ``derive_stack`` and, if
-    asked, evaluates with ``eval_stack``, both from the seeds, so it fills no
-    table. A filling chunk that evaluates packs its lanes from the seeds with
+    sigma-wide level tables means fewer read columns than sigma: such a
+    chunk derives with ``derive_stack`` and, if asked, evaluates with
+    ``eval_stack``. Else it packs its lanes from the seeds with
     ``core.fold_stacks`` (shared keys fill only the slots they read at the
-    untwisted input positions) and walks them with
-    ``core.eval_folded_stack``; one that does not evaluate derives with
-    ``derive_stack``, which walks the lanes of its level tables.
+    untwisted input positions; the top entry only if it evaluates) and walks
+    them with ``core.eval_folded_stack``. A chunk that reads no entry has no
+    lanes and takes the hashed route, which reads nothing.
     """
     sample = isinstance(keys, (int, np.integer))
     n_keys = int(keys) if sample else len(keys)
@@ -299,14 +298,12 @@ def trial_blocks(spec: TornadoSpec, keys, evaluate: bool, master_seed: int, star
                                    np.arange(lo, min(lo + chunk, stop), dtype=np.uint64))
         xs = rng.sample_distinct_keys(seeds, n_keys, spec.key_bits) if sample else keys
         ys = xs if read is None else xs[..., read]
-        evals = None
-        if fill and evaluate:
-            chars, evals = core.eval_folded_stack(spec, core.fold_stacks(spec, seeds, ys), ys)
+        lanes = core.fold_stacks(spec, seeds, ys, evaluate) if fill else None
+        if lanes:
+            chars, evals = core.eval_folded_stack(spec, lanes, ys)
         else:
-            chars = _derive_chunk(spec, _chunk_level_tables(spec, seeds) if fill else seeds, ys,
-                                  len(seeds))
-            if evaluate:
-                evals = _eval_chunk(spec, seeds, chars)
+            chars = _derive_chunk(spec, seeds, ys)
+            evals = _eval_chunk(spec, seeds, chars) if evaluate else None
         yield lo, seeds, xs, chars, evals
 
 
@@ -609,13 +606,17 @@ def survival_rounds(spec: TornadoSpec, zero_set, trials: int, seed: int,
 
 
 def survival_one_round_exact(char_bits: int, c: int, zero_set) -> Fraction:
-    """Exact one-round survival rate over every level-1 filling, derived by the engine."""
+    """Exact one-round survival rate over every level-1 filling, derived by
+    the lane walk over each block of fillings, packed as a hash packs its own
+    tables."""
     spec = TornadoSpec(char_bits, c, 1, 1, Variant.SIMPLE_TORNADO)
     xs = np.array(_check_zero_set4(spec, zero_set), dtype=np.uint64)
+    lanes = core._lanes(spec, top=False)
     survived = 0
     for block in _table_fillings(char_bits, c * spec.sigma):
-        # the block's slot order is pos * sigma + ch; the engine's stacks are position-major
-        stack = np.ascontiguousarray(block.reshape(len(block), c, spec.sigma).transpose(1, 0, 2))
-        chars = _derive_chunk(spec, {1: stack}, xs, len(block))
+        # the block's slot order is pos * sigma + ch, so position p's entries are [:, p]
+        table = block.reshape(len(block), c, spec.sigma)
+        chars, _ = core.eval_folded_stack(
+            spec, core._pack(spec, lanes, lambda level, p, s: table[:, p]), xs)
         survived += int(_even_quad(*chars[:, :, c].T).sum())
     return Fraction(survived, 1 << (char_bits * c * spec.sigma))

@@ -21,6 +21,7 @@ from tornadotab.core import (
     parse_spec_string,
     top_stacks,
 )
+from trial_reference import per_trial_reference
 
 # chi2 inverse survival at significance 1e-6 with 255 degrees of freedom
 CHI2_255_1E6 = 377.07811549898673
@@ -475,10 +476,13 @@ class TestEngineLayout:
 
     @pytest.mark.parametrize("text", LANES)
     def test_lanes(self, text):
-        """The lanes, and with no width limit every entry in one lane at its
-        cumulative offset, the scalar folded word."""
+        """The lanes, with no top entry the same lanes without it, and with no
+        width limit every entry in one lane at its cumulative offset, the
+        scalar folded word."""
         spec = parse_spec_string(text)
         assert _lanes(spec) == self.LANES[text]
+        no_top = [[e for e in lane if e[0] is not None] for lane in self.LANES[text]]
+        assert _lanes(spec, top=False) == [lane for lane in no_top if lane]
         widths = [spec.level_output_bits(lv) for lv in spec.levels()] + [spec.out_bits]
         assert _lanes(spec, None) == [list(zip([*spec.levels(), None],
                                                np.cumsum([0] + widths[:-1]).tolist()))]
@@ -498,29 +502,29 @@ class TestEngineLayout:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.spec_string())
     @pytest.mark.parametrize("shared", [True, False], ids=["shared-keys", "per-trial-keys"])
     def test_stack_of_b_equals_stacks_of_one(self, spec, shared):
+        """The hashed derive_stack and eval_stack over B trials against each
+        trial's own hash, and each trial row against a stack of one."""
         n_trials, n = 4, 97
         seeds = rng.trial_seed_vec(0x1A71, np.arange(n_trials, dtype=np.uint64))
-        levels, top = level_stacks(spec, seeds), top_stacks(spec, seeds)
         xs = rng.raw_key_stream(5, n if shared else n_trials * n, spec.key_bits)
         xs = xs if shared else xs.reshape(n_trials, n)
-        chars = derive_stack(spec, levels, xs, n_trials)
-        evals = eval_stack(spec, top, chars)
-        assert chars.shape == (n_trials, n, spec.positions)
-        assert np.array_equal(derive_stack(spec, seeds, xs, n_trials), chars)
+        chars = derive_stack(spec, seeds, xs)
+        evals = eval_stack(spec, seeds, chars)
+        want_chars, want_evals = per_trial_reference(spec, seeds, xs)
+        assert np.array_equal(chars, want_chars)
+        assert np.array_equal(evals, want_evals)
         for b in range(n_trials):
-            one = {lv: t[:, b:b + 1] for lv, t in levels.items()}
             keys = xs if shared else xs[b]
-            chars_b = derive_stack(spec, one, keys, 1)
+            chars_b = derive_stack(spec, seeds[b:b + 1], keys)
             assert np.array_equal(chars_b[0], chars[b])
-            assert np.array_equal(eval_stack(spec, [t[b:b + 1] for t in top], chars_b)[0],
-                                  evals[b])
+            assert np.array_equal(eval_stack(spec, seeds[b:b + 1], chars_b)[0], evals[b])
 
 
 class TestEvalBatchBlocks:
     """eval_batch at the edges of the lane walk's FOLD_BLOCK blocks, a short
     last block included: every key of the w64 spec against the engine's
-    hashed reference, and a sample of the mix spec and of a spec with no
-    folded layout against scalar eval."""
+    hashed path and a sample against scalar eval, and a sample of the mix
+    spec and of a spec with no folded layout against scalar eval."""
 
     SIZES = [0, 1, FOLD_BLOCK - 1, FOLD_BLOCK, FOLD_BLOCK + 1, 2 * FOLD_BLOCK + 5]
 
@@ -538,9 +542,13 @@ class TestEvalBatchBlocks:
         out = h.eval_batch(keys)
         assert out.shape == (n,) and out.dtype == np.uint64
         seeds = np.array([h.seed], dtype=np.uint64)
-        chars = derive_stack(spec, seeds, keys, 1)
-        assert np.array_equal(out, eval_stack(spec, top_stacks(spec, seeds), chars)[0])
+        chars = derive_stack(spec, seeds, keys)
+        assert np.array_equal(out, eval_stack(spec, seeds, chars)[0])
         assert np.array_equal(h.derive_batch(keys), chars[0])
+        cols = self.sample(n)
+        want_chars, want_evals = per_trial_reference(spec, seeds, keys[cols])
+        assert np.array_equal(chars[:, cols], want_chars)
+        assert np.array_equal(out[cols], want_evals[0])
 
     @pytest.mark.parametrize("text", ["tornadomix,cb=8,c=8,d=5,r=64,psi=16",
                                       "simpletornado,cb=16,c=2,d=3,r=20"])
@@ -619,20 +627,24 @@ class TestFolded:
     @pytest.mark.parametrize("shared", [True, False], ids=["shared-keys", "per-trial-keys"])
     def test_folded_stack_block_edges(self, n_trials, n, shared):
         """Blocks of several trial rows, the last one partial, and blocks of
-        one row's columns, the last one partial, against the hashed engine,
-        for the w64 spec (one lane) and the mix spec (a lane of levels and
-        one of top entries, whose psi-wide positions have their own
-        alphabet), over the seeds' fold and over the filled level stacks."""
+        one row's columns, the last one partial, against the hashed engine
+        and, at a sample of columns, each trial's own hash, for the w64 spec (one lane) and the mix
+        spec (a lane of levels and one of top entries, whose psi-wide
+        positions have their own alphabet), with and without the top entry."""
         for spec in (W64_SPECS[0], MIX_SPECS[1]):
             seeds = rng.trial_seed_vec(0xB10C, np.arange(n_trials, dtype=np.uint64))
             xs = rng.raw_key_stream(n, n if shared else n_trials * n, spec.key_bits)
             xs = xs if shared else xs.reshape(n_trials, n)
             chars, evals = eval_folded_stack(spec, fold_stacks(spec, seeds, xs), xs)
-            expected = derive_stack(spec, seeds, xs, n_trials)
+            expected = derive_stack(spec, seeds, xs)
             assert np.array_equal(chars, expected)
-            assert np.array_equal(evals, eval_stack(spec, top_stacks(spec, seeds), expected))
-            assert np.array_equal(derive_stack(spec, level_stacks(spec, seeds), xs, n_trials),
-                                  expected)
+            assert np.array_equal(evals, eval_stack(spec, seeds, expected))
+            cols = TestEvalBatchBlocks.sample(n)
+            want_chars, want_evals = per_trial_reference(spec, seeds, xs[..., cols])
+            assert np.array_equal(chars[:, cols], want_chars)
+            assert np.array_equal(evals[:, cols], want_evals)
+            walked = eval_folded_stack(spec, fold_stacks(spec, seeds, xs, top=False), xs)
+            assert np.array_equal(walked[0], expected) and walked[1] is None
 
     def test_folded_batch_read_only_and_list_input(self):
         h = TornadoHash.build(W64_SPECS[0], 0xB10C)
@@ -964,11 +976,15 @@ class TestFoldFromSeeds:
 
     @staticmethod
     def assert_walk_is_the_engine(spec, lanes, seeds, xs):
-        """The walk over the lanes against the hashed engine."""
+        """The walk over the lanes against the hashed engine and each trial's
+        own hash."""
         chars, evals = eval_folded_stack(spec, lanes, xs)
-        expected = derive_stack(spec, seeds, xs, len(seeds))
+        expected = derive_stack(spec, seeds, xs)
         assert np.array_equal(chars, expected)
-        assert np.array_equal(evals, eval_stack(spec, top_stacks(spec, seeds), expected))
+        assert np.array_equal(evals, eval_stack(spec, seeds, expected))
+        want_chars, want_evals = per_trial_reference(spec, seeds, xs)
+        assert np.array_equal(chars, want_chars)
+        assert np.array_equal(evals, want_evals)
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.spec_string())
     @pytest.mark.parametrize("n_distinct", [1, 2, 256])

@@ -2,12 +2,11 @@
 
 The scalar ``derive``/``eval`` loops are the reference. Against them run
 ``derive_batch``/``eval_batch``/``eval_folded_batch`` (the lane walk with
-one trial), the engine with several trials each checked against its own
-``TornadoHash.build`` (its level and top entries both gathered from filled
-tables and hashed from their addresses), the scalar folded path where the spec
-has one, and the lane walk over several trials, packed from the trial
-seeds by ``fold_stacks``, whose derived keys and hashes must equal the
-hashed engine's, for shared and for per-trial keys.
+one trial), the scalar folded path where the spec has one, and, over
+several trials each checked against its own ``TornadoHash.build``, the
+engine's two chunk routes for shared and for per-trial keys: the hashed
+``derive_stack``/``eval_stack``, and the lane walk over lanes packed from
+the trial seeds by ``fold_stacks``, with and without the top entry.
 """
 
 import numpy as np
@@ -26,9 +25,8 @@ from tornadotab.core import (
     eval_stack,
     fold_stacks,
     fold_tables,
-    level_stacks,
-    top_stacks,
 )
+from trial_reference import per_trial_reference
 
 ENGINE_TRIALS = 2
 
@@ -92,25 +90,22 @@ def test_evaluation_paths_agree(case):
     assert [tuple(row) for row in h.derive_batch(xs).tolist()] == [h.derive(x) for x in keys]
     assert h.eval_batch(xs).tolist() == expected
 
-    seeds = rng.trial_seed_vec(seed, np.arange(ENGINE_TRIALS, dtype=np.uint64))
-    levels, top = level_stacks(spec, seeds), top_stacks(spec, seeds)
-    chars = derive_stack(spec, levels, xs, ENGINE_TRIALS)
-    evals = eval_stack(spec, top, chars)
-    for b, trial_seed in enumerate(seeds.tolist()):
-        assert evals[b].tolist() == [TornadoHash.build(spec, trial_seed).eval(x) for x in keys]
-    # the other level source: every entry hashed from its address as it is read
-    hashed = derive_stack(spec, seeds, xs, ENGINE_TRIALS)
-    assert np.array_equal(hashed, chars)
-    assert np.array_equal(eval_stack(spec, top, hashed), evals)
-    assert np.array_equal(eval_stack(spec, seeds, chars), evals)
-
     assert eval_folded_batch(h, xs).tolist() == expected
+
+    seeds = rng.trial_seed_vec(seed, np.arange(ENGINE_TRIALS, dtype=np.uint64))
     per_trial = np.stack([np.roll(xs, t) for t in range(ENGINE_TRIALS)])
     for batch in (xs, per_trial):
-        hashed = derive_stack(spec, seeds, batch, ENGINE_TRIALS)
+        want_chars, want_evals = per_trial_reference(spec, seeds, batch)
+        chars = derive_stack(spec, seeds, batch)
+        assert np.array_equal(chars, want_chars)
+        assert np.array_equal(eval_stack(spec, seeds, chars), want_evals)
         walked_chars, walked_evals = eval_folded_stack(spec, fold_stacks(spec, seeds, batch), batch)
-        assert np.array_equal(walked_chars, hashed)
-        assert np.array_equal(walked_evals, eval_stack(spec, top, hashed))
+        assert np.array_equal(walked_chars, want_chars)
+        assert np.array_equal(walked_evals, want_evals)
+        lanes = fold_stacks(spec, seeds, batch, top=False)
+        if lanes:  # none when no level reads a position
+            walked_chars, walked_evals = eval_folded_stack(spec, lanes, batch)
+            assert np.array_equal(walked_chars, want_chars) and walked_evals is None
 
     try:
         fold_tables(h)

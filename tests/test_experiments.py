@@ -12,6 +12,7 @@ from tornadotab import experiments as ex
 from tornadotab import core, linprobe, rng, selectors
 from tornadotab.core import ConfigError, TornadoHash, TornadoSpec, Variant
 from tornadotab.gf2 import GenKey, genkey_from_key, is_linearly_independent
+from trial_reference import per_trial_reference
 
 
 def frac_dependence_bound(mu: int, d: int, sigma: int) -> Fraction:
@@ -119,45 +120,45 @@ ENGINE_SPECS = [
 
 
 class TestChunkEngine:
-    """The chunk engine against the scalar path of one TornadoHash per trial."""
+    """The chunk engine's two routes against the scalar path of one
+    TornadoHash per trial."""
 
     @pytest.mark.parametrize("spec", ENGINE_SPECS, ids=lambda s: s.spec_string())
     @pytest.mark.parametrize("n_trials", [1, 5])
     @pytest.mark.parametrize("shared", [True, False], ids=["shared-keys", "per-trial-keys"])
     def test_matches_single_hash(self, spec, n_trials, shared):
-        seed, n = 0x5EED, 200
-        seeds = rng.trial_seed_vec(seed, np.arange(n_trials, dtype=np.uint64))
+        n = 200
+        seeds = rng.trial_seed_vec(0x5EED, np.arange(n_trials, dtype=np.uint64))
         if shared:
             xs = rng.raw_key_stream(1, n, spec.key_bits)
-            keys = [xs] * n_trials
         else:
             xs = np.stack([rng.raw_key_stream(2 + t, n, spec.key_bits) for t in range(n_trials)])
-            keys = list(xs)
-        chars = ex._derive_chunk(spec, ex._chunk_level_tables(spec, seeds), xs, n_trials)
-        evals = ex._eval_chunk(spec, ex._chunk_top_tables(spec, seeds), chars)
-        assert chars.shape == (n_trials, n, spec.positions)
-        assert evals.shape == (n_trials, n)
-        for t in range(n_trials):
-            h = TornadoHash.build(spec, rng.trial_seed(seed, t))
-            xs = [int(x) for x in keys[t]]
-            assert [tuple(row) for row in chars[t].tolist()] == [h.derive(x) for x in xs]
-            assert evals[t].tolist() == [h.eval(x) for x in xs]
+        want_chars, want_evals = per_trial_reference(spec, seeds, xs)
+        chars = ex._derive_chunk(spec, seeds, xs)
+        assert np.array_equal(chars, want_chars)
+        assert np.array_equal(ex._eval_chunk(spec, seeds, chars), want_evals)
+        chars, evals = core.eval_folded_stack(spec, core.fold_stacks(spec, seeds, xs), xs)
+        assert np.array_equal(chars, want_chars)
+        assert np.array_equal(evals, want_evals)
 
     def test_filled_w64_chunks_fold(self, monkeypatch):
-        """A chunk that fills its tables and evaluates walks the lanes folded
-        from its seeds, for any spec (a cb=16 chunk included); a sparse chunk
-        derives and evaluates with the seeds as the source, filling no table,
-        and an ``evaluate=False`` chunk derives over filled level tables."""
+        """A chunk that fills walks the lanes packed from its seeds, with a top
+        entry if it evaluates, for any spec (a cb=16 chunk included); a sparse
+        chunk derives and evaluates with the seeds as the source. No chunk
+        fills level or top tables, directly or through the aliases; a chunk
+        that reads no entry has no lanes and derives by hashing nothing."""
         calls = []
 
         def recorded(name, fn):
-            def run(spec, source, *args):
-                calls.append(name if isinstance(source, np.ndarray) else name + " filled")
-                return fn(spec, source, *args)
+            def run(*args):
+                calls.append(name)
+                return fn(*args)
             return run
 
         for owner, attr, name in ((core, "derive_stack", "derive"), (core, "eval_stack", "eval"),
                                   (ex, "_derive_chunk", "derive"), (ex, "_eval_chunk", "eval"),
+                                  (core, "level_stacks", "level"),
+                                  (ex, "_chunk_level_tables", "level"),
                                   (core, "top_stacks", "top"), (ex, "_chunk_top_tables", "top")):
             monkeypatch.setattr(owner, attr, recorded(name, getattr(owner, attr)))
 
@@ -171,13 +172,17 @@ class TestChunkEngine:
         assert route(w64, 256, True) == []
         assert route(w64, np.arange(300, dtype=np.uint64), True) == []
         assert route(w64, 255, True) == ["derive", "eval"]
-        assert route(w64, 256, False) == ["derive filled"]
+        assert route(w64, 256, False) == []
+        assert route(w64, np.arange(300, dtype=np.uint64), False) == []
+        assert route(w64, 255, False) == ["derive"]
         assert route(w64, 300, True, np.arange(255)) == ["derive", "eval"]
         assert route(w64, 300, True, np.arange(256)) == []
         assert route(TornadoSpec(16, 2, 4, 16, Variant.TORNADO), 1 << 16, True) == []
         assert route(TornadoSpec(8, 2, 3, 16, Variant.TORNADO_MIX, psi_bits=10), 256, True) == []
         assert route(TornadoSpec(8, 2, 3, 16, Variant.TORNADO_MIX, psi_bits=10), 128, True) == [
             "derive", "eval"]
+        assert route(TornadoSpec(8, 3, 0, 16, Variant.SIMPLE_TABULATION), 256, False) == [
+            "derive"]
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared-keys", "per-trial-keys"])
     @pytest.mark.parametrize("n_read", [40, 300], ids=["hashed", "folded"])
@@ -294,16 +299,12 @@ class TestMeasureDependence:
     def test_level_source_follows_key_count(self, monkeypatch):
         """Fewer keys than characters hash the level entries they read (a
         probing pool of n_star + queries keys included); the 512-key hard
-        instance at sigma = 256 fills its tables, and as a w64 chunk it fills
-        them into the folded stack, from the chunk's seeds."""
-        def fill(spec, seeds):
-            raise RuntimeError("level tables filled")
-
-        def fold(spec, seeds, xs):
+        instance at sigma = 256 fills its tables into the folded stack, from
+        the chunk's seeds."""
+        def fold(spec, seeds, xs, top):
             assert np.ndim(xs) == 1
             raise RuntimeError("folded stack filled from the seeds")
 
-        monkeypatch.setattr(ex, "_chunk_level_tables", fill)
         monkeypatch.setattr(core, "fold_stacks", fold)
         spec = TornadoSpec(8, 2, 3, 8, Variant.TORNADO)
         keys = [(a << 8) | b for a in range(32) for b in (0, 1)]
@@ -743,6 +744,7 @@ class TestLargeMu:
 
 
 SPEC_G = TornadoSpec(4, 2, 2, 4, Variant.TORNADO)
+SPEC_S = TornadoSpec(4, 2, 1, 1, Variant.SIMPLE_TORNADO)
 KEYS_G = [1, 2, 3, 40]
 COUNTED_ENTRY_POINTS = {
     "dependence": lambda trials, seed=1: ex.measure_dependence(
@@ -753,8 +755,7 @@ COUNTED_ENTRY_POINTS = {
         selectors.bin_selector(range(40), 0), TornadoSpec(4, 2, 2, 1, Variant.TORNADO), 0.5,
         trials, seed),
     "chaining": lambda trials, seed=1: ex.chaining_tail(SPEC_G, 16, [2], trials, seed),
-    "survival": lambda trials, seed=1: ex.survival_rounds(
-        TornadoSpec(4, 2, 1, 1, Variant.SIMPLE_TORNADO), ZS16, trials, seed, 1),
+    "survival": lambda trials, seed=1: ex.survival_rounds(SPEC_S, ZS16, trials, seed, 1),
 }
 
 

@@ -16,7 +16,7 @@ import pytest
 from tornadotab import cli, experiments, linprobe, rng, selectors
 from tornadotab.core import (TornadoHash, TornadoSpec, Variant, derive_stack, dump_tables,
                              eval_folded_batch, eval_folded_stack, eval_stack, fold_stacks,
-                             level_stacks, parse_spec_string, top_stacks)
+                             parse_spec_string)
 
 
 def sha256(data: bytes) -> str:
@@ -140,10 +140,10 @@ def test_eval_folded(text):
         assert (array_digest(chars), array_digest(evals)) == FOLDED_STACK
 
 
-# spec -> (derived keys, hashes) of derive_stack and eval_stack over the
-# filled stacks of three trials, for the 5000 keys of TABLES: the mix spec,
-# whose levels fill one lane and whose top entries take a lane of their own,
-# and a 16-bit spec whose levels need two lanes
+# spec -> (derived keys, hashes) of three trials' filled stacks, for the 5000
+# keys of TABLES, reached by the hashed derive_stack and eval_stack and by the
+# lane walk: the mix spec, whose levels fill one lane and whose top entries
+# take a lane of their own, and a 16-bit spec whose levels need two lanes
 FILLED_STACKS = {
     "tornadomix,cb=8,c=8,d=5,r=64,psi=16": (
         "e27f48ca436b0e5661226f2a35fbc3bc62aa60c08dd6d704cc25ab4141252977",
@@ -159,8 +159,8 @@ def test_filled_stacks(text):
     spec = parse_spec_string(text)
     keys = rng.raw_key_stream(0x5EED, 5000, spec.key_bits)
     seeds = rng.trial_seed_vec(0x5EED, np.arange(3, dtype=np.uint64))
-    chars = derive_stack(spec, level_stacks(spec, seeds), keys, 3)
-    evals = eval_stack(spec, top_stacks(spec, seeds), chars)
+    chars = derive_stack(spec, seeds, keys)
+    evals = eval_stack(spec, seeds, chars)
     assert (array_digest(chars), array_digest(evals)) == FILLED_STACKS[text]
     # the lane walk over the lanes packed from the seeds, as a filled chunk runs it
     chars, evals = eval_folded_stack(spec, fold_stacks(spec, seeds, keys), keys)

@@ -126,8 +126,8 @@ class TestSelect:
 
     def test_bin_mean_matches_mu(self):
         # Monte Carlo mean of |X| vs analytic mu within 3 sigma. Row s of the
-        # engine's stacks over seeds [0, 10000) is build(s); blocks of 2500
-        # seeds keep the tables and characters near 70 MB.
+        # lane walk over seeds [0, 10000) is build(s); blocks of 2500 seeds
+        # keep the lanes and characters near 70 MB.
         n, seeds = 256, 10000
         keys = [int(k) for k in rng.sample_distinct_keys(7, n, 16)]
         sel = selectors.bin_selector(keys, 0)
@@ -136,8 +136,7 @@ class TestSelect:
         sizes = []
         for lo in range(0, seeds, 2500):
             block = np.arange(lo, lo + 2500, dtype=np.uint64)
-            chars = core.derive_stack(SPEC, core.level_stacks(SPEC, block), xs, len(block))
-            evals = core.eval_stack(SPEC, core.top_stacks(SPEC, block), chars)
+            _, evals = core.eval_folded_stack(SPEC, core.fold_stacks(SPEC, block, xs), xs, False)
             sizes.append(selectors.selection_mask(sel, xs, evals, SPEC.out_bits).sum(axis=1))
         sizes = np.concatenate(sizes)
         assert sizes[:8].tolist() == [len(selectors.select(sel, build(s))) for s in range(8)]
