@@ -204,8 +204,9 @@ def check_key(spec: TornadoSpec, x) -> int:
 
 
 def check_seed(seed: int) -> None:
-    """ConfigError unless ``seed`` is an integer in [0, 2**64), so no two seeds alias."""
-    if not isinstance(seed, (int, np.integer)):
+    """ConfigError unless ``seed`` is an integer (not a bool) in [0, 2**64),
+    so no two seeds alias."""
+    if not _is_int(seed):
         raise ConfigError(f"seed {seed!r} is not an integer")
     if not 0 <= seed < 1 << 64:
         raise ConfigError(f"seed {seed} is outside [0, 2^64)")

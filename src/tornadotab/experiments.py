@@ -35,8 +35,10 @@ The exact checks walk one blocked enumeration of every table filling at tiny
 sigma, ``_table_fillings``; survival's exact rate packs each block of level
 fillings into the engine's lanes and walks them.
 
-Every entry point rejects a trial count that is not an integer of at least
-1 (a bool is not one), a master seed outside [0, 2^64) and selector
+Every entry point rejects, before any trial, a count (trials, rounds, n, k)
+that is not an integer or is below its least value (``check_count``; a bool
+is not an integer), a master seed that is not an integer in [0, 2^64), a
+delta that is not positive and finite (a bool is not one) and selector
 candidates outside the spec's key universe, and a report refuses a
 non-finite estimate, so no degenerate run reaches a verdict.
 """
@@ -184,13 +186,13 @@ def _upper_report(name: str, count: int, trials: int, seed: int, bound: float,
                             {"spec": spec.spec_string(), **params}, verdict)
 
 
-def check_count(name: str, value: int) -> None:
+def check_count(name: str, value: int, least: int = 1) -> None:
     """Reject a count that is not an integer (a bool is not one) or is below
-    1, which no estimate can rest on."""
+    ``least``; no estimate can rest on fewer than 1 trial."""
     if not core._is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 # -- bound formulas ----------------------------------------------------------
@@ -221,7 +223,7 @@ def dependence_bound_mix(mu: float, d: int, sigma_size: int, psi_size: int) -> f
 
 
 def _check_delta(delta: float) -> None:
-    if not 0 < delta < math.inf:  # also false for nan
+    if isinstance(delta, bool) or not 0 < delta < math.inf:  # also false for nan
         raise ValueError(f"delta must be positive and finite, got {delta}")
 
 
@@ -233,8 +235,7 @@ def chernoff_bound(mu: float, delta: float) -> float:
 
 def chaining_bound(k: int, d: int, sigma_size: int) -> float:
     """Bound on a fixed bin of n receiving >= k of n thrown keys."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    check_count("k", k)
     return math.exp(k - 1) / float(k) ** k + 7.0 * (3.0 / sigma_size) ** (d + 1) + 2.0 ** (
         -sigma_size / 2
     )
@@ -484,7 +485,8 @@ def chaining_tail(
     each trial with its own key set: the size tail of the bin-0 selector. The
     gate sees a stuck low bit in the top entries, not zeroed level tables
     (simple tabulation meets this bound too)."""
-    if n & (n - 1) or n <= 0:
+    check_count("n", n)
+    if n & (n - 1):
         raise ValueError("n must be a power of two")
     if (1 << spec.out_bits) != n:
         raise ValueError("chaining requires out_bits = log2(n)")
@@ -579,8 +581,7 @@ def survival_rounds(spec: TornadoSpec, zero_set, trials: int, seed: int,
     the spec with d = rounds. Zero rounds survive with certainty."""
     check_count("trials", trials)
     check_seed(seed)
-    if rounds < 0:
-        raise ValueError(f"rounds must be >= 0, got {rounds}")
+    check_count("rounds", rounds, 0)
     keys = _check_zero_set4(spec, zero_set)
     run = replace(spec, d=rounds)
     xs = np.array(keys, dtype=np.uint64)

@@ -244,14 +244,13 @@ def probe_experiment(
     against it for stochastic dominance within a DKW-style tolerance. The gate
     sees a stuck low top bit, not zeroed levels (simple tabulation passes too).
     """
+    check_count("n", n, 0)
     if m <= 0 or m & (m - 1):
         raise ValueError("m must be a power of two")
     if (1 << spec.out_bits) != m:
         raise ValueError("probing requires out_bits = log2(m)")
     if n / m > 4 / 5:
         raise ValueError("load factor above 4/5 is outside the supported regime")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     check_count("queries", queries)
     check_count("trials", trials)
     if not 0 < star_delta < 1:  # 0 divides by zero, 1 compares the baseline with itself

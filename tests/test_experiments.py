@@ -745,6 +745,7 @@ class TestLargeMu:
 
 SPEC_G = TornadoSpec(4, 2, 2, 4, Variant.TORNADO)
 SPEC_S = TornadoSpec(4, 2, 1, 1, Variant.SIMPLE_TORNADO)
+SPEC_P = TornadoSpec(8, 2, 2, 10, Variant.TORNADO)
 KEYS_G = [1, 2, 3, 40]
 COUNTED_ENTRY_POINTS = {
     "dependence": lambda trials, seed=1: ex.measure_dependence(
@@ -759,7 +760,30 @@ COUNTED_ENTRY_POINTS = {
 }
 
 
+# calls that each ran with a bool as a number, or failed inside the engine
+# (TypeError or IndexError), until every number was checked at the entry point
+BAD_PARAMETERS = {
+    "probe-n-bool": lambda: linprobe.probe_experiment(SPEC_P, True, 1024, 16, 2, 1),
+    "probe-n-float": lambda: linprobe.probe_experiment(SPEC_P, 100.0, 1024, 16, 2, 1),
+    "survival-rounds-bool": lambda: ex.survival_rounds(SPEC_S, ZS16, 10, 1, True),
+    "survival-rounds-float": lambda: ex.survival_rounds(SPEC_S, ZS16, 10, 1, 1.5),
+    "chaining-k-bool": lambda: ex.chaining_tail(SPEC_G, 16, [True], 10, 1),
+    "chaining-n-float": lambda: ex.chaining_tail(SPEC_G, 16.0, [2], 10, 1),
+    "chernoff-delta-bool": lambda: ex.chernoff_tail(
+        selectors.bin_selector(KEYS_G, 0), SPEC_G, True, 10, 1),
+    "dependence-seed-bool": lambda: COUNTED_ENTRY_POINTS["dependence"](10, True),
+}
+
+
 class TestDegenerateRuns:
+    @pytest.mark.parametrize("entry", sorted(BAD_PARAMETERS))
+    def test_bad_number_rejected_before_any_trial(self, monkeypatch, entry):
+        monkeypatch.setattr(ex, "_run_ranges", None)  # the tail experiments' trial run
+        monkeypatch.setattr(ex, "trial_blocks", None)  # survival's
+        monkeypatch.setattr(linprobe, "trial_blocks", None)  # probing's
+        with pytest.raises(ValueError):  # a ConfigError is a ValueError
+            BAD_PARAMETERS[entry]()
+
     @pytest.mark.parametrize("entry", sorted(COUNTED_ENTRY_POINTS))
     @pytest.mark.parametrize("trials", [0, -5])
     def test_trial_count_below_one_rejected(self, entry, trials):
