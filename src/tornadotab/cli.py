@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bench, experiments, linprobe, rng, selectors
 from .core import (ConfigError, TornadoHash, TornadoSpec, Variant, derived_injectivity_check,
-                   dump_tables, eval_folded_batch, parse_spec_string)
+                   dump_tables, parse_spec_string)
 from .experiments import Verdict
 from .gf2 import genkey_from_key
 
@@ -191,7 +191,7 @@ def _cmd_selftest(args) -> int:
         h = TornadoHash.build(spec, args.seed)
         ks = rng.raw_key_stream(args.seed, 10000, 32)
         checks.append((f"folded-equals-reference-{label}",
-                       bool(np.array_equal(h.eval_batch(ks), eval_folded_batch(h, ks)))))
+                       h.eval_batch(ks).tolist() == [h.eval_folded(x) for x in ks.tolist()]))
     mix_spec = TornadoSpec(8, 8, 5, 64, Variant.TORNADO_MIX, psi_bits=16)
     hm = TornadoHash.build(mix_spec, args.seed)
     km = rng.raw_key_stream(args.seed, 1000, 64)
