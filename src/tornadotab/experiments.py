@@ -282,8 +282,7 @@ def trial_blocks(spec: TornadoSpec, keys, evaluate: bool, master_seed: int, star
     ``eval_stack``. Else it packs its lanes from the seeds with
     ``core.fold_stacks`` (shared keys fill only the slots they read at the
     untwisted input positions; the top entry only if it evaluates) and walks
-    them with ``core.eval_folded_stack``. A chunk that reads no entry has no
-    lanes and takes the hashed route, which reads nothing.
+    them with ``core.eval_folded_stack``.
     """
     sample = isinstance(keys, (int, np.integer))
     n_keys = int(keys) if sample else len(keys)
@@ -293,15 +292,17 @@ def trial_blocks(spec: TornadoSpec, keys, evaluate: bool, master_seed: int, star
     chunk = (1 << 23) // max(entries + n_keys * spec.positions * 2, 1)
     max_alpha = max(1 << spec.position_bits(i) for i in range(spec.positions))
     chunk = int(min(1 << 16, max(1, min(chunk, (1 << 24) // max_alpha))))
-    fill = (n_keys if read is None else len(read)) >= spec.sigma
+    # a chunk with no entry to read (no top entry, no level reading a position)
+    # has no lanes to walk; the hashed route reads nothing
+    fill = entries > 0 and (n_keys if read is None else len(read)) >= spec.sigma
     for lo in range(start, stop, chunk):
         seeds = rng.trial_seed_vec(master_seed,
                                    np.arange(lo, min(lo + chunk, stop), dtype=np.uint64))
         xs = rng.sample_distinct_keys(seeds, n_keys, spec.key_bits) if sample else keys
         ys = xs if read is None else xs[..., read]
-        lanes = core.fold_stacks(spec, seeds, ys, evaluate) if fill else None
-        if lanes:
-            chars, evals = core.eval_folded_stack(spec, lanes, ys)
+        if fill:  # no name holds the lanes, so they are freed before the chunk is yielded
+            chars, evals = core.eval_folded_stack(
+                spec, core.fold_stacks(spec, seeds, ys, evaluate), ys)
         else:
             chars = _derive_chunk(spec, seeds, ys)
             evals = _eval_chunk(spec, seeds, chars) if evaluate else None
