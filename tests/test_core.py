@@ -628,9 +628,10 @@ class TestFolded:
     def test_folded_stack_block_edges(self, n_trials, n, shared):
         """Blocks of several trial rows, the last one partial, and blocks of
         one row's columns, the last one partial, against the hashed engine
-        and, at a sample of columns, each trial's own hash, for the w64 spec (one lane) and the mix
-        spec (a lane of levels and one of top entries, whose psi-wide
-        positions have their own alphabet), with and without the top entry."""
+        and, at a sample of columns, each trial's own hash, for the w64 spec
+        (one lane) and the mix spec (a lane of levels and one of top entries,
+        whose psi-wide positions have their own alphabet), with and without
+        the top entry."""
         for spec in (W64_SPECS[0], MIX_SPECS[1]):
             seeds = rng.trial_seed_vec(0xB10C, np.arange(n_trials, dtype=np.uint64))
             xs = rng.raw_key_stream(n, n if shared else n_trials * n, spec.key_bits)

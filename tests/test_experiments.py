@@ -760,8 +760,9 @@ COUNTED_ENTRY_POINTS = {
 }
 
 
-# calls that each ran with a bool as a number, or failed inside the engine
-# (TypeError or IndexError), until every number was checked at the entry point
+# calls with a bool or a float where an entry point takes an integer, or a bool
+# for a real: unchecked, each would run with the bool as a number or fail
+# inside the engine with a TypeError or IndexError
 BAD_PARAMETERS = {
     "probe-n-bool": lambda: linprobe.probe_experiment(SPEC_P, True, 1024, 16, 2, 1),
     "probe-n-float": lambda: linprobe.probe_experiment(SPEC_P, 100.0, 1024, 16, 2, 1),
