@@ -67,6 +67,11 @@ class Variant(enum.Enum):
     TORNADO_MIX = "tornadomix"
 
 
+def _is_int(x) -> bool:
+    """Whether ``x`` is an integer: a Python or NumPy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class TornadoSpec:
     """Full parameterization of one hash family."""
@@ -82,6 +87,10 @@ class TornadoSpec:
     key_limit: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("char_bits", "c", "d", "out_bits", "psi_bits"):  # no bool, no float
+            if not (_is_int(v := getattr(self, name)) or name == "psi_bits" and v is None):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, v if v is None else int(v))
         if not 1 <= self.char_bits <= 16:
             raise ConfigError(f"char_bits must be in 1..16, got {self.char_bits}")
         if self.c < 1:
@@ -184,11 +193,6 @@ def parse_spec_string(text: str) -> TornadoSpec:
 def _outside_universe(spec: TornadoSpec, x) -> ConfigError:
     return ConfigError(f"key {x} outside the {spec.key_bits}-bit key universe of "
                        f"{spec.spec_string()}")
-
-
-def _is_int(x) -> bool:
-    """Whether ``x`` is an integer key: a Python or NumPy integer, not a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def check_key(spec: TornadoSpec, x) -> int:

@@ -48,6 +48,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -223,7 +224,8 @@ def dependence_bound_mix(mu: float, d: int, sigma_size: int, psi_size: int) -> f
 
 
 def _check_delta(delta: float) -> None:
-    if isinstance(delta, bool) or not 0 < delta < math.inf:  # also false for nan
+    # a real number, so a string cannot reach the comparison; "< inf" is false for nan
+    if isinstance(delta, bool) or not isinstance(delta, numbers.Real) or not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
 
 

@@ -38,7 +38,8 @@ class ProbeTable:
     __slots__ = ("m", "cells", "count")
 
     def __init__(self, m: int):
-        if m <= 0 or m & (m - 1):
+        check_count("capacity", m)
+        if m & (m - 1):
             raise ValueError("capacity must be a power of two")
         self.m = m
         self.cells: list = [None] * m
@@ -245,7 +246,8 @@ def probe_experiment(
     sees a stuck low top bit, not zeroed levels (simple tabulation passes too).
     """
     check_count("n", n, 0)
-    if m <= 0 or m & (m - 1):
+    check_count("m", m)
+    if m & (m - 1):
         raise ValueError("m must be a power of two")
     if (1 << spec.out_bits) != m:
         raise ValueError("probing requires out_bits = log2(m)")

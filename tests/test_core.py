@@ -145,6 +145,23 @@ class TestSpec:
         ):
             assert parse_spec_string(spec.spec_string()) == spec
 
+    @pytest.mark.parametrize("field,value", [
+        ("char_bits", True), ("char_bits", 8.0), ("c", 2.0), ("c", True), ("d", True),
+        ("out_bits", 8.5), ("out_bits", "8"), ("psi_bits", 10.0), ("psi_bits", True)], ids=repr)
+    def test_non_integer_field_rejected(self, field, value):
+        """A bool would build a spec that prints ``cb=True``, and a float one
+        that prints ``r=8.5`` or fails in a shift with a TypeError."""
+        args = {"char_bits": 8, "c": 2, "d": 3, "out_bits": 8, "variant": Variant.TORNADO_MIX,
+                "psi_bits": 10, field: value}
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            TornadoSpec(**args)
+
+    def test_numpy_integer_fields_stored_as_int(self):
+        spec = TornadoSpec(np.int64(8), np.uint8(2), np.int32(3), np.int64(8), Variant.TORNADO)
+        assert all(type(v) is int for v in (spec.char_bits, spec.c, spec.d, spec.out_bits))
+        assert spec == TornadoSpec(8, 2, 3, 8, Variant.TORNADO)
+        assert spec.spec_string() == "tornado,cb=8,c=2,d=3,r=8"
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ConfigError):
             parse_spec_string("nonsense")

@@ -761,8 +761,8 @@ COUNTED_ENTRY_POINTS = {
 
 
 # calls with a bool or a float where an entry point takes an integer, or a bool
-# for a real: unchecked, each would run with the bool as a number or fail
-# inside the engine with a TypeError or IndexError
+# or a string for a real: unchecked, each would run with the bool as a number
+# or fail inside the engine with a TypeError or IndexError
 BAD_PARAMETERS = {
     "probe-n-bool": lambda: linprobe.probe_experiment(SPEC_P, True, 1024, 16, 2, 1),
     "probe-n-float": lambda: linprobe.probe_experiment(SPEC_P, 100.0, 1024, 16, 2, 1),
@@ -773,6 +773,10 @@ BAD_PARAMETERS = {
     "chernoff-delta-bool": lambda: ex.chernoff_tail(
         selectors.bin_selector(KEYS_G, 0), SPEC_G, True, 10, 1),
     "dependence-seed-bool": lambda: COUNTED_ENTRY_POINTS["dependence"](10, True),
+    "probe-m-float": lambda: linprobe.probe_experiment(SPEC_P, 100, 1024.0, 16, 2, 1),
+    "probe-table-float": lambda: linprobe.ProbeTable(4.0),
+    "chernoff-delta-str": lambda: ex.chernoff_tail(
+        selectors.bin_selector(KEYS_G, 0), SPEC_G, "0.5", 10, 1),
 }
 
 
