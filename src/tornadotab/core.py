@@ -21,26 +21,24 @@ in the documented order (levels ascending, positions ascending, slots
 ascending, then the top table).
 
 One batched engine builds, derives and evaluates. Each table entry is
-hashed from its address by one reader, ``_hashed``: :func:`level_stacks` and
-:func:`top_stacks` fill the tables of B hash functions at once, the level
-tables position-major, and :func:`derive_stack` and :func:`eval_stack` hash
-the entries a chunk of keys reads as they are read, once per (level,
-position) and once per (key, position). Filled entries are read only through
-64-bit lanes (:func:`_lanes`): the levels in order at fixed bit offsets, then
-the top entry, in the last lane if it fits there, else in its own. One lane
-walk, :func:`eval_folded_stack`, derives and evaluates over them with one
-gather per (lane, position) read, so a key costs c + d lookups when every
-entry fits one lane. :func:`fold_stacks` packs the lanes of B trials from
-their seeds (only at the slots shared keys read at the untwisted input
-positions, and with no top entry for a chunk that does not evaluate). A
-:class:`TornadoHash` is a stack of one: ``build`` fills the stacks for its
-seed, and ``derive_batch``, ``eval_batch`` and ``eval_folded_batch`` walk
-its lanes, packed on first use, with B = 1, while
-:mod:`tornadotab.experiments` runs the same code on chunks of trials. The
-scalar folded word packs every entry in one lane with no width limit, so
-``eval_folded`` costs c + d lookups: w64 in 64 bits, w128mix in 128. The
-scalar ``derive``/``eval`` and ``eval_folded`` are independent
-transcriptions that the tests hold against the engine.
+hashed from its address by one reader, ``rng.field_value_vec``:
+:func:`level_stacks` and :func:`top_stacks` fill the tables of B hash
+functions at once, the level tables position-major. One lane walk,
+:func:`eval_folded_stack`, derives and evaluates. It reads its entries from
+64-bit lanes (:func:`_lanes`: the levels in order at fixed bit offsets, then
+the top entry) with one gather per (lane, position) read, so a key costs
+c + d lookups when every entry fits one lane; or from a :class:`Hashed`
+source, hashing them from the B trial seeds at the characters it reads.
+:func:`fold_stacks` packs the lanes of B trials from their seeds (only at
+the slots shared keys read at the untwisted input positions, and with no top
+entry for a chunk that does not evaluate). A :class:`TornadoHash` is a stack
+of one: ``build`` fills the stacks for its seed, and ``derive_batch``,
+``eval_batch`` and ``eval_folded_batch`` walk its lanes, packed on first
+use, with B = 1, while :mod:`tornadotab.experiments` runs the same walk on
+chunks of trials. The scalar folded word packs every entry in one lane with
+no width limit, so ``eval_folded`` costs c + d lookups: w64 in 64 bits,
+w128mix in 128. The scalar ``derive``/``eval`` and ``eval_folded`` are
+independent transcriptions that the tests hold against the engine.
 """
 
 from __future__ import annotations
@@ -243,48 +241,40 @@ def check_keys(spec: TornadoSpec, xs) -> np.ndarray:
 
 # -- the batched engine -------------------------------------------------------
 #
-# Every table is a contiguous stack over B hash functions (trials), so a
-# TornadoHash is a stack of one and the Monte Carlo experiments evaluate B
-# functions with the same code. A level stack is position-major, (npos, B,
-# sigma), a top table is (B, alphabet_i), and so are a lane's words at a
-# position. Either way the entries one position reads form one flat row of
-# B blocks, and trial ``b`` reads character ``ch`` at flat offset
-# ``b * alphabet + ch``. So one gather index per position,
-# ``chars + b * alphabet`` (the characters themselves for one trial row),
-# serves every lane that reads the position, and one ``np.take`` into a
-# preallocated buffer reads a block of keys. Derived characters
-# are ``intp``, stored position by position, so each position is a
-# contiguous block of indices that needs no cast. Every character is below
-# its alphabet, so ``mode="wrap"`` reads the same entries as the default
+# Every table is a contiguous stack over B hash functions (trials). A level
+# stack is position-major, (npos, B, sigma), a top table is (B, alphabet_i),
+# and so are a lane's words at a position, so trial ``b`` reads character
+# ``ch`` of a position at flat offset ``b * alphabet + ch``: one gather index
+# per position serves every lane that reads it, and one ``np.take`` into a
+# preallocated buffer reads a block of keys. Derived characters are
+# ``intp``, stored position by position, so each position is a contiguous
+# block of indices that needs no cast. Every character is below its
+# alphabet, so ``mode="wrap"`` reads the same entries as the default
 # "raise", which would copy through a temporary for ``out=``.
 #
 # Every entry that reads a position reads it at the same index, so filled
-# tables are packed into lanes (``_lanes``): the levels in order and then
-# the top entry, each at a fixed bit offset of a 64-bit word, a new lane
-# starting before an entry would cross bit 64. One gather of a lane's word
-# at a position then reads the entries of all its levels there, and a
-# derived character is its level's bits of the lane's accumulator. The w64
-# spec is one lane, c + d gathers per key; the mix spec is a lane of its
-# levels and one of its top entries, 24 gathers per key for 69 entry reads.
-# Chunks whose entries are hashed from their addresses, not filled, read one
-# address per (level, position), and per position for the top entry: packing
-# them would add a mask and a shift per read.
+# tables are packed into lanes (``_lanes``), each entry at a fixed bit
+# offset of a 64-bit word: one gather of a lane's word then reads all its
+# entries there. The w64 spec is one lane, c + d gathers per key; the mix
+# spec is a lane of its levels and one of its top entries, 24 gathers per
+# key for 69 entry reads. A walk over hashed entries makes each entry its
+# own lane at offset 0: packing them would add a mask, a shift and an XOR
+# per read.
 
 FOLD_BLOCK = 1 << 14  # keys per pass of the lane walk; its buffers stay in L2
+# keys per pass over hashed entries: one field_value_vec call per (position,
+# block) has a fixed cost, and with FOLD_BLOCK the hashed chunks of the
+# dependence, survival and probing benchmark shapes took 6-20% longer
+HASH_BLOCK = 1 << 15
 
 
-def _hashed(spec: TornadoSpec, seeds: np.ndarray, level: int | None, reads) -> np.ndarray:
-    """XOR of the level's entries (the top table's for ``level=None``) that
-    each ``(position, slots)`` pair of ``reads`` addresses, hashed from the
-    (B,) seeds and masked once to the table's entry width. The result
-    broadcasts (B, 1) against each pair's position and slots."""
-    kind, major, bits = ((rng.KIND_TOP, 0, spec.out_bits) if level is None else
-                         (rng.KIND_LEVEL, level, spec.level_output_bits(level)))
-    out = None
-    for pos, slots in reads:
-        vals = rng.field_value_vec(seeds[:, None], kind, major, pos, slots)
-        out = vals if out is None else np.bitwise_xor(out, vals, out=out)
-    out &= _U((1 << bits) - 1)
+def _hashed(spec: TornadoSpec, seeds: np.ndarray, level: int | None, pos, slots) -> np.ndarray:
+    """The level's entries (the top table's for ``level=None``) at ``pos`` and
+    ``slots``, hashed from the (B,) seeds and masked to their width; (B, 1)
+    broadcast against pos and slots."""
+    kind, major = (rng.KIND_TOP, 0) if level is None else (rng.KIND_LEVEL, level)
+    out = rng.field_value_vec(seeds[:, None], kind, major, pos, slots)
+    out &= _U((1 << _bits(spec, level)) - 1)
     return out
 
 
@@ -294,13 +284,13 @@ def level_stacks(spec: TornadoSpec, seeds: np.ndarray) -> dict[int, np.ndarray]:
     out: dict[int, np.ndarray] = {}
     for level in spec.levels():
         pos = np.arange(spec.level_input_positions(level), dtype=np.uint64)[:, None, None]
-        out[level] = _hashed(spec, seeds, level, [(pos, np.arange(spec.sigma))]).astype(np.uint32)
+        out[level] = _hashed(spec, seeds, level, pos, np.arange(spec.sigma)).astype(np.uint32)
     return out
 
 
 def top_stacks(spec: TornadoSpec, seeds: np.ndarray) -> list[np.ndarray]:
     """Top tables for many seeds at once, one (B, alphabet_i) uint64 per position."""
-    return [_hashed(spec, seeds, None, [(i, np.arange(1 << spec.position_bits(i)))])
+    return [_hashed(spec, seeds, None, i, np.arange(1 << spec.position_bits(i)))
             for i in range(spec.positions)]
 
 
@@ -379,42 +369,6 @@ def _pack(spec: TornadoSpec, lanes: list[list[tuple[int | None, int]]], entry,
         if words:
             packed.append(Lane(lane, words))
     return packed
-
-
-def derive_stack(spec: TornadoSpec, seeds: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Derived keys for each of the (B,) trial seeds, (B, n, c + d) intp; xs
-    is (n,) shared or (B, n) per trial. Each level entry is hashed from its
-    address as it is read, one address per (level, position) read: the bits
-    a filled table holds there. A spec whose levels read no position reads
-    nothing.
-
-    The result is a view of position-major storage: each chars[:, :, i] is
-    one contiguous (B, n) block.
-    """
-    xs = np.asarray(xs, dtype=np.uint64)
-    store = np.empty((spec.positions, len(seeds), xs.shape[-1]), dtype=np.intp)
-    cmask = _U(spec.sigma - 1)
-    for i in range(spec.c):
-        store[i] = (xs >> _U(i * spec.char_bits)) & cmask
-
-    def lookup(level: int) -> np.ndarray:
-        """XOR of the level's entries at every position it reads."""
-        reads = ((j, store[j]) for j in range(spec.level_input_positions(level)))
-        return _hashed(spec, seeds, level, reads).view(np.intp)  # as chars
-
-    if spec.variant in (Variant.TORNADO, Variant.TORNADO_MIX) and spec.c > 1:
-        store[spec.c - 1] ^= lookup(0)
-    for level in range(1, spec.d + 1):
-        store[spec.c + level - 1] = lookup(level)
-    return store.transpose(1, 2, 0)
-
-
-def eval_stack(spec: TornadoSpec, seeds: np.ndarray, chars: np.ndarray) -> np.ndarray:
-    """Top-table hash of each derived key under the (B,) trial seeds, (B, n)
-    uint64. Each top entry is hashed from its address as it is read, one
-    address per (key, position); a tornado-mix tail position has a psi-wide
-    alphabet."""
-    return _hashed(spec, seeds, None, ((i, chars[:, :, i]) for i in range(spec.positions)))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -613,7 +567,7 @@ def fold_stacks(spec: TornadoSpec, seeds: np.ndarray, xs: np.ndarray,
 
     def entry(level: int | None, p: int, s: np.ndarray | None) -> np.ndarray:
         slots = np.arange(1 << spec.position_bits(p)) if s is None else s
-        return _hashed(spec, seeds, level, [(p, slots)])
+        return _hashed(spec, seeds, level, p, slots)
 
     return _pack(spec, _lanes(spec, top=top), entry,
                  [_read_slots(spec, p, xs) for p in range(spec.positions)])
@@ -649,81 +603,120 @@ def fold_tables(h: TornadoHash) -> FoldedTables:
     return FoldedTables(tables, steps, top_off)
 
 
-def eval_folded_stack(spec: TornadoSpec, lanes: list[Lane], xs: np.ndarray,
+class Hashed(NamedTuple):
+    """Entries hashed from their addresses under the (B,) trial seeds at the
+    characters the walk reads, the top entry only if ``top``."""
+
+    seeds: np.ndarray
+    top: bool = True
+
+
+def eval_folded_stack(spec: TornadoSpec, source: list[Lane] | Hashed, xs: np.ndarray,
                       keep_chars: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The lane walk over B trials: (derived keys, (B, n) hashes). xs is (n,)
-    shared or (B, n) per trial; ``lanes`` come from :func:`fold_stacks` or a
-    hash's own tables, and with no top entry the hashes are None.
+    shared or (B, n) per trial. The entries come from packed lanes
+    (:func:`fold_stacks`, or a hash's own tables) or from :class:`Hashed`
+    trial seeds. With no top entry the hashes are None.
 
     The derived keys are a (B, n, c + d) intp view of position-major storage,
-    as :func:`derive_stack` returns them, or None unless ``keep_chars``. The
-    positions are walked in order. Position p is made final: a key
-    character, or ``(acc >> off) & mask`` of its level's lane accumulator.
-    Level 0's lane starts at the last input character, so at c - 1 that is
-    the twisted character. Then each lane that reads p XORs one gather of
-    its words at p into its accumulator, and the hash is the top entry's
-    bits. A tornado-mix position of psi bits, which only the top entry
-    reads, gathers over its own alphabet.
+    or None unless ``keep_chars``. Position p, in order, is made final: a key
+    character, or ``(acc >> off) & mask`` of its level's lane accumulator
+    (level 0's lane starts at the last input character, so at c - 1 that is
+    the twisted character). Then each lane that reads p XORs its entries at
+    p into its accumulator: one gather of a packed lane's words (over a
+    psi-wide alphabet at a tornado-mix position only the top entry reads).
+    The hash is the top entry's bits. A hashed source makes each level its
+    own lane at offset 0, hashes the entries of the levels that read p in
+    one call at the block's characters, and the block's top entries at
+    every position in one call after the last, XORed and masked once.
 
-    The walk runs over blocks of about FOLD_BLOCK keys, so its buffers stay
-    in L2: whole trial rows when n is smaller, else part of one row. Either
-    way a block is a contiguous run of the flat (trial, key) order, and
-    every step works on flat 1-D buffers. A block reads a position's words
-    with one flat take at ch + alphabet * (its trial row); a block of one
-    trial row needs no offset.
+    The walk runs over blocks of about FOLD_BLOCK keys (HASH_BLOCK hashed):
+    whole trial rows when n is smaller, else part of one row, so a block is
+    a contiguous run of the flat (trial, key) order and every step works on
+    flat 1-D buffers. A block gathers with one flat take at ch + alphabet *
+    (its trial row); one trial row needs no offset.
     """
     xs = np.asarray(xs, dtype=np.uint64)
-    n_trials, n = len(lanes[0].words[0]), xs.shape[-1]
-    where = {level: (i, off) for i, lane in enumerate(lanes) for level, off in lane.entries}
-    dtypes = [lane.words[0].dtype for lane in lanes]
+    hashed = isinstance(source, Hashed)
+    if hashed:  # each level its own lane at offset 0, but none that reads no position
+        lanes = [lane for lane in _lanes(spec, 1, False) if _reads(spec, lane[0][0])]
+        n_trials, block, dtypes = len(source.seeds), HASH_BLOCK, [np.dtype(_U)] * len(lanes)
+    else:
+        lanes = [lane.entries for lane in source]
+        n_trials, block = len(source[0].words[0]), FOLD_BLOCK
+        dtypes = [lane.words[0].dtype for lane in source]
+    n = xs.shape[-1]
+    where = {level: (i, off) for i, lane in enumerate(lanes) for level, off in lane}
     top = where.get(None)
-    evals = np.empty(n_trials * n, dtype=np.uint64) if top else None
-    store = np.empty((spec.positions, n_trials * n), dtype=np.intp) if keep_chars else None
-    cols = max(1, min(n, FOLD_BLOCK))
-    rows = max(1, min(n_trials, FOLD_BLOCK // cols))
+    evals = np.empty(n_trials * n, dtype=np.uint64) if top or hashed and source.top else None
+    # hashed top entries read every position's characters of a block at once
+    keep = keep_chars or hashed
+    store = np.empty((spec.positions, n_trials * n), dtype=np.intp) if keep else None
+    cols = max(1, min(n, block))
+    rows = max(1, min(n_trials, block // cols))
     alphas = [1 << spec.position_bits(p) for p in range(spec.positions)]
     bases = ({a: np.repeat(np.arange(rows, dtype=np.intp) * a, cols) for a in set(alphas)}
-             if rows > 1 else None)
+             if rows > 1 and not hashed else None)
     key_buf, idx_buf = np.empty(rows * cols, dtype=np.uint64), np.empty(rows * cols, dtype=np.intp)
     acc_bufs = [np.empty(rows * cols, dtype=dt) for dt in dtypes]
     col_bufs = {dt: np.empty(rows * cols, dtype=dt) for dt in dtypes}
     twist = 0 in where  # level 0 is the first entry of lane 0, at offset 0
+    reads = [max(_reads(spec, level) for level, _ in lane) for lane in lanes]
+    all_positions = np.arange(spec.positions, dtype=_U)[:, None, None]
     # per position: (lane and offset of its character's bits, None for a key
-    # character; the character mask; the lanes that read it)
-    steps = [(where.get(p - spec.c + 1), (1 << spec.position_bits(p)) - 1,
-              [i for i, lane in enumerate(lanes) if p < len(lane.words)])
-             for p in range(spec.positions)]
+    # character; the character mask; the lanes that read it and, for a hashed
+    # source, their (L, 1, 1) levels)
+    steps = []
+    for p in range(spec.positions):
+        readers = [i for i in range(len(lanes)) if p < reads[i]]
+        levels = [lanes[i][0][0] for i in readers] if hashed else []
+        steps.append((where.get(p - spec.c + 1), alphas[p] - 1, readers,
+                      np.array(levels, dtype=_U)[:, None, None]))
     for r0 in range(0, n_trials, rows):
         r1 = min(r0 + rows, n_trials)
-        tabs = [[w[r0:r1].reshape(-1) for w in lane.words] for lane in lanes]
+        if hashed:
+            seeds = source.seeds[r0:r1, None]
+        else:
+            tabs = [[w[r0:r1].reshape(-1) for w in lane.words] for lane in source]
         for c0 in range(0, n, cols):
             c1 = min(c0 + cols, n)
             lo = r0 * n + c0
             m = (r1 - r0) * (c1 - c0)
             key, idx = key_buf[:m], idx_buf[:m]
             acc = [a[:m] for a in acc_bufs]
-            if top and dtypes[top[0]] == np.uint64:  # the top lane accumulates in place
+            if top and not hashed and dtypes[top[0]] == np.uint64:  # accumulate in place
                 acc[top[0]] = evals[lo:lo + m]
             key.reshape(r1 - r0, c1 - c0)[...] = xs[r0:r1, c0:c1] if xs.ndim == 2 else xs[c0:c1]
             if twist:
                 np.right_shift(key, _U(spec.char_bits * (spec.c - 1)), out=acc[0])
-            for p, (bits, mask, readers) in enumerate(steps):
+            for p, (bits, mask, readers, levels) in enumerate(steps):
                 ch = idx if store is None else store[p, lo:lo + m]
                 word, off = (key, spec.char_bits * p) if bits is None else (acc[bits[0]], bits[1])
                 out = ch.view(np.uint64)
                 np.bitwise_and(np.right_shift(word, off, out=out) if off else word, mask, out=out)
-                if bases is not None:
+                if hashed and readers:  # one call, its kind a scalar that wrappers may test
+                    vals = rng.field_value_vec(seeds, rng.KIND_LEVEL, levels, p,
+                                               ch.reshape(r1 - r0, c1 - c0)).reshape(-1, m)
+                elif bases is not None:
                     ch = np.add(ch, bases[alphas[p]][:m], out=idx)
-                for i in readers:
+                for k, i in enumerate(readers):
+                    first = not p and not (twist and i == 0)
                     # characters are below their alphabet, so "wrap" reads the same
                     # entries as the default "raise", which would copy for out=
-                    if p or (twist and i == 0):
-                        acc[i] ^= np.take(tabs[i][p], ch, out=col_bufs[dtypes[i]][:m], mode="wrap")
+                    e = vals[k] if hashed else np.take(tabs[i][p], ch, mode="wrap", out=(
+                        acc[i] if first else col_bufs[dtypes[i]][:m]))
+                    if first:
+                        acc[i] = e
                     else:
-                        np.take(tabs[i][p], ch, out=acc[i], mode="wrap")
-            if top and (top[1] or dtypes[top[0]] != np.uint64):
+                        acc[i] ^= e
+            if hashed and evals is not None:  # every top entry of the block in one call
+                block_chars = store[:, lo:lo + m].reshape(-1, r1 - r0, c1 - c0)
+                vals = rng.field_value_vec(seeds, rng.KIND_TOP, 0, all_positions, block_chars)
+                np.bitwise_xor.reduce(vals.reshape(-1, m), axis=0, out=evals[lo:lo + m])
+                evals[lo:lo + m] &= _U((1 << spec.out_bits) - 1)
+            elif top and (top[1] or dtypes[top[0]] != np.uint64):
                 np.right_shift(acc[top[0]], top[1], out=evals[lo:lo + m])
-    chars = None if store is None else (
+    chars = None if not keep_chars else (
         store.reshape(spec.positions, n_trials, n).transpose(1, 2, 0))
     return chars, None if evals is None else evals.reshape(n_trials, n)
 

@@ -10,15 +10,15 @@ pipeline of every Monte Carlo experiment (linear probing's included), draws
 a chunk's seeds and keys and runs the batched engine of :mod:`tornadotab.core`
 on them (the engine a :class:`~tornadotab.core.TornadoHash` runs with one
 trial), and :func:`tornadotab.selectors.selection_mask` selects over the
-whole chunk. A chunk has one of two routes. It hashes its level and top
-entries from their addresses as it reads them (``derive_stack``, then
-``eval_stack`` if it evaluates) when it derives fewer keys than sigma, and
-so reads fewer entries than filling would write; a caller that reads only
-some key columns (linear probing) names them, and only those count and are
-derived. Otherwise it packs the engine's lanes straight from its seeds,
-only at the slots its shared keys read at the untwisted input positions
-and with a top entry only if it evaluates, and walks them, one gather per
-(lane, position) read, which yields the same derived keys and hashes.
+whole chunk. A chunk makes one call to the engine's lane walk, and its
+route picks only where the walk reads the entries. A chunk that derives
+fewer keys than sigma, and so reads fewer entries than filling would write,
+hashes them from their addresses at the characters it reads
+(``core.Hashed``); a caller that reads only some key columns (linear
+probing) names them, and only those count and are derived. Otherwise the
+walk gathers from lanes packed straight from the seeds, only at the slots
+shared keys read at the untwisted input positions and with a top entry only
+if it evaluates. Both yield the same derived keys and hashes.
 Linear-independence checks first peel keys containing a position character
 unique in their trial (such keys cannot take part in any zero-set), falling
 back to exact F2 elimination for the rare survivors. Peeling counts one
@@ -57,11 +57,11 @@ import numpy as np
 
 from . import core, rng, selectors
 from .core import TornadoSpec, Variant, check_key, check_seed
-# the engine's stages, bound under the stage names that perfbench's tracer wraps;
-# no chunk fills level or top tables (it hashes its entries or packs them into
-# its lanes), so both fill stages are bound for the tracer only
-from .core import derive_stack as _derive_chunk
-from .core import eval_stack as _eval_chunk
+# the engine's stages, bound under the stage names that perfbench's tracer wraps:
+# each chunk's one call goes to the lane walk through _derive_chunk, and no
+# chunk fills level or top tables, so the other three serve the tracer only
+from .core import eval_folded_stack as _derive_chunk
+from .core import eval_folded_stack as _eval_chunk
 from .core import level_stacks as _chunk_level_tables
 from .core import top_stacks as _chunk_top_tables
 from .gf2 import GenKey, genkey_from_key, is_linearly_independent, is_zero_set
@@ -277,14 +277,13 @@ def trial_blocks(spec: TornadoSpec, keys, evaluate: bool, master_seed: int, star
     its tables and derived characters take about 2^23 entries; ``evaluate``
     counts the top tables in that size.
 
-    Table entries are hashed as read (the seeds are the source) when the
-    read columns read fewer entries than filling writes, which for
-    sigma-wide level tables means fewer read columns than sigma: such a
-    chunk derives with ``derive_stack`` and, if asked, evaluates with
-    ``eval_stack``. Else it packs its lanes from the seeds with
-    ``core.fold_stacks`` (shared keys fill only the slots they read at the
-    untwisted input positions; the top entry only if it evaluates) and walks
-    them with ``core.eval_folded_stack``.
+    Each chunk is one call of the lane walk through ``_derive_chunk``. It
+    hashes the entries as it reads them (``core.Hashed``) when the read
+    columns read fewer entries than filling writes, which for sigma-wide
+    level tables means fewer read columns than sigma. Else it gathers from
+    lanes packed from the seeds by ``core.fold_stacks`` (shared keys fill
+    only the slots they read at the untwisted input positions; the top
+    entry only if it evaluates).
     """
     sample = isinstance(keys, (int, np.integer))
     n_keys = int(keys) if sample else len(keys)
@@ -295,19 +294,16 @@ def trial_blocks(spec: TornadoSpec, keys, evaluate: bool, master_seed: int, star
     max_alpha = max(1 << spec.position_bits(i) for i in range(spec.positions))
     chunk = int(min(1 << 16, max(1, min(chunk, (1 << 24) // max_alpha))))
     # a chunk with no entry to read (no top entry, no level reading a position)
-    # has no lanes to walk; the hashed route reads nothing
+    # has no lanes to pack; the hashed source walks it with none
     fill = entries > 0 and (n_keys if read is None else len(read)) >= spec.sigma
     for lo in range(start, stop, chunk):
         seeds = rng.trial_seed_vec(master_seed,
                                    np.arange(lo, min(lo + chunk, stop), dtype=np.uint64))
         xs = rng.sample_distinct_keys(seeds, n_keys, spec.key_bits) if sample else keys
         ys = xs if read is None else xs[..., read]
-        if fill:  # no name holds the lanes, so they are freed before the chunk is yielded
-            chars, evals = core.eval_folded_stack(
-                spec, core.fold_stacks(spec, seeds, ys, evaluate), ys)
-        else:
-            chars = _derive_chunk(spec, seeds, ys)
-            evals = _eval_chunk(spec, seeds, chars) if evaluate else None
+        # no name holds the lanes, so they are freed before the chunk is yielded
+        chars, evals = _derive_chunk(spec, core.fold_stacks(spec, seeds, ys, evaluate) if fill
+                                     else core.Hashed(seeds, evaluate), ys)
         yield lo, seeds, xs, chars, evals
 
 

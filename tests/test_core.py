@@ -4,17 +4,17 @@ import pytest
 from tornadotab import rng, selectors
 from tornadotab.core import (
     FOLD_BLOCK,
+    HASH_BLOCK,
     ConfigError,
+    Hashed,
     TornadoHash,
     TornadoSpec,
     Variant,
     _lanes,
-    derive_stack,
     derived_injectivity_check,
     dump_tables,
     eval_folded_batch,
     eval_folded_stack,
-    eval_stack,
     fold_stacks,
     fold_tables,
     level_stacks,
@@ -519,29 +519,29 @@ class TestEngineLayout:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.spec_string())
     @pytest.mark.parametrize("shared", [True, False], ids=["shared-keys", "per-trial-keys"])
     def test_stack_of_b_equals_stacks_of_one(self, spec, shared):
-        """The hashed derive_stack and eval_stack over B trials against each
+        """The walk over entries hashed from B trial seeds against each
         trial's own hash, and each trial row against a stack of one."""
         n_trials, n = 4, 97
         seeds = rng.trial_seed_vec(0x1A71, np.arange(n_trials, dtype=np.uint64))
         xs = rng.raw_key_stream(5, n if shared else n_trials * n, spec.key_bits)
         xs = xs if shared else xs.reshape(n_trials, n)
-        chars = derive_stack(spec, seeds, xs)
-        evals = eval_stack(spec, seeds, chars)
+        chars, evals = eval_folded_stack(spec, Hashed(seeds), xs)
         want_chars, want_evals = per_trial_reference(spec, seeds, xs)
         assert np.array_equal(chars, want_chars)
         assert np.array_equal(evals, want_evals)
         for b in range(n_trials):
             keys = xs if shared else xs[b]
-            chars_b = derive_stack(spec, seeds[b:b + 1], keys)
+            chars_b, evals_b = eval_folded_stack(spec, Hashed(seeds[b:b + 1]), keys)
             assert np.array_equal(chars_b[0], chars[b])
-            assert np.array_equal(eval_stack(spec, seeds[b:b + 1], chars_b)[0], evals[b])
+            assert np.array_equal(evals_b[0], evals[b])
 
 
 class TestEvalBatchBlocks:
     """eval_batch at the edges of the lane walk's FOLD_BLOCK blocks, a short
-    last block included: every key of the w64 spec against the engine's
-    hashed path and a sample against scalar eval, and a sample of the mix
-    spec and of a spec with no folded layout against scalar eval."""
+    last block included: every key of the w64 spec against the walk over
+    hashed entries (blocks of HASH_BLOCK keys) and a sample against scalar
+    eval, and a sample of the mix spec and of a spec with no folded layout
+    against scalar eval."""
 
     SIZES = [0, 1, FOLD_BLOCK - 1, FOLD_BLOCK, FOLD_BLOCK + 1, 2 * FOLD_BLOCK + 5]
 
@@ -559,8 +559,8 @@ class TestEvalBatchBlocks:
         out = h.eval_batch(keys)
         assert out.shape == (n,) and out.dtype == np.uint64
         seeds = np.array([h.seed], dtype=np.uint64)
-        chars = derive_stack(spec, seeds, keys)
-        assert np.array_equal(out, eval_stack(spec, seeds, chars)[0])
+        chars, evals = eval_folded_stack(spec, Hashed(seeds), keys)
+        assert np.array_equal(out, evals[0])
         assert np.array_equal(h.derive_batch(keys), chars[0])
         cols = self.sample(n)
         want_chars, want_evals = per_trial_reference(spec, seeds, keys[cols])
@@ -577,6 +577,46 @@ class TestEvalBatchBlocks:
         assert out.shape == (n,) and out.dtype == np.uint64
         for i in self.sample(n):
             assert int(out[i]) == h.eval(int(keys[i])), i
+
+
+class TestHashedWalk:
+    """The walk over entries hashed from the trial seeds against each trial's
+    own hash: blocks of several trial rows, the last one partial, and blocks
+    of one row's columns past HASH_BLOCK, for the w64 spec and a tornado-mix
+    spec, whose psi-wide positions only the top entry reads; with and
+    without the top entry and the derived keys; and a chunk with no entry to
+    read."""
+
+    @pytest.mark.parametrize("spec", [W64_SPECS[0], MIX_SPECS[1]], ids=lambda s: s.spec_string())
+    @pytest.mark.parametrize("n_trials,n", [(9, 4097), (2, HASH_BLOCK + 3)],
+                             ids=["partial-rows", "column-blocks"])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-keys", "per-trial-keys"])
+    def test_blocks_against_reference(self, spec, n_trials, n, shared):
+        seeds = rng.trial_seed_vec(0x4A5E, np.arange(n_trials, dtype=np.uint64))
+        xs = rng.raw_key_stream(n, n if shared else n_trials * n, spec.key_bits)
+        xs = xs if shared else xs.reshape(n_trials, n)
+        chars, evals = eval_folded_stack(spec, Hashed(seeds), xs)
+        edges = [e + d for e in range(HASH_BLOCK, n, HASH_BLOCK) for d in (-1, 0, 1)]
+        cols = sorted({i for i in [0, n - 1, *edges, *range(0, n, 997)] if 0 <= i < n})
+        want_chars, want_evals = per_trial_reference(spec, seeds, xs[..., cols])
+        assert np.array_equal(chars[:, cols], want_chars)
+        assert np.array_equal(evals[:, cols], want_evals)
+        no_chars, only_evals = eval_folded_stack(spec, Hashed(seeds), xs, keep_chars=False)
+        assert no_chars is None and np.array_equal(only_evals, evals)
+        only_chars, no_evals = eval_folded_stack(spec, Hashed(seeds, top=False), xs)
+        assert np.array_equal(only_chars, chars) and no_evals is None
+
+    def test_no_entry_to_read(self):
+        """Simple tabulation that only derives reads no entry and has no
+        lanes: the walk still yields B trial rows of the key characters."""
+        spec = TornadoSpec(8, 3, 0, 16, Variant.SIMPLE_TABULATION)
+        seeds = rng.trial_seed_vec(0x4A5F, np.arange(3, dtype=np.uint64))
+        xs = rng.raw_key_stream(7, 50, spec.key_bits)
+        chars, evals = eval_folded_stack(spec, Hashed(seeds, top=False), xs)
+        assert evals is None and chars.shape == (3, 50, 3)
+        assert np.array_equal(chars, per_trial_reference(spec, seeds, xs)[0])
+        assert eval_folded_stack(spec, Hashed(seeds, top=False), xs, keep_chars=False) == (
+            None, None)
 
 
 class TestInjectivity:
@@ -644,8 +684,8 @@ class TestFolded:
     @pytest.mark.parametrize("shared", [True, False], ids=["shared-keys", "per-trial-keys"])
     def test_folded_stack_block_edges(self, n_trials, n, shared):
         """Blocks of several trial rows, the last one partial, and blocks of
-        one row's columns, the last one partial, against the hashed engine
-        and, at a sample of columns, each trial's own hash, for the w64 spec
+        one row's columns, the last one partial, against the walk over hashed
+        entries and, at a sample of columns, each trial's own hash, for the w64 spec
         (one lane) and the mix spec (a lane of levels and one of top entries,
         whose psi-wide positions have their own alphabet), with and without
         the top entry."""
@@ -654,9 +694,9 @@ class TestFolded:
             xs = rng.raw_key_stream(n, n if shared else n_trials * n, spec.key_bits)
             xs = xs if shared else xs.reshape(n_trials, n)
             chars, evals = eval_folded_stack(spec, fold_stacks(spec, seeds, xs), xs)
-            expected = derive_stack(spec, seeds, xs)
+            expected, hashed = eval_folded_stack(spec, Hashed(seeds), xs)
             assert np.array_equal(chars, expected)
-            assert np.array_equal(evals, eval_stack(spec, seeds, expected))
+            assert np.array_equal(evals, hashed)
             cols = TestEvalBatchBlocks.sample(n)
             want_chars, want_evals = per_trial_reference(spec, seeds, xs[..., cols])
             assert np.array_equal(chars[:, cols], want_chars)
@@ -994,12 +1034,12 @@ class TestFoldFromSeeds:
 
     @staticmethod
     def assert_walk_is_the_engine(spec, lanes, seeds, xs):
-        """The walk over the lanes against the hashed engine and each trial's
-        own hash."""
+        """The walk over the lanes against the walk over hashed entries and
+        each trial's own hash."""
         chars, evals = eval_folded_stack(spec, lanes, xs)
-        expected = derive_stack(spec, seeds, xs)
+        expected, hashed = eval_folded_stack(spec, Hashed(seeds), xs)
         assert np.array_equal(chars, expected)
-        assert np.array_equal(evals, eval_stack(spec, seeds, expected))
+        assert np.array_equal(evals, hashed)
         want_chars, want_evals = per_trial_reference(spec, seeds, xs)
         assert np.array_equal(chars, want_chars)
         assert np.array_equal(evals, want_evals)

@@ -4,9 +4,9 @@ The scalar ``derive``/``eval`` loops are the reference. Against them run
 ``derive_batch``/``eval_batch``/``eval_folded_batch`` (the lane walk with
 one trial), the scalar folded path where the spec has one, and, over
 several trials each checked against its own ``TornadoHash.build``, the
-engine's two chunk routes for shared and for per-trial keys: the hashed
-``derive_stack``/``eval_stack``, and the lane walk over lanes packed from
-the trial seeds by ``fold_stacks``, with and without the top entry.
+engine's lane walk over its two entry sources for shared and for
+per-trial keys: entries hashed from the trial seeds (``Hashed``), and lanes
+packed from them by ``fold_stacks``, each with and without the top entry.
 """
 
 import numpy as np
@@ -16,13 +16,12 @@ from hypothesis import strategies as st
 from tornadotab import rng
 from tornadotab.core import (
     ConfigError,
+    Hashed,
     TornadoHash,
     TornadoSpec,
     Variant,
-    derive_stack,
     eval_folded_batch,
     eval_folded_stack,
-    eval_stack,
     fold_stacks,
     fold_tables,
 )
@@ -96,16 +95,16 @@ def test_evaluation_paths_agree(case):
     per_trial = np.stack([np.roll(xs, t) for t in range(ENGINE_TRIALS)])
     for batch in (xs, per_trial):
         want_chars, want_evals = per_trial_reference(spec, seeds, batch)
-        chars = derive_stack(spec, seeds, batch)
-        assert np.array_equal(chars, want_chars)
-        assert np.array_equal(eval_stack(spec, seeds, chars), want_evals)
-        walked_chars, walked_evals = eval_folded_stack(spec, fold_stacks(spec, seeds, batch), batch)
-        assert np.array_equal(walked_chars, want_chars)
-        assert np.array_equal(walked_evals, want_evals)
-        lanes = fold_stacks(spec, seeds, batch, top=False)
-        if lanes:  # none when no level reads a position
-            walked_chars, walked_evals = eval_folded_stack(spec, lanes, batch)
-            assert np.array_equal(walked_chars, want_chars) and walked_evals is None
+        for top in (True, False):
+            lanes = fold_stacks(spec, seeds, batch, top)
+            # no packed lanes when nothing reads a position; the hashed walk has none
+            for source in [Hashed(seeds, top)] + ([lanes] if lanes else []):
+                walked_chars, walked_evals = eval_folded_stack(spec, source, batch)
+                assert np.array_equal(walked_chars, want_chars)
+                if top:
+                    assert np.array_equal(walked_evals, want_evals)
+                else:
+                    assert walked_evals is None
 
     try:
         fold_tables(h)

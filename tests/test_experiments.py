@@ -120,8 +120,8 @@ ENGINE_SPECS = [
 
 
 class TestChunkEngine:
-    """The chunk engine's two routes against the scalar path of one
-    TornadoHash per trial."""
+    """The chunk engine, one lane walk over two entry sources, against the
+    scalar path of one TornadoHash per trial."""
 
     @pytest.mark.parametrize("spec", ENGINE_SPECS, ids=lambda s: s.spec_string())
     @pytest.mark.parametrize("n_trials", [1, 5])
@@ -134,19 +134,19 @@ class TestChunkEngine:
         else:
             xs = np.stack([rng.raw_key_stream(2 + t, n, spec.key_bits) for t in range(n_trials)])
         want_chars, want_evals = per_trial_reference(spec, seeds, xs)
-        chars = ex._derive_chunk(spec, seeds, xs)
-        assert np.array_equal(chars, want_chars)
-        assert np.array_equal(ex._eval_chunk(spec, seeds, chars), want_evals)
-        chars, evals = core.eval_folded_stack(spec, core.fold_stacks(spec, seeds, xs), xs)
-        assert np.array_equal(chars, want_chars)
-        assert np.array_equal(evals, want_evals)
+        for source in (core.Hashed(seeds), core.fold_stacks(spec, seeds, xs)):
+            chars, evals = ex._derive_chunk(spec, source, xs)
+            assert np.array_equal(chars, want_chars)
+            assert np.array_equal(evals, want_evals)
 
     def test_filled_w64_chunks_fold(self, monkeypatch):
-        """A chunk that fills walks the lanes packed from its seeds, with a top
-        entry if it evaluates, for any spec (a cb=16 chunk included); a sparse
-        chunk derives and evaluates with the seeds as the source. No chunk
-        fills level or top tables, directly or through the aliases; a chunk
-        that reads no entry has no lanes and derives by hashing nothing."""
+        """Each chunk makes one engine call, the lane walk through
+        ``_derive_chunk``. A chunk that fills walks the lanes packed from its
+        seeds, with a top entry if it evaluates, for any spec (a cb=16 chunk
+        included); a sparse chunk walks entries hashed from its seeds, and so
+        does a chunk that reads no entry, with no lanes. No chunk fills level
+        or top tables, directly or through the aliases."""
+        assert ex._derive_chunk is ex._eval_chunk is core.eval_folded_stack
         calls = []
 
         def recorded(name, fn):
@@ -155,8 +155,17 @@ class TestChunkEngine:
                 return fn(*args)
             return run
 
-        for owner, attr, name in ((core, "derive_stack", "derive"), (core, "eval_stack", "eval"),
-                                  (ex, "_derive_chunk", "derive"), (ex, "_eval_chunk", "eval"),
+        walk = ex._derive_chunk
+
+        def walked(spec, source, xs):
+            hashed = isinstance(source, core.Hashed)
+            calls.append("hashed" if hashed else "packed")
+            if not hashed:  # a chunk that fills reads some entry, so it packs some lane
+                assert source
+            return walk(spec, source, xs)
+
+        monkeypatch.setattr(ex, "_derive_chunk", walked)
+        for owner, attr, name in ((core, "eval_folded_stack", "walk outside _derive_chunk"),
                                   (core, "level_stacks", "level"),
                                   (ex, "_chunk_level_tables", "level"),
                                   (core, "top_stacks", "top"), (ex, "_chunk_top_tables", "top")):
@@ -164,25 +173,50 @@ class TestChunkEngine:
 
         def route(spec, keys, evaluate, read=None):
             calls.clear()
+            chunks = 0
             for *_, evals in ex.trial_blocks(spec, keys, evaluate, 5, 0, 3, read):
                 assert (evals is None) is not evaluate
+                chunks += 1
+            assert len(calls) == chunks
             return sorted(set(calls))
 
         w64 = TornadoSpec(8, 2, 4, 6, Variant.TORNADO)
-        assert route(w64, 256, True) == []
-        assert route(w64, np.arange(300, dtype=np.uint64), True) == []
-        assert route(w64, 255, True) == ["derive", "eval"]
-        assert route(w64, 256, False) == []
-        assert route(w64, np.arange(300, dtype=np.uint64), False) == []
-        assert route(w64, 255, False) == ["derive"]
-        assert route(w64, 300, True, np.arange(255)) == ["derive", "eval"]
-        assert route(w64, 300, True, np.arange(256)) == []
-        assert route(TornadoSpec(16, 2, 4, 16, Variant.TORNADO), 1 << 16, True) == []
-        assert route(TornadoSpec(8, 2, 3, 16, Variant.TORNADO_MIX, psi_bits=10), 256, True) == []
-        assert route(TornadoSpec(8, 2, 3, 16, Variant.TORNADO_MIX, psi_bits=10), 128, True) == [
-            "derive", "eval"]
+        assert route(w64, 256, True) == ["packed"]
+        assert route(w64, np.arange(300, dtype=np.uint64), True) == ["packed"]
+        assert route(w64, 255, True) == ["hashed"]
+        assert route(w64, 256, False) == ["packed"]
+        assert route(w64, np.arange(300, dtype=np.uint64), False) == ["packed"]
+        assert route(w64, 255, False) == ["hashed"]
+        assert route(w64, 300, True, np.arange(255)) == ["hashed"]
+        assert route(w64, 300, True, np.arange(256)) == ["packed"]
+        assert route(TornadoSpec(16, 2, 4, 16, Variant.TORNADO), 1 << 16, True) == ["packed"]
+        mix = TornadoSpec(8, 2, 3, 16, Variant.TORNADO_MIX, psi_bits=10)
+        assert route(mix, 256, True) == ["packed"]
+        assert route(mix, 128, True) == ["hashed"]
         assert route(TornadoSpec(8, 3, 0, 16, Variant.SIMPLE_TABULATION), 256, False) == [
-            "derive"]
+            "hashed"]
+
+    @pytest.mark.parametrize("spec", [TornadoSpec(8, 2, 4, 16, Variant.TORNADO),
+                                      TornadoSpec(8, 3, 3, 20, Variant.TORNADO_MIX, psi_bits=16)],
+                             ids=lambda s: s.spec_string())
+    def test_every_entry_is_read_through_field_value_vec(self, monkeypatch, spec):
+        """With ``rng.field_value_vec`` giving zeros, a hashed chunk, a filled
+        chunk and ``TornadoHash.build`` read only zero entries: every hash is
+        0, and so is every derived position. A reader of table entries that
+        bypassed it (acceptance tests 13-16 inject their mutants there) would
+        show its own bits here."""
+        def zeros(seed, kind, major, minor, slot):
+            shapes = (np.shape(a) for a in (seed, kind, major, minor, slot))
+            return np.zeros(np.broadcast_shapes(*shapes), dtype=np.uint64)
+
+        monkeypatch.setattr(rng, "field_value_vec", zeros)
+        for keys in (100, 300):  # hashed below sigma, filled from sigma on
+            for _, _, _, chars, evals in ex.trial_blocks(spec, keys, True, 5, 0, 3):
+                assert not evals.any() and not chars[:, :, spec.c:].any()
+        h = core.TornadoHash.build(spec, 7)
+        xs = rng.raw_key_stream(1, 500, spec.key_bits)
+        assert not h.eval_batch(xs).any() and not h.derive_batch(xs)[:, spec.c:].any()
+        assert all(h.eval(x) == 0 for x in xs[:20].tolist())
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared-keys", "per-trial-keys"])
     @pytest.mark.parametrize("n_read", [40, 300], ids=["hashed", "folded"])

@@ -230,9 +230,9 @@ class TestProbeExperiment:
         n, m, queries, trials, seed = 1024, 1 << 16, 64, 20, 0x2026
         derive, chunks = experiments._derive_chunk, []
 
-        def counted(spec, seeds, xs):
-            chunks.append(len(seeds))
-            return derive(spec, seeds, xs)
+        def counted(spec, source, xs):  # read columns below sigma hash their entries
+            chunks.append(len(source.seeds))
+            return derive(spec, source, xs)
 
         monkeypatch.setattr(experiments, "_derive_chunk", counted)
         res = lp.probe_experiment(spec, n, m, queries, trials, seed)

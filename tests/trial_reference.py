@@ -2,7 +2,7 @@
 
 Each trial is its own ``TornadoHash.build(spec, trial_seed)``, derived and
 evaluated key by key by the scalar ``derive``/``eval`` loops, which share no
-code with the lane walk or with the hashed ``derive_stack``/``eval_stack``.
+code with the lane walk over either of its entry sources.
 """
 
 import numpy as np
