@@ -257,14 +257,14 @@ def check_keys(spec: TornadoSpec, xs) -> np.ndarray:
 # offset of a 64-bit word: one gather of a lane's word then reads all its
 # entries there. The w64 spec is one lane, c + d gathers per key; the mix
 # spec is a lane of its levels and one of its top entries, 24 gathers per
-# key for 69 entry reads. A walk over hashed entries makes each entry its
+# key for 69 entry reads. A walk over hashed entries makes each level its
 # own lane at offset 0: packing them would add a mask, a shift and an XOR
 # per read.
 
 FOLD_BLOCK = 1 << 14  # keys per pass of the lane walk; its buffers stay in L2
-# keys per pass over hashed entries: one field_value_vec call per (position,
-# block) has a fixed cost, and with FOLD_BLOCK the hashed chunks of the
-# dependence, survival and probing benchmark shapes took 6-20% longer
+# keys per pass over hashed entries: each field_value_vec call has a fixed
+# cost, and with FOLD_BLOCK the hashed chunks of the dependence, survival and
+# probing benchmark shapes took up to 10% longer (best of 21, 2-core VM)
 HASH_BLOCK = 1 << 15
 
 
