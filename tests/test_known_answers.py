@@ -320,6 +320,15 @@ def tornado_mix_chernoff_run():
                                      0x2026)
 
 
+def small_sigma_chernoff_run():
+    """128 keys at sigma = 16, bin 0 of 16 (mu = 8), delta = 0.75: the
+    threshold of 14 keys lies above mu + 2 sqrt(mu), and of the 155 trials
+    that reach it, 55 have dependent derived keys, so the joint count is 100."""
+    spec = parse_spec_string("tornado,cb=4,c=2,d=1,r=4")
+    return experiments.chernoff_tail(selectors.bin_selector(range(128), 0), spec, 0.75, 5000,
+                                     0x2026)
+
+
 def two_column_dependence_run():
     """A 64-key fixed set at sigma = 256: fewer keys than characters."""
     spec = parse_spec_string("tornado,cb=8,c=2,d=2,r=8")
@@ -379,6 +388,9 @@ REPORT_RUNS = [
     (tornado_mix_chernoff_run,
      "chernoff_tail,0.166,0.008319975961503736,0.6294738128496303,2000,0x2026,WithinBound",
      "b638627aa5938a7ac3f00ef9110953433214421ff736d6648197d37c68ea9e6d"),
+    (small_sigma_chernoff_run,
+     "chernoff_tail,0.02,0.001979898987322333,0.1596740017850484,5000,0x2026,Informational",
+     "b74490b1e03b6a821325761252b646bdb45d16a59c02eae38decd3a770831df4"),
     (two_column_dependence_run,
      "dependence,0.006333333333333333,0.001448357946345012,2.953125,3000,0x2026,WithinBound",
      "d984c965f7f74be398aac1398fc802f082e7a597c491092ccb1fbf45e1083391"),
