@@ -649,11 +649,13 @@ def eval_folded_stack(spec: TornadoSpec, source: list[Lane] | Hashed, xs: np.nda
     where = {level: (i, off) for i, lane in enumerate(lanes) for level, off in lane}
     top = where.get(None)
     evals = np.empty(n_trials * n, dtype=np.uint64) if top or hashed and source.top else None
-    # hashed top entries read every position's characters of a block at once
-    keep = keep_chars or hashed
-    store = np.empty((spec.positions, n_trials * n), dtype=np.intp) if keep else None
     cols = max(1, min(n, block))
     rows = max(1, min(n_trials, block // cols))
+    # kept characters are stored for the whole chunk; hashed top entries read
+    # every position's characters of a block at once, so a hashed walk that
+    # keeps none stores one block's
+    store = np.empty((spec.positions, n_trials * n if keep_chars else rows * cols),
+                     dtype=np.intp) if keep_chars or hashed else None
     alphas = [1 << spec.position_bits(p) for p in range(spec.positions)]
     bases = ({a: np.repeat(np.arange(rows, dtype=np.intp) * a, cols) for a in set(alphas)}
              if rows > 1 and not hashed else None)
@@ -682,6 +684,7 @@ def eval_folded_stack(spec: TornadoSpec, source: list[Lane] | Hashed, xs: np.nda
             c1 = min(c0 + cols, n)
             lo = r0 * n + c0
             m = (r1 - r0) * (c1 - c0)
+            at = lo if keep_chars else 0  # the block's first column in store
             key, idx = key_buf[:m], idx_buf[:m]
             acc = [a[:m] for a in acc_bufs]
             if top and not hashed and dtypes[top[0]] == np.uint64:  # accumulate in place
@@ -690,7 +693,7 @@ def eval_folded_stack(spec: TornadoSpec, source: list[Lane] | Hashed, xs: np.nda
             if twist:
                 np.right_shift(key, _U(spec.char_bits * (spec.c - 1)), out=acc[0])
             for p, (bits, mask, readers, levels) in enumerate(steps):
-                ch = idx if store is None else store[p, lo:lo + m]
+                ch = idx if store is None else store[p, at:at + m]
                 word, off = (key, spec.char_bits * p) if bits is None else (acc[bits[0]], bits[1])
                 out = ch.view(np.uint64)
                 np.bitwise_and(np.right_shift(word, off, out=out) if off else word, mask, out=out)
@@ -710,7 +713,7 @@ def eval_folded_stack(spec: TornadoSpec, source: list[Lane] | Hashed, xs: np.nda
                     else:
                         acc[i] ^= e
             if hashed and evals is not None:  # every top entry of the block in one call
-                block_chars = store[:, lo:lo + m].reshape(-1, r1 - r0, c1 - c0)
+                block_chars = store[:, at:at + m].reshape(-1, r1 - r0, c1 - c0)
                 vals = rng.field_value_vec(seeds, rng.KIND_TOP, 0, all_positions, block_chars)
                 np.bitwise_xor.reduce(vals.reshape(-1, m), axis=0, out=evals[lo:lo + m])
                 evals[lo:lo + m] &= _U((1 << spec.out_bits) - 1)

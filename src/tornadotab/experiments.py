@@ -10,15 +10,19 @@ pipeline of every Monte Carlo experiment (linear probing's included), draws
 a chunk's seeds and keys and runs the batched engine of :mod:`tornadotab.core`
 on them (the engine a :class:`~tornadotab.core.TornadoHash` runs with one
 trial), and :func:`tornadotab.selectors.selection_mask` selects over the
-whole chunk. A chunk makes one call to the engine's lane walk, and its
-route picks only where the walk reads the entries. A chunk that derives
-fewer keys than sigma, and so reads fewer entries than filling would write,
-hashes them from their addresses at the characters it reads
+whole chunk. A chunk makes one call to the engine's lane walk (``_walk``),
+and its route picks only where the walk reads the entries. A chunk that
+derives fewer keys than sigma, and so reads fewer entries than filling would
+write, hashes them from their addresses at the characters it reads
 (``core.Hashed``); a caller that reads only some key columns (linear
 probing) names them, and only those count and are derived. Otherwise the
 walk gathers from lanes packed straight from the seeds, only at the slots
 shared keys read at the untwisted input positions and with a top entry only
-if it evaluates. Both yield the same derived keys and hashes.
+if it evaluates. Both yield the same derived keys and hashes. The walk keeps
+the derived characters only for a caller that reads them: linear probing,
+chaining and the large-mu tail read none, and the Chernoff tail reads them
+only for its flagged trials, which it walks again by the same route rule
+when few trials flag (``_tail_range``).
 Linear-independence checks first peel keys containing a position character
 unique in their trial (such keys cannot take part in any zero-set), falling
 back to exact F2 elimination for the rare survivors. Peeling counts one
@@ -40,7 +44,9 @@ that is not an integer or is below its least value (``check_count``; a bool
 is not an integer), a master seed that is not an integer in [0, 2^64), a
 delta that is not positive and finite (a bool is not one) and selector
 candidates outside the spec's key universe, and a report refuses a
-non-finite estimate, so no degenerate run reaches a verdict.
+non-finite estimate, so no degenerate run reaches a verdict. Reports hold
+the counts as plain ints, NumPy integers included, so they can be written
+out as JSON.
 """
 
 from __future__ import annotations
@@ -58,8 +64,8 @@ import numpy as np
 from . import core, rng, selectors
 from .core import TornadoSpec, Variant, check_key, check_seed
 # the engine's stages, bound under the stage names that perfbench's tracer wraps:
-# each chunk's one call goes to the lane walk through _derive_chunk, and no
-# chunk fills level or top tables, so the other three serve the tracer only
+# every walk of a chunk or of its flagged trials goes through _derive_chunk, and
+# no chunk fills level or top tables, so the other three serve the tracer only
 from .core import eval_folded_stack as _derive_chunk
 from .core import eval_folded_stack as _eval_chunk
 from .core import level_stacks as _chunk_level_tables
@@ -187,13 +193,15 @@ def _upper_report(name: str, count: int, trials: int, seed: int, bound: float,
                             {"spec": spec.spec_string(), **params}, verdict)
 
 
-def check_count(name: str, value: int, least: int = 1) -> None:
-    """Reject a count that is not an integer (a bool is not one) or is below
-    ``least``; no estimate can rest on fewer than 1 trial."""
+def check_count(name: str, value: int, least: int = 1) -> int:
+    """``value`` as a plain int, so a report holding it can be written out as
+    JSON. Rejects a count that is not an integer (a bool is not one) or is
+    below ``least``; no estimate can rest on fewer than 1 trial."""
     if not core._is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 # -- bound formulas ----------------------------------------------------------
@@ -264,8 +272,37 @@ def large_mu_bound(mu: float, delta: float, d: int, sigma_size: int, n_queries: 
 # -- chunked trial engine ----------------------------------------------------
 
 
+def _entries(spec: TornadoSpec, evaluate: bool) -> int:
+    """Entries one trial's tables hold: its level tables, and its top tables
+    if it evaluates."""
+    entries = sum(spec.level_input_positions(lv) for lv in spec.levels()) * spec.sigma
+    if evaluate:
+        entries += sum(1 << spec.position_bits(i) for i in range(spec.positions))
+    return entries
+
+
+def _walk(spec: TornadoSpec, seeds: np.ndarray, ys: np.ndarray, evaluate: bool,
+          keep_chars: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """One call of the lane walk, through ``_derive_chunk``, over the keys
+    ``ys`` ((n,) shared or (B, n) per trial) of the (B,) trials ``seeds``.
+
+    The route rule: the walk hashes the entries as it reads them
+    (``core.Hashed``) when the keys read fewer entries than filling writes,
+    which for sigma-wide level tables means fewer keys than sigma. Else it
+    gathers from lanes packed from the seeds by ``core.fold_stacks`` (shared
+    keys fill only the slots they read at the untwisted input positions; the
+    top entry only if it evaluates). A walk with no entry to read (no top
+    entry, no level reading a position) has no lanes to pack; the hashed
+    source walks it with none.
+    """
+    fill = _entries(spec, evaluate) > 0 and ys.shape[-1] >= spec.sigma
+    # no name holds the lanes, so they are freed when the walk returns
+    return _derive_chunk(spec, core.fold_stacks(spec, seeds, ys, evaluate) if fill
+                         else core.Hashed(seeds, evaluate), ys, keep_chars)
+
+
 def trial_blocks(spec: TornadoSpec, keys, evaluate: bool, master_seed: int, start: int,
-                 stop: int, read=None):
+                 stop: int, read=None, keep_chars: bool = True):
     """Run the engine over the trials [start, stop) in chunks; yield (first
     trial, seeds, keys, chars, evals or None) per chunk.
 
@@ -273,37 +310,24 @@ def trial_blocks(spec: TornadoSpec, keys, evaluate: bool, master_seed: int, star
     then samples its own n keys, one ``sample_distinct_keys`` call per chunk.
     ``read`` indexes the key columns each trial derives and evaluates (all of
     them for None): chars and evals cover those columns only, while the
-    yielded keys are every column. A chunk is sized by all n keys so that
-    its tables and derived characters take about 2^23 entries; ``evaluate``
-    counts the top tables in that size.
+    yielded keys are every column. chars is None unless ``keep_chars``. A
+    chunk is sized by all n keys so that its tables and derived characters
+    take about 2^23 entries; ``evaluate`` counts the top tables in that size.
 
-    Each chunk is one call of the lane walk through ``_derive_chunk``. It
-    hashes the entries as it reads them (``core.Hashed``) when the read
-    columns read fewer entries than filling writes, which for sigma-wide
-    level tables means fewer read columns than sigma. Else it gathers from
-    lanes packed from the seeds by ``core.fold_stacks`` (shared keys fill
-    only the slots they read at the untwisted input positions; the top
-    entry only if it evaluates).
+    Each chunk is one call of the lane walk (``_walk``), routed by the read
+    columns.
     """
     sample = isinstance(keys, (int, np.integer))
     n_keys = int(keys) if sample else len(keys)
-    entries = sum(spec.level_input_positions(lv) for lv in spec.levels()) * spec.sigma
-    if evaluate:
-        entries += sum(1 << spec.position_bits(i) for i in range(spec.positions))
-    chunk = (1 << 23) // max(entries + n_keys * spec.positions * 2, 1)
+    chunk = (1 << 23) // max(_entries(spec, evaluate) + n_keys * spec.positions * 2, 1)
     max_alpha = max(1 << spec.position_bits(i) for i in range(spec.positions))
     chunk = int(min(1 << 16, max(1, min(chunk, (1 << 24) // max_alpha))))
-    # a chunk with no entry to read (no top entry, no level reading a position)
-    # has no lanes to pack; the hashed source walks it with none
-    fill = entries > 0 and (n_keys if read is None else len(read)) >= spec.sigma
     for lo in range(start, stop, chunk):
         seeds = rng.trial_seed_vec(master_seed,
                                    np.arange(lo, min(lo + chunk, stop), dtype=np.uint64))
         xs = rng.sample_distinct_keys(seeds, n_keys, spec.key_bits) if sample else keys
         ys = xs if read is None else xs[..., read]
-        # no name holds the lanes, so they are freed before the chunk is yielded
-        chars, evals = _derive_chunk(spec, core.fold_stacks(spec, seeds, ys, evaluate) if fill
-                                     else core.Hashed(seeds, evaluate), ys)
+        chars, evals = _walk(spec, seeds, ys, evaluate, keep_chars)
         yield lo, seeds, xs, chars, evals
 
 
@@ -372,12 +396,29 @@ def _mu_and_cap(sel: selectors.Selector, spec: TornadoSpec) -> float:
 def _tail_range(args) -> tuple[np.ndarray, int]:
     """(histogram of selected-set sizes in the trials [start, stop), the trials
     of >= dep_threshold selected keys whose derived keys are dependent, none
-    at math.inf). ``keys`` is the candidate array, or n to sample per trial."""
+    at math.inf). ``keys`` is the candidate array, or n to sample per trial.
+
+    Only flagged trials, those of >= dep_threshold selected keys, read derived
+    characters. The chunk's walk keeps them for a fixed set, whose walk yields
+    nothing else, and when many trials may flag: when the threshold is at
+    most mu + 1.5 sqrt(mu), dependence's 0 included. Otherwise it keeps none,
+    and the flagged trials are walked again, with no top entry, by the same
+    route rule and so with the same bits. The 1.5 is where the second walk
+    stops paying, measured at the benchmark's Chernoff shape (4096 shared
+    keys, mu = 64, 150 trials per call; medians of 24-30 interleaved calls
+    against a walk that keeps every character). With z = (threshold - mu) /
+    sqrt(mu), re-deriving read x0.94 at delta 0.1 (20% of trials flag, z =
+    0.8), x0.98 at 0.15 (12%, z = 1.2), x1.02 at 0.2 (7%, z = 1.6), x1.05 at
+    0.25 (3%, z = 2) and x1.11 at 0.5 (none flag).
+    """
     spec, sel, keys, master_seed, dep_threshold, start, stop = args
     sizes = tuple(1 << spec.position_bits(i) for i in range(spec.positions))
     evaluate = sel.kind is not selectors.SelectorKind.FIXED_SET
+    mu_val = selectors.mu(sel, spec.out_bits)
+    keep = not evaluate or dep_threshold <= mu_val + 1.5 * math.sqrt(mu_val)
     hist = dependent = 0
-    for _, _, xs, chars, evals in trial_blocks(spec, keys, evaluate, master_seed, start, stop):
+    for _, seeds, xs, chars, evals in trial_blocks(spec, keys, evaluate, master_seed, start, stop,
+                                                   keep_chars=keep):
         if evaluate:
             mask = selectors.selection_mask(sel, xs, evals, spec.out_bits)
         else:
@@ -385,8 +426,14 @@ def _tail_range(args) -> tuple[np.ndarray, int]:
         size = mask.sum(axis=1)
         hist += np.bincount(size, minlength=mask.shape[1] + 1)
         flag = size >= dep_threshold
-        if flag.any():
-            dependent += int(_dependent_rows(chars, sizes, mask & flag[:, None]).sum())
+        if not flag.any():
+            continue
+        if keep:
+            alive = mask & flag[:, None]
+        else:
+            chars, _ = _walk(spec, seeds[flag], xs[flag] if xs.ndim == 2 else xs, False, True)
+            alive = mask[flag]
+        dependent += int(_dependent_rows(chars, sizes, alive).sum())
     return hist, dependent
 
 
@@ -402,8 +449,8 @@ def _run_ranges(fn, args_base: tuple, trials: int, workers: int):
 
 def _tail_counts(sel: selectors.Selector, spec: TornadoSpec, keys, dep_threshold: float,
                  trials: int, seed: int, workers: int) -> tuple[np.ndarray, int]:
-    """``_tail_range`` over [0, trials): the summed histograms and dependent counts."""
-    check_count("trials", trials)
+    """``_tail_range`` over [0, trials), a count its caller has checked: the
+    summed histograms and dependent counts."""
     check_seed(seed)
     parts = _run_ranges(_tail_range, (spec, sel, keys, seed, dep_threshold), trials, workers)
     return sum(p[0] for p in parts), sum(p[1] for p in parts)
@@ -417,6 +464,7 @@ def measure_dependence(
     workers: int = 1,
 ) -> ExperimentReport:
     """Fraction of seeds whose derived selected keys are linearly dependent."""
+    trials = check_count("trials", trials)
     keys = selectors.candidates(sel, spec)
     mu_val = _mu_and_cap(sel, spec)
     if spec.variant is Variant.TORNADO_MIX:
@@ -439,6 +487,7 @@ def chernoff_tail(
     """Joint probability of an oversized selected set with independent derived
     keys, against the upper-tail rate. The gate sees a stuck low bit in the top
     entries, not zeroed level tables (simple tabulation meets this bound too)."""
+    trials = check_count("trials", trials)
     keys = selectors.candidates(sel, spec)
     mu_val = _mu_and_cap(sel, spec)
     bound = chernoff_bound(mu_val, delta)
@@ -459,6 +508,7 @@ def large_mu_tail(
     workers: int = 1,
 ) -> ExperimentReport:
     """Tail of the selected-set size when mu exceeds sigma/2."""
+    trials = check_count("trials", trials)
     keys = selectors.candidates(sel, spec)
     mu_val = selectors.mu(sel, spec.out_bits)
     bound = large_mu_bound(mu_val, delta, spec.d, spec.sigma, len(sel.query_keys))
@@ -484,12 +534,13 @@ def chaining_tail(
     each trial with its own key set: the size tail of the bin-0 selector. The
     gate sees a stuck low bit in the top entries, not zeroed level tables
     (simple tabulation meets this bound too)."""
-    check_count("n", n)
+    trials = check_count("trials", trials)
+    n = check_count("n", n)
     if n & (n - 1):
         raise ValueError("n must be a power of two")
     if (1 << spec.out_bits) != n:
         raise ValueError("chaining requires out_bits = log2(n)")
-    k_list = list(k_list)
+    k_list = [check_count("k", k) for k in k_list]
     if not k_list:
         raise ValueError("k_list must name at least one k")
     bounds = [chaining_bound(k, spec.d, spec.sigma) for k in k_list]
@@ -578,9 +629,9 @@ def survival_rounds(spec: TornadoSpec, zero_set, trials: int, seed: int,
     """Zero-set survival through ``rounds`` derivation rounds: the trials in
     which the four derived characters pair up at every derived position of
     the spec with d = rounds. Zero rounds survive with certainty."""
-    check_count("trials", trials)
+    trials = check_count("trials", trials)
     check_seed(seed)
-    check_count("rounds", rounds, 0)
+    rounds = check_count("rounds", rounds, 0)
     keys = _check_zero_set4(spec, zero_set)
     run = replace(spec, d=rounds)
     xs = np.array(keys, dtype=np.uint64)

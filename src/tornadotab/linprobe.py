@@ -19,6 +19,7 @@ hashes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,7 @@ class ProbeTable:
     __slots__ = ("m", "cells", "count")
 
     def __init__(self, m: int):
-        check_count("capacity", m)
+        m = check_count("capacity", m)
         if m & (m - 1):
             raise ValueError("capacity must be a power of two")
         self.m = m
@@ -245,17 +246,19 @@ def probe_experiment(
     against it for stochastic dominance within a DKW-style tolerance. The gate
     sees a stuck low top bit, not zeroed levels (simple tabulation passes too).
     """
-    check_count("n", n, 0)
-    check_count("m", m)
+    n = check_count("n", n, 0)
+    m = check_count("m", m)
     if m & (m - 1):
         raise ValueError("m must be a power of two")
     if (1 << spec.out_bits) != m:
         raise ValueError("probing requires out_bits = log2(m)")
     if n / m > 4 / 5:
         raise ValueError("load factor above 4/5 is outside the supported regime")
-    check_count("queries", queries)
-    check_count("trials", trials)
-    if not 0 < star_delta < 1:  # 0 divides by zero, 1 compares the baseline with itself
+    queries = check_count("queries", queries)
+    trials = check_count("trials", trials)
+    # a real number, so a string cannot reach the comparison; 0 divides by
+    # zero, 1 compares the baseline with itself
+    if not isinstance(star_delta, numbers.Real) or not 0 < star_delta < 1:
         raise ValueError(f"star_delta must be in (0, 1), got {star_delta}")
     check_seed(seed)
     n_star = math.ceil((1.0 + 15.0 * math.sqrt(math.log(1.0 / star_delta) / spec.sigma)) * n)
@@ -269,7 +272,7 @@ def probe_experiment(
     # tornado derives and evaluates only the n inserted keys and the queries
     read = np.r_[0:n, n_star:n_star + queries]
     for lo, seeds, pools, _, evals in trial_blocks(spec, n_star + queries, True, seed, 0, trials,
-                                                   read):
+                                                   read, keep_chars=False):
         for b, ts in enumerate(seeds.tolist()):
             # the mixer hashes key by key, so the n-key table's hashes are a prefix
             mixed = rng.mixer_hash_vec(ts, pools[b], spec.out_bits)

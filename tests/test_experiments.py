@@ -157,12 +157,12 @@ class TestChunkEngine:
 
         walk = ex._derive_chunk
 
-        def walked(spec, source, xs):
+        def walked(spec, source, xs, keep_chars):
             hashed = isinstance(source, core.Hashed)
             calls.append("hashed" if hashed else "packed")
             if not hashed:  # a chunk that fills reads some entry, so it packs some lane
                 assert source
-            return walk(spec, source, xs)
+            return walk(spec, source, xs, keep_chars)
 
         monkeypatch.setattr(ex, "_derive_chunk", walked)
         for owner, attr, name in ((core, "eval_folded_stack", "walk outside _derive_chunk"),
@@ -760,6 +760,92 @@ class TestChernoffTail:
             ex.measure_dependence(selectors.fixed_set([]), spec, 10, 1)
 
 
+def reference_tail_counts(spec, sel, keys, seed, threshold, trials):
+    """``_tail_range``'s (histogram, dependent count) over [0, trials), from
+    each trial's own TornadoHash through ``per_trial_reference``."""
+    seeds = rng.trial_seed_vec(seed, np.arange(trials, dtype=np.uint64))
+    n = keys if isinstance(keys, int) else len(keys)
+    xs = rng.sample_distinct_keys(seeds, n, spec.key_bits) if isinstance(keys, int) else keys
+    chars, evals = per_trial_reference(spec, seeds, xs)
+    mask = selectors.selection_mask(sel, xs, evals, spec.out_bits)
+    sizes = tuple(1 << spec.position_bits(i) for i in range(spec.positions))
+    dependent = sum(
+        not is_linearly_independent(GenKey.from_chars(row, sizes) for row in chars[t][m].tolist())
+        for t, m in enumerate(mask) if m.sum() >= threshold)
+    return np.bincount(mask.sum(axis=1), minlength=n + 1), dependent
+
+
+# (spec, selector, keys: the shared candidates or n per trial, threshold, the
+# route of the flagged rows' walk); every threshold lies above mu + 1.5 sqrt(mu).
+# The 15 shared keys of the hashed shape are a 4 x 4 grid but one, so their
+# input characters hold zero-sets.
+GRID15 = [(a << 4) | b for a in range(4) for b in range(4)][:15]
+TAIL_SHAPES = {
+    "shared-hashed": (TornadoSpec(4, 2, 1, 2, Variant.TORNADO),
+                      selectors.bin_selector(GRID15, 0), 15, 8, core.Hashed),
+    "shared-filled": (TornadoSpec(4, 2, 1, 3, Variant.TORNADO),
+                      selectors.bin_selector(range(64), 0), 64, 14, list),
+    "per-trial": (TornadoSpec(3, 2, 1, 2, Variant.TORNADO), selectors.bin_selector((), 0), 40,
+                  15, list),
+}
+
+
+class TestTailRange:
+    """A chunk walked without derived characters, and its flagged trials
+    walked again, against each trial's own TornadoHash."""
+
+    @staticmethod
+    def recorded_walks(monkeypatch):
+        walks, walk = [], ex._derive_chunk
+
+        def recorded(spec, source, xs, keep_chars):
+            hashed = isinstance(source, core.Hashed)
+            trials = len(source.seeds) if hashed else len(source[0].words[0])
+            walks.append((type(source), trials, keep_chars))
+            return walk(spec, source, xs, keep_chars)
+
+        monkeypatch.setattr(ex, "_derive_chunk", recorded)
+        return walks
+
+    @pytest.mark.parametrize("shape", sorted(TAIL_SHAPES))
+    def test_rederived_rows_match_reference(self, monkeypatch, shape):
+        spec, sel, n, threshold, route = TAIL_SHAPES[shape]
+        keys = n if shape == "per-trial" else selectors.candidates(sel, spec)
+        mu = selectors.mu(sel, spec.out_bits)
+        assert threshold > mu + 1.5 * math.sqrt(mu)
+        walks = self.recorded_walks(monkeypatch)
+        trials = 300
+        hist, dependent = ex._tail_range((spec, sel, keys, 0x2026, threshold, 0, trials))
+        want_hist, want_dependent = reference_tail_counts(spec, sel, keys, 0x2026, threshold,
+                                                          trials)
+        assert np.array_equal(hist, want_hist)
+        assert dependent == want_dependent
+        flagged = int(hist[threshold:].sum())
+        assert flagged > 0 and dependent > 0
+        # one chunk walked with no characters, then its flagged rows with them
+        assert walks[0][2] is False and walks[0][1] == trials
+        assert walks[1:] == [(route, flagged, True)]
+
+    def test_chunk_with_no_flagged_trial_walks_once(self, monkeypatch):
+        spec, sel, n, _, _ = TAIL_SHAPES["shared-filled"]
+        walks = self.recorded_walks(monkeypatch)
+        hist, dependent = ex._tail_range(
+            (spec, sel, selectors.candidates(sel, spec), 0x2026, n + 1, 0, 300))
+        assert dependent == 0 and hist.sum() == 300
+        assert walks == [(list, 300, False)]
+
+    def test_walk_keeps_characters_when_most_trials_may_flag(self, monkeypatch):
+        """At a threshold of at most mu + 1.5 sqrt(mu), and for a fixed set,
+        the chunk's one walk keeps the characters the flagged trials read."""
+        spec, sel, n, _, _ = TAIL_SHAPES["shared-filled"]
+        keys = selectors.candidates(sel, spec)
+        walks = self.recorded_walks(monkeypatch)
+        mu = selectors.mu(sel, spec.out_bits)
+        ex._tail_range((spec, sel, keys, 0x2026, mu + 1.5 * math.sqrt(mu), 0, 300))
+        ex._tail_range((spec, selectors.fixed_set(range(64)), keys, 0x2026, 0, 0, 300))
+        assert walks == [(list, 300, True)] * 2
+
+
 class TestLargeMu:
     def test_estimate_zero_when_threshold_exceeds_population(self):
         spec = TornadoSpec(8, 2, 2, 2, Variant.TORNADO)
@@ -811,6 +897,23 @@ BAD_PARAMETERS = {
     "probe-table-float": lambda: linprobe.ProbeTable(4.0),
     "chernoff-delta-str": lambda: ex.chernoff_tail(
         selectors.bin_selector(KEYS_G, 0), SPEC_G, "0.5", 10, 1),
+    "probe-star-delta-str": lambda: linprobe.probe_experiment(SPEC_P, 100, 1024, 16, 2, 1,
+                                                              star_delta="0.1"),
+}
+
+# NumPy integer counts: each report must hold plain ints, or it cannot be
+# written out as JSON
+NUMPY_COUNTS = {
+    "chaining-trials": lambda: ex.chaining_tail(SPEC_G, 16, [2], np.int64(5), 1),
+    "chaining-k": lambda: ex.chaining_tail(SPEC_G, 16, [np.int64(2)], 5, 1),
+    "chaining-n": lambda: ex.chaining_tail(SPEC_G, np.int64(16), [2], 5, 1),
+    "survival-rounds": lambda: [ex.survival_rounds(SPEC_S, ZS16, 5, 1, np.int64(2))],
+    "survival-trials": lambda: [ex.survival_rounds(SPEC_S, ZS16, np.int64(5), 1, 1)],
+    "dependence-trials": lambda: [COUNTED_ENTRY_POINTS["dependence"](np.int64(5))],
+    "chernoff-trials": lambda: [COUNTED_ENTRY_POINTS["chernoff"](np.int64(5))],
+    "large-mu-trials": lambda: [COUNTED_ENTRY_POINTS["large_mu"](np.int64(5))],
+    "probe-counts": lambda: linprobe.probe_experiment(
+        SPEC_P, np.int64(100), np.int64(1024), np.int64(16), np.int64(2), 1).to_reports(),
 }
 
 
@@ -822,6 +925,13 @@ class TestDegenerateRuns:
         monkeypatch.setattr(linprobe, "trial_blocks", None)  # probing's
         with pytest.raises(ValueError):  # a ConfigError is a ValueError
             BAD_PARAMETERS[entry]()
+
+    @pytest.mark.parametrize("entry", sorted(NUMPY_COUNTS))
+    def test_numpy_integer_counts_give_plain_ints(self, entry):
+        reports = NUMPY_COUNTS[entry]()
+        parsed = json.loads(ex.reports_to_json(reports))
+        assert all(type(r["trials"]) is int for r in parsed)
+        assert ex.reports_to_csv(reports)
 
     @pytest.mark.parametrize("entry", sorted(COUNTED_ENTRY_POINTS))
     @pytest.mark.parametrize("trials", [0, -5])
@@ -842,7 +952,7 @@ class TestDegenerateRuns:
     def test_check_count_refuses_non_integers(self, value):
         with pytest.raises(ValueError, match="rounds must be an integer"):
             ex.check_count("rounds", value)
-        ex.check_count("rounds", np.int64(1))
+        assert type(ex.check_count("rounds", np.int64(1))) is int
 
     @pytest.mark.parametrize("entry", sorted(COUNTED_ENTRY_POINTS))
     @pytest.mark.parametrize("seed", [-1, 1 << 64], ids=["minus-one", "two-to-64"])

@@ -230,9 +230,10 @@ class TestProbeExperiment:
         n, m, queries, trials, seed = 1024, 1 << 16, 64, 20, 0x2026
         derive, chunks = experiments._derive_chunk, []
 
-        def counted(spec, source, xs):  # read columns below sigma hash their entries
+        def counted(spec, source, xs, keep_chars):  # read columns below sigma hash their entries
+            assert not keep_chars  # probing reads no derived characters
             chunks.append(len(source.seeds))
-            return derive(spec, source, xs)
+            return derive(spec, source, xs, keep_chars)
 
         monkeypatch.setattr(experiments, "_derive_chunk", counted)
         res = lp.probe_experiment(spec, n, m, queries, trials, seed)
