@@ -400,16 +400,15 @@ def _tail_range(args) -> tuple[np.ndarray, int]:
 
     Only flagged trials, those of >= dep_threshold selected keys, read derived
     characters. The chunk's walk keeps them for a fixed set, whose walk yields
-    nothing else, and when many trials may flag: when the threshold is at
-    most mu + 1.5 sqrt(mu), dependence's 0 included. Otherwise it keeps none,
-    and the flagged trials are walked again, with no top entry, by the same
-    route rule and so with the same bits. The 1.5 is where the second walk
-    stops paying, measured at the benchmark's Chernoff shape (4096 shared
-    keys, mu = 64, 150 trials per call; medians of 24-30 interleaved calls
-    against a walk that keeps every character). With z = (threshold - mu) /
-    sqrt(mu), re-deriving read x0.94 at delta 0.1 (20% of trials flag, z =
-    0.8), x0.98 at 0.15 (12%, z = 1.2), x1.02 at 0.2 (7%, z = 1.6), x1.05 at
-    0.25 (3%, z = 2) and x1.11 at 0.5 (none flag).
+    nothing else, and when the threshold is at most mu + 1.5 sqrt(mu) (0
+    included), where many trials flag. Otherwise it keeps none, and the
+    flagged trials are walked again, with no top entry, by the same route
+    rule, so with the same bits. The 1.5 is where the second walk stops
+    paying at the benchmark's Chernoff shape (4096 shared keys, mu = 64, 150
+    trials; medians of 24-30 interleaved calls against keeping every
+    character): re-deriving read x0.94 at delta 0.1 (20% of trials flag),
+    x0.98 at 0.15 (12%), x1.02 at 0.2 (7%), x1.05 at 0.25 (3%) and x1.11 at
+    0.5 (none).
     """
     spec, sel, keys, master_seed, dep_threshold, start, stop = args
     sizes = tuple(1 << spec.position_bits(i) for i in range(spec.positions))
