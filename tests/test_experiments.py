@@ -837,7 +837,7 @@ class TestTailRange:
     def test_walk_keeps_characters_when_most_trials_may_flag(self, monkeypatch):
         """At a threshold of at most mu + 1.5 sqrt(mu), and for a fixed set,
         the chunk's one walk keeps the characters the flagged trials read."""
-        spec, sel, n, _, _ = TAIL_SHAPES["shared-filled"]
+        spec, sel, *_ = TAIL_SHAPES["shared-filled"]
         keys = selectors.candidates(sel, spec)
         walks = self.recorded_walks(monkeypatch)
         mu = selectors.mu(sel, spec.out_bits)
@@ -931,7 +931,6 @@ class TestDegenerateRuns:
         reports = NUMPY_COUNTS[entry]()
         parsed = json.loads(ex.reports_to_json(reports))
         assert all(type(r["trials"]) is int for r in parsed)
-        assert ex.reports_to_csv(reports)
 
     @pytest.mark.parametrize("entry", sorted(COUNTED_ENTRY_POINTS))
     @pytest.mark.parametrize("trials", [0, -5])
