@@ -44,6 +44,7 @@ independent transcriptions that the tests hold against the engine.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -266,6 +267,25 @@ FOLD_BLOCK = 1 << 14  # keys per pass of the lane walk; its buffers stay in L2
 # cost, and with FOLD_BLOCK the hashed chunks of the dependence, survival and
 # probing benchmark shapes took up to 10% longer (best of 21, 2-core VM)
 HASH_BLOCK = 1 << 15
+# The walk's buffers start at staggered offsets modulo the page size, counted
+# from the input keys: a step that reads one buffer while writing another at
+# the same or a slightly higher offset mod 4096 stalls on 4K aliasing. Left to
+# the allocator, whose placement follows the process's allocation history,
+# the buffers made the walk up to 1.6x slower in some processes: the mix
+# spec's eval_batch over 2^18 keys 60 against 38 ns/key, the benchmark's
+# Chernoff chunk 24 against 16 ms (2-core VM). STAGGER apart, 16 buffers get
+# distinct offsets.
+PAGE = 4096
+STAGGER = PAGE // 16
+
+
+def _placed(n: int, dtype, at: int) -> np.ndarray:
+    """An uninitialised (n,) array whose data starts at ``at`` modulo PAGE
+    (``at`` a multiple of 16)."""
+    dtype = np.dtype(dtype)
+    raw = np.empty(n * dtype.itemsize + PAGE, dtype=np.uint8)
+    skip = (at - raw.ctypes.data) % PAGE
+    return raw[skip:skip + n * dtype.itemsize].view(dtype)
 
 
 def _hashed(spec: TornadoSpec, seeds: np.ndarray, level: int | None, pos, slots) -> np.ndarray:
@@ -634,7 +654,9 @@ def eval_folded_stack(spec: TornadoSpec, source: list[Lane] | Hashed, xs: np.nda
     whole trial rows when n is smaller, else part of one row, so a block is
     a contiguous run of the flat (trial, key) order and every step works on
     flat 1-D buffers. A block gathers with one flat take at ch + alphabet *
-    (its trial row); one trial row needs no offset.
+    (its trial row); one trial row needs no offset. Every buffer, the
+    outputs included, starts at a fixed offset modulo PAGE from the keys
+    (``STAGGER``).
     """
     xs = np.asarray(xs, dtype=np.uint64)
     hashed = isinstance(source, Hashed)
@@ -648,20 +670,29 @@ def eval_folded_stack(spec: TornadoSpec, source: list[Lane] | Hashed, xs: np.nda
     n = xs.shape[-1]
     where = {level: (i, off) for i, lane in enumerate(lanes) for level, off in lane}
     top = where.get(None)
-    evals = np.empty(n_trials * n, dtype=np.uint64) if top or hashed and source.top else None
     cols = max(1, min(n, block))
     rows = max(1, min(n_trials, block // cols))
+    offsets = itertools.count((xs.ctypes.data & -16) + STAGGER, STAGGER)  # see STAGGER
+
+    def place(size, dtype):
+        return _placed(size, dtype, next(offsets))
+
+    evals = place(n_trials * n, np.uint64) if top or hashed and source.top else None
     # kept characters are stored for the whole chunk; hashed top entries read
     # every position's characters of a block at once, so a hashed walk that
     # keeps none stores one block's
-    store = np.empty((spec.positions, n_trials * n if keep_chars else rows * cols),
-                     dtype=np.intp) if keep_chars or hashed else None
+    width = n_trials * n if keep_chars else rows * cols
+    store = (place(spec.positions * width, np.intp).reshape(spec.positions, width)
+             if keep_chars or hashed else None)
     alphas = [1 << spec.position_bits(p) for p in range(spec.positions)]
-    bases = ({a: np.repeat(np.arange(rows, dtype=np.intp) * a, cols) for a in set(alphas)}
-             if rows > 1 and not hashed else None)
-    key_buf, idx_buf = np.empty(rows * cols, dtype=np.uint64), np.empty(rows * cols, dtype=np.intp)
-    acc_bufs = [np.empty(rows * cols, dtype=dt) for dt in dtypes]
-    col_bufs = {dt: np.empty(rows * cols, dtype=dt) for dt in dtypes}
+    bases = {}
+    if rows > 1 and not hashed:
+        for a in sorted(set(alphas)):
+            bases[a] = place(rows * cols, np.intp)
+            bases[a][:] = np.repeat(np.arange(rows, dtype=np.intp) * a, cols)
+    key_buf, idx_buf = place(rows * cols, np.uint64), place(rows * cols, np.intp)
+    acc_bufs = [place(rows * cols, dt) for dt in dtypes]
+    col_bufs = {dt: place(rows * cols, dt) for dt in dict.fromkeys(dtypes)}
     twist = 0 in where  # level 0 is the first entry of lane 0, at offset 0
     reads = [max(_reads(spec, level) for level, _ in lane) for lane in lanes]
     all_positions = np.arange(spec.positions, dtype=_U)[:, None, None]
@@ -700,7 +731,7 @@ def eval_folded_stack(spec: TornadoSpec, source: list[Lane] | Hashed, xs: np.nda
                 if hashed and readers:  # one call, its kind a scalar that wrappers may test
                     vals = rng.field_value_vec(seeds, rng.KIND_LEVEL, levels, p,
                                                ch.reshape(r1 - r0, c1 - c0)).reshape(-1, m)
-                elif bases is not None:
+                elif bases:
                     ch = np.add(ch, bases[alphas[p]][:m], out=idx)
                 for k, i in enumerate(readers):
                     first = not p and not (twist and i == 0)

@@ -5,12 +5,15 @@ from tornadotab import rng, selectors
 from tornadotab.core import (
     FOLD_BLOCK,
     HASH_BLOCK,
+    PAGE,
+    STAGGER,
     ConfigError,
     Hashed,
     TornadoHash,
     TornadoSpec,
     Variant,
     _lanes,
+    _placed,
     derived_injectivity_check,
     dump_tables,
     eval_folded_batch,
@@ -577,6 +580,27 @@ class TestEvalBatchBlocks:
         assert out.shape == (n,) and out.dtype == np.uint64
         for i in self.sample(n):
             assert int(out[i]) == h.eval(int(keys[i])), i
+
+
+class TestPlacement:
+    """The lane walk's buffers start at fixed offsets modulo the page size,
+    counted from the input keys, wherever the keys and the allocator put
+    them; the output is the first of them."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64, np.intp])
+    @pytest.mark.parametrize("at", [0, 16, STAGGER, PAGE - 16, PAGE + 48])
+    def test_placed_starts_at_offset(self, dtype, at):
+        a = _placed(1000, dtype, at)
+        assert a.shape == (1000,) and a.dtype == dtype and a.flags.writeable
+        assert a.ctypes.data % PAGE == at % PAGE
+
+    @pytest.mark.parametrize("shift", [0, 1, 2, 255, 511])
+    def test_walk_output_follows_the_keys(self, shift):
+        h = TornadoHash.build(parse_spec_string("tornado,cb=8,c=4,d=4,r=24"), 0xE3)
+        keys = rng.raw_key_stream(13, 3000 + shift, 32)[shift:]  # starts 8 * shift bytes on
+        out = h.eval_batch(keys)
+        assert out.ctypes.data % PAGE == ((keys.ctypes.data & -16) + STAGGER) % PAGE
+        assert [int(v) for v in out[::97]] == [h.eval(int(x)) for x in keys[::97]]
 
 
 class TestHashedWalk:
