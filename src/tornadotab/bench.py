@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from . import rng
-from .core import TornadoHash, TornadoSpec, Variant
+from .core import TornadoHash, TornadoSpec, Variant, check_count, check_seed
 
 MERSENNE_EXP = 89
 MERSENNE_P = (1 << MERSENNE_EXP) - 1
@@ -90,10 +90,8 @@ def _make_hasher(scheme: str, seed: int):
 
 def throughput(scheme: str, n_keys: int, reps: int = 9, seed: int = 1) -> BenchResult:
     """Median-of-reps timing over a pre-generated key buffer."""
-    if n_keys <= 0:
-        raise ValueError("n_keys must be positive")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    n_keys, reps = check_count("n_keys", n_keys), check_count("reps", reps)
+    check_seed(seed)
     fn, key_bits = _make_hasher(scheme, seed)
     keys = [int(v) for v in rng.raw_key_stream(seed, n_keys, key_bits)]
     checksums = set()

@@ -18,8 +18,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import bench, experiments, linprobe, rng, selectors
-from .core import (ConfigError, TornadoHash, TornadoSpec, Variant, derived_injectivity_check,
-                   dump_tables, parse_spec_string)
+from .core import (ConfigError, TornadoHash, TornadoSpec, Variant, check_real,
+                   derived_injectivity_check, dump_tables, parse_spec_string)
 from .experiments import Verdict
 from .gf2 import genkey_from_key
 
@@ -101,8 +101,7 @@ def _cmd_lowerbound(args) -> int:
     """Hard-instance dependence and its floor. At sigma >= 256 the verdict
     stands, but it cannot see zeroed level tables (0.25 against a bound of
     0.277); the 32-column two-column instance of acceptance test 13 can."""
-    if not (math.isfinite(args.floor_const) and args.floor_const > 0):
-        raise ConfigError(f"--floor-const must be a positive number, got {args.floor_const}")
+    check_real("--floor-const", args.floor_const, 0, math.inf)
     spec = _spec_from(args)
     sel = selectors.hard_instance(spec.char_bits)
     rep = experiments.measure_dependence(sel, spec, args.trials, args.seed, workers=_workers())

@@ -215,6 +215,28 @@ def check_seed(seed: int) -> None:
         raise ConfigError(f"seed {seed} is outside [0, 2^64)")
 
 
+def check_count(name: str, value, least: int = 1) -> int:
+    """``value`` as a plain int, so a report holding it can be written out as
+    JSON. ConfigError unless it is an integer (not a bool or a float) of at
+    least ``least``; no estimate can rest on fewer than 1 trial."""
+    if not _is_int(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
+def check_real(name: str, value, lo: float, hi: float) -> float:
+    """``value`` as a plain float, as :func:`check_count` gives a plain int.
+    ConfigError unless it is a real number (not a bool, a string or NaN) in
+    the open interval (lo, hi)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    if not lo < value < hi:  # false for NaN
+        raise ConfigError(f"{name} must be in ({lo}, {hi}), got {value}")
+    return float(value)
+
+
 def check_keys(spec: TornadoSpec, xs) -> np.ndarray:
     """Array form of :func:`check_key`: the keys as uint64, checked with one
     max pass (and one min pass for a signed or object dtype).

@@ -39,14 +39,13 @@ The exact checks walk one blocked enumeration of every table filling at tiny
 sigma, ``_table_fillings``; survival's exact rate packs each block of level
 fillings into the engine's lanes and walks them.
 
-Every entry point rejects, before any trial, a count (trials, rounds, n, k)
-that is not an integer or is below its least value (``check_count``; a bool
-is not an integer), a master seed that is not an integer in [0, 2^64), a
-delta that is not positive and finite (a bool is not one) and selector
-candidates outside the spec's key universe, and a report refuses a
-non-finite estimate, so no degenerate run reaches a verdict. Reports hold
-the counts as plain ints, NumPy integers included, so they can be written
-out as JSON.
+Every entry point checks each numeric parameter before any trial, by its
+kind: a count or a non-negative integer (``core.check_count``; a bool is not
+an integer), a finite positive real (``core.check_real``) or a seed
+(``core.check_seed``). It also rejects selector candidates outside the
+spec's key universe, and a report refuses a non-finite estimate, so no
+degenerate run reaches a verdict. Reports hold plain ints and floats, NumPy
+ones included, so they can be written out as JSON.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -62,7 +60,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import core, rng, selectors
-from .core import TornadoSpec, Variant, check_key, check_seed
+from .core import TornadoSpec, Variant, check_count, check_key, check_real, check_seed
 # the engine's stages, bound under the stage names that perfbench's tracer wraps:
 # every walk of a chunk or of its flagged trials goes through _derive_chunk, and
 # no chunk fills level or top tables, so the other three serve the tracer only
@@ -99,8 +97,7 @@ class ExperimentReport:
             raise ValueError(f"bound must be finite, got {self.bound}")
         if self.estimate < 0:
             raise ValueError("estimate must be >= 0")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        check_count("trials", self.trials)
         # binomial reports give Violation by the exact test; the 4-stderr
         # clause is for reports that are not binomial counts, such as the
         # probing dominance report (stderr 0)
@@ -193,17 +190,6 @@ def _upper_report(name: str, count: int, trials: int, seed: int, bound: float,
                             {"spec": spec.spec_string(), **params}, verdict)
 
 
-def check_count(name: str, value: int, least: int = 1) -> int:
-    """``value`` as a plain int, so a report holding it can be written out as
-    JSON. Rejects a count that is not an integer (a bool is not one) or is
-    below ``least``; no estimate can rest on fewer than 1 trial."""
-    if not core._is_int(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return int(value)
-
-
 # -- bound formulas ----------------------------------------------------------
 
 
@@ -213,16 +199,14 @@ def dependence_bound(mu: float, d: int, sigma_size: int) -> float:
     The bound is stated for sigma_size >= 256, byte-or-larger alphabets;
     smaller runs are informational.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    check_real("mu", mu, 0, math.inf)
     return 7.0 * mu**3 * (3.0 / sigma_size) ** (d + 1) + 2.0 ** (-sigma_size / 2)
 
 
 def dependence_bound_mix(mu: float, d: int, sigma_size: int, psi_size: int) -> float:
     """Tornado-mix analogue, last two derived characters from an alphabet of
     psi_size."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    check_real("mu", mu, 0, math.inf)
     if psi_size < sigma_size:
         raise ValueError("psi_size must be >= sigma_size")
     return (
@@ -231,15 +215,9 @@ def dependence_bound_mix(mu: float, d: int, sigma_size: int, psi_size: int) -> f
     )
 
 
-def _check_delta(delta: float) -> None:
-    # a real number, so a string cannot reach the comparison; "< inf" is false for nan
-    if isinstance(delta, bool) or not isinstance(delta, numbers.Real) or not 0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta}")
-
-
 def chernoff_bound(mu: float, delta: float) -> float:
     """Classic upper-tail rate (e^d / (1+d)^(1+d))^mu."""
-    _check_delta(delta)
+    check_real("delta", delta, 0, math.inf)
     return math.exp(mu * (delta - (1.0 + delta) * math.log1p(delta)))
 
 
@@ -258,7 +236,7 @@ def large_mu_delta0(mu: float, delta: float, sigma_size: int, n_queries: int) ->
 
 def large_mu_bound(mu: float, delta: float, d: int, sigma_size: int, n_queries: int) -> float:
     """Tail bound for selectors whose expected size exceeds sigma/2."""
-    _check_delta(delta)
+    check_real("delta", delta, 0, math.inf)
     if not mu > sigma_size / 2:
         raise ValueError("large-mu bound requires mu > sigma/2")
     if not n_queries < sigma_size / 2:
@@ -451,6 +429,7 @@ def _tail_counts(sel: selectors.Selector, spec: TornadoSpec, keys, dep_threshold
     """``_tail_range`` over [0, trials), a count its caller has checked: the
     summed histograms and dependent counts."""
     check_seed(seed)
+    workers = check_count("workers", workers)
     parts = _run_ranges(_tail_range, (spec, sel, keys, seed, dep_threshold), trials, workers)
     return sum(p[0] for p in parts), sum(p[1] for p in parts)
 
@@ -487,10 +466,12 @@ def chernoff_tail(
     keys, against the upper-tail rate. The gate sees a stuck low bit in the top
     entries, not zeroed level tables (simple tabulation meets this bound too)."""
     trials = check_count("trials", trials)
+    delta = check_real("delta", delta, 0, math.inf)
     keys = selectors.candidates(sel, spec)
     mu_val = _mu_and_cap(sel, spec)
     bound = chernoff_bound(mu_val, delta)
-    threshold = (1.0 + delta) * mu_val
+    # a finite delta can still overflow the threshold, which then has no bin
+    threshold = check_real("(1 + delta) * mu", (1.0 + delta) * mu_val, 0, math.inf)
     hist, dependent = _tail_counts(sel, spec, keys, threshold, trials, seed, workers)
     joint = int(hist[math.ceil(threshold):].sum()) - dependent
     return _upper_report("chernoff_tail", joint, trials, seed, bound, spec,
@@ -508,10 +489,11 @@ def large_mu_tail(
 ) -> ExperimentReport:
     """Tail of the selected-set size when mu exceeds sigma/2."""
     trials = check_count("trials", trials)
+    delta = check_real("delta", delta, 0, math.inf)
     keys = selectors.candidates(sel, spec)
     mu_val = selectors.mu(sel, spec.out_bits)
     bound = large_mu_bound(mu_val, delta, spec.d, spec.sigma, len(sel.query_keys))
-    threshold = (1.0 + delta) * mu_val
+    threshold = check_real("(1 + delta) * mu", (1.0 + delta) * mu_val, 0, math.inf)
     hist, _ = _tail_counts(sel, spec, keys, math.inf, trials, seed, workers)
     big = int(hist[math.ceil(threshold):].sum())
     return _upper_report("large_mu_tail", big, trials, seed, bound, spec,
@@ -535,8 +517,6 @@ def chaining_tail(
     (simple tabulation meets this bound too)."""
     trials = check_count("trials", trials)
     n = check_count("n", n)
-    if n & (n - 1):
-        raise ValueError("n must be a power of two")
     if (1 << spec.out_bits) != n:
         raise ValueError("chaining requires out_bits = log2(n)")
     k_list = [check_count("k", k) for k in k_list]
@@ -574,6 +554,8 @@ def exact_uniformity_check(b: int, alphabet_bits: int, out_bits: int, keys) -> b
     True exactly when the keys are linearly independent; the caller can feed
     a dependent set to watch equidistribution fail.
     """
+    b, out_bits = check_count("b", b), check_count("out_bits", out_bits)
+    alphabet_bits = check_count("alphabet_bits", alphabet_bits, 0)
     keys = list(keys)
     if not keys:
         raise ValueError("need at least one generalized key")

@@ -19,14 +19,13 @@ hashes.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng
-from .core import TornadoSpec, check_seed
-from .experiments import ExperimentReport, Verdict, check_count, trial_blocks
+from .core import TornadoSpec, check_count, check_real, check_seed
+from .experiments import ExperimentReport, Verdict, trial_blocks
 
 
 class TableFullError(RuntimeError):
@@ -165,7 +164,6 @@ class ProbeStats:
 
     source: str
     probe_lengths: np.ndarray
-    run_lengths: np.ndarray
 
     @property
     def mean(self) -> float:
@@ -181,7 +179,8 @@ class ProbeStats:
 
 def dkw_tolerance(n_a: int, n_b: int, confidence: float = 0.99) -> float:
     """Two-sample DKW-style uniform CDF tolerance at the given confidence."""
-    alpha = 1.0 - confidence
+    n_a, n_b = check_count("n_a", n_a), check_count("n_b", n_b)
+    alpha = 1.0 - check_real("confidence", confidence, 0, 1)
     return math.sqrt(math.log(4.0 / alpha) / (2 * n_a)) + math.sqrt(
         math.log(4.0 / alpha) / (2 * n_b)
     )
@@ -248,18 +247,14 @@ def probe_experiment(
     """
     n = check_count("n", n, 0)
     m = check_count("m", m)
-    if m & (m - 1):
-        raise ValueError("m must be a power of two")
     if (1 << spec.out_bits) != m:
         raise ValueError("probing requires out_bits = log2(m)")
     if n / m > 4 / 5:
         raise ValueError("load factor above 4/5 is outside the supported regime")
     queries = check_count("queries", queries)
     trials = check_count("trials", trials)
-    # a real number, so a string cannot reach the comparison; 0 divides by
-    # zero, 1 compares the baseline with itself
-    if not isinstance(star_delta, numbers.Real) or not 0 < star_delta < 1:
-        raise ValueError(f"star_delta must be in (0, 1), got {star_delta}")
+    # 0 divides by zero, 1 compares the baseline with itself
+    star_delta = check_real("star_delta", star_delta, 0, 1)
     check_seed(seed)
     n_star = math.ceil((1.0 + 15.0 * math.sqrt(math.log(1.0 / star_delta) / spec.sigma)) * n)
     if n_star >= m:
@@ -267,7 +262,7 @@ def probe_experiment(
             f"n_star {n_star} does not fit the table; lower the load or raise sigma"
         )
     shapes = (trials, queries)
-    stats = {name: ProbeStats(name, np.zeros(shapes, np.int64), np.zeros(shapes, np.int64))
+    stats = {name: ProbeStats(name, np.zeros(shapes, np.int64))
              for name in ("tornado", "random", "random_star")}
     # tornado derives and evaluates only the n inserted keys and the queries
     read = np.r_[0:n, n_star:n_star + queries]
@@ -282,9 +277,7 @@ def probe_experiment(
                 ("random_star", mixed[:n_star], mixed[n_star:]),
             ):
                 occ = occupancy_from_hashes(m, hashes)
-                cells = qhashes.astype(np.int64)
-                stats[name].probe_lengths[lo + b] = fresh_probe_lengths(occ, cells)
-                stats[name].run_lengths[lo + b] = run_lengths_at(occ, cells)
+                stats[name].probe_lengths[lo + b] = fresh_probe_lengths(occ, qhashes)
     eps = 1.0 - n / m
     knuth_ref = (1.0 + 1.0 / eps**2) / 2.0
     tor, base, star = stats["tornado"], stats["random"], stats["random_star"]

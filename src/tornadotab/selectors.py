@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError, TornadoHash, TornadoSpec, check_keys
+from .core import ConfigError, TornadoHash, TornadoSpec, check_count, check_keys
 
 _U = np.uint64
 
@@ -62,9 +62,8 @@ def fixed_set(keys, query_keys=()) -> Selector:
 
 
 def bit_prefix(keys, s: int, targets, query_keys=(), relative_to_query=False) -> Selector:
-    if s < 0:
-        raise ConfigError("prefix width must be >= 0")
-    targets = frozenset(targets)
+    s = check_count("prefix width", s, 0)
+    targets = frozenset(check_count("target", t, 0) for t in targets)
     if any(t >> s for t in targets):
         raise ConfigError("target exceeds prefix width")
     if relative_to_query and not query_keys:
@@ -74,8 +73,7 @@ def bit_prefix(keys, s: int, targets, query_keys=(), relative_to_query=False) ->
 
 
 def dyadic_interval(keys, anchor: int, interval_bits: int) -> Selector:
-    if interval_bits < 0:
-        raise ConfigError("interval_bits must be >= 0")
+    interval_bits = check_count("interval_bits", interval_bits, 0)
     return Selector(SelectorKind.DYADIC_INTERVAL, frozenset(keys),
                     frozenset({anchor}), interval_bits=interval_bits, anchor=anchor)
 
@@ -83,6 +81,8 @@ def dyadic_interval(keys, anchor: int, interval_bits: int) -> Selector:
 def bin_selector(keys, bin_value: int | None = None, query_keys=()) -> Selector:
     if bin_value is None and not query_keys:
         raise ConfigError("query-relative bin selector needs a query key")
+    if bin_value is not None:
+        bin_value = check_count("bin_value", bin_value, 0)
     return Selector(SelectorKind.BIN, frozenset(keys), frozenset(query_keys),
                     bin_value=bin_value)
 
@@ -96,7 +96,7 @@ def hard_instance(char_bits: int) -> Selector:
     form {0a, 1a, 0b, 1b} make the dependence probability of this instance
     nearly as large as the upper bound allows.
     """
-    sigma = 1 << char_bits
+    sigma = 1 << check_count("char_bits", char_bits)
     keys = [(a << char_bits) | b for a in range(sigma) for b in (0, 1)]
     return bit_prefix(keys, 2, {0})
 
@@ -104,6 +104,7 @@ def hard_instance(char_bits: int) -> Selector:
 def selection_bit_count(sel: Selector, out_bits: int) -> int:
     """How many high output bits the selector reads (its s in R_s x R_t),
     after checking that it fits the ``out_bits``-bit output."""
+    out_bits = check_count("out_bits", out_bits)
     _check_fit(sel, out_bits)
     if sel.kind is SelectorKind.BIT_PREFIX:
         return sel.s_bits  # type: ignore[return-value]

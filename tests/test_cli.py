@@ -224,6 +224,7 @@ class TestExitCodes:
         ("survival", "--trials", "0"),
         ("chernoff", "--delta", "nan"),
         ("chernoff", "--delta", "inf"),
+        ("chernoff", "--delta", "1e308"),  # finite, but (1 + delta) * mu is not
         ("lowerbound", "--out-bits", "1"),
         # a NaN floor is not valid JSON, and one <= 0 makes above_floor always true
         ("lowerbound", "--floor-const", "nan", "--trials", "100"),

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tornadotab import experiments as ex
-from tornadotab import core, linprobe, rng, selectors
+from tornadotab import bench, core, linprobe, rng, selectors
 from tornadotab.core import ConfigError, TornadoHash, TornadoSpec, Variant
 from tornadotab.gf2 import GenKey, genkey_from_key, is_linearly_independent
 from trial_reference import per_trial_reference
@@ -901,6 +901,52 @@ BAD_PARAMETERS = {
                                                               star_delta="0.1"),
 }
 
+# a bad value of each kind; "float" goes where an integer is taken, and
+# "overflow" is a finite delta whose threshold (1 + delta) * mu is inf
+BAD_VALUES = {"bool": True, "float": 2.5, "negative": -1, "nan": math.nan, "inf": math.inf,
+              "overflow": 1e308}
+LARGE_MU = (selectors.bin_selector(range(40), 0), TornadoSpec(4, 2, 2, 1, Variant.TORNADO))
+KEYS3 = [genkey_from_key(x, 2, 2) for x in (0b0000, 0b0001, 0b0100)]
+# every numeric parameter of experiments, linprobe, selectors and
+# bench.throughput not covered above, with the kinds of bad value that each
+# ran with, or failed on with an error other than ValueError
+NUMERIC_PARAMETERS = {
+    "dependence-workers": (lambda v: ex.measure_dependence(
+        selectors.fixed_set(KEYS_G), SPEC_G, 10, 1, workers=v), "bool float negative nan inf"),
+    "chernoff-workers": (lambda v: ex.chernoff_tail(
+        selectors.bin_selector(KEYS_G, 0), SPEC_G, 0.5, 10, 1, workers=v),
+        "bool float negative nan inf"),
+    "large-mu-workers": (lambda v: ex.large_mu_tail(*LARGE_MU, 0.5, 10, 1, workers=v),
+                         "bool float negative nan inf"),
+    "chaining-workers": (lambda v: ex.chaining_tail(SPEC_G, 16, [2], 10, 1, workers=v),
+                         "bool float negative nan inf"),
+    "chernoff-delta": (lambda v: ex.chernoff_tail(  # mu = 4
+        selectors.bin_selector(range(64), 0), SPEC_G, v, 10, 1), "overflow"),
+    "large-mu-delta": (lambda v: ex.large_mu_tail(*LARGE_MU, v, 10, 1), "overflow"),
+    "uniformity-b": (lambda v: ex.exact_uniformity_check(v, 2, 2, [genkey_from_key(1, 1, 2)]),
+                     "bool float nan inf"),
+    "uniformity-alphabet-bits": (lambda v: ex.exact_uniformity_check(2, v, 2, KEYS3),
+                                 "float nan inf"),
+    "uniformity-out-bits": (lambda v: ex.exact_uniformity_check(2, 2, v, KEYS3),
+                            "bool float negative"),
+    "dkw-n": (lambda v: linprobe.dkw_tolerance(v, 100), "bool float nan inf"),
+    "dkw-confidence": (lambda v: linprobe.dkw_tolerance(100, 100, v), "bool negative nan"),
+    "prefix-s": (lambda v: selectors.bit_prefix(range(8), v, {0}), "bool float nan inf"),
+    "prefix-target": (lambda v: selectors.bit_prefix(range(8), 2, {v}), "bool float nan inf"),
+    "dyadic-interval-bits": (lambda v: selectors.dyadic_interval(range(8), 0, v),
+                             "bool float nan inf"),
+    "bin-value": (lambda v: selectors.bin_selector(range(8), v), "bool float negative nan inf"),
+    "hard-instance-char-bits": (selectors.hard_instance, "bool float nan inf"),
+    "mu-out-bits": (lambda v: selectors.mu(selectors.hard_instance(4), v), "float nan inf"),
+    "throughput-n-keys": (lambda v: bench.throughput("poly2-mersenne", v, 1), "bool float"),
+    "throughput-reps": (lambda v: bench.throughput("poly2-mersenne", 10, v), "bool float nan inf"),
+    "throughput-seed": (lambda v: bench.throughput("poly2-mersenne", 10, 1, v),
+                        "bool float negative nan inf"),
+}
+BAD_PARAMETERS.update({f"{name}-{kind}": lambda call=call, kind=kind: call(BAD_VALUES[kind])
+                       for name, (call, kinds) in NUMERIC_PARAMETERS.items()
+                       for kind in kinds.split()})
+
 # NumPy integer counts: each report must hold plain ints, or it cannot be
 # written out as JSON
 NUMPY_COUNTS = {
@@ -914,6 +960,12 @@ NUMPY_COUNTS = {
     "large-mu-trials": lambda: [COUNTED_ENTRY_POINTS["large_mu"](np.int64(5))],
     "probe-counts": lambda: linprobe.probe_experiment(
         SPEC_P, np.int64(100), np.int64(1024), np.int64(16), np.int64(2), 1).to_reports(),
+    # and NumPy real parameters, plain floats
+    "chernoff-delta": lambda: [ex.chernoff_tail(
+        selectors.bin_selector(KEYS_G, 0), SPEC_G, np.float32(0.5), 5, 1)],
+    "large-mu-delta": lambda: [ex.large_mu_tail(*LARGE_MU, np.float32(0.5), 5, 1)],
+    "probe-star-delta": lambda: linprobe.probe_experiment(
+        SPEC_P, 100, 1024, 16, 2, 1, star_delta=np.float32(0.1)).to_reports(),
 }
 
 
