@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -228,11 +229,12 @@ def check_count(name: str, value, least: int = 1) -> int:
 
 def check_real(name: str, value, lo: float, hi: float) -> float:
     """``value`` as a plain float, as :func:`check_count` gives a plain int.
-    ConfigError unless it is a real number (not a bool, a string or NaN) in
-    the open interval (lo, hi)."""
+    ConfigError unless it is a real number (not a bool, a string, NaN or an
+    int too large for a float) in the open interval (lo, hi)."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
-    if not lo < value < hi:  # false for NaN
+    # NaN fails the first test; a Python int may be too large for a float
+    if not lo < value < hi or isinstance(value, int) and abs(value) > sys.float_info.max:
         raise ConfigError(f"{name} must be in ({lo}, {hi}), got {value}")
     return float(value)
 

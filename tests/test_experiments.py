@@ -901,10 +901,11 @@ BAD_PARAMETERS = {
                                                               star_delta="0.1"),
 }
 
-# a bad value of each kind; "float" goes where an integer is taken, and
-# "overflow" is a finite delta whose threshold (1 + delta) * mu is inf
+# a bad value of each kind; "float" goes where an integer is taken,
+# "overflow" is a finite delta whose threshold (1 + delta) * mu is inf, and
+# "huge" an int too large for a float
 BAD_VALUES = {"bool": True, "float": 2.5, "negative": -1, "nan": math.nan, "inf": math.inf,
-              "overflow": 1e308}
+              "overflow": 1e308, "huge": 10**400}
 LARGE_MU = (selectors.bin_selector(range(40), 0), TornadoSpec(4, 2, 2, 1, Variant.TORNADO))
 KEYS3 = [genkey_from_key(x, 2, 2) for x in (0b0000, 0b0001, 0b0100)]
 # every numeric parameter of experiments, linprobe, selectors and
@@ -921,8 +922,8 @@ NUMERIC_PARAMETERS = {
     "chaining-workers": (lambda v: ex.chaining_tail(SPEC_G, 16, [2], 10, 1, workers=v),
                          "bool float negative nan inf"),
     "chernoff-delta": (lambda v: ex.chernoff_tail(  # mu = 4
-        selectors.bin_selector(range(64), 0), SPEC_G, v, 10, 1), "overflow"),
-    "large-mu-delta": (lambda v: ex.large_mu_tail(*LARGE_MU, v, 10, 1), "overflow"),
+        selectors.bin_selector(range(64), 0), SPEC_G, v, 10, 1), "overflow huge"),
+    "large-mu-delta": (lambda v: ex.large_mu_tail(*LARGE_MU, v, 10, 1), "overflow huge"),
     "uniformity-b": (lambda v: ex.exact_uniformity_check(v, 2, 2, [genkey_from_key(1, 1, 2)]),
                      "bool float nan inf"),
     "uniformity-alphabet-bits": (lambda v: ex.exact_uniformity_check(2, v, 2, KEYS3),
