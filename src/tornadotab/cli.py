@@ -188,9 +188,11 @@ def _cmd_selftest(args) -> int:
     for label, spec in (("w64-d4", TornadoSpec(8, 4, 4, 24, Variant.TORNADO)),
                         ("w64-d3", TornadoSpec(8, 4, 3, 32, Variant.TORNADO))):
         h = TornadoHash.build(spec, args.seed)
-        ks = rng.raw_key_stream(args.seed, 10000, 32)
+        ks = rng.raw_key_stream(args.seed, 10000, 32).tolist()
+        # the scalar reference, not eval_batch: the folded word and the batch
+        # lanes are packed by the same loop, core._pack
         checks.append((f"folded-equals-reference-{label}",
-                       h.eval_batch(ks).tolist() == [h.eval_folded(x) for x in ks.tolist()]))
+                       all(h.eval_folded(x) == h.eval(x) for x in ks)))
     mix_spec = TornadoSpec(8, 8, 5, 64, Variant.TORNADO_MIX, psi_bits=16)
     hm = TornadoHash.build(mix_spec, args.seed)
     km = rng.raw_key_stream(args.seed, 1000, 64)

@@ -383,13 +383,16 @@ def _pack(spec: TornadoSpec, lanes: list[list[tuple[int | None, int]]], entry,
     len(s)) entries at the slots ``s = slots[p]``, or (B, alphabet_p) at
     every slot for s None; with slots, the other slots hold 0.
 
-    The words are uint32 when the lane fits 32 bits, so a lane of one entry
-    keeps a uint32 source array itself, not a copy. A lane that reads no
-    position (level 0 at c = 1) is left out."""
+    The one loop that packs words: a hash's lanes, a chunk's and the scalar
+    folded word. The words are uint32 when the lane fits 32 bits, so a lane
+    of one entry keeps a uint32 source array itself, not a copy; uint64 when
+    it fits 64, else Python ints (the w128mix folded word). A lane that
+    reads no position (level 0 at c = 1) is left out."""
     packed = []
     for lane in lanes:
         last, end = lane[-1]
-        dtype = np.uint32 if end + _bits(spec, last) <= 32 else np.uint64
+        end += _bits(spec, last)
+        dtype = np.uint32 if end <= 32 else np.uint64 if end <= 64 else object
         words = []
         for p in range(max(_reads(spec, level) for level, _ in lane)):
             s = None if slots is None else slots[p]
@@ -400,7 +403,7 @@ def _pack(spec: TornadoSpec, lanes: list[list[tuple[int | None, int]]], entry,
                 if p < _reads(spec, level):
                     e = entry(level, p, s)
                     if off:
-                        e = np.left_shift(e, dtype(off), dtype=dtype)
+                        e = np.left_shift(e, off, dtype=dtype)
                     if word is None:
                         word = e.astype(dtype, copy=False)
                     else:
@@ -536,10 +539,12 @@ class TornadoHash:
         spec = self.spec
         xs = check_keys(spec, xs)
         if self._packed is None:
-            levels, top = self.level_tables, self.top_table
-            self._packed = _pack(spec, _lanes(spec), lambda level, p, s: (
-                top[p] if level is None else levels[level][p])[None])
+            self._packed = _pack(spec, _lanes(spec), self._entry)
         return eval_folded_stack(spec, self._packed, xs, keep_chars)
+
+    def _entry(self, level: int | None, p: int, s: None) -> np.ndarray:
+        """:func:`_pack`'s reader: a level's (1, alphabet_p) entries at p, the top's for None."""
+        return (self.top_table[p] if level is None else self.level_tables[level][p])[None]
 
     def derive_batch(self, xs: np.ndarray) -> np.ndarray:
         """Derived keys of a key array, an intp ``(len(xs), c + d)`` view."""
@@ -620,10 +625,9 @@ def fold_stacks(spec: TornadoSpec, seeds: np.ndarray, xs: np.ndarray,
 def fold_tables(h: TornadoHash) -> FoldedTables:
     """Pack the logical tables of ``h`` into its profile's folded layout.
 
-    One loop packs both profiles from the hash's own entries, by
-    :func:`_lanes` with no width limit: the levels in order, the top entry
-    at ``top_off`` above them. So the folded evaluation is equal to the
-    reference path by construction. A spec folds if its top entry fits the
+    :func:`_pack` packs both profiles from the hash's own entries as one
+    lane of :func:`_lanes` with no width limit: the levels in order, the top
+    entry at ``top_off`` above them. A spec folds if its top entry fits the
     word: ``top_off + out_bits`` at most 64 for plain tornado (w64), at most
     128 for tornado-mix with psi = 16 (w128mix), both with 8-bit characters.
     The entries are Python ints, as w128mix entries do not fit 64 bits.
@@ -635,13 +639,8 @@ def fold_tables(h: TornadoHash) -> FoldedTables:
     word = 64 if spec.variant is Variant.TORNADO else 128 if spec.psi_bits == 16 else 0
     if spec.char_bits != 8 or top_off + spec.out_bits > word:
         raise ConfigError(f"no folded layout for {spec.spec_string()}")
-    tables: list[list[int]] = []
-    for p in range(spec.positions):
-        col = [x << top_off for x in h.top_table[p].tolist()]
-        for level, off in offs.items():
-            if p < spec.level_input_positions(level):
-                col = [v ^ (x << off) for v, x in zip(col, h.level_tables[level][p].tolist())]
-        tables.append(col)
+    (packed,) = _pack(spec, [lane], h._entry)
+    tables = [w[0].tolist() for w in packed.words]
     steps = [(tables[p], offs[p - spec.c + 1], (1 << spec.position_bits(p)) - 1)
              for p in range(spec.c - 1, spec.positions)]
     return FoldedTables(tables, steps, top_off)
