@@ -72,6 +72,12 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _holds_ints(a: np.ndarray) -> bool:
+    """Whether ``a`` holds integers: an integer dtype, or objects that are
+    all integers (no bool, no float)."""
+    return a.dtype.kind in "ui" or a.dtype.kind == "O" and all(map(_is_int, a.flat))
+
+
 @dataclass(frozen=True)
 class TornadoSpec:
     """Full parameterization of one hash family."""
@@ -254,8 +260,7 @@ def check_keys(spec: TornadoSpec, xs) -> np.ndarray:
         elif arr.dtype.kind in "iu" and {bool, np.bool_} & set(map(type, xs)):
             raise ConfigError("keys must be integers, not bools")
     if arr.size:
-        if arr.dtype.kind not in "uiO" or (arr.dtype.kind == "O"
-                                           and not all(map(_is_int, arr.flat))):
+        if not _holds_ints(arr):
             raise ConfigError(f"keys must be integers, got dtype {np.asarray(xs).dtype}")
         lo = 0 if arr.dtype.kind == "u" else int(arr.min())
         hi = int(arr.max())
@@ -431,7 +436,7 @@ def _checked_table(t, shape: tuple[int, ...], bits: int, dtype, what: str) -> np
     a = np.asarray(t)
     if a.shape != shape:
         raise ConfigError(f"{what} has shape {a.shape}, expected {shape}")
-    if a.size and (a.dtype.kind not in "uiO" or (a.dtype.kind != "u" and int(a.min()) < 0)
+    if a.size and (not _holds_ints(a) or (a.dtype.kind != "u" and int(a.min()) < 0)
                    or int(a.max()) >> bits):
         raise ConfigError(f"{what} entries must be integers in [0, 2**{bits})")
     if a.dtype != dtype or a.flags.writeable or not a.flags.c_contiguous:
@@ -519,16 +524,21 @@ class TornadoHash:
             h ^= self.top_table[i].item(ch)
         return h
 
+    def _width(self, name: str, value) -> int:
+        """An output-bit count as a plain int; ConfigError unless it is an
+        integer in 0..out_bits."""
+        if (value := check_count(name, value, 0)) > self.spec.out_bits:
+            raise ConfigError(f"{name} must be in 0..{self.spec.out_bits}")
+        return value
+
     def select_bits(self, x: int, s: int) -> int:
         """High ``s`` output bits (the selection bits)."""
-        if not 0 <= s <= self.spec.out_bits:
-            raise ConfigError(f"s must be in 0..{self.spec.out_bits}")
+        s = self._width("s", s)
         return self.eval(x) >> (self.spec.out_bits - s)
 
     def free_bits(self, x: int, t: int) -> int:
         """Low ``t`` output bits (the free bits)."""
-        if not 0 <= t <= self.spec.out_bits:
-            raise ConfigError(f"t must be in 0..{self.spec.out_bits}")
+        t = self._width("t", t)
         return self.eval(x) & ((1 << t) - 1)
 
     # -- batch paths: the lane walk with B = 1 --------------------------------

@@ -565,7 +565,7 @@ def exact_uniformity_check(b: int, alphabet_bits: int, out_bits: int, keys) -> b
         if k.sizes != sizes:
             raise ValueError("generalized key does not match the declared shape")
     fillings = _table_fillings(out_bits, b * sigma)
-    if out_bits * len(keys) > out_bits * b * sigma:
+    if len(keys) > b * sigma:
         # more hash tuples than table fillings: equidistribution impossible
         return False
     slots = [[pos * sigma + ch for pos, ch in k.position_chars()] for k in keys]

@@ -146,6 +146,17 @@ class TestSubcommands:
         assert lines[0] == "scheme,n_keys,ns_per_key,checksum"
         assert lines[1].startswith("poly2-mersenne,500,")
 
+    def test_bench_json(self, capsys):
+        code, out, _ = run(
+            capsys, "bench", "--schemes", "poly2-mersenne", "--n-keys", "500",
+            "--reps", "3", "--format", "json",
+        )
+        assert code == 0
+        (row,) = json.loads(out)
+        assert row.keys() == {"scheme", "n_keys", "ns_per_key", "checksum", "reps"}
+        assert (row["scheme"], row["n_keys"], row["reps"]) == ("poly2-mersenne", 500, 3)
+        assert row["ns_per_key"] > 0 and row["checksum"].startswith("0x")
+
 
 class TestDumpTables:
     def test_deterministic_and_parseable(self, capsys):

@@ -132,6 +132,20 @@ class TestSpec:
         with pytest.raises(ConfigError):
             TornadoSpec(8, 2, 0, 65, Variant.SIMPLE_TABULATION)
 
+    @pytest.mark.parametrize("args,message", [
+        ((8, 0, 0, 8, Variant.SIMPLE_TABULATION), "c must be >= 1"),
+        ((8, 2, -1, 8, Variant.SIMPLE_TORNADO), "d must be >= 0"),
+        ((8, 2, 2, 8, Variant.TORNADO_MIX, 21), "psi_bits > 20 not supported"),
+        ((8, 2, 2, 8, Variant.TORNADO, 10), "psi_bits only applies to tornado-mix"),
+    ], ids=["c-zero", "d-negative", "psi-too-wide", "psi-not-mix"])
+    def test_field_out_of_range(self, args, message):
+        with pytest.raises(ConfigError, match=message):
+            TornadoSpec(*args)
+
+    def test_psi_only_for_mix(self):
+        with pytest.raises(ConfigError, match="psi is only defined for tornado-mix"):
+            TornadoSpec(8, 4, 4, 24, Variant.TORNADO).psi
+
     def test_mix_positions(self):
         spec = TornadoSpec(8, 2, 3, 16, Variant.TORNADO_MIX, psi_bits=12)
         assert [spec.position_bits(i) for i in range(5)] == [8, 8, 8, 12, 12]
@@ -305,6 +319,21 @@ class TestHandBuiltTables:
         h, levels, top = self.tables()
         with pytest.raises(ConfigError, match="top table 0 entries must be integers"):
             TornadoHash(self.SPEC, h.seed, levels, [top[0].astype(float)] + top[1:])
+        # an object array must hold integers: int() would truncate 1.5 to 1
+        # and store True as 1
+        for bad in (1.5, True):
+            level = levels[1].astype(object)
+            level[0, 1] = bad
+            with pytest.raises(ConfigError, match="level 1 table entries must be integers"):
+                TornadoHash(self.SPEC, h.seed, {**levels, 1: level}, top)
+            tab = top[2].astype(object)
+            tab[3] = bad
+            with pytest.raises(ConfigError, match="top table 2 entries must be integers"):
+                TornadoHash(self.SPEC, h.seed, levels, top[:2] + [tab] + top[3:])
+        hh = TornadoHash(self.SPEC, h.seed, {**levels, 1: levels[1].astype(object)},
+                         top[:2] + [top[2].astype(object)] + top[3:])
+        assert hh.level_tables[1].dtype == np.uint32 and hh.top_table[2].dtype == np.uint64
+        assert np.array_equal(hh.level_tables[1], levels[1])
 
     @pytest.mark.parametrize("seed", [-1, 1 << 64])
     def test_seed_outside_64_bits_rejected(self, seed):
@@ -991,6 +1020,19 @@ class TestBitSplit:
             h.select_bits(1, 9)
         with pytest.raises(ConfigError):
             h.free_bits(1, -1)
+
+    @pytest.mark.parametrize("width", [True, 2.5, "3", -1, 9], ids=repr)
+    def test_width_must_be_a_count_up_to_out_bits(self, width):
+        h = TornadoHash.build(TornadoSpec(8, 2, 1, 8, Variant.TORNADO), 3)
+        for name, bits in (("s", h.select_bits), ("t", h.free_bits)):
+            with pytest.raises(ConfigError, match=f"{name} must be"):
+                bits(1, width)
+
+    def test_numpy_width_gives_plain_int(self):
+        h = TornadoHash.build(TornadoSpec(8, 2, 1, 8, Variant.TORNADO), 3)
+        sel, free = h.select_bits(5, np.int64(3)), h.free_bits(5, np.int64(3))
+        assert type(sel) is int and type(free) is int
+        assert (sel, free) == (h.eval(5) >> 5, h.eval(5) & 7)
 
     def test_select_bits_are_sliced_simple_tabulation(self):
         # high-s slice of the top table hashes to exactly the selection bits

@@ -573,6 +573,16 @@ class TestExactUniformity:
         with pytest.raises(ValueError):
             ex.exact_uniformity_check(2, 2, 2, [])
 
+    def test_key_of_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="does not match the declared shape"):
+            ex.exact_uniformity_check(1, 1, 1, [GenKey((2, 2), 1)])
+
+    def test_more_keys_than_entries_not_uniform(self):
+        """More keys than table entries are linearly dependent; the check says
+        so before it counts, which for 70 keys would take 2^70 counters."""
+        assert not ex.exact_uniformity_check(1, 1, 1, [GenKey((2,), v) for v in (1, 2, 3)])
+        assert not ex.exact_uniformity_check(1, 1, 1, [GenKey((2,), 1)] * 70)
+
     def test_at_the_state_space_limit(self):
         # 3 positions x 4 characters x 2 output bits: 2^24 fillings
         keys = [genkey_from_key(x, 3, 2) for x in (0, 1, 4, 16)]

@@ -97,6 +97,20 @@ class TestGenKey:
         with pytest.raises(ValueError):
             GenKey.from_chars([2], (2,))
 
+    @pytest.mark.parametrize("bits", [-1, 1 << 4], ids=repr)
+    def test_bitset_out_of_range(self, bits):
+        with pytest.raises(ValueError, match="bitset out of range"):
+            GenKey((2, 2), bits)
+
+    def test_one_character_per_position(self):
+        with pytest.raises(ValueError, match="one character per position"):
+            GenKey.from_chars([0], (2, 2))
+
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_prefix_out_of_range(self, i):
+        with pytest.raises(ValueError, match=f"prefix {i} out of range"):
+            genkey_from_key(0, 2, 1).prefix(i)
+
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             GenKey((1 << 23,), 0)

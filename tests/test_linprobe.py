@@ -134,6 +134,8 @@ class TestFastPath:
     def test_full_table_guard(self):
         with pytest.raises(lp.TableFullError):
             lp.occupancy_from_hashes(4, np.zeros(4, dtype=np.int64))
+        with pytest.raises(lp.TableFullError, match="no empty cells"):
+            lp.fresh_probe_lengths(np.ones(8, dtype=bool), [0])
 
     def test_probe_run_relation(self):
         # fresh insertion probes never exceed run length + 1
