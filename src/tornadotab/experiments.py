@@ -566,7 +566,7 @@ def exact_uniformity_check(b: int, alphabet_bits: int, out_bits: int, keys) -> b
             raise ValueError("generalized key does not match the declared shape")
     fillings = _table_fillings(out_bits, b * sigma)
     if len(keys) > b * sigma:
-        # more hash tuples than table fillings: equidistribution impossible
+        # more keys than table entries: the keys are linearly dependent
         return False
     slots = [[pos * sigma + ch for pos, ch in k.position_chars()] for k in keys]
     counts = np.zeros(1 << (out_bits * len(keys)), dtype=np.int64)

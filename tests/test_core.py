@@ -1016,17 +1016,10 @@ class TestBitSplit:
 
     def test_out_of_range(self):
         h = TornadoHash.build(TornadoSpec(8, 2, 1, 8, Variant.TORNADO), 3)
-        with pytest.raises(ConfigError):
-            h.select_bits(1, 9)
-        with pytest.raises(ConfigError):
-            h.free_bits(1, -1)
-
-    @pytest.mark.parametrize("width", [True, 2.5, "3", -1, 9], ids=repr)
-    def test_width_must_be_a_count_up_to_out_bits(self, width):
-        h = TornadoHash.build(TornadoSpec(8, 2, 1, 8, Variant.TORNADO), 3)
-        for name, bits in (("s", h.select_bits), ("t", h.free_bits)):
-            with pytest.raises(ConfigError, match=f"{name} must be"):
-                bits(1, width)
+        for width in (9, -1, True, 2.5, "3"):  # a width is an integer in 0..out_bits
+            for name, bits in (("s", h.select_bits), ("t", h.free_bits)):
+                with pytest.raises(ConfigError, match=f"{name} must be"):
+                    bits(1, width)
 
     def test_numpy_width_gives_plain_int(self):
         h = TornadoHash.build(TornadoSpec(8, 2, 1, 8, Variant.TORNADO), 3)
