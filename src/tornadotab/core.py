@@ -35,10 +35,11 @@ entry for a chunk that does not evaluate). A :class:`TornadoHash` is a stack
 of one: ``build`` fills the stacks for its seed, and ``derive_batch``,
 ``eval_batch`` and ``eval_folded_batch`` walk its lanes, packed on first
 use, with B = 1, while :mod:`tornadotab.experiments` runs the same walk on
-chunks of trials. The scalar folded word packs every entry in one lane with
-no width limit, so ``eval_folded`` costs c + d lookups: w64 in 64 bits,
-w128mix in 128. The scalar ``derive``/``eval`` and ``eval_folded`` are
-independent transcriptions that the tests hold against the engine.
+chunks of trials. The scalar folded word is one more lane, with no width
+limit, and one loop, :func:`_pack`, packs it and every other word, so
+``eval_folded`` costs c + d lookups: w64 in 64 bits, w128mix in 128. The
+scalar ``derive``/``eval`` are an independent transcription that the tests
+hold the engine and ``eval_folded`` against.
 """
 
 from __future__ import annotations
@@ -73,8 +74,7 @@ def _is_int(x) -> bool:
 
 
 def _holds_ints(a: np.ndarray) -> bool:
-    """Whether ``a`` holds integers: an integer dtype, or objects that are
-    all integers (no bool, no float)."""
+    """Whether ``a`` has an integer dtype or holds objects that are all integers."""
     return a.dtype.kind in "ui" or a.dtype.kind == "O" and all(map(_is_int, a.flat))
 
 
@@ -388,11 +388,12 @@ def _pack(spec: TornadoSpec, lanes: list[list[tuple[int | None, int]]], entry,
     len(s)) entries at the slots ``s = slots[p]``, or (B, alphabet_p) at
     every slot for s None; with slots, the other slots hold 0.
 
-    The one loop that packs words: a hash's lanes, a chunk's and the scalar
-    folded word. The words are uint32 when the lane fits 32 bits, so a lane
-    of one entry keeps a uint32 source array itself, not a copy; uint64 when
-    it fits 64, else Python ints (the w128mix folded word). A lane that
-    reads no position (level 0 at c = 1) is left out."""
+    The one loop that packs words: a hash's lanes, a chunk's, survival's
+    exact fillings and the scalar folded word. The words are uint32 when the
+    lane fits 32 bits, so a lane of one entry keeps a uint32 source array
+    itself, not a copy; uint64 when it fits 64, else Python ints (the
+    w128mix folded word). A lane that reads no position (level 0 at c = 1)
+    is left out."""
     packed = []
     for lane in lanes:
         last, end = lane[-1]
@@ -524,21 +525,16 @@ class TornadoHash:
             h ^= self.top_table[i].item(ch)
         return h
 
-    def _width(self, name: str, value) -> int:
-        """An output-bit count as a plain int; ConfigError unless it is an
-        integer in 0..out_bits."""
-        if (value := check_count(name, value, 0)) > self.spec.out_bits:
-            raise ConfigError(f"{name} must be in 0..{self.spec.out_bits}")
-        return value
-
     def select_bits(self, x: int, s: int) -> int:
         """High ``s`` output bits (the selection bits)."""
-        s = self._width("s", s)
+        if (s := check_count("s", s, 0)) > self.spec.out_bits:
+            raise ConfigError(f"s must be in 0..{self.spec.out_bits}")
         return self.eval(x) >> (self.spec.out_bits - s)
 
     def free_bits(self, x: int, t: int) -> int:
         """Low ``t`` output bits (the free bits)."""
-        t = self._width("t", t)
+        if (t := check_count("t", t, 0)) > self.spec.out_bits:
+            raise ConfigError(f"t must be in 0..{self.spec.out_bits}")
         return self.eval(x) & ((1 << t) - 1)
 
     # -- batch paths: the lane walk with B = 1 --------------------------------
