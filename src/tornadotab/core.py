@@ -586,7 +586,7 @@ class TornadoHash:
 @dataclass
 class FoldedTables:
     """Packed single-pass tables of the w64 and w128mix profiles, one per
-    position, packed by :func:`_lanes` in one lane of no width limit.
+    position, packed by :func:`_pack` as one :func:`_lanes` lane of no width limit.
     ``steps`` holds (table, offset, mask) for each position from c - 1 on,
     whose character is ``(acc >> offset) & mask``."""
 
