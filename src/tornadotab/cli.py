@@ -169,8 +169,6 @@ def _cmd_bench(args) -> int:
 def default_zero_set(char_bits: int) -> list[int]:
     """Canonical 4-key zero-set {0a, 1a, 0b, 1b} over two characters."""
     a, b = 2 % (1 << char_bits), (1 << char_bits) - 1
-    if a == b:
-        a = 0
     return [(a << char_bits) | 0, (a << char_bits) | 1,
             (b << char_bits) | 0, (b << char_bits) | 1]
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import gf2
 from .core import ConfigError, TornadoHash, TornadoSpec, check_count, check_keys
 
 _U = np.uint64
@@ -191,11 +192,7 @@ def select(sel: Selector, h: TornadoHash) -> frozenset[int]:
 
 def selected_derived_independent(sel: Selector, h: TornadoHash) -> bool:
     """Whether the derived keys of the selected set are linearly independent."""
-    from . import gf2
-
     chosen = np.fromiter(sorted(select(sel, h)), dtype=np.uint64)
-    if len(chosen) <= 1:
-        return True
     chars = h.derive_batch(chosen)
     sizes = tuple(1 << h.spec.position_bits(i) for i in range(h.spec.positions))
     keys = [gf2.GenKey.from_chars([int(v) for v in row], sizes) for row in chars]
