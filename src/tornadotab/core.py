@@ -244,13 +244,16 @@ def check_real(name: str, value, lo: float, hi: float) -> float:
 
 def check_keys(spec: TornadoSpec, xs) -> np.ndarray:
     """Array form of :func:`check_key`: the keys as uint64, checked with one
-    max pass (and one min pass for a signed or object dtype).
+    max pass (and one min pass for a signed or object dtype). The keys are
+    one 1-D array or sequence; any other shape is a ConfigError.
 
     NumPy infers float64 for a list of ints on both sides of 2**63, so such
     a list is read again as objects; an object array must hold integers.
     NumPy infers int64 for a list of ints and bools, so such a list is
     refused by the types of its items."""
     arr = np.asarray(xs)
+    if arr.ndim != 1:
+        raise ConfigError(f"keys must be one 1-D array or sequence, got shape {arr.shape}")
     if not isinstance(xs, np.ndarray):
         if arr.dtype.kind == "f":
             arr = np.array(xs, dtype=object)
@@ -787,7 +790,7 @@ eval_folded_batch = TornadoHash.eval_batch
 
 def derived_injectivity_check(h: TornadoHash, keys) -> bool:
     """True iff the derived keys of the given keys are distinct; ValueError if a key repeats."""
-    keys = check_keys(h.spec, list(keys))
+    keys = check_keys(h.spec, keys)
     if len(np.unique(keys)) != len(keys):
         raise ValueError("derived_injectivity_check needs distinct keys")
     chars = h.derive_batch(keys)

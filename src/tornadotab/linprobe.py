@@ -100,8 +100,10 @@ def occupancy_from_hashes(m: int, hashes: np.ndarray) -> np.ndarray:
     sums to n - m < 0), so no key leaves it and no run crosses into the next
     cell. The scan starts there: with b the running sum of s from the start,
     a cell is occupied iff b there is at least the lowest of 0 and the
-    earlier values of b. ValueError if a hash is outside [0, m).
+    earlier values of b. ConfigError unless m is an integer of at least 1,
+    ValueError if a hash is outside [0, m).
     """
+    m = check_count("m", m)
     if len(hashes) >= m:
         raise TableFullError("table would be full")
     counts = np.bincount(np.asarray(hashes, dtype=np.int64), minlength=m)
@@ -118,27 +120,28 @@ def occupancy_from_hashes(m: int, hashes: np.ndarray) -> np.ndarray:
     return np.roll(occ, start)
 
 
-def _cells(hashes: np.ndarray, m: int) -> np.ndarray:
-    """The hash cells as int64; ValueError unless each is in [0, m)."""
+def _scan_inputs(occ: np.ndarray, hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The hash cells as int64 and the empty cells of ``occ``. ValueError
+    unless ``occ`` is a 1-D bool array (an integer array would read as cell
+    indices) and each cell is in [0, len(occ)); TableFullError if no cell is
+    empty."""
+    if not isinstance(occ, np.ndarray) or occ.dtype != bool or occ.ndim != 1:
+        raise ValueError("occupancy must be a 1-D bool array")
+    m = len(occ)
     cells = np.asarray(hashes, dtype=np.int64)
     if cells.size and (cells.min() < 0 or cells.max() >= m):
         raise ValueError(f"hash cells must be in [0, {m})")
-    return cells
-
-
-def _empty_positions(occ: np.ndarray) -> np.ndarray:
     empt = np.flatnonzero(~occ)
     if len(empt) == 0:
         raise TableFullError("no empty cells")
-    return empt
+    return cells, empt
 
 
 def fresh_probe_lengths(occ: np.ndarray, hashes: np.ndarray) -> np.ndarray:
     """Probes needed to insert fresh keys at the given hash cells (occupancy
     holds only previously inserted keys): distance to the next empty cell + 1."""
+    hashes, empt = _scan_inputs(occ, hashes)
     m = len(occ)
-    hashes = _cells(hashes, m)
-    empt = _empty_positions(occ)
     e2 = np.concatenate([empt, empt + m])
     idx = np.searchsorted(e2, hashes)
     return e2[idx] - hashes + 1
@@ -146,9 +149,8 @@ def fresh_probe_lengths(occ: np.ndarray, hashes: np.ndarray) -> np.ndarray:
 
 def run_lengths_at(occ: np.ndarray, hashes: np.ndarray) -> np.ndarray:
     """Run length of the occupied interval containing each hash cell."""
+    hashes, empt = _scan_inputs(occ, hashes)
     m = len(occ)
-    hashes = _cells(hashes, m)
-    empt = _empty_positions(occ)
     nxt = np.concatenate([empt, empt + m])
     prv = np.concatenate([empt - m, empt])
     next_e = nxt[np.searchsorted(nxt, hashes)]

@@ -99,6 +99,14 @@ class TestThroughput:
         with pytest.raises(ValueError):
             bench.throughput("poly2-mersenne", 10, reps=0)
 
+    def test_varying_checksum_rejected(self, monkeypatch):
+        """A hasher that answers differently on each call has no checksum to report."""
+        calls = iter(range(1 << 20))
+        monkeypatch.setattr(bench, "_make_hasher", lambda scheme, seed: (
+            lambda x: next(calls), 8))
+        with pytest.raises(RuntimeError, match="checksum varied"):
+            bench.throughput("simple-tabulation", 5, reps=3)
+
     def test_timing_grows_with_n(self):
         # 8x the buffer should scale total time; a 2x floor leaves room for noise
         small = min(bench.throughput("simple-tabulation", 5000, reps=5, seed=1).total_ns

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from tornadotab import rng, selectors
+from tornadotab import experiments, rng, selectors
 from tornadotab.core import (
     FOLD_BLOCK,
     HASH_BLOCK,
@@ -895,6 +897,37 @@ class TestKeyDomain:
             h.eval_batch(xs)
         with pytest.raises(ConfigError, match="outside"):
             eval_folded_batch(h, xs)
+
+    # key blocks of every shape but 1-D; a selector holds a block as the
+    # tuples of its rows, which NumPy reads back as the block
+    BAD_SHAPES = {"2-D": np.array([[1, 2], [3, 4]]), "0-d": np.array(7),
+                  "3-D": np.arange(8).reshape(2, 2, 2)}
+    BATCH_CALLS = {
+        "eval_batch": lambda h, xs: h.eval_batch(xs),
+        "derive_batch": lambda h, xs: h.derive_batch(xs),
+        "eval_folded_batch": eval_folded_batch,
+        "derived_injectivity_check": derived_injectivity_check,
+    }
+    SELECTOR_CALLS = {
+        "candidates": lambda h, sel: selectors.candidates(sel, h.spec),
+        "measure_dependence": lambda h, sel: experiments.measure_dependence(sel, h.spec, 2, 0),
+    }
+
+    # a 0-d array is not hashable, so no selector holds one
+    @pytest.mark.parametrize("call, shape", [*itertools.product(BATCH_CALLS, BAD_SHAPES),
+                                             *itertools.product(SELECTOR_CALLS, ("2-D", "3-D"))])
+    def test_keys_of_another_shape_rejected(self, call, shape):
+        """A 2-D block would hash its first row and drop the rest."""
+        h = TornadoHash.build(parse_spec_string("tornado,cb=8,c=2,d=2,r=16"), 5)
+        xs = self.BAD_SHAPES[shape]
+        if call in self.SELECTOR_CALLS:
+            def rows(a):
+                return tuple(map(rows, a)) if isinstance(a, list) else a
+            call, xs = self.SELECTOR_CALLS[call], selectors.fixed_set(rows(xs.tolist()))
+        else:
+            call = self.BATCH_CALLS[call]
+        with pytest.raises(ConfigError, match="1-D"):
+            call(h, xs)
 
     def test_non_integer_keys_rejected(self):
         h = TornadoHash.build(self.SPEC, 1)

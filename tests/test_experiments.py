@@ -1121,6 +1121,13 @@ class TestReports:
                     for k in (exact - 1, exact)]
         assert verdicts == [ex.Verdict.WITHIN_BOUND, ex.Verdict.VIOLATION]
 
+    def test_bound_that_underflows_to_zero(self):
+        """At a bound of 0.0 one event is already impossible, and none is not."""
+        bound = ex.chernoff_bound(128, 1e6)
+        assert bound == 0.0
+        assert ex.exact_violation(1, 1000, bound)
+        assert not ex.exact_violation(0, 1000, bound)
+
     def test_exact_test_alone_decides(self):
         """660 of 1000 at bound 0.6 passes the Wald rule but has an exact tail
         above EXACT_TAIL (5.3e-5), so it is within the bound; 4 of 2e4 at 6.3e-6

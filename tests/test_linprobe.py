@@ -70,6 +70,13 @@ class TestProbeTable:
         assert t.run_length(3) == 5
         assert t.run_length(8) == 0
 
+    def test_run_length_full_table(self):
+        """A full table is one run of m cells, with no empty cell to end a scan."""
+        t = lp.ProbeTable(8)
+        for i in range(8):
+            t.insert(i, 3)
+        assert [t.run_length(i) for i in range(8)] == [8] * 8
+
 
 class TestFastPath:
     def test_occupancy_probe_run_match_reference(self):
@@ -130,6 +137,22 @@ class TestFastPath:
                 lp.fresh_probe_lengths(occ, bad)
             with pytest.raises(ValueError, match=r"hash cells must be in \[0, 8\)"):
                 lp.run_lengths_at(occ, bad)
+
+    @pytest.mark.parametrize("m", [4.0, True, "8", 0], ids=repr)
+    def test_table_size_must_be_a_positive_integer(self, m):
+        """True would read as a table of one cell."""
+        with pytest.raises(ConfigError, match="m must be"):
+            lp.occupancy_from_hashes(m, [])
+
+    @pytest.mark.parametrize("scan", [lp.fresh_probe_lengths, lp.run_lengths_at])
+    def test_occupancy_must_be_a_bool_vector(self, scan):
+        """An integer occupancy would index cells instead of masking them."""
+        occ = np.array([1, 0, 1, 1, 0, 0, 0, 0])
+        for bad in (occ, occ.tolist(), occ.astype(bool)[None], np.array(True)):
+            with pytest.raises(ValueError, match="1-D bool array"):
+                scan(bad, [0, 2])
+        want = {lp.fresh_probe_lengths: [2, 3], lp.run_lengths_at: [1, 2]}[scan]
+        assert scan(occ.astype(bool), [0, 2]).tolist() == want
 
     def test_full_table_guard(self):
         with pytest.raises(lp.TableFullError):
