@@ -32,10 +32,10 @@ source, hashing them from the B trial seeds at the characters it reads.
 :func:`fold_stacks` packs the lanes of B trials from their seeds (only at
 the slots shared keys read at the untwisted input positions, and with no top
 entry for a chunk that does not evaluate). A :class:`TornadoHash` is a stack
-of one: ``build`` fills the stacks for its seed, and ``derive_batch``,
-``eval_batch`` and ``eval_folded_batch`` walk its lanes, packed on first
-use, with B = 1, while :mod:`tornadotab.experiments` runs the same walk on
-chunks of trials. The scalar folded word is one more lane, with no width
+of one: ``build`` fills the stacks for its seed, and ``derive_batch`` and
+``eval_batch`` (also named ``eval_folded_batch``, perfbench's name for it)
+walk its lanes, packed on first use, with B = 1, while
+:mod:`tornadotab.experiments` runs the same walk on chunks of trials. The scalar folded word is one more lane, with no width
 limit, and one loop, :func:`_pack`, packs it and every other word, so
 ``eval_folded`` costs c + d lookups: w64 in 64 bits, w128mix in 128. The
 scalar ``derive``/``eval`` are an independent transcription that the tests

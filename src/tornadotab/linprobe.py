@@ -6,7 +6,8 @@ occupancy pattern of a linear probing table is a function of the hash
 multiset alone, computable with one prefix scan over one period of the
 table, and probe/run lengths for fresh queries only depend on that pattern.
 The two paths are required to agree and are tested against each other.
-Every scan refuses a hash cell outside the table.
+Every scan refuses a hash cell outside the table, and the scans of an
+occupancy refuse one that is not a 1-D bool array.
 
 ``probe_experiment`` takes each trial's key pool and tornado hashes from
 :func:`tornadotab.experiments.trial_blocks`, a chunk of trials at a time,
