@@ -898,10 +898,11 @@ class TestKeyDomain:
         with pytest.raises(ConfigError, match="outside"):
             eval_folded_batch(h, xs)
 
-    # key blocks of every shape but 1-D; a selector holds a block as the
+    # key blocks of every shape but 1-D, and selectors that hold one as the
     # tuples of its rows, which NumPy reads back as the block
     BAD_SHAPES = {"2-D": np.array([[1, 2], [3, 4]]), "0-d": np.array(7),
                   "3-D": np.arange(8).reshape(2, 2, 2)}
+    BAD_SELECTOR_KEYS = {"2-D": [(1, 2), (3, 4)], "3-D": [((0, 1), (2, 3)), ((4, 5), (6, 7))]}
     BATCH_CALLS = {
         "eval_batch": lambda h, xs: h.eval_batch(xs),
         "derive_batch": lambda h, xs: h.derive_batch(xs),
@@ -915,17 +916,14 @@ class TestKeyDomain:
 
     # a 0-d array is not hashable, so no selector holds one
     @pytest.mark.parametrize("call, shape", [*itertools.product(BATCH_CALLS, BAD_SHAPES),
-                                             *itertools.product(SELECTOR_CALLS, ("2-D", "3-D"))])
+                                             *itertools.product(SELECTOR_CALLS, BAD_SELECTOR_KEYS)])
     def test_keys_of_another_shape_rejected(self, call, shape):
         """A 2-D block would hash its first row and drop the rest."""
         h = TornadoHash.build(parse_spec_string("tornado,cb=8,c=2,d=2,r=16"), 5)
-        xs = self.BAD_SHAPES[shape]
         if call in self.SELECTOR_CALLS:
-            def rows(a):
-                return tuple(map(rows, a)) if isinstance(a, list) else a
-            call, xs = self.SELECTOR_CALLS[call], selectors.fixed_set(rows(xs.tolist()))
+            call, xs = self.SELECTOR_CALLS[call], selectors.fixed_set(self.BAD_SELECTOR_KEYS[shape])
         else:
-            call = self.BATCH_CALLS[call]
+            call, xs = self.BATCH_CALLS[call], self.BAD_SHAPES[shape]
         with pytest.raises(ConfigError, match="1-D"):
             call(h, xs)
 

@@ -1122,7 +1122,7 @@ class TestReports:
         assert verdicts == [ex.Verdict.WITHIN_BOUND, ex.Verdict.VIOLATION]
 
     def test_bound_that_underflows_to_zero(self):
-        """At a bound of 0.0 one event is already impossible, and none is not."""
+        """At a bound of 0.0 a single event is a Violation, and no event is not."""
         bound = ex.chernoff_bound(128, 1e6)
         assert bound == 0.0
         assert ex.exact_violation(1, 1000, bound)
