@@ -92,7 +92,7 @@ def _emit_reports(args, reports) -> int:
 def _cmd_independence(args) -> int:
     spec = _spec_from(args)
     keys = rng.sample_distinct_keys(rng.mix64(args.seed), args.set_size, spec.key_bits)
-    sel = selectors.fixed_set(int(k) for k in keys)
+    sel = selectors.fixed_set(keys)
     rep = experiments.measure_dependence(sel, spec, args.trials, args.seed, workers=_workers())
     return _emit_reports(args, [rep])
 
@@ -136,7 +136,7 @@ def _cmd_chaining(args) -> int:
 def _cmd_chernoff(args) -> int:
     spec = _spec_from(args)
     keys = rng.sample_distinct_keys(rng.mix64(args.seed), args.set_size, spec.key_bits)
-    sel = selectors.bin_selector((int(k) for k in keys), args.bin)
+    sel = selectors.bin_selector(keys, args.bin)
     rep = experiments.chernoff_tail(sel, spec, args.delta, args.trials, args.seed,
                                     workers=_workers())
     return _emit_reports(args, [rep])

@@ -73,11 +73,6 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _holds_ints(a: np.ndarray) -> bool:
-    """Whether ``a`` has an integer dtype or holds objects that are all integers."""
-    return a.dtype.kind in "ui" or a.dtype.kind == "O" and all(map(_is_int, a.flat))
-
-
 @dataclass(frozen=True)
 class TornadoSpec:
     """Full parameterization of one hash family."""
@@ -242,31 +237,36 @@ def check_real(name: str, value, lo: float, hi: float) -> float:
     return float(value)
 
 
-def check_keys(spec: TornadoSpec, xs) -> np.ndarray:
-    """Array form of :func:`check_key`: the keys as uint64, checked with one
-    max pass (and one min pass for a signed or object dtype). The keys are
-    one 1-D array or sequence; any other shape is a ConfigError.
-
-    NumPy infers float64 for a list of ints on both sides of 2**63, so such
-    a list is read again as objects; an object array must hold integers.
-    NumPy infers int64 for a list of ints and bools, so such a list is
-    refused by the types of its items."""
+def check_ints(xs, limit: int, what: str, outside, low: int | None = 0) -> np.ndarray:
+    """The integer-array rule: ``xs``, one 1-D array or sequence of integers
+    (not bools or floats), as an integer array (of objects, if NumPy reads it
+    so). ConfigError naming ``what`` otherwise, and ``outside(x)`` for an x
+    outside [low, limit) (no lower bound if ``low`` is None). NumPy reads a
+    list of ints on both sides of 2**63 as float64, so it is read again as
+    objects, and a list of ints and bools as int64, so it is refused by the
+    types of its items. A uint64 array costs one max pass and no copy."""
     arr = np.asarray(xs)
     if arr.ndim != 1:
-        raise ConfigError(f"keys must be one 1-D array or sequence, got shape {arr.shape}")
+        raise ConfigError(f"{what} must be one 1-D array or sequence, got shape {arr.shape}")
     if not isinstance(xs, np.ndarray):
         if arr.dtype.kind == "f":
             arr = np.array(xs, dtype=object)
         elif arr.dtype.kind in "iu" and {bool, np.bool_} & set(map(type, xs)):
-            raise ConfigError("keys must be integers, not bools")
+            raise ConfigError(f"{what} must be integers, not bools")
     if arr.size:
-        if not _holds_ints(arr):
-            raise ConfigError(f"keys must be integers, got dtype {np.asarray(xs).dtype}")
-        lo = 0 if arr.dtype.kind == "u" else int(arr.min())
-        hi = int(arr.max())
-        if lo < 0 or hi >= spec.key_limit:
-            raise _outside_universe(spec, lo if lo < 0 else hi)
-    return arr.astype(np.uint64, copy=False)
+        if not (arr.dtype.kind in "ui" or arr.dtype.kind == "O" and all(map(_is_int, arr))):
+            raise ConfigError(f"{what} must be integers, got dtype {np.asarray(xs).dtype}")
+        if low is not None and arr.dtype.kind != "u" and (lo := int(arr.min())) < low:
+            raise outside(lo)
+        if (hi := int(arr.max())) >= limit:
+            raise outside(hi)
+    return arr
+
+
+def check_keys(spec: TornadoSpec, xs) -> np.ndarray:
+    """Array form of :func:`check_key`, the keys as uint64 (:func:`check_ints`)."""
+    return check_ints(xs, spec.key_limit, "keys",
+                      lambda x: _outside_universe(spec, x)).astype(np.uint64, copy=False)
 
 
 # -- the batched engine -------------------------------------------------------
@@ -437,11 +437,12 @@ def _checked_table(t, shape: tuple[int, ...], bits: int, dtype, what: str) -> np
     a = np.asarray(t)
     if a.shape != shape:
         raise ConfigError(f"{what} has shape {a.shape}, expected {shape}")
-    if a.size and (not _holds_ints(a) or (a.dtype.kind != "u" and int(a.min()) < 0)
-                   or int(a.max()) >> bits):
-        raise ConfigError(f"{what} entries must be integers in [0, 2**{bits})")
+    # a sequence is read as objects, so that each entry keeps its type
+    flat = a.ravel() if isinstance(t, np.ndarray) else np.array(t, dtype=object).ravel()
+    entries = check_ints(flat, 1 << bits, f"{what} entries", lambda x: ConfigError(
+        f"{what} entries must be integers in [0, 2**{bits}), got {x}"))
     if a.dtype != dtype or a.flags.writeable or not a.flags.c_contiguous:
-        a = _read_only(np.array(a, dtype=dtype))
+        a = _read_only(np.array(entries.reshape(shape), dtype=dtype))
     return a
 
 

@@ -60,7 +60,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import core, rng, selectors
-from .core import TornadoSpec, Variant, check_count, check_key, check_real, check_seed
+from .core import TornadoSpec, Variant, check_count, check_keys, check_real, check_seed
 # the engine's stages, bound under the stage names that perfbench's tracer wraps:
 # every walk of a chunk or of its flagged trials goes through _derive_chunk, and
 # no chunk fills level or top tables, so the other three serve the tracer only
@@ -581,19 +581,17 @@ def exact_uniformity_check(b: int, alphabet_bits: int, out_bits: int, keys) -> b
 # -- zero-set survival --------------------------------------------------------
 
 
-def _check_zero_set4(spec: TornadoSpec, zero_set) -> list[int]:
+def _check_zero_set4(spec: TornadoSpec, zero_set) -> np.ndarray:
     if spec.c < 2:
         raise ValueError("survival needs c >= 2")
     if spec.variant is not Variant.SIMPLE_TORNADO:
         raise ValueError("survival is defined for the simple-tornado recurrence")
-    keys = list(zero_set)
-    if len(keys) != 4 or len(set(keys)) != 4:
+    xs = check_keys(spec, list(zero_set))
+    if len(xs) != 4 or len(np.unique(xs)) != 4:
         raise ValueError("survival needs a zero-set of 4 distinct keys")
-    for k in keys:
-        check_key(spec, k)
-    if not is_zero_set(genkey_from_key(k, spec.c, spec.char_bits) for k in keys):
+    if not is_zero_set(genkey_from_key(k, spec.c, spec.char_bits) for k in xs.tolist()):
         raise ValueError("the four keys do not form a zero-set")
-    return keys
+    return xs
 
 
 def _even_quad(v0, v1, v2, v3) -> np.ndarray:
@@ -613,9 +611,8 @@ def survival_rounds(spec: TornadoSpec, zero_set, trials: int, seed: int,
     trials = check_count("trials", trials)
     check_seed(seed)
     rounds = check_count("rounds", rounds, 0)
-    keys = _check_zero_set4(spec, zero_set)
+    xs = _check_zero_set4(spec, zero_set)
     run = replace(spec, d=rounds)
-    xs = np.array(keys, dtype=np.uint64)
     survived = 0
     for _, _, _, chars, _ in trial_blocks(run, xs, False, seed, 0, trials):
         derived = chars[:, :, run.c:].transpose(1, 0, 2)  # (key, trial, round)
@@ -631,7 +628,7 @@ def survival_rounds(spec: TornadoSpec, zero_set, trials: int, seed: int,
         trials=trials,
         seed=seed,
         params={"spec": spec.spec_string(), "rounds": rounds,
-                "zero_set": [f"{k:#x}" for k in keys],
+                "zero_set": [f"{k:#x}" for k in xs.tolist()],
                 "within_3sigma": bool(abs(estimate - target) <= 3 * stderr + 1e-12)},
         verdict=Verdict.INFORMATIONAL,
     )
@@ -642,7 +639,7 @@ def survival_one_round_exact(char_bits: int, c: int, zero_set) -> Fraction:
     the lane walk over each block of fillings, packed as a hash packs its own
     tables."""
     spec = TornadoSpec(char_bits, c, 1, 1, Variant.SIMPLE_TORNADO)
-    xs = np.array(_check_zero_set4(spec, zero_set), dtype=np.uint64)
+    xs = _check_zero_set4(spec, zero_set)
     lanes = core._lanes(spec, top=False)
     survived = 0
     for block in _table_fillings(char_bits, c * spec.sigma):

@@ -6,8 +6,8 @@ occupancy pattern of a linear probing table is a function of the hash
 multiset alone, computable with one prefix scan over one period of the
 table, and probe/run lengths for fresh queries only depend on that pattern.
 The two paths are required to agree and are tested against each other.
-Every scan refuses a hash cell outside the table, and the scans of an
-occupancy refuse one that is not a 1-D bool array.
+Every scan reads its hash cells by the integer-array rule (:func:`_cells`),
+and the scans of an occupancy refuse one that is not a 1-D bool array.
 
 ``probe_experiment`` takes each trial's key pool and tornado hashes from
 :func:`tornadotab.experiments.trial_blocks`, a chunk of trials at a time,
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .core import TornadoSpec, check_count, check_real, check_seed
+from .core import ConfigError, TornadoSpec, check_count, check_ints, check_real, check_seed
 from .experiments import ExperimentReport, Verdict, trial_blocks
 
 
@@ -91,6 +91,12 @@ class ProbeTable:
         return np.array([c is not None for c in self.cells], dtype=bool)
 
 
+def _cells(hashes, m: int) -> np.ndarray:
+    """The hash cells as intp, by the integer-array rule with limit m."""
+    return check_ints(hashes, m, "hash cells", lambda x: ConfigError(
+        f"hash cells must be in [0, {m}): cell {x} is outside")).astype(np.intp, copy=False)
+
+
 def occupancy_from_hashes(m: int, hashes: np.ndarray) -> np.ndarray:
     """Final occupancy of linear probing with the given hash multiset, by one
     scan over one period of the m cells.
@@ -101,15 +107,13 @@ def occupancy_from_hashes(m: int, hashes: np.ndarray) -> np.ndarray:
     sums to n - m < 0), so no key leaves it and no run crosses into the next
     cell. The scan starts there: with b the running sum of s from the start,
     a cell is occupied iff b there is at least the lowest of 0 and the
-    earlier values of b. ConfigError unless m is an integer of at least 1,
-    ValueError if a hash is outside [0, m).
+    earlier values of b. ConfigError unless m is an integer of at least 1
+    and the hashes are cells (:func:`_cells`).
     """
     m = check_count("m", m)
     if len(hashes) >= m:
         raise TableFullError("table would be full")
-    counts = np.bincount(np.asarray(hashes, dtype=np.int64), minlength=m)
-    if len(counts) > m:
-        raise ValueError(f"hash cell {len(counts) - 1} outside [0, {m})")
+    counts = np.bincount(_cells(hashes, m), minlength=m)
     prefix = np.cumsum(counts - 1)
     start = int(prefix.argmin()) + 1
     # the running sum of s from cell ``start`` on, wrapping round to cell start - 1
@@ -122,38 +126,30 @@ def occupancy_from_hashes(m: int, hashes: np.ndarray) -> np.ndarray:
 
 
 def _scan_inputs(occ: np.ndarray, hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The hash cells as int64 and the empty cells of ``occ``. ValueError
-    unless ``occ`` is a 1-D bool array (an integer array would read as cell
-    indices) and each cell is in [0, len(occ)); TableFullError if no cell is
-    empty."""
+    """The hash cells (:func:`_cells`, m = len(occ)) and the empty cells of
+    ``occ`` over two periods, ascending. ValueError unless ``occ`` is a 1-D
+    bool array (an integer array would read as cell indices); TableFullError
+    if no cell is empty."""
     if not isinstance(occ, np.ndarray) or occ.dtype != bool or occ.ndim != 1:
         raise ValueError("occupancy must be a 1-D bool array")
-    m = len(occ)
-    cells = np.asarray(hashes, dtype=np.int64)
-    if cells.size and (cells.min() < 0 or cells.max() >= m):
-        raise ValueError(f"hash cells must be in [0, {m})")
+    cells = _cells(hashes, len(occ))
     empt = np.flatnonzero(~occ)
     if len(empt) == 0:
         raise TableFullError("no empty cells")
-    return cells, empt
+    return cells, np.concatenate([empt, empt + len(occ)])
 
 
 def fresh_probe_lengths(occ: np.ndarray, hashes: np.ndarray) -> np.ndarray:
     """Probes needed to insert fresh keys at the given hash cells (occupancy
     holds only previously inserted keys): distance to the next empty cell + 1."""
-    hashes, empt = _scan_inputs(occ, hashes)
-    m = len(occ)
-    e2 = np.concatenate([empt, empt + m])
-    idx = np.searchsorted(e2, hashes)
-    return e2[idx] - hashes + 1
+    hashes, empties = _scan_inputs(occ, hashes)
+    return empties[np.searchsorted(empties, hashes)] - hashes + 1
 
 
 def run_lengths_at(occ: np.ndarray, hashes: np.ndarray) -> np.ndarray:
     """Run length of the occupied interval containing each hash cell."""
-    hashes, empt = _scan_inputs(occ, hashes)
-    m = len(occ)
-    nxt = np.concatenate([empt, empt + m])
-    prv = np.concatenate([empt - m, empt])
+    hashes, nxt = _scan_inputs(occ, hashes)
+    prv = nxt - len(occ)
     next_e = nxt[np.searchsorted(nxt, hashes)]
     prev_e = prv[np.searchsorted(prv, hashes, side="right") - 1]
     out = next_e - prev_e - 1

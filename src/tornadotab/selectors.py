@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2
-from .core import ConfigError, TornadoHash, TornadoSpec, check_count, check_keys
+from .core import ConfigError, TornadoHash, TornadoSpec, check_count, check_ints, check_keys
 
 _U = np.uint64
 
@@ -57,9 +57,16 @@ class Selector:
     bin_value: int | None = None
 
 
+def _keys(keys) -> frozenset[int]:
+    """``keys`` as Python ints below 2**64; :func:`candidates` checks the spec's universe."""
+    arr = check_ints(list(keys), 1 << 64, "selector keys",
+                     lambda x: ConfigError(f"selector key {x} is not below 2**64"), low=None)
+    return frozenset(map(int, arr.tolist()))
+
+
 def fixed_set(keys, query_keys=()) -> Selector:
-    return Selector(SelectorKind.FIXED_SET, frozenset(keys) | frozenset(query_keys),
-                    frozenset(query_keys))
+    query_keys = _keys(query_keys)
+    return Selector(SelectorKind.FIXED_SET, _keys(keys) | query_keys, query_keys)
 
 
 def bit_prefix(keys, s: int, targets, query_keys=(), relative_to_query=False) -> Selector:
@@ -69,14 +76,15 @@ def bit_prefix(keys, s: int, targets, query_keys=(), relative_to_query=False) ->
         raise ConfigError("target exceeds prefix width")
     if relative_to_query and not query_keys:
         raise ConfigError("query-relative prefix selector needs a query key")
-    return Selector(SelectorKind.BIT_PREFIX, frozenset(keys), frozenset(query_keys),
-                    s_bits=s, targets=targets, relative_to_query=relative_to_query)
+    return Selector(SelectorKind.BIT_PREFIX, _keys(keys), _keys(query_keys), s_bits=s,
+                    targets=targets, relative_to_query=relative_to_query)
 
 
 def dyadic_interval(keys, anchor: int, interval_bits: int) -> Selector:
     interval_bits = check_count("interval_bits", interval_bits, 0)
-    return Selector(SelectorKind.DYADIC_INTERVAL, frozenset(keys),
-                    frozenset({anchor}), interval_bits=interval_bits, anchor=anchor)
+    anchor = check_count("anchor", anchor, 0)
+    return Selector(SelectorKind.DYADIC_INTERVAL, _keys(keys), _keys([anchor]),
+                    interval_bits=interval_bits, anchor=anchor)
 
 
 def bin_selector(keys, bin_value: int | None = None, query_keys=()) -> Selector:
@@ -84,8 +92,7 @@ def bin_selector(keys, bin_value: int | None = None, query_keys=()) -> Selector:
         raise ConfigError("query-relative bin selector needs a query key")
     if bin_value is not None:
         bin_value = check_count("bin_value", bin_value, 0)
-    return Selector(SelectorKind.BIN, frozenset(keys), frozenset(query_keys),
-                    bin_value=bin_value)
+    return Selector(SelectorKind.BIN, _keys(keys), _keys(query_keys), bin_value=bin_value)
 
 
 def hard_instance(char_bits: int) -> Selector:
@@ -192,8 +199,7 @@ def select(sel: Selector, h: TornadoHash) -> frozenset[int]:
 
 def selected_derived_independent(sel: Selector, h: TornadoHash) -> bool:
     """Whether the derived keys of the selected set are linearly independent."""
-    chosen = np.fromiter(sorted(select(sel, h)), dtype=np.uint64)
-    chars = h.derive_batch(chosen)
+    chars = h.derive_batch(sorted(select(sel, h)))
     sizes = tuple(1 << h.spec.position_bits(i) for i in range(h.spec.positions))
     keys = [gf2.GenKey.from_chars([int(v) for v in row], sizes) for row in chars]
     return gf2.is_linearly_independent(keys)

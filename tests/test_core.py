@@ -921,7 +921,8 @@ class TestKeyDomain:
         """A 2-D block would hash its first row and drop the rest."""
         h = TornadoHash.build(parse_spec_string("tornado,cb=8,c=2,d=2,r=16"), 5)
         if call in self.SELECTOR_CALLS:
-            call, xs = self.SELECTOR_CALLS[call], selectors.fixed_set(self.BAD_SELECTOR_KEYS[shape])
+            call, xs = self.SELECTOR_CALLS[call], selectors.Selector(
+                selectors.SelectorKind.FIXED_SET, frozenset(self.BAD_SELECTOR_KEYS[shape]))
         else:
             call, xs = self.BATCH_CALLS[call], self.BAD_SHAPES[shape]
         with pytest.raises(ConfigError, match="1-D"):
@@ -962,7 +963,8 @@ class TestKeyDomain:
             with pytest.raises(ConfigError, match="integers"):
                 h.eval_batch(bad)
         with pytest.raises(ConfigError, match="integers"):
-            selectors.candidates(selectors.fixed_set([1, 2**63, 2.0]), spec)
+            selectors.candidates(selectors.Selector(selectors.SelectorKind.FIXED_SET,
+                                                    frozenset([1, 2**63, 2.0])), spec)
 
     @pytest.mark.parametrize("key", [
         0x89ABCDEF, np.uint64(0x89ABCDEF), np.int64(0x89ABCDEF), np.uint32(0x89ABCDEF),

@@ -332,7 +332,9 @@ class TestValidationAndJson:
     def test_candidates_reject_non_integer_keys(self, keys):
         """A key that is not an integer is a ConfigError before the keys are
         sorted, not a TypeError from comparing it with an int."""
-        for sel in (selectors.fixed_set(keys), selectors.bin_selector([0], 1, keys)):
+        for sel in (selectors.Selector(selectors.SelectorKind.FIXED_SET, frozenset(keys)),
+                    selectors.Selector(selectors.SelectorKind.BIN, frozenset([0]), frozenset(keys),
+                                       bin_value=1)):
             with pytest.raises(ConfigError, match="integers"):
                 selectors.candidates(sel, SPEC)
 
