@@ -562,6 +562,8 @@ def exact_uniformity_check(b: int, alphabet_bits: int, out_bits: int, keys) -> b
     sigma = 1 << alphabet_bits
     sizes = (sigma,) * b
     for k in keys:
+        if not isinstance(k, GenKey):
+            raise ValueError(f"key {k!r} is not a generalized key")
         if k.sizes != sizes:
             raise ValueError("generalized key does not match the declared shape")
     fillings = _table_fillings(out_bits, b * sigma)

@@ -13,6 +13,7 @@ explicit zero-set witness.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -43,13 +44,18 @@ class GenKey:
 
     @classmethod
     def from_chars(cls, chars: Sequence[int], sizes: Sequence[int]) -> "GenKey":
-        """Regular key: one position character per position."""
+        """Regular key: one position character per position, an integer (not
+        a bool or a float) below the position's alphabet size."""
         sizes = tuple(sizes)
         if len(chars) != len(sizes):
             raise ValueError("one character per position required")
         off = offsets(sizes)
         bits = 0
         for i, a in enumerate(chars):
+            if type(a) is not int:  # a bool is an int subclass, a NumPy integer is not
+                if isinstance(a, bool) or not isinstance(a, numbers.Integral):
+                    raise ValueError(f"character {a!r} at position {i} is not an integer")
+                a = int(a)
             if not 0 <= a < sizes[i]:
                 raise ValueError(f"character {a} out of range at position {i}")
             bits |= 1 << (off[i] + a)

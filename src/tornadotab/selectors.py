@@ -74,9 +74,10 @@ def bit_prefix(keys, s: int, targets, query_keys=(), relative_to_query=False) ->
     targets = frozenset(check_count("target", t, 0) for t in targets)
     if any(t >> s for t in targets):
         raise ConfigError("target exceeds prefix width")
+    query_keys = _keys(query_keys)
     if relative_to_query and not query_keys:
         raise ConfigError("query-relative prefix selector needs a query key")
-    return Selector(SelectorKind.BIT_PREFIX, _keys(keys), _keys(query_keys), s_bits=s,
+    return Selector(SelectorKind.BIT_PREFIX, _keys(keys), query_keys, s_bits=s,
                     targets=targets, relative_to_query=relative_to_query)
 
 
@@ -88,11 +89,12 @@ def dyadic_interval(keys, anchor: int, interval_bits: int) -> Selector:
 
 
 def bin_selector(keys, bin_value: int | None = None, query_keys=()) -> Selector:
+    query_keys = _keys(query_keys)
     if bin_value is None and not query_keys:
         raise ConfigError("query-relative bin selector needs a query key")
     if bin_value is not None:
         bin_value = check_count("bin_value", bin_value, 0)
-    return Selector(SelectorKind.BIN, _keys(keys), _keys(query_keys), bin_value=bin_value)
+    return Selector(SelectorKind.BIN, _keys(keys), query_keys, bin_value=bin_value)
 
 
 def hard_instance(char_bits: int) -> Selector:

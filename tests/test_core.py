@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tornadotab import experiments, rng, selectors
+from tornadotab import experiments, linprobe, rng, selectors
 from tornadotab.core import (
     FOLD_BLOCK,
     HASH_BLOCK,
@@ -1016,6 +1016,80 @@ class TestKeyDomain:
         assert h.eval_folded(top) == h.eval(top)
         with pytest.raises(ConfigError):
             h.eval(2**64)
+
+
+def _table_with(table: np.ndarray, xs):
+    """``table`` with its first entries replaced by ``xs``: nested lists, or
+    an object array when ``xs`` is an array."""
+    t = table.astype(object)
+    t.reshape(-1)[:len(xs)] = xs
+    return t if isinstance(xs, np.ndarray) else t.tolist()
+
+
+_RULE_SPEC = parse_spec_string("tornado,cb=8,c=2,d=2,r=16")
+_RULE_HASH = TornadoHash.build(_RULE_SPEC, 5)
+_RULE_OCC = np.array([0, 1, 1, 0, 0, 1, 0, 0], dtype=bool)
+# every boundary that takes an integer array: its limit, and a call that
+# passes it the array (the dyadic anchor takes the array's last value)
+_RULE_BOUNDARIES = {
+    "eval_batch": (1 << 16, _RULE_HASH.eval_batch),
+    "derive_batch": (1 << 16, _RULE_HASH.derive_batch),
+    "level-table": (1 << 8, lambda xs: TornadoHash(
+        _RULE_SPEC, 5, {**_RULE_HASH.level_tables, 1: _table_with(_RULE_HASH.level_tables[1], xs)},
+        _RULE_HASH.top_table)),
+    "top-table": (1 << 16, lambda xs: TornadoHash(
+        _RULE_SPEC, 5, _RULE_HASH.level_tables,
+        [_table_with(_RULE_HASH.top_table[0], xs)] + _RULE_HASH.top_table[1:])),
+    "occupancy_from_hashes": (8, lambda xs: linprobe.occupancy_from_hashes(8, xs)),
+    "fresh_probe_lengths": (8, lambda xs: linprobe.fresh_probe_lengths(_RULE_OCC, xs)),
+    "run_lengths_at": (8, lambda xs: linprobe.run_lengths_at(_RULE_OCC, xs)),
+    "fixed_set": (1 << 64, selectors.fixed_set),
+    "bit_prefix": (1 << 64, lambda xs: selectors.bit_prefix(xs, 1, {0})),
+    "bin_selector-query": (1 << 64, lambda xs: selectors.bin_selector([0], None, xs)),
+    "dyadic_interval": (1 << 64, lambda xs: selectors.dyadic_interval(xs, 0, 2)),
+    "dyadic-anchor": (1 << 64, lambda xs: selectors.dyadic_interval([1], xs[-1], 2)),
+}
+_RULE_BAD = {
+    "bool-in-int-list": lambda limit: [1, True],
+    "float": lambda limit: [1, 2.5],
+    "object-1.5": lambda limit: np.array([1, 1.5], dtype=object),
+    "negative": lambda limit: [1, -1],
+    "limit": lambda limit: [1, limit],
+}
+# a negative selector key is left to candidates, which checks the spec's universe
+_SELECTOR_KEYS = {"fixed_set", "bit_prefix", "bin_selector-query", "dyadic_interval"}
+
+
+class TestIntegerArrayRule:
+    """core.check_ints at every boundary that takes an integer array. Each
+    bad input got through some boundary before the one rule: a bool into a
+    top table or a selector, a float or an object 1.5 into the probing
+    scans (truncated to a cell), a negative anchor and a key of 2**64 into
+    a selector."""
+
+    @pytest.mark.parametrize("boundary, bad", [
+        (b, k) for b in _RULE_BOUNDARIES for k in _RULE_BAD
+        if not (k == "negative" and b in _SELECTOR_KEYS)])
+    def test_bad_input_refused(self, boundary, bad):
+        limit, call = _RULE_BOUNDARIES[boundary]
+        with pytest.raises(ConfigError):
+            call(_RULE_BAD[bad](limit))
+
+    def test_64_bit_top_table_list_across_2_63(self):
+        """NumPy reads this list as float64; the table keeps every entry exactly."""
+        spec = TornadoSpec(8, 2, 1, 64, Variant.TORNADO)
+        h = TornadoHash.build(spec, 5)
+        top = h.top_table[0].tolist()
+        top[:2] = [1, 2**63 + 5]
+        hh = TornadoHash(spec, 5, h.level_tables, [top] + h.top_table[1:])
+        assert hh.top_table[0].dtype == np.uint64 and hh.top_table[0].tolist() == top
+
+
+    def test_query_key_array_accepted(self):
+        """An array of query keys was tested for truth, which NumPy refuses."""
+        qs = np.array([1, 2], dtype=np.uint64)
+        assert selectors.bin_selector([0], None, qs).query_keys == {1, 2}
+        assert selectors.bit_prefix([0], 1, {0}, qs, relative_to_query=True).query_keys == {1, 2}
 
 
 class TestBitSplit:

@@ -577,6 +577,10 @@ class TestExactUniformity:
         with pytest.raises(ValueError, match="does not match the declared shape"):
             ex.exact_uniformity_check(1, 1, 1, [GenKey((2, 2), 1)])
 
+    def test_key_that_is_not_a_genkey_rejected(self):
+        with pytest.raises(ValueError, match="not a generalized key"):
+            ex.exact_uniformity_check(2, 2, 2, [genkey_from_key(1, 2, 2), 5])
+
     def test_more_keys_than_entries_not_uniform(self):
         """More keys than table entries are linearly dependent; the check says
         so before it counts, which for 70 keys would take 2^70 counters."""

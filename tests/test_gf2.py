@@ -97,6 +97,16 @@ class TestGenKey:
         with pytest.raises(ValueError):
             GenKey.from_chars([2], (2,))
 
+    @pytest.mark.parametrize("chars", [[True, 0], [0, np.bool_(True)], [0.5, 1], [1.0, 0],
+                                       [np.float64(1), 0], ["1", 0]], ids=repr)
+    def test_character_must_be_an_integer(self, chars):
+        """True would be stored as character 1, and 0.5 failed in a shift."""
+        with pytest.raises(ValueError, match="is not an integer"):
+            GenKey.from_chars(chars, (2, 2))
+
+    def test_numpy_integer_characters(self):
+        assert GenKey.from_chars([np.int64(1), np.uint8(3)], (2, 4)) == GenKey.from_chars([1, 3], (2, 4))
+
     @pytest.mark.parametrize("bits", [-1, 1 << 4], ids=repr)
     def test_bitset_out_of_range(self, bits):
         with pytest.raises(ValueError, match="bitset out of range"):
