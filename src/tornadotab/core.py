@@ -40,6 +40,10 @@ limit, and one loop, :func:`_pack`, packs it and every other word, so
 ``eval_folded`` costs c + d lookups: w64 in 64 bits, w128mix in 128. The
 scalar ``derive``/``eval`` are an independent transcription that the tests
 hold the engine and ``eval_folded`` against.
+
+One integer-array rule, :func:`check_ints`, checks every integer array at
+the API boundary: keys (:func:`check_keys`), hand-built table entries, the
+linear-probing hash cells and the selector keys, each against its limit.
 """
 
 from __future__ import annotations
@@ -240,11 +244,12 @@ def check_real(name: str, value, lo: float, hi: float) -> float:
 def check_ints(xs, limit: int, what: str, outside, low: int | None = 0) -> np.ndarray:
     """The integer-array rule: ``xs``, one 1-D array or sequence of integers
     (not bools or floats), as an integer array (of objects, if NumPy reads it
-    so). ConfigError naming ``what`` otherwise, and ``outside(x)`` for an x
-    outside [low, limit) (no lower bound if ``low`` is None). NumPy reads a
-    list of ints on both sides of 2**63 as float64, so it is read again as
-    objects, and a list of ints and bools as int64, so it is refused by the
-    types of its items. A uint64 array costs one max pass and no copy."""
+    so). ConfigError naming ``what`` otherwise; the exception ``outside(x)``
+    for an x outside [low, limit) (no lower bound if ``low`` is None).
+    NumPy reads a list of ints on both sides of 2**63 as float64, so it is
+    read again as objects, and a list of ints and bools as int64, so it is
+    refused by the types of its items. A uint64 array costs one max pass
+    and no copy."""
     arr = np.asarray(xs)
     if arr.ndim != 1:
         raise ConfigError(f"{what} must be one 1-D array or sequence, got shape {arr.shape}")

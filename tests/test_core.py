@@ -1084,7 +1084,6 @@ class TestIntegerArrayRule:
         hh = TornadoHash(spec, 5, h.level_tables, [top] + h.top_table[1:])
         assert hh.top_table[0].dtype == np.uint64 and hh.top_table[0].tolist() == top
 
-
     def test_query_key_array_accepted(self):
         """An array of query keys was tested for truth, which NumPy refuses."""
         qs = np.array([1, 2], dtype=np.uint64)

@@ -105,7 +105,8 @@ class TestGenKey:
             GenKey.from_chars(chars, (2, 2))
 
     def test_numpy_integer_characters(self):
-        assert GenKey.from_chars([np.int64(1), np.uint8(3)], (2, 4)) == GenKey.from_chars([1, 3], (2, 4))
+        want = GenKey.from_chars([1, 3], (2, 4))
+        assert GenKey.from_chars([np.int64(1), np.uint8(3)], (2, 4)) == want
 
     @pytest.mark.parametrize("bits", [-1, 1 << 4], ids=repr)
     def test_bitset_out_of_range(self, bits):
