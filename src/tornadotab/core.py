@@ -41,9 +41,9 @@ limit, and one loop, :func:`_pack`, packs it and every other word, so
 scalar ``derive``/``eval`` are an independent transcription that the tests
 hold the engine and ``eval_folded`` against.
 
-One integer-array rule, :func:`check_ints`, checks every integer array at
-the API boundary: keys (:func:`check_keys`), hand-built table entries, the
-linear-probing hash cells and the selector keys, each against its limit.
+Integers at the API boundary are read here: a count or spec field by
+:func:`check_count`, and every integer array in [0, limit) by :func:`check_ints`
+(keys, hand-built table entries, probing hash cells, selector keys, gf2 keys).
 """
 
 from __future__ import annotations
@@ -87,24 +87,19 @@ class TornadoSpec:
     out_bits: int
     variant: Variant
     psi_bits: int | None = None
-    # 2**key_bits, stored because the scalar eval paths check every key
-    # against it
+    # 2**key_bits, stored for the scalar eval paths' key checks
     key_limit: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("char_bits", "c", "d", "out_bits", "psi_bits"):  # no bool, no float
-            if not (_is_int(v := getattr(self, name)) or name == "psi_bits" and v is None):
-                raise ConfigError(f"{name} must be an integer, got {v!r}")
-            object.__setattr__(self, name, v if v is None else int(v))
-        if not 1 <= self.char_bits <= 16:
+        for name, least in (("char_bits", 1), ("c", 1), ("d", 0), ("out_bits", 1)):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), least))
+        if self.psi_bits is not None:
+            object.__setattr__(self, "psi_bits", check_count("psi_bits", self.psi_bits))
+        if self.char_bits > 16:
             raise ConfigError(f"char_bits must be in 1..16, got {self.char_bits}")
-        if self.c < 1:
-            raise ConfigError(f"c must be >= 1, got {self.c}")
-        if self.d < 0:
-            raise ConfigError(f"d must be >= 0, got {self.d}")
         if self.char_bits * self.c > 64:
             raise ConfigError("key does not fit a 64-bit word")
-        if not 1 <= self.out_bits <= 64:
+        if self.out_bits > 64:
             raise ConfigError(f"out_bits must be in 1..64, got {self.out_bits}")
         if self.variant is Variant.TORNADO_MIX:
             if self.d < 2:
@@ -113,11 +108,10 @@ class TornadoSpec:
                 raise ConfigError("tornado-mix needs psi_bits >= char_bits")
             if self.psi_bits > 20:
                 raise ConfigError("psi_bits > 20 not supported (table memory)")
-        else:
-            if self.psi_bits is not None:
-                raise ConfigError("psi_bits only applies to tornado-mix")
-            if self.variant is Variant.SIMPLE_TABULATION and self.d != 0:
-                raise ConfigError("simple tabulation requires d = 0")
+        elif self.psi_bits is not None:
+            raise ConfigError("psi_bits only applies to tornado-mix")
+        elif self.variant is Variant.SIMPLE_TABULATION and self.d != 0:
+            raise ConfigError("simple tabulation requires d = 0")
         object.__setattr__(self, "key_limit", 1 << self.key_bits)
 
     @property
@@ -241,11 +235,11 @@ def check_real(name: str, value, lo: float, hi: float) -> float:
     return float(value)
 
 
-def check_ints(xs, limit: int, what: str, outside, low: int | None = 0) -> np.ndarray:
+def check_ints(xs, limit: int, what: str, outside) -> np.ndarray:
     """The integer-array rule: ``xs``, one 1-D array or sequence of integers
     (not bools or floats), as an integer array (of objects, if NumPy reads it
     so). ConfigError naming ``what`` otherwise; the exception ``outside(x)``
-    for an x outside [low, limit) (no lower bound if ``low`` is None).
+    for an x outside [0, limit).
     NumPy reads a list of ints on both sides of 2**63 as float64, so it is
     read again as objects, and a list of ints and bools as int64, so it is
     refused by the types of its items. A uint64 array costs one max pass
@@ -261,7 +255,7 @@ def check_ints(xs, limit: int, what: str, outside, low: int | None = 0) -> np.nd
     if arr.size:
         if not (arr.dtype.kind in "ui" or arr.dtype.kind == "O" and all(map(_is_int, arr))):
             raise ConfigError(f"{what} must be integers, got dtype {np.asarray(xs).dtype}")
-        if low is not None and arr.dtype.kind != "u" and (lo := int(arr.min())) < low:
+        if arr.dtype.kind != "u" and (lo := int(arr.min())) < 0:
             raise outside(lo)
         if (hi := int(arr.max())) >= limit:
             raise outside(hi)

@@ -68,7 +68,7 @@ from .core import eval_folded_stack as _derive_chunk
 from .core import eval_folded_stack as _eval_chunk
 from .core import level_stacks as _chunk_level_tables
 from .core import top_stacks as _chunk_top_tables
-from .gf2 import GenKey, genkey_from_key, is_linearly_independent, is_zero_set
+from .gf2 import GenKey, is_linearly_independent
 
 
 class Verdict(enum.Enum):
@@ -591,7 +591,8 @@ def _check_zero_set4(spec: TornadoSpec, zero_set) -> np.ndarray:
     xs = check_keys(spec, list(zero_set))
     if len(xs) != 4 or len(np.unique(xs)) != 4:
         raise ValueError("survival needs a zero-set of 4 distinct keys")
-    if not is_zero_set(genkey_from_key(k, spec.c, spec.char_bits) for k in xs.tolist()):
+    shifts = np.arange(spec.c, dtype=np.uint64) * np.uint64(spec.char_bits)
+    if not _even_quad(*(xs[:, None] >> shifts) & np.uint64(spec.sigma - 1)).all():
         raise ValueError("the four keys do not form a zero-set")
     return xs
 

@@ -8,24 +8,25 @@ appears an even number of times across it, and a set is linearly dependent
 iff it contains a zero-set — equivalently iff Gaussian elimination over F2
 finds a dependency. The incremental basis below records, for every inserted
 vector, which earlier vectors reduce it, so a dependent insertion yields an
-explicit zero-set witness.
+explicit zero-set witness. Characters, bitsets and keys are integers by
+:mod:`tornadotab.core`'s rule (``_is_int``; a key by ``check_ints``).
 """
 
 from __future__ import annotations
 
-import numbers
+import bisect
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from .core import ConfigError, _is_int, check_ints
 
 MAX_DIMENSION = 1 << 22
 
 
 def offsets(sizes: Sequence[int]) -> list[int]:
     """Start bit of each position's block in a bitset, then the total width."""
-    off = [0]
-    for s in sizes:
-        off.append(off[-1] + s)
-    return off
+    return list(itertools.accumulate(sizes, initial=0))
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,9 @@ class GenKey:
         dim = sum(self.sizes)
         if dim > MAX_DIMENSION:
             raise ValueError(f"dimension {dim} exceeds {MAX_DIMENSION}")
+        if not _is_int(self.bits):
+            raise ValueError(f"bitset {self.bits!r} is not an integer")
+        object.__setattr__(self, "bits", int(self.bits))  # a NumPy integer has no bit_length
         if self.bits < 0 or self.bits >> dim:
             raise ValueError("bitset out of range for the declared dimension")
 
@@ -53,7 +57,7 @@ class GenKey:
         bits = 0
         for i, a in enumerate(chars):
             if type(a) is not int:  # a bool is an int subclass, a NumPy integer is not
-                if isinstance(a, bool) or not isinstance(a, numbers.Integral):
+                if not _is_int(a):
                     raise ValueError(f"character {a!r} at position {i} is not an integer")
                 a = int(a)
             if not 0 <= a < sizes[i]:
@@ -76,9 +80,7 @@ class GenKey:
         b = self.bits
         while b:
             low = (b & -b).bit_length() - 1
-            pos = 0
-            while off[pos + 1] <= low:
-                pos += 1
+            pos = bisect.bisect_right(off, low) - 1  # the last block starting at or below low
             out.append((pos, low - off[pos]))
             b &= b - 1
         return out
@@ -92,12 +94,13 @@ class GenKey:
         """Restriction to positions 1..i (1-based; i=0 gives the empty key)."""
         if not 0 <= i <= len(self.sizes):
             raise ValueError(f"prefix {i} out of range")
-        off = offsets(self.sizes)
-        return GenKey(self.sizes, self.bits & ((1 << off[i]) - 1))
+        return GenKey(self.sizes, self.bits & ((1 << offsets(self.sizes)[i]) - 1))
 
 
 def genkey_from_key(x: int, b: int, char_bits: int) -> GenKey:
-    """Generalized-key view of a regular key over a uniform alphabet."""
+    """Generalized-key view of a regular key, an integer in [0, 2**(b * char_bits))."""
+    x = int(check_ints([x], 1 << b * char_bits, "key", lambda v: ConfigError(
+        f"key {v} outside the {b * char_bits}-bit key universe"))[0])
     mask = (1 << char_bits) - 1
     chars = [(x >> (i * char_bits)) & mask for i in range(b)]
     return GenKey.from_chars(chars, (1 << char_bits,) * b)

@@ -95,9 +95,10 @@ def field_value_vec(seed, kind, major, minor, slot) -> np.ndarray:
     v = mix64_vec(v ^ np.asarray(major, dtype=np.uint64))
     v = mix64_vec(v ^ np.asarray(minor, dtype=np.uint64))
     slot = np.asarray(slot)
+    if slot.dtype.kind not in "iu":  # a float or a bool slot is no table address
+        raise ValueError(f"slots must be integers, got dtype {slot.dtype}")
     # 64-bit integers, such as the engine's intp characters, are viewed, not copied
-    slot = (slot.view(np.uint64) if slot.dtype.kind in "iu" and slot.itemsize == 8
-            else slot.astype(np.uint64))
+    slot = slot.view(np.uint64) if slot.itemsize == 8 else slot.astype(np.uint64)
     out = np.empty(np.broadcast_shapes(v.shape, slot.shape), dtype=np.uint64)
     np.bitwise_xor(v, slot, out=out)
     flat = out.reshape(-1)

@@ -58,9 +58,9 @@ class Selector:
 
 
 def _keys(keys) -> frozenset[int]:
-    """``keys`` as Python ints below 2**64; :func:`candidates` checks the spec's universe."""
+    """``keys`` as Python ints in [0, 2**64); :func:`candidates` checks the spec's universe."""
     arr = check_ints(list(keys), 1 << 64, "selector keys",
-                     lambda x: ConfigError(f"selector key {x} is not below 2**64"), low=None)
+                     lambda x: ConfigError(f"selector key {x} is outside [0, 2^64)"))
     return frozenset(map(int, arr.tolist()))
 
 

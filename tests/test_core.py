@@ -135,11 +135,18 @@ class TestSpec:
             TornadoSpec(8, 2, 0, 65, Variant.SIMPLE_TABULATION)
 
     @pytest.mark.parametrize("args,message", [
+        ((0, 2, 0, 8, Variant.SIMPLE_TABULATION), "char_bits must be >= 1"),
+        ((17, 2, 0, 8, Variant.SIMPLE_TABULATION), "char_bits must be in 1..16"),
         ((8, 0, 0, 8, Variant.SIMPLE_TABULATION), "c must be >= 1"),
         ((8, 2, -1, 8, Variant.SIMPLE_TORNADO), "d must be >= 0"),
+        ((8, 2, 0, 0, Variant.SIMPLE_TABULATION), "out_bits must be >= 1"),
+        ((8, 2, 0, 65, Variant.SIMPLE_TABULATION), "out_bits must be in 1..64"),
+        ((8, 2, 2, 8, Variant.TORNADO_MIX, 0), "psi_bits must be >= 1"),
+        ((8, 2, 2, 8, Variant.TORNADO_MIX, 4), "tornado-mix needs psi_bits >= char_bits"),
         ((8, 2, 2, 8, Variant.TORNADO_MIX, 21), "psi_bits > 20 not supported"),
         ((8, 2, 2, 8, Variant.TORNADO, 10), "psi_bits only applies to tornado-mix"),
-    ], ids=["c-zero", "d-negative", "psi-too-wide", "psi-not-mix"])
+    ], ids=["cb-zero", "cb-too-wide", "c-zero", "d-negative", "r-zero", "r-too-wide",
+            "psi-zero", "psi-below-cb", "psi-too-wide", "psi-not-mix"])
     def test_field_out_of_range(self, args, message):
         with pytest.raises(ConfigError, match=message):
             TornadoSpec(*args)
@@ -1056,8 +1063,6 @@ _RULE_BAD = {
     "negative": lambda limit: [1, -1],
     "limit": lambda limit: [1, limit],
 }
-# a negative selector key is left to candidates, which checks the spec's universe
-_SELECTOR_KEYS = {"fixed_set", "bit_prefix", "bin_selector-query", "dyadic_interval"}
 
 
 class TestIntegerArrayRule:
@@ -1068,8 +1073,7 @@ class TestIntegerArrayRule:
     a selector."""
 
     @pytest.mark.parametrize("boundary, bad", [
-        (b, k) for b in _RULE_BOUNDARIES for k in _RULE_BAD
-        if not (k == "negative" and b in _SELECTOR_KEYS)])
+        (b, k) for b in _RULE_BOUNDARIES for k in _RULE_BAD])
     def test_bad_input_refused(self, boundary, bad):
         limit, call = _RULE_BOUNDARIES[boundary]
         with pytest.raises(ConfigError):

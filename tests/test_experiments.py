@@ -1064,10 +1064,10 @@ class TestDegenerateRuns:
     def test_candidate_outside_universe_rejected(self, entry):
         spec16 = TornadoSpec(8, 2, 2, 8, Variant.TORNADO)
         sel = {
-            "dependence": selectors.fixed_set([1 << 20]),
-            "chernoff": selectors.bin_selector([1, 1 << 16], 0),
-            "large_mu": selectors.bin_selector(range(-1, 2000), 0),
-        }[entry]
+            "dependence": lambda: selectors.fixed_set([1 << 20]),
+            "chernoff": lambda: selectors.bin_selector([1, 1 << 16], 0),
+            "large_mu": lambda: selectors.bin_selector([*range(2000), 1 << 16], 0),
+        }[entry]()
         run = {
             "dependence": lambda: ex.measure_dependence(sel, spec16, 10, 1),
             "chernoff": lambda: ex.chernoff_tail(sel, spec16, 0.5, 10, 1),

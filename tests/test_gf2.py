@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tornadotab.core import ConfigError
 from tornadotab.gf2 import (
     GenKey,
     GF2Basis,
@@ -107,11 +108,35 @@ class TestGenKey:
     def test_numpy_integer_characters(self):
         want = GenKey.from_chars([1, 3], (2, 4))
         assert GenKey.from_chars([np.int64(1), np.uint8(3)], (2, 4)) == want
+        assert GenKey.from_chars([np.int8(1), 0], (2, 2)) == GenKey.from_chars([1, 0], (2, 2))
+        with pytest.raises(ValueError, match="is not an integer"):
+            GenKey.from_chars([1.5, 0], (2, 2))
 
     @pytest.mark.parametrize("bits", [-1, 1 << 4], ids=repr)
     def test_bitset_out_of_range(self, bits):
         with pytest.raises(ValueError, match="bitset out of range"):
             GenKey((2, 2), bits)
+
+    @pytest.mark.parametrize("bits", [True, (2,), 2.0], ids=repr)
+    def test_bitset_must_be_an_integer(self, bits):
+        """GenKey((2,), True) was the key with character 0."""
+        with pytest.raises(ValueError, match="bitset .* is not an integer"):
+            GenKey((2,), bits)
+
+    def test_numpy_integer_bitset_is_a_plain_int(self):
+        """A NumPy bitset was stored as it came, and rank failed on its missing bit_length."""
+        k = GenKey((2, 2), np.int64(5))
+        assert type(k.bits) is int and k == GenKey((2, 2), 5) and rank([k]) == 1
+
+    @pytest.mark.parametrize("x", [-1, True, 2**4, 1.5, "1"], ids=repr)
+    def test_key_outside_universe_refused(self, x):
+        """genkey_from_key(-1, 2, 2) gave bits 136 and 16 aliased the key 0."""
+        with pytest.raises(ConfigError):
+            genkey_from_key(x, 2, 2)
+
+    def test_key_at_universe_edges(self):
+        assert genkey_from_key(np.uint8(15), 2, 2) == genkey_from_key(15, 2, 2)
+        assert genkey_from_key(2**64 - 1, 8, 8).popcount == 8
 
     def test_one_character_per_position(self):
         with pytest.raises(ValueError, match="one character per position"):

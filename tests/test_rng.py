@@ -83,6 +83,23 @@ def test_field_value_vec_all_scalar(seed, kind, major, minor, slot):
     assert int(vec) == rng.field_value(seed, kind, major, minor, slot)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.uint32])
+def test_field_value_vec_narrow_slots(dtype):
+    """Slots narrower than 64 bits are widened, each element the scalar field_value."""
+    slots = np.arange(np.iinfo(dtype).max - 40, np.iinfo(dtype).max, 3).astype(dtype)
+    vec = rng.field_value_vec(9, rng.KIND_TOP, 0, 1, slots)
+    assert vec.dtype == np.uint64
+    assert vec.tolist() == [rng.field_value(9, rng.KIND_TOP, 0, 1, int(a)) for a in slots]
+
+
+@pytest.mark.parametrize("slots", [3.7, np.array([1.0, 2.0]), True,
+                                   np.array([True, False])], ids=repr)
+def test_field_value_vec_refuses_non_integer_slots(slots):
+    """A float slot was truncated to a table address: 3.7 read as slot 3."""
+    with pytest.raises(ValueError, match="slots must be integers"):
+        rng.field_value_vec(9, rng.KIND_TOP, 0, 1, slots)
+
+
 def test_field_value_distinguishes_coordinates():
     base = rng.field_value(1, 0, 0, 0, 0)
     assert base != rng.field_value(2, 0, 0, 0, 0)

@@ -338,6 +338,16 @@ class TestValidationAndJson:
             with pytest.raises(ConfigError, match="integers"):
                 selectors.candidates(sel, SPEC)
 
+    @pytest.mark.parametrize("key", [-1, 2**64], ids=repr)
+    def test_key_outside_64_bits_refused_at_construction(self, key):
+        """A negative key got past every constructor to ``candidates``."""
+        for make in (selectors.fixed_set, lambda ks: selectors.fixed_set([0], ks),
+                     lambda ks: selectors.bit_prefix(ks, 1, {0}),
+                     lambda ks: selectors.bin_selector([0], None, ks),
+                     lambda ks: selectors.dyadic_interval(ks, 0, 2)):
+            with pytest.raises(ConfigError, match="outside"):
+                make([3, key])
+
     def test_candidates_sorted(self):
         keys = [2**15, 7, 0, 513, 2**16 - 1]
         assert selectors.candidates(selectors.fixed_set(keys), SPEC).tolist() == sorted(keys)
