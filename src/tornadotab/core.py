@@ -89,6 +89,8 @@ class TornadoSpec:
     psi_bits: int | None = None
     # 2**key_bits, stored for the scalar eval paths' key checks
     key_limit: int = field(init=False, repr=False, compare=False)
+    # 2**position_bits(i) per derived-key position i, each position's alphabet
+    alphabets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name, least in (("char_bits", 1), ("c", 1), ("d", 0), ("out_bits", 1)):
@@ -113,6 +115,8 @@ class TornadoSpec:
         elif self.variant is Variant.SIMPLE_TABULATION and self.d != 0:
             raise ConfigError("simple tabulation requires d = 0")
         object.__setattr__(self, "key_limit", 1 << self.key_bits)
+        object.__setattr__(self, "alphabets",
+                           tuple(1 << self.position_bits(i) for i in range(self.positions)))
 
     @property
     def sigma(self) -> int:
@@ -338,8 +342,7 @@ def level_stacks(spec: TornadoSpec, seeds: np.ndarray) -> dict[int, np.ndarray]:
 
 def top_stacks(spec: TornadoSpec, seeds: np.ndarray) -> list[np.ndarray]:
     """Top tables for many seeds at once, one (B, alphabet_i) uint64 per position."""
-    return [_hashed(spec, seeds, None, i, np.arange(1 << spec.position_bits(i)))
-            for i in range(spec.positions)]
+    return [_hashed(spec, seeds, None, i, np.arange(a)) for i, a in enumerate(spec.alphabets)]
 
 
 def _reads(spec: TornadoSpec, level: int | None) -> int:
@@ -414,7 +417,7 @@ def _pack(spec: TornadoSpec, lanes: list[list[tuple[int | None, int]]], entry,
                     else:
                         word ^= e
             if s is not None:
-                full = np.zeros((len(word), 1 << spec.position_bits(p)), dtype=dtype)
+                full = np.zeros((len(word), spec.alphabets[p]), dtype=dtype)
                 full[:, s] = word
                 word = full
             words.append(word)
@@ -452,8 +455,8 @@ class TornadoHash:
     created through :meth:`build`; the direct constructor exists for tests
     that need hand-crafted tables, in build's shapes: ``level_tables`` maps
     each level of the spec to a (positions, sigma) array of entries below
-    2**level_output_bits, ``top_table`` holds one array of 2**position_bits
-    entries below 2**out_bits per derived-key position. Other tables raise
+    2**level_output_bits, ``top_table`` holds one array of ``spec.alphabets[i]``
+    entries below 2**out_bits per derived-key position i. Other tables raise
     ConfigError. The tables are kept read-only, as uint32 and uint64; a
     writable table is copied.
     """
@@ -480,9 +483,8 @@ class TornadoHash:
                                spec.level_output_bits(lv), np.uint32, f"level {lv} table")
             for lv, t in level_tables.items()}
         self.top_table = [
-            _checked_table(t, (1 << spec.position_bits(i),), spec.out_bits, np.uint64,
-                           f"top table {i}")
-            for i, t in enumerate(top_table)]
+            _checked_table(t, (a,), spec.out_bits, np.uint64, f"top table {i}")
+            for i, (t, a) in enumerate(zip(top_table, spec.alphabets))]
         self._packed: list[Lane] | None = None
         self._folded: FoldedTables | None = None
 
@@ -621,7 +623,7 @@ def fold_stacks(spec: TornadoSpec, seeds: np.ndarray, xs: np.ndarray,
     xs = np.asarray(xs, dtype=np.uint64)
 
     def entry(level: int | None, p: int, s: np.ndarray | None) -> np.ndarray:
-        slots = np.arange(1 << spec.position_bits(p)) if s is None else s
+        slots = np.arange(spec.alphabets[p]) if s is None else s
         return _hashed(spec, seeds, level, p, slots)
 
     return _pack(spec, _lanes(spec, top=top), entry,
@@ -647,7 +649,7 @@ def fold_tables(h: TornadoHash) -> FoldedTables:
         raise ConfigError(f"no folded layout for {spec.spec_string()}")
     (packed,) = _pack(spec, [lane], h._entry)
     tables = [w[0].tolist() for w in packed.words]
-    steps = [(tables[p], offs[p - spec.c + 1], (1 << spec.position_bits(p)) - 1)
+    steps = [(tables[p], offs[p - spec.c + 1], spec.alphabets[p] - 1)
              for p in range(spec.c - 1, spec.positions)]
     return FoldedTables(tables, steps, top_off)
 
@@ -713,7 +715,7 @@ def eval_folded_stack(spec: TornadoSpec, source: list[Lane] | Hashed, xs: np.nda
     width = n_trials * n if keep_chars else rows * cols
     store = (place(spec.positions * width, np.intp).reshape(spec.positions, width)
              if keep_chars or hashed else None)
-    alphas = [1 << spec.position_bits(p) for p in range(spec.positions)]
+    alphas = spec.alphabets
     bases = {}
     if rows > 1 and not hashed:
         for a in sorted(set(alphas)):

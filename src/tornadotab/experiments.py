@@ -255,7 +255,7 @@ def _entries(spec: TornadoSpec, evaluate: bool) -> int:
     if it evaluates."""
     entries = sum(spec.level_input_positions(lv) for lv in spec.levels()) * spec.sigma
     if evaluate:
-        entries += sum(1 << spec.position_bits(i) for i in range(spec.positions))
+        entries += sum(spec.alphabets)
     return entries
 
 
@@ -298,8 +298,7 @@ def trial_blocks(spec: TornadoSpec, keys, evaluate: bool, master_seed: int, star
     sample = isinstance(keys, (int, np.integer))
     n_keys = int(keys) if sample else len(keys)
     chunk = (1 << 23) // max(_entries(spec, evaluate) + n_keys * spec.positions * 2, 1)
-    max_alpha = max(1 << spec.position_bits(i) for i in range(spec.positions))
-    chunk = int(min(1 << 16, max(1, min(chunk, (1 << 24) // max_alpha))))
+    chunk = int(min(1 << 16, max(1, min(chunk, (1 << 24) // max(spec.alphabets)))))
     for lo in range(start, stop, chunk):
         seeds = rng.trial_seed_vec(master_seed,
                                    np.arange(lo, min(lo + chunk, stop), dtype=np.uint64))
@@ -365,7 +364,7 @@ def _mu_and_cap(sel: selectors.Selector, spec: TornadoSpec) -> float:
     mu_val = selectors.mu(sel, spec.out_bits)
     if not mu_val > 0:  # mu = 0 makes every bound 1 and every threshold 0
         raise ValueError(f"mu must be positive, got {mu_val}")
-    cap = (spec.psi if spec.variant is Variant.TORNADO_MIX else spec.sigma) / 2
+    cap = max(spec.alphabets) / 2  # sigma/2, or psi/2 where tornado-mix widens the last two
     if mu_val > cap:
         raise ValueError(f"mu {mu_val} exceeds the bound's validity cap {cap}")
     return mu_val
@@ -389,7 +388,7 @@ def _tail_range(args) -> tuple[np.ndarray, int]:
     0.5 (none).
     """
     spec, sel, keys, master_seed, dep_threshold, start, stop = args
-    sizes = tuple(1 << spec.position_bits(i) for i in range(spec.positions))
+    sizes = spec.alphabets
     evaluate = sel.kind is not selectors.SelectorKind.FIXED_SET
     mu_val = selectors.mu(sel, spec.out_bits)
     keep = not evaluate or dep_threshold <= mu_val + 1.5 * math.sqrt(mu_val)

@@ -202,8 +202,7 @@ def select(sel: Selector, h: TornadoHash) -> frozenset[int]:
 def selected_derived_independent(sel: Selector, h: TornadoHash) -> bool:
     """Whether the derived keys of the selected set are linearly independent."""
     chars = h.derive_batch(sorted(select(sel, h)))
-    sizes = tuple(1 << h.spec.position_bits(i) for i in range(h.spec.positions))
-    keys = [gf2.GenKey.from_chars([int(v) for v in row], sizes) for row in chars]
+    keys = [gf2.GenKey.from_chars(row, h.spec.alphabets) for row in chars.tolist()]
     return gf2.is_linearly_independent(keys)
 
 
