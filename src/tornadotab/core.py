@@ -20,26 +20,26 @@ key word, and tables are filled by the canonical PRG of :mod:`tornadotab.rng`
 in the documented order (levels ascending, positions ascending, slots
 ascending, then the top table).
 
-One batched engine builds, derives and evaluates. Each table entry is
-hashed from its address by one reader, ``rng.field_value_vec``:
-:func:`level_stacks` and :func:`top_stacks` fill the tables of B hash
-functions at once, the level tables position-major. One lane walk,
-:func:`eval_folded_stack`, derives and evaluates. It reads its entries from
-64-bit lanes (:func:`_lanes`: the levels in order at fixed bit offsets, then
-the top entry) with one gather per (lane, position) read, so a key costs
-c + d lookups when every entry fits one lane; or from a :class:`Hashed`
-source, hashing them from the B trial seeds at the characters it reads.
-:func:`fold_stacks` packs the lanes of B trials from their seeds (only at
-the slots shared keys read at the untwisted input positions, and with no top
-entry for a chunk that does not evaluate). A :class:`TornadoHash` is a stack
-of one: ``build`` fills the stacks for its seed, and ``derive_batch`` and
-``eval_batch`` (also named ``eval_folded_batch``, perfbench's name for it)
-walk its lanes, packed on first use, with B = 1, while
-:mod:`tornadotab.experiments` runs the same walk on chunks of trials. The scalar folded word is one more lane, with no width
-limit, and one loop, :func:`_pack`, packs it and every other word, so
-``eval_folded`` costs c + d lookups: w64 in 64 bits, w128mix in 128. The
-scalar ``derive``/``eval`` are an independent transcription that the tests
-hold the engine and ``eval_folded`` against.
+One batched engine derives and evaluates B hash functions at once. Each
+table entry is hashed from its address by one reader, ``rng.field_value_vec``,
+and position i's characters and tables range over ``spec.alphabets[i]``. One
+lane walk, :func:`eval_folded_stack`, reads its entries from 64-bit lanes
+(:func:`_lanes`: the levels in order at fixed bit offsets, then the top
+entry) with one gather per (lane, position) read, so a key costs c + d
+lookups when every entry fits one lane; or from a :class:`Hashed` source,
+hashing them from the B trial seeds at the characters it reads. A chunk of
+:mod:`tornadotab.experiments` does one or the other: :func:`fold_stacks`
+packs its lanes from the seeds (only at the slots shared keys read at the
+untwisted input positions, and with no top entry if it does not evaluate).
+A :class:`TornadoHash` is a stack of one: ``build`` alone fills whole
+tables, through :func:`level_stacks` and :func:`top_stacks` with B = 1, and
+``derive_batch`` and ``eval_batch`` (also named ``eval_folded_batch``,
+perfbench's name for it) walk its lanes, packed on first use. The scalar
+folded word is one more lane, with no width limit, and one loop,
+:func:`_pack`, packs it and every other word, so ``eval_folded`` costs
+c + d lookups: w64 in 64 bits, w128mix in 128. The scalar
+``derive``/``eval`` are an independent transcription that the tests hold
+the engine and ``eval_folded`` against.
 
 Integers at the API boundary are read here: a count or spec field by
 :func:`check_count`, and every integer array in [0, limit) by :func:`check_ints`
@@ -274,10 +274,10 @@ def check_keys(spec: TornadoSpec, xs) -> np.ndarray:
 
 # -- the batched engine -------------------------------------------------------
 #
-# Every table is a contiguous stack over B hash functions (trials). A level
-# stack is position-major, (npos, B, sigma), a top table is (B, alphabet_i),
-# and so are a lane's words at a position, so trial ``b`` reads character
-# ``ch`` of a position at flat offset ``b * alphabet + ch``: one gather index
+# The walk reads B hash functions (trials) at once. A lane's words at
+# position p are one contiguous (B, alphabet) array, alphabet being
+# ``spec.alphabets[p]``, so trial ``b`` reads character ``ch`` of the
+# position at flat offset ``b * alphabet + ch``: one gather index
 # per position serves every lane that reads it, and one ``np.take`` into a
 # preallocated buffer reads a block of keys. Derived characters are
 # ``intp``, stored position by position, so each position is a contiguous

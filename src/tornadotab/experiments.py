@@ -54,7 +54,7 @@ import enum
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -108,16 +108,7 @@ class ExperimentReport:
                              "an exact binomial tail below EXACT_TAIL")
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "bound": self.bound,
-            "trials": self.trials,
-            "seed": f"{self.seed:#x}",
-            "verdict": self.verdict.value,
-            "params": self.params,
-        }
+        return {**asdict(self), "seed": f"{self.seed:#x}", "verdict": self.verdict.value}
 
 
 CSV_HEADER = "name,estimate,stderr,bound,trials,seed,verdict,params"
@@ -295,8 +286,8 @@ def trial_blocks(spec: TornadoSpec, keys, evaluate: bool, master_seed: int, star
     Each chunk is one call of the lane walk (``_walk``), routed by the read
     columns.
     """
-    sample = isinstance(keys, (int, np.integer))
-    n_keys = int(keys) if sample else len(keys)
+    sample = np.ndim(keys) == 0
+    n_keys = check_count("keys", keys, 0) if sample else len(keys)
     chunk = (1 << 23) // max(_entries(spec, evaluate) + n_keys * spec.positions * 2, 1)
     chunk = int(min(1 << 16, max(1, min(chunk, (1 << 24) // max(spec.alphabets)))))
     for lo in range(start, stop, chunk):

@@ -83,8 +83,8 @@ def bit_prefix(keys, s: int, targets, query_keys=(), relative_to_query=False) ->
 
 def dyadic_interval(keys, anchor: int, interval_bits: int) -> Selector:
     interval_bits = check_count("interval_bits", interval_bits, 0)
-    anchor = check_count("anchor", anchor, 0)
-    return Selector(SelectorKind.DYADIC_INTERVAL, _keys(keys), _keys([anchor]),
+    (anchor,) = query_keys = _keys([anchor])
+    return Selector(SelectorKind.DYADIC_INTERVAL, _keys(keys), query_keys,
                     interval_bits=interval_bits, anchor=anchor)
 
 

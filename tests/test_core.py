@@ -1,4 +1,6 @@
 import itertools
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,6 +163,32 @@ class TestSpec:
         assert spec.level_input_positions(2) == spec.c + spec.d - 2
         assert spec.level_input_positions(3) == spec.c + spec.d - 2
         assert spec.level_output_bits(3) == 12
+
+    def test_alphabets_per_position(self):
+        """``alphabets`` is sigma at every position but tornado-mix's last two,
+        which are psi, for every valid spec with char_bits 1-8, c 1-5, d 0-5
+        and psi none, 4, 9 or 12; ``replace`` recomputes it and a pickle round
+        trip (the worker path) carries it."""
+        def rule(spec):
+            wide = spec.variant is Variant.TORNADO_MIX
+            return tuple(1 << (spec.psi_bits if wide and i >= spec.positions - 2
+                               else spec.char_bits) for i in range(spec.positions))
+
+        valid = 0
+        for cb, c, d, psi, variant in itertools.product(
+                range(1, 9), range(1, 6), range(6), (None, 4, 9, 12), Variant):
+            try:
+                spec = TornadoSpec(cb, c, d, 8, variant, psi)
+            except ConfigError:
+                continue
+            valid += 1
+            assert spec.alphabets == rule(spec), spec
+            if variant is not Variant.SIMPLE_TABULATION:
+                longer = replace(spec, d=d + 1)
+                assert longer.alphabets == rule(longer), longer
+            copy = pickle.loads(pickle.dumps(spec))
+            assert copy == spec and copy.alphabets == spec.alphabets
+        assert valid == 920
 
     def test_spec_string_roundtrip(self):
         for spec in (

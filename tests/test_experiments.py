@@ -300,11 +300,18 @@ class TestMeasureDependence:
         rep = ex.measure_dependence(selectors.fixed_set(zero_set), spec, 50, 1)
         assert rep.estimate == 1.0
 
-    def test_mu_cap_enforced(self):
-        spec = TornadoSpec(4, 2, 2, 8, Variant.TORNADO)
-        sel = selectors.fixed_set(range(9))  # mu = 9 > sigma/2 = 8
-        with pytest.raises(ValueError):
-            ex.measure_dependence(sel, spec, 10, 1)
+    @pytest.mark.parametrize("spec_text, cap", [
+        ("tornado,cb=4,c=2,d=2,r=8", 8),  # sigma/2
+        ("tornadomix,cb=4,c=2,d=2,r=8,psi=6", 32),  # psi/2, above sigma/2 = 8
+    ])
+    def test_mu_cap_enforced(self, spec_text, cap):
+        """A fixed set's mu is its size: the cap admits mu = cap and refuses
+        cap + 1, on both sides of the tornado-mix widening."""
+        spec = core.parse_spec_string(spec_text)
+        rep = ex.measure_dependence(selectors.fixed_set(range(cap)), spec, 2, 1)
+        assert rep.params["mu"] == cap
+        with pytest.raises(ValueError, match=f"exceeds the bound's validity cap {cap}"):
+            ex.measure_dependence(selectors.fixed_set(range(cap + 1)), spec, 2, 1)
 
     def test_reproducible(self):
         spec = TornadoSpec(4, 2, 1, 8, Variant.TORNADO)
@@ -1055,6 +1062,15 @@ class TestDegenerateRuns:
         with pytest.raises(ValueError, match="k"):
             ex.chaining_tail(SPEC_G, 16, k_list, 10, 1)
 
+    @pytest.mark.parametrize("count, message", [
+        (True, "keys must be an integer, got True"), (-1, "keys must be >= 0, got -1")],
+        ids=["bool", "negative"])
+    def test_trial_blocks_key_count_checked(self, count, message):
+        """True sampled one key per trial, and -1 reached the sampler."""
+        spec = TornadoSpec(4, 2, 1, 8, Variant.TORNADO)
+        with pytest.raises(ConfigError, match=message):
+            list(ex.trial_blocks(spec, count, True, 1, 0, 2))
+
     def test_negative_rounds_rejected(self):
         spec = TornadoSpec(4, 2, 1, 1, Variant.SIMPLE_TORNADO)
         with pytest.raises(ValueError, match="rounds"):
@@ -1146,6 +1162,9 @@ class TestReports:
 
     def test_json_and_csv_stable(self):
         rep = ex.ExperimentReport("demo", 0.5, 0.01, 0.9, 100, 0x42, {"k": 1})
+        assert rep.to_json_dict() == {
+            "name": "demo", "estimate": 0.5, "stderr": 0.01, "bound": 0.9, "trials": 100,
+            "seed": "0x42", "verdict": "Informational", "params": {"k": 1}}
         parsed = json.loads(ex.reports_to_json([rep]))
         assert parsed[0]["name"] == "demo"
         assert parsed[0]["seed"] == "0x42"
