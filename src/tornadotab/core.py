@@ -715,10 +715,9 @@ def eval_folded_stack(spec: TornadoSpec, source: list[Lane] | Hashed, xs: np.nda
     width = n_trials * n if keep_chars else rows * cols
     store = (place(spec.positions * width, np.intp).reshape(spec.positions, width)
              if keep_chars or hashed else None)
-    alphas = spec.alphabets
     bases = {}
     if rows > 1 and not hashed:
-        for a in sorted(set(alphas)):
+        for a in sorted(set(spec.alphabets)):
             bases[a] = place(rows * cols, np.intp)
             bases[a][:] = np.repeat(np.arange(rows, dtype=np.intp) * a, cols)
     key_buf, idx_buf = place(rows * cols, np.uint64), place(rows * cols, np.intp)
@@ -734,7 +733,7 @@ def eval_folded_stack(spec: TornadoSpec, source: list[Lane] | Hashed, xs: np.nda
     for p in range(spec.positions):
         readers = [i for i in range(len(lanes)) if p < reads[i]]
         levels = [lanes[i][0][0] for i in readers] if hashed else []
-        steps.append((where.get(p - spec.c + 1), alphas[p] - 1, readers,
+        steps.append((where.get(p - spec.c + 1), spec.alphabets[p] - 1, readers,
                       np.array(levels, dtype=_U)[:, None, None]))
     for r0 in range(0, n_trials, rows):
         r1 = min(r0 + rows, n_trials)
@@ -763,7 +762,7 @@ def eval_folded_stack(spec: TornadoSpec, source: list[Lane] | Hashed, xs: np.nda
                     vals = rng.field_value_vec(seeds, rng.KIND_LEVEL, levels, p,
                                                ch.reshape(r1 - r0, c1 - c0)).reshape(-1, m)
                 elif bases:
-                    ch = np.add(ch, bases[alphas[p]][:m], out=idx)
+                    ch = np.add(ch, bases[spec.alphabets[p]][:m], out=idx)
                 for k, i in enumerate(readers):
                     first = not p and not (twist and i == 0)
                     # characters are below their alphabet, so "wrap" reads the same

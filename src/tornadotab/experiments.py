@@ -379,7 +379,6 @@ def _tail_range(args) -> tuple[np.ndarray, int]:
     0.5 (none).
     """
     spec, sel, keys, master_seed, dep_threshold, start, stop = args
-    sizes = spec.alphabets
     evaluate = sel.kind is not selectors.SelectorKind.FIXED_SET
     mu_val = selectors.mu(sel, spec.out_bits)
     keep = not evaluate or dep_threshold <= mu_val + 1.5 * math.sqrt(mu_val)
@@ -400,7 +399,7 @@ def _tail_range(args) -> tuple[np.ndarray, int]:
         else:
             chars, _ = _walk(spec, seeds[flag], xs[flag] if xs.ndim == 2 else xs, False, True)
             alive = mask[flag]
-        dependent += int(_dependent_rows(chars, sizes, alive).sum())
+        dependent += int(_dependent_rows(chars, spec.alphabets, alive).sum())
     return hist, dependent
 
 
