@@ -36,10 +36,12 @@ tables, through :func:`level_stacks` and :func:`top_stacks` with B = 1, and
 ``derive_batch`` and ``eval_batch`` (also named ``eval_folded_batch``,
 perfbench's name for it) walk its lanes, packed on first use. The scalar
 folded word is one more lane, with no width limit, and one loop,
-:func:`_pack`, packs it and every other word, so ``eval_folded`` costs
-c + d lookups: w64 in 64 bits, w128mix in 128. The scalar
-``derive``/``eval`` are an independent transcription that the tests hold
-the engine and ``eval_folded`` against.
+:func:`_pack`, packs it and every other word. Folding a hash also generates
+its scalar evaluator from the packed tables alone (:func:`_evaluator`):
+straight-line code of c + d lookups, w64 in 64 bits, w128mix in 128, behind
+an inline key test, so ``eval_folded`` costs a method call and one call of
+that function. The scalar ``derive``/``eval`` are an independent
+transcription that the tests hold the engine and ``eval_folded`` against.
 
 Integers at the API boundary are read here: a count or spec field by
 :func:`check_count`, and every integer array in [0, limit) by :func:`check_ints`
@@ -51,6 +53,7 @@ from __future__ import annotations
 import enum
 import itertools
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -461,7 +464,7 @@ class TornadoHash:
     writable table is copied.
     """
 
-    __slots__ = ("spec", "seed", "level_tables", "top_table", "_packed", "_folded")
+    __slots__ = ("spec", "seed", "level_tables", "top_table", "_packed", "_folded", "_fast")
 
     def __init__(
         self,
@@ -487,6 +490,13 @@ class TornadoHash:
             for i, (t, a) in enumerate(zip(top_table, spec.alphabets))]
         self._packed: list[Lane] | None = None
         self._folded: FoldedTables | None = None
+        self._fast: Callable[[int], int] | None = None
+
+    def __reduce__(self):
+        """Pickle and copy by the constructor's arguments: the lazy lanes, fold
+        and evaluator (a generated function, which pickle cannot store) are
+        built again on first use."""
+        return type(self), (self.spec, self.seed, self.level_tables, self.top_table)
 
     @classmethod
     def build(cls, spec: TornadoSpec, seed: int) -> "TornadoHash":
@@ -564,25 +574,21 @@ class TornadoHash:
 
     # -- folded fast path ----------------------------------------------------
 
+    def _fold(self) -> Callable[[int], int]:
+        """Fold the tables and generate the evaluator over them; the evaluator."""
+        self._folded = fold_tables(self)
+        self._fast = _evaluator(self.spec, self._folded)
+        return self._fast
+
     @property
     def folded(self) -> "FoldedTables":
         if self._folded is None:
-            self._folded = fold_tables(self)
+            self._fold()
         return self._folded
 
     def eval_folded(self, x: int) -> int:
-        """Shift/xor evaluation over the folded tables; equals ``eval(x)``."""
-        spec = self.spec
-        x = check_key(spec, x)
-        f = self._folded or self.folded  # the property call only until folded
-        acc = 0
-        for tab in f.tables[:spec.c - 1]:
-            acc ^= tab[x & 255]
-            x >>= 8
-        acc ^= x  # the remaining bits are the last input character, at level 0's offset 0
-        for tab, off, mask in f.steps:
-            acc ^= tab[(acc >> off) & mask]
-        return acc >> f.top_off
+        """``eval(x)`` by the evaluator generated when the hash is folded."""
+        return (self._fast or self._fold())(x)
 
 
 @dataclass
@@ -652,6 +658,35 @@ def fold_tables(h: TornadoHash) -> FoldedTables:
     steps = [(tables[p], offs[p - spec.c + 1], spec.alphabets[p] - 1)
              for p in range(spec.c - 1, spec.positions)]
     return FoldedTables(tables, steps, top_off)
+
+
+def _evaluator(spec: TornadoSpec, f: FoldedTables) -> Callable[[int], int]:
+    """The scalar folded evaluator over ``f``, generated as straight-line code:
+    a key test that passes a plain int in range and sends every other key to
+    :func:`check_key`; the XOR of the first c - 1 characters' entries and the
+    last input character, which lands at level 0's offset 0, where the twist
+    accumulates; one ``acc ^= s_j[(acc >> off_j) & mask_j]`` per step; and
+    ``acc >> top_off``. Its source holds integer literals and names bound to
+    ``f``'s own lists, so no entry is copied and :func:`_pack` stays the one
+    packing rule."""
+    cb, last = spec.char_bits, spec.c - 1
+    names = {"check_key": check_key, "spec": spec}
+    names.update((f"t{i}", tab) for i, tab in enumerate(f.tables[:last]))
+    names.update((f"s{j}", tab) for j, (tab, _, _) in enumerate(f.steps))
+
+    def shifted(word: str, off: int) -> str:
+        return f"({word} >> {off})" if off else word
+
+    lines = [f"if type(x) is not int or not 0 <= x < {spec.key_limit}: x = check_key(spec, x)",
+             "acc = " + " ^ ".join([f"t{i}[{shifted('x', cb * i)} & {spec.sigma - 1}]"
+                                    for i in range(last)] + [shifted("x", cb * last)])]
+    lines += [f"acc ^= s{j}[{shifted('acc', off)} & {mask}]"
+              for j, (_, off, mask) in enumerate(f.steps)]
+    lines.append(f"return {shifted('acc', f.top_off)}")
+    exec("def eval_folded(x):\n" + "".join(f"    {line}\n" for line in lines), names)
+    # popped, so the function and its globals form no cycle that would keep
+    # the tables alive after the hash until the cyclic collector runs
+    return names.pop("eval_folded")
 
 
 class Hashed(NamedTuple):

@@ -1,5 +1,9 @@
+import copy
+import enum
+import gc
 import itertools
 import pickle
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -908,6 +912,72 @@ class TestFolded:
         keys = rng.raw_key_stream(0xBA7, 300, spec.key_bits)
         assert eval_folded_batch(h, keys).tolist() == [h.eval(int(x)) for x in keys]
 
+    # char_bits 8, c 1-8, d 0-7 and r in {1, 8, 24, 32, 64}, for plain tornado
+    # and tornado-mix with psi 16 (d >= 2): c = 1 has no byte tables, and the
+    # step that reads level 0 is at offset 0
+    GRID = {variant: [TornadoSpec(8, c, d, r, variant, 16 if variant is Variant.TORNADO_MIX
+                                  else None)
+                      for c, d, r in itertools.product(range(1, 9), range(8), (1, 8, 24, 32, 64))
+                      if variant is Variant.TORNADO or d >= 2]
+            for variant in (Variant.TORNADO, Variant.TORNADO_MIX)}
+
+    @pytest.mark.parametrize("variant, folds", [(Variant.TORNADO, 184),
+                                                (Variant.TORNADO_MIX, 224)], ids=str)
+    def test_every_spec_of_a_grid(self, variant, folds):
+        """Every spec of the grid whose top entry fits its word (README's
+        w64 and w128mix rules, written out here) evaluates as ``eval`` at the
+        key universe's ends and at 20 stream keys; every other spec refuses
+        to fold, through ``folded`` and ``eval_folded`` alike."""
+        folded = 0
+        for spec in self.GRID[variant]:
+            h = TornadoHash.build(spec, spec.c << 16 | spec.d << 8 | spec.out_bits)
+            if variant is Variant.TORNADO:
+                fits = 8 * (spec.d + 1) + spec.out_bits <= 64
+            else:
+                fits = 8 * (spec.d - 1) + 32 + spec.out_bits <= 128
+            if not fits:
+                for call in (lambda: h.folded, lambda: h.eval_folded(0)):
+                    with pytest.raises(ConfigError, match="no folded layout"):
+                        call()
+                continue
+            folded += 1
+            keys = [0, 1, spec.key_limit - 1,
+                    *map(int, rng.raw_key_stream(spec.d, 20, spec.key_bits))]
+            assert [h.eval_folded(x) for x in keys] == [h.eval(x) for x in keys], spec
+        assert folded == folds
+
+    @pytest.mark.parametrize("spec", [W64_SPECS[0], MIX_SPECS[0]], ids=lambda s: s.spec_string())
+    def test_folded_hash_pickles_and_copies(self, spec):
+        """A hash that has folded and walked pickles and deep-copies by its
+        constructor's arguments, so the copy carries no generated evaluator
+        and builds its own, and every path of the copy answers as the
+        original's does."""
+        h = TornadoHash.build(spec, 0x9C)
+        keys = rng.raw_key_stream(0x9D, 300, spec.key_bits)
+        scalar_keys = [int(x) for x in keys[:50]]
+        h.folded
+        batch = h.eval_batch(keys)
+        for twin in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h)):
+            assert twin is not h and (twin.spec, twin.seed) == (h.spec, h.seed)
+            assert [twin.eval_folded(x) for x in scalar_keys] == [
+                h.eval_folded(x) for x in scalar_keys]
+            assert np.array_equal(twin.eval_batch(keys), batch)
+            assert [twin.eval(x) for x in scalar_keys] == [h.eval(x) for x in scalar_keys]
+
+    def test_folded_hash_freed_by_reference_counting(self):
+        """The evaluator's globals hold the fold's lists but not the
+        evaluator, so no cycle keeps a dropped hash's tables (about 7 MB of
+        ints for the w128mix word) alive until the cyclic collector runs."""
+        h = TornadoHash.build(MIX_SPECS[0], 1)
+        h.eval_folded(3)
+        fast = weakref.ref(h._fast)
+        gc.disable()
+        try:
+            del h
+            assert fast() is None
+        finally:
+            gc.enable()
+
 
 class TestKeyDomain:
     SPEC = TornadoSpec(8, 4, 4, 24, Variant.TORNADO)
@@ -1001,14 +1071,19 @@ class TestKeyDomain:
             selectors.candidates(selectors.Selector(selectors.SelectorKind.FIXED_SET,
                                                     frozenset([1, 2**63, 2.0])), spec)
 
+    class Member(enum.IntEnum):
+        KEY = 0x89ABCDEF
+
     @pytest.mark.parametrize("key", [
         0x89ABCDEF, np.uint64(0x89ABCDEF), np.int64(0x89ABCDEF), np.uint32(0x89ABCDEF),
-        np.uint64(2**64 - 1), 2**64 - 1,
+        Member.KEY, np.uint64(2**64 - 1), 2**64 - 1,
     ], ids=lambda k: f"{type(k).__name__}-{int(k):#x}")
     @pytest.mark.parametrize("spec", WIDE_SPECS, ids=lambda s: s.spec_string())
     def test_every_path_one_answer(self, spec, key):
-        """A key of any integer type gives every path the answer of its
-        Python int, and the scalar paths return Python ints."""
+        """A key of any integer type, an int subclass included, gives every
+        path the answer of its Python int, and the scalar paths return Python
+        ints: eval_folded's inline test passes only a plain int and sends the
+        others to check_key."""
         h = TornadoHash.build(spec, 1)
         x, out = int(key), spec.out_bits
         want = h.eval(x)
@@ -1042,6 +1117,18 @@ class TestKeyDomain:
                      lambda k: derived_injectivity_check(h, k)):
             with pytest.raises(ConfigError, match="integers"):
                 call(keys)
+
+    @pytest.mark.parametrize("key", [True, np.bool_(True), 3.0, "3", None, -1, np.int64(-1),
+                                     2**32, np.uint64(2**32), 2**64], ids=repr)
+    def test_eval_folded_refuses_as_eval(self, key):
+        """The evaluator's inline test passes only a plain int in range and
+        sends every other key to check_key, so each refusal reads as eval's."""
+        h = TornadoHash.build(self.SPEC, 1)
+        with pytest.raises(ConfigError) as want:
+            h.eval(key)
+        with pytest.raises(ConfigError) as got:
+            h.eval_folded(key)
+        assert str(got.value) == str(want.value)
 
     def test_full_64_bit_universe(self):
         spec = TornadoSpec(8, 8, 5, 64, Variant.TORNADO_MIX, psi_bits=16)
