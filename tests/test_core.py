@@ -959,6 +959,7 @@ class TestFolded:
         batch = h.eval_batch(keys)
         for twin in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h)):
             assert twin is not h and (twin.spec, twin.seed) == (h.spec, h.seed)
+            assert twin._fast is None
             assert [twin.eval_folded(x) for x in scalar_keys] == [
                 h.eval_folded(x) for x in scalar_keys]
             assert np.array_equal(twin.eval_batch(keys), batch)
